@@ -72,12 +72,6 @@ class AttentionParams:
         return [self.score_vec, self.state_proj, self.query_proj, self.bias]
 
 
-@dataclass
-class AttentionResult:
-    weights: Tensor
-    context: Tensor
-
-
 def score(hs: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
     """Additive score: v . tanh(W_h hs + W_q query + b)."""
     inner = add(add(matvec(params.state_proj.value, hs),
@@ -87,13 +81,11 @@ def score(hs: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
 
 
 def attend(states: Sequence[Tensor], mask: Sequence[bool], query: Tensor,
-           params: AttentionParams) -> AttentionResult:
-    """Masked softmax over per-state scores and the weighted state sum."""
+           params: AttentionParams) -> Tensor:
+    """Attention weights: masked softmax over the per-state scores."""
     scores = [score(s, query, params) if m else constant(0.0)
               for s, m in zip(states, mask)]
-    weights = masked_softmax(stack_scalars(scores), mask)
-    return AttentionResult(weights=weights,
-                           context=weighted_sum(weights, states))
+    return masked_softmax(stack_scalars(scores), mask)
 
 
 def fuse_weights(*weight_vectors: Tensor, mask: Sequence[bool]) -> Tensor:
@@ -271,23 +263,22 @@ def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
     for sent in padded.sentences:
         embedded = [word_table.lookup(tok) for tok in sent.tokens]
         states = word_encoder.encode(embedded, sent.mask)
-        results = {q: attend(states, sent.mask, queries[q], attention.word[q])
+        weights = {q: attend(states, sent.mask, queries[q], attention.word[q])
                    for q in types}
-        fused = fuse_weights(*(results[q].weights for q in types),
-                             mask=sent.mask)
+        fused = fuse_weights(*(weights[q] for q in types), mask=sent.mask)
         sentence_vectors.append(weighted_sum(fused, states))
         trace.sentences.append(SentenceTrace(
             tokens=list(sent.tokens), mask=list(sent.mask),
-            alpha={q: results[q].weights.data.copy() for q in types},
+            alpha={q: weights[q].data.copy() for q in types},
             alpha_fused=fused.data.copy()))
 
     sent_mask = [True] * len(sentence_vectors)
     sent_states = sentence_encoder.encode(sentence_vectors, sent_mask)
-    results = {q: attend(sent_states, sent_mask, queries[q],
+    weights = {q: attend(sent_states, sent_mask, queries[q],
                          attention.sentence[q])
                for q in types}
-    fused = fuse_weights(*(results[q].weights for q in types), mask=sent_mask)
+    fused = fuse_weights(*(weights[q] for q in types), mask=sent_mask)
     document = weighted_sum(fused, sent_states)
-    trace.beta = {q: results[q].weights.data.copy() for q in types}
+    trace.beta = {q: weights[q].data.copy() for q in types}
     trace.beta_fused = fused.data.copy()
     return document, trace

@@ -6,8 +6,6 @@ before encoding.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .attention import PaddedRecord
@@ -21,11 +19,9 @@ from .grad import (
     constant,
     relu_elem,
     scalar_scale,
-    softmax_cross_entropy_with_logits,
-    softmax_probs,
 )
-from .model import ClassifierHead
-from .text import DatasetRecord, label_index
+from .model import Classifier, ClassifierHead
+from .text import DatasetRecord
 
 # dimensions reported for the concat baseline's reference configuration
 DEFAULT_EMBED_DIM = 100
@@ -43,9 +39,6 @@ _CATEGORY_TAGS = {
     "adverb": frozenset({"WRB"}),
     "cardinal": frozenset({"CD"}),
 }
-
-INIT_NEAR_ZERO = "near-zero"
-INIT_RANDOM = "random"
 
 
 def pos_category_index(tag: str) -> int:
@@ -68,9 +61,10 @@ def flatten_record(record: DatasetRecord, max_words=None,
     return tagged
 
 
-class LstmConcatModel:
+class LstmConcatModel(Classifier):
     """Single bidirectional encoder over [headline || body]; the final
-    encoder state feeds the classifier head."""
+    encoder state feeds the classifier head.  ``forward`` ignores the
+    query mode, which only the hierarchical model uses."""
 
     kind = "lstm"
 
@@ -86,56 +80,39 @@ class LstmConcatModel:
     def _inputs(self, tagged) -> list:
         return [self.word_table.lookup(t.text) for t in tagged]
 
-    def forward(self, padded: PaddedRecord) -> Tensor:
+    def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
         tagged = flatten_record(padded.record, padded.max_words,
                                 padded.max_sentences)
         inputs = self._inputs(tagged)
         final = self.encoder.final_state(inputs, [True] * len(inputs))
         return self.head.logits(final)
 
-    def loss(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
-        return softmax_cross_entropy_with_logits(
-            self.forward(padded), label_index(padded.record.label))
-
-    def predict_probs(self, padded: PaddedRecord) -> np.ndarray:
-        return softmax_probs(self.forward(padded))
-
     def parameters(self) -> list:
         return [self.word_table.matrix, *self.encoder.parameters(),
                 *self.head.parameters()]
 
-    def trainable_parameters(self) -> list:
-        return [p for p in self.parameters() if p.trainable]
 
-
-class PosAtModel:
+class PosAtModel(Classifier):
     """Concat encoder whose word embeddings are scaled by a learned
     scalar per POS category before encoding.
 
     Each category weight is a one-unit rectified-linear dense over the
-    one-hot category vector; near-zero initialization draws from
-    [0, 0.01].
+    one-hot category vector, initialized near zero: weights are drawn
+    from [0, 0.01].  ``forward`` ignores the query mode.
     """
 
     kind = "posat"
 
     def __init__(self, word_table: WordEmbeddingTable,
                  hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,
-                 init_mode: str = INIT_NEAR_ZERO, seed: int = 0):
+                 seed: int = 0):
         rng = np.random.default_rng(seed)
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
                                        hidden=hidden_size, cell=cell, rng=rng)
         self.head = ClassifierHead("classifier", self.encoder.out_dim, rng)
-        n = len(POS_CATEGORIES)
-        if init_mode == INIT_NEAR_ZERO:
-            w = rng.uniform(0.0, 0.01, (1, n))
-        elif init_mode == INIT_RANDOM:
-            bound = 1.0 / math.sqrt(n)
-            w = rng.uniform(-bound, bound, (1, n))
-        else:
-            raise ValueError(f"unknown init mode {init_mode!r}")
-        self.theta_weight = Parameter("posat.theta_w", w)
+        self.theta_weight = Parameter(
+            "posat.theta_w", rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
         self.theta_bias = Parameter("posat.theta_b", np.zeros(1))
 
     def category_theta(self, tag: str) -> Tensor:
@@ -157,22 +134,12 @@ class PosAtModel:
         final = self.encoder.final_state(inputs, [True] * len(inputs))
         return self.head.logits(final)
 
-    def forward(self, padded: PaddedRecord) -> Tensor:
+    def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
         tagged = flatten_record(padded.record, padded.max_words,
                                 padded.max_sentences)
         return self.forward_sequence([t.text for t in tagged],
                                      [t.pos for t in tagged])
 
-    def loss(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
-        return softmax_cross_entropy_with_logits(
-            self.forward(padded), label_index(padded.record.label))
-
-    def predict_probs(self, padded: PaddedRecord) -> np.ndarray:
-        return softmax_probs(self.forward(padded))
-
     def parameters(self) -> list:
         return [self.word_table.matrix, *self.encoder.parameters(),
                 *self.head.parameters(), self.theta_weight, self.theta_bias]
-
-    def trainable_parameters(self) -> list:
-        return [p for p in self.parameters() if p.trainable]

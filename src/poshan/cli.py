@@ -173,7 +173,7 @@ def _cmd_dump_attention(args) -> int:
     config = checkpoint.config
     padded = pad_record(matches[0], max_words=config.max_words_per_sentence,
                         max_sentences=config.max_sentences)
-    _, trace = model.forward(padded, query_mode=MEAN_POOL)
+    trace = model.attention_trace(padded, query_mode=MEAN_POOL)
     Path(args.out).write_text(json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(f"record\t{args.record_id}")
@@ -262,8 +262,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"poshan: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"poshan: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DataError, TaggingError, NonFiniteError) as exc:
         print(f"poshan: {exc}", file=sys.stderr)

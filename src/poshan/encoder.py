@@ -89,12 +89,6 @@ class LstmCell:
         return list(self.params)
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              cell: LstmCell) -> tuple:
-    """Single LSTM step; returns (h, c)."""
-    return cell.step(x, (h_prev, c_prev))
-
-
 class GruCell:
     """One direction of a GRU; state is (h,).
 
@@ -220,9 +214,3 @@ class SequenceEncoder:
         if bwd_states is None:
             return fwd_states[-1]
         return concat(fwd_states[-1], bwd_states[0])
-
-
-def bilstm_encode(inputs: list, mask: list,
-                  encoder: SequenceEncoder) -> list:
-    """Encode a masked sequence; alias for ``encoder.encode``."""
-    return encoder.encode(inputs, mask)

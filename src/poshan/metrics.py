@@ -8,6 +8,7 @@ positive.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -19,22 +20,33 @@ from .text import DataError, INCONGRUENT, LABELS
 POSITIVE_CLASS = INCONGRUENT
 
 
-def macro_f1(predictions: Sequence[str], labels: Sequence[str]) -> float:
-    """Unweighted mean of per-class F1 over the two classes.
-
-    A class absent from both predictions and labels contributes F1 = 0
-    with a warning.
-    """
+def _confusion(predictions: Sequence[str], labels: Sequence[str]) -> Counter:
+    """Count of each (predicted, true) label pair, in one pass."""
     if len(predictions) != len(labels):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(labels)} labels")
     if not labels:
         raise ValueError("cannot score an empty prediction list")
+    return Counter(zip(predictions, labels))
+
+
+def _class_counts(pairs: Counter, cls: str) -> tuple:
+    """(tp, fp, fn) of one class, read off the pair counts."""
+    tp = fp = fn = 0
+    for (p, y), n in pairs.items():
+        if p == cls and y == cls:
+            tp += n
+        elif p == cls:
+            fp += n
+        elif y == cls:
+            fn += n
+    return tp, fp, fn
+
+
+def _macro_f1(pairs: Counter) -> float:
     f1s = []
     for cls in LABELS:
-        tp = sum(1 for p, y in zip(predictions, labels) if p == cls and y == cls)
-        fp = sum(1 for p, y in zip(predictions, labels) if p == cls and y != cls)
-        fn = sum(1 for p, y in zip(predictions, labels) if p != cls and y == cls)
+        tp, fp, fn = _class_counts(pairs, cls)
         if tp + fp + fn == 0:
             warnings.warn(
                 f"class {cls!r} absent from predictions and labels; "
@@ -43,6 +55,15 @@ def macro_f1(predictions: Sequence[str], labels: Sequence[str]) -> float:
         else:
             f1s.append(2.0 * tp / (2.0 * tp + fp + fn))
     return sum(f1s) / len(f1s)
+
+
+def macro_f1(predictions: Sequence[str], labels: Sequence[str]) -> float:
+    """Unweighted mean of per-class F1 over the two classes.
+
+    A class absent from both predictions and labels contributes F1 = 0
+    with a warning.
+    """
+    return _macro_f1(_confusion(predictions, labels))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
@@ -139,40 +160,38 @@ EVAL_REPORT_SCHEMA = {
 }
 
 
-def evaluate_model(model, records, max_words: int = 45,
-                   max_sentences: int = 35) -> EvalReport:
-    """Predict every record and assemble the evaluation report.
+def build_report(records, probs) -> EvalReport:
+    """Assemble the evaluation report from each record's class
+    probabilities (congruent, incongruent).
 
-    AUC is reported as None with a warning when the test labels are
+    AUC is reported as None with a warning when the labels are
     single-class.
     """
-    if not records:
-        raise DataError("cannot evaluate an empty record list")
-    predictions = []
-    for rec in records:
-        probs = model.predict_probs(pad_record(rec, max_words, max_sentences))
-        predicted = LABELS[int(np.argmax(probs))]
-        predictions.append(RecordPrediction(
-            id=rec.id, label=rec.label, predicted=predicted,
-            p_congruent=float(probs[0]), p_incongruent=float(probs[1])))
-
-    pred_labels = [p.predicted for p in predictions]
+    predictions = [
+        RecordPrediction(id=rec.id, label=rec.label,
+                         predicted=LABELS[int(np.argmax(p))],
+                         p_congruent=float(p[0]), p_incongruent=float(p[1]))
+        for rec, p in zip(records, probs)]
     true_labels = [p.label for p in predictions]
-    score = macro_f1(pred_labels, true_labels)
+    pairs = _confusion([p.predicted for p in predictions], true_labels)
+    score = _macro_f1(pairs)
     if len(set(true_labels)) < 2:
         warnings.warn("single-class test labels: AUC is undefined",
                       RuntimeWarning)
         auc = None
     else:
         auc = roc_auc([p.p_incongruent for p in predictions], true_labels)
-
-    tp = sum(1 for p in predictions
-             if p.predicted == POSITIVE_CLASS and p.label == POSITIVE_CLASS)
-    fp = sum(1 for p in predictions
-             if p.predicted == POSITIVE_CLASS and p.label != POSITIVE_CLASS)
-    tn = sum(1 for p in predictions
-             if p.predicted != POSITIVE_CLASS and p.label != POSITIVE_CLASS)
-    fn = sum(1 for p in predictions
-             if p.predicted != POSITIVE_CLASS and p.label == POSITIVE_CLASS)
-    return EvalReport(macro_f1=score, auc=auc, tp=tp, fp=fp, tn=tn, fn=fn,
+    tp, fp, fn = _class_counts(pairs, POSITIVE_CLASS)
+    return EvalReport(macro_f1=score, auc=auc, tp=tp, fp=fp,
+                      tn=len(predictions) - tp - fp - fn, fn=fn,
                       predictions=predictions)
+
+
+def evaluate_model(model, records, max_words: int = 45,
+                   max_sentences: int = 35) -> EvalReport:
+    """Predict every record and assemble the evaluation report."""
+    if not records:
+        raise DataError("cannot evaluate an empty record list")
+    return build_report(records, [
+        model.predict_probs(pad_record(rec, max_words, max_sentences))
+        for rec in records])

@@ -8,7 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import HierarchicalAttention, PaddedRecord, document_forward
+from .attention import (
+    DocumentTrace,
+    HierarchicalAttention,
+    PaddedRecord,
+    document_forward,
+)
 from .embeddings import (
     ACTIVE,
     MEAN_POOL,
@@ -49,7 +54,21 @@ def classify(d: Tensor, head: ClassifierHead) -> np.ndarray:
     return softmax_probs(head.logits(d))
 
 
-class PoshanModel:
+class Classifier:
+    """The interface the three models share: a subclass defines
+    ``forward(padded, query_mode)``, returning the two class logits, and
+    ``parameters()``; the loss and the probabilities are built on
+    ``forward``."""
+
+    def loss(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
+        return softmax_cross_entropy_with_logits(
+            self.forward(padded, query_mode), label_index(padded.record.label))
+
+    def predict_probs(self, padded: PaddedRecord) -> np.ndarray:
+        return softmax_probs(self.forward(padded, MEAN_POOL))
+
+
+class PoshanModel(Classifier):
     """Cardinal-pattern-guided hierarchical attention classifier.
 
     The optional headline-encoder variant disables headline attention and
@@ -97,32 +116,33 @@ class PoshanModel:
         embedded = [self.word_table.lookup(t) for t in tokens]
         return self.word_encoder.final_state(embedded, [True] * len(tokens))
 
-    def forward(self, padded: PaddedRecord, query_mode: str) -> tuple:
-        """Class logits and the attention trace for one padded record."""
-        d, trace = document_forward(
+    def _document(self, padded: PaddedRecord, query_mode: str) -> tuple:
+        return document_forward(
             padded, self.word_table, self.pattern_table, self.word_encoder,
             self.sentence_encoder, self.attention, query_mode=query_mode,
             disable_pattern=self.disable_pattern_att,
             disable_phrase=self.disable_phrase_att,
             disable_headline=self.replace_headline_att)
+
+    def forward(self, padded: PaddedRecord, query_mode: str) -> Tensor:
+        """Class logits for one padded record."""
+        d, _ = self._document(padded, query_mode)
         if self.replace_headline_att:
             d = concat(d, self._encode_headline(padded.record))
-        return self.head.logits(d), trace
+        return self.head.logits(d)
+
+    def attention_trace(self, padded: PaddedRecord,
+                        query_mode: str = MEAN_POOL) -> DocumentTrace:
+        """Word and sentence attention weights of one padded record."""
+        _, trace = self._document(padded, query_mode)
+        return trace
 
     def loss(self, padded: PaddedRecord, query_mode: str = ACTIVE) -> Tensor:
-        logits, _ = self.forward(padded, query_mode)
-        return softmax_cross_entropy_with_logits(
-            logits, label_index(padded.record.label))
-
-    def predict_probs(self, padded: PaddedRecord) -> np.ndarray:
-        logits, _ = self.forward(padded, MEAN_POOL)
-        return softmax_probs(logits)
+        """Training loss; by default each unit's active cardinal queries."""
+        return super().loss(padded, query_mode)
 
     def parameters(self) -> list:
         return [self.word_table.matrix, self.pattern_table.matrix,
                 *self.word_encoder.parameters(),
                 *self.sentence_encoder.parameters(),
                 *self.attention.parameters(), *self.head.parameters()]
-
-    def trainable_parameters(self) -> list:
-        return [p for p in self.parameters() if p.trainable]

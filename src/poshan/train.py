@@ -16,12 +16,12 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .attention import PaddedRecord, pad_record
-from .baselines import INIT_NEAR_ZERO, LstmConcatModel, PosAtModel
+from .baselines import LstmConcatModel, PosAtModel
 from .embeddings import (
     ACTIVE,
     MEAN_POOL,
@@ -33,10 +33,18 @@ from .embeddings import (
     pattern_label_counts,
 )
 from .encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI
-from .grad import NonFiniteError, Parameter, backward, collect_gradients, zero_gradients
-from .metrics import EvalReport, evaluate_model
+from .grad import (
+    NonFiniteError,
+    Parameter,
+    backward,
+    collect_gradients,
+    softmax_cross_entropy_with_logits,
+    softmax_probs,
+    zero_gradients,
+)
+from .metrics import EvalReport, build_report, evaluate_model
 from .model import PoshanModel
-from .text import DataError, DatasetRecord, replicate_for_training
+from .text import DataError, DatasetRecord, label_index, replicate_for_training
 
 MODEL_POSHAN = "poshan"
 MODEL_LSTM = "lstm"
@@ -105,26 +113,9 @@ class TrainConfig:
             raise ValueError(f"unknown cell {self.cell!r}; expected one of {_CELLS}")
 
 
-def _field_types() -> dict[str, type]:
-    types: dict[str, type] = {}
-    for f in dataclasses.fields(TrainConfig):
-        types[f.name] = f.type  # type: ignore[assignment]
-    return types
-
-
 def _parse_value(key: str, raw: str, line_no: int):
-    """Convert one config-file value string to the field's Python type."""
-    name = key.replace("-", "_")
-    hints = {
-        "learning_rate": float,
-        "grad_clip": float,
-        "cell": str,
-        "attention_size": "optional-int",
-        "disable_pattern_att": bool,
-        "disable_phrase_att": bool,
-        "replace_headline_att": bool,
-    }
-    kind = hints.get(name, int)
+    """Convert one config-file value string to the field's annotated type."""
+    kind = get_type_hints(TrainConfig)[key.replace("-", "_")]
     text = raw.strip()
     try:
         if kind is float:
@@ -136,10 +127,8 @@ def _parse_value(key: str, raw: str, line_no: int):
             if lowered in ("true", "false"):
                 return lowered == "true"
             raise ValueError(text)
-        if kind == "optional-int":
-            if text.lower() == "none":
-                return None
-            return int(text)
+        if kind == Optional[int] and text.lower() == "none":
+            return None
         return int(text)
     except ValueError:
         raise DataError(f"config line {line_no}: bad value {text!r} for key {key!r}") from None
@@ -232,13 +221,7 @@ def build_model(
     if kind == MODEL_LSTM:
         return LstmConcatModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=config.seed)
     if kind == MODEL_POSAT:
-        return PosAtModel(
-            word_table,
-            hidden_size=config.hidden_size,
-            cell=config.cell,
-            init_mode=INIT_NEAR_ZERO,
-            seed=config.seed,
-        )
+        return PosAtModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=config.seed)
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
@@ -247,25 +230,19 @@ def build_model(
 
 
 def make_batches(
-    records: Sequence[DatasetRecord],
-    config: TrainConfig,
+    units: Sequence[PaddedRecord],
+    batch_size: int,
     seed: Optional[int] = None,
 ) -> list[list[PaddedRecord]]:
-    """Truncate, pad, and group records into batches.
+    """Group padded units into batches.
 
-    With a seed the record order is shuffled reproducibly first; without
+    With a seed the unit order is shuffled reproducibly first; without
     one the input order is kept.  The final batch may be short: 300
-    records at batch size 128 yield batches of 128, 128, and 44.
+    units at batch size 128 yield batches of 128, 128, and 44.
     """
-    order = list(range(len(records)))
     if seed is not None:
-        rng = np.random.default_rng(seed)
-        order = [int(i) for i in rng.permutation(len(records))]
-    padded = [
-        pad_record(records[i], max_words=config.max_words_per_sentence, max_sentences=config.max_sentences)
-        for i in order
-    ]
-    return [padded[i : i + config.batch_size] for i in range(0, len(padded), config.batch_size)]
+        units = [units[int(i)] for i in np.random.default_rng(seed).permutation(len(units))]
+    return [units[i : i + batch_size] for i in range(0, len(units), batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +489,24 @@ class TrainResult:
 LOG_HEADER = "epoch\ttrain-loss\tval-loss\tval-macro-f1"
 
 
-def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> float:
+def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, EvalReport]:
+    """Mean validation loss and the validation report, from one
+    mean-pooled forward per record.
+
+    Warnings raised by a record's forward surface; the report's own
+    RuntimeWarnings (single-class AUC, absent-class F1) are silenced.
+    """
     total = 0.0
+    probs = []
     for padded in val_padded:
-        total += float(model.loss(padded, query_mode=MEAN_POOL).data)
-    return total / len(val_padded)
+        logits = model.forward(padded, MEAN_POOL)
+        loss = softmax_cross_entropy_with_logits(logits, label_index(padded.record.label))
+        total += float(loss.data)
+        probs.append(softmax_probs(logits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = build_report([p.record for p in val_padded], probs)
+    return total / len(val_padded), report
 
 
 def train(
@@ -545,8 +535,7 @@ def train(
     word_table, pattern_table = build_tables(train_records, config)
     model = build_model(model_kind, config, word_table, pattern_table)
     params = model.parameters()
-    trainable = model.trainable_parameters()
-    optimizer = Adam(trainable, learning_rate=config.learning_rate)
+    optimizer = Adam(params, learning_rate=config.learning_rate)
 
     if model_kind == MODEL_POSHAN:
         train_units: list[DatasetRecord] = []
@@ -557,10 +546,9 @@ def train(
         train_units = list(train_records)
         query_mode = MEAN_POOL
 
-    val_padded = [
-        pad_record(r, max_words=config.max_words_per_sentence, max_sentences=config.max_sentences)
-        for r in val_records
-    ]
+    limits = dict(max_words=config.max_words_per_sentence, max_sentences=config.max_sentences)
+    val_padded = [pad_record(r, **limits) for r in val_records]
+    train_padded = [pad_record(u, **limits) for u in train_units]
 
     log_lines = [LOG_HEADER]
     best_val = math.inf
@@ -572,7 +560,7 @@ def train(
     epochs_run = 0
 
     for epoch in range(config.max_epochs):
-        batches = make_batches(train_units, config, seed=config.seed + epoch)
+        batches = make_batches(train_padded, config.batch_size, seed=config.seed + epoch)
         epoch_total = 0.0
         for batch_index, batch in enumerate(batches):
             zero_gradients(params)
@@ -586,23 +574,15 @@ def train(
                     )
                 backward(loss, ())
                 batch_total += value
-            grads = collect_gradients(trainable)
+            grads = collect_gradients(params)
             inv = 1.0 / len(batch)
             mean_grads = {name: g * inv for name, g in grads.items()}
             clipped = clip_global_norm(mean_grads, config.grad_clip)
             optimizer.step(clipped)
             epoch_total += batch_total
-        train_loss = epoch_total / len(train_units)
+        train_loss = epoch_total / len(train_padded)
 
-        val_loss = _mean_val_loss(model, val_padded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = evaluate_model(
-                model,
-                val_records,
-                max_words=config.max_words_per_sentence,
-                max_sentences=config.max_sentences,
-            )
+        val_loss, report = _mean_val_loss(model, val_padded)
         val_losses.append(val_loss)
         log_lines.append(f"{epoch}\t{train_loss!r}\t{val_loss!r}\t{report.macro_f1!r}")
         epochs_run = epoch + 1

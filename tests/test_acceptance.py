@@ -117,7 +117,7 @@ def test_attention_invariants_over_1000_randomized_forwards():
         model = build_model("poshan", config, word_table, pattern_table)
         for record in records:
             padded = pad_record(record, max_words=6, max_sentences=3)
-            _, trace = model.forward(padded, query_mode=MEAN_POOL)
+            trace = model.attention_trace(padded, query_mode=MEAN_POOL)
             types = trace.query_types
             assert len(types) == 3
             for st in trace.sentences:

@@ -33,6 +33,7 @@ from poshan.grad import (
     dot,
     finite_difference_check,
     sum_vectors,
+    weighted_sum,
 )
 from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
 
@@ -91,11 +92,12 @@ class TestAttend:
                             rng=np.random.default_rng(7))
         state = np.array([0.4, -0.9])
         states = [constant(state.copy()) for _ in range(3)]
-        res = attend(states, [True] * 3, constant(np.ones(2)), p)
-        w = res.weights.data
+        weights = attend(states, [True] * 3, constant(np.ones(2)), p)
+        w = weights.data
         assert w[0] == w[1] == w[2]
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(res.context.data, state, atol=1e-12)
+        np.testing.assert_allclose(weighted_sum(weights, states).data, state,
+                                   atol=1e-12)
 
     def test_zero_score_vec_uniform(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
@@ -103,28 +105,29 @@ class TestAttend:
         p.score_vec.value.data[...] = 0.0
         rng = np.random.default_rng(9)
         states = [constant(rng.normal(size=2)) for _ in range(4)]
-        res = attend(states, [True] * 4, constant(np.ones(2)), p)
-        assert np.all(res.weights.data == res.weights.data[0])
+        w = attend(states, [True] * 4, constant(np.ones(2)), p).data
+        assert np.all(w == w[0])
 
     def test_two_state_scalar_oracle(self):
         # state 0.5 scores tanh(1), state -0.5 scores tanh(0) = 0
         states = [constant(np.array([0.5])), constant(np.array([-0.5]))]
-        res = attend(states, [True, True], constant(np.array([0.5])),
-                     scalar_params())
+        weights = attend(states, [True, True], constant(np.array([0.5])),
+                         scalar_params())
         w0 = 1.0 / (1.0 + math.exp(-math.tanh(1.0)))
-        assert res.weights.data[0] == pytest.approx(w0, abs=1e-12)
-        assert res.weights.data[1] == pytest.approx(1.0 - w0, abs=1e-12)
+        assert weights.data[0] == pytest.approx(w0, abs=1e-12)
+        assert weights.data[1] == pytest.approx(1.0 - w0, abs=1e-12)
         expected = w0 * 0.5 + (1.0 - w0) * -0.5
-        assert res.context.data[0] == pytest.approx(expected, abs=1e-12)
+        context = weighted_sum(weights, states)
+        assert context.data[0] == pytest.approx(expected, abs=1e-12)
 
     def test_masked_positions_get_zero_weight(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
                             rng=np.random.default_rng(10))
         rng = np.random.default_rng(11)
         states = [constant(rng.normal(size=2)) for _ in range(3)]
-        res = attend(states, [True, True, False], constant(np.ones(2)), p)
-        assert res.weights.data[2] == 0.0
-        assert float(np.sum(res.weights.data)) == pytest.approx(1.0, abs=1e-9)
+        w = attend(states, [True, True, False], constant(np.ones(2)), p).data
+        assert w[2] == 0.0
+        assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_masked_rejected(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
@@ -140,8 +143,8 @@ class TestAttend:
         q = constant(rng.normal(size=2))
 
         def forward():
-            res = attend(states, [True, True, True], q, p)
-            return dot(res.context, constant(np.ones(2)))
+            weights = attend(states, [True, True, True], q, p)
+            return dot(weighted_sum(weights, states), constant(np.ones(2)))
 
         report = finite_difference_check(forward, p.parameters())
         assert report.passed, report.to_tsv()

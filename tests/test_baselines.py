@@ -10,7 +10,6 @@ from poshan.attention import pad_record
 from poshan.baselines import (
     DEFAULT_EMBED_DIM,
     DEFAULT_HIDDEN,
-    INIT_RANDOM,
     OTHER_CATEGORY,
     POS_CATEGORIES,
     LstmConcatModel,
@@ -78,7 +77,7 @@ class TestLstmConcat:
 
     def test_zero_weights_give_even_split(self):
         model, padded = make_pair()
-        for p in model.trainable_parameters():
+        for p in model.parameters():
             p.value.data[...] = 0.0
         assert np.array_equal(model.predict_probs(padded), [0.5, 0.5])
 
@@ -111,7 +110,7 @@ class TestLstmConcat:
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),
-                                         model.trainable_parameters())
+                                         model.parameters())
         assert report.passed, report.to_tsv()
 
 
@@ -121,16 +120,6 @@ class TestPosAt:
         w = model.theta_weight.data
         assert np.all(w >= 0.0) and np.all(w <= 0.01)
         assert np.array_equal(model.theta_bias.data, [0.0])
-
-    def test_random_init_mode(self):
-        model, _ = make_pair(cls=PosAtModel, init_mode=INIT_RANDOM)
-        assert np.any(model.theta_weight.data < 0.0)
-
-    def test_unknown_init_mode_rejected(self):
-        rec = make_record()
-        table = build_vocab([rec], min_count=1, dim=3, seed=0)
-        with pytest.raises(ValueError, match="init mode"):
-            PosAtModel(table, hidden_size=2, init_mode="glorot")
 
     def test_unit_theta_matches_concat_baseline_bitwise(self):
         lstm, padded = make_pair(seed=11)
@@ -166,5 +155,5 @@ class TestPosAt:
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),
-                                         model.trainable_parameters())
+                                         model.parameters())
         assert report.passed, report.to_tsv()

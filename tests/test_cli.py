@@ -194,6 +194,16 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert rc == EXIT_DATA
 
 
+def test_eval_directory_as_checkpoint(workspace, tmp_path, capsys):
+    rc = main(["eval", "--ckpt", str(tmp_path),
+               "--test", str(workspace / "splits" / "test.jsonl"),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Is a directory" in err
+    assert str(tmp_path) in err
+
+
 def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"these are not the bytes you are looking for")

@@ -13,8 +13,6 @@ from poshan.encoder import (
     GruCell,
     LstmCell,
     SequenceEncoder,
-    bilstm_encode,
-    lstm_step,
 )
 from poshan.grad import (
     ShapeError,
@@ -43,7 +41,7 @@ class TestLstmStep:
         cell = LstmCell("c", in_dim=3, hidden=2, rng=np.random.default_rng(0))
         zero_params(cell)
         h0, c0 = cell.initial_state()
-        h, c = lstm_step(constant(np.array([1.0, -2.0, 3.0])), h0, c0, cell)
+        h, c = cell.step(constant(np.array([1.0, -2.0, 3.0])), (h0, c0))
         # i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0, so c = h = 0
         assert np.array_equal(h.data, [0.0, 0.0])
         assert np.array_equal(c.data, [0.0, 0.0])
@@ -53,7 +51,7 @@ class TestLstmStep:
         zero_params(cell)
         cell.b_f.value.data[...] = 10.0
         h0, c0 = cell.initial_state()
-        h, c = lstm_step(constant(np.zeros(2)), h0, c0, cell)
+        h, c = cell.step(constant(np.zeros(2)), (h0, c0))
         assert np.array_equal(c.data, [0.0, 0.0])
         assert np.array_equal(h.data, [0.0, 0.0])
 
@@ -62,8 +60,7 @@ class TestLstmStep:
         zero_params(cell)
         cell.b_f.value.data[...] = 30.0  # f saturates to 1
         c_prev = constant(np.array([0.8]))
-        h, c = lstm_step(constant(np.zeros(1)), constant(np.zeros(1)),
-                         c_prev, cell)
+        h, c = cell.step(constant(np.zeros(1)), (constant(np.zeros(1)), c_prev))
         assert c.data[0] == pytest.approx(0.8, abs=1e-12)
         # h = sigmoid(0) * tanh(c)
         assert h.data[0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
@@ -241,14 +238,6 @@ class TestSequenceEncoder:
         with pytest.raises(ShapeError, match="prefix"):
             enc.encode(make_inputs(np.random.default_rng(0), 3, 2),
                        [True, False, True])
-
-    def test_alias_function(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
-                              rng=np.random.default_rng(9))
-        xs = make_inputs(np.random.default_rng(10), 2, 2)
-        a = bilstm_encode(xs, [True, True], enc)
-        b = enc.encode(xs, [True, True])
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
 from poshan.embeddings import ACTIVE, MEAN_POOL, PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_GRU_BI, CELL_LSTM_UNI
-from poshan.grad import Tensor, constant, finite_difference_check
+from poshan.grad import Tensor, backward, collect_gradients, constant, finite_difference_check
 from poshan.model import ClassifierHead, PoshanModel, classify
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize
+from poshan.train import Adam
 
 
 def make_records():
@@ -71,7 +72,8 @@ class TestModelAssembly:
     def test_forward_shapes_and_trace(self):
         model, records = make_model()
         padded = pad_record(records[0], 45, 35)
-        logits, trace = model.forward(padded, MEAN_POOL)
+        logits = model.forward(padded, MEAN_POOL)
+        trace = model.attention_trace(padded, MEAN_POOL)
         assert logits.shape == (2,)
         assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE,
                                      QUERY_HEADLINE]
@@ -98,12 +100,16 @@ class TestModelAssembly:
                               model.predict_probs(padded))
 
     def test_trainable_excludes_frozen_table(self):
-        model, _ = make_model()
+        model, records = make_model()
         model.word_table.matrix.trainable = False
         model.word_table.matrix.value.requires_grad = False
-        trainable = model.trainable_parameters()
+        trainable = Adam(model.parameters(), learning_rate=0.1).params
         assert model.word_table.matrix not in trainable
         assert model.pattern_table.matrix in trainable
+        backward(model.loss(pad_record(records[0], 45, 35), MEAN_POOL), ())
+        grads = collect_gradients(model.parameters())
+        assert model.word_table.matrix.name not in grads
+        assert model.pattern_table.matrix.name in grads
 
 
 class TestVariants:
@@ -112,14 +118,14 @@ class TestVariants:
         expected = model.sentence_encoder.out_dim + model.word_encoder.out_dim
         assert model.head.weight.data.shape == (2, expected)
         padded = pad_record(records[0], 45, 35)
-        logits, trace = model.forward(padded, MEAN_POOL)
-        assert logits.shape == (2,)
+        assert model.forward(padded, MEAN_POOL).shape == (2,)
+        trace = model.attention_trace(padded, MEAN_POOL)
         assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE]
 
     def test_pattern_ablation_drops_query_type(self):
         model, records = make_model(disable_pattern_att=True)
         padded = pad_record(records[0], 45, 35)
-        _, trace = model.forward(padded, MEAN_POOL)
+        trace = model.attention_trace(padded, MEAN_POOL)
         assert trace.query_types == [QUERY_PHRASE, QUERY_HEADLINE]
 
     def test_gru_cell_variant(self):
@@ -152,7 +158,7 @@ class TestEndToEndGradients:
 
         report = finite_difference_check(
             lambda: model.loss(padded, query_mode=ACTIVE),
-            model.trainable_parameters())
+            model.parameters())
         assert report.passed, report.to_tsv()
         assert len(report.entries) == len(model.parameters())
 
@@ -164,5 +170,5 @@ class TestEndToEndGradients:
 
         report = finite_difference_check(
             lambda: model.loss(padded, query_mode=ACTIVE),
-            model.trainable_parameters())
+            model.parameters())
         assert report.passed, report.to_tsv()

@@ -3,6 +3,7 @@ and checkpoint round-trips."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from poshan.attention import pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
 from poshan.grad import NonFiniteError, Parameter, constant
 from poshan.model import PoshanModel
+from poshan import train as train_module
 from poshan.text import DataError, RawRecord, RuleTagger, featurize
 from poshan.train import (
     Adam,
@@ -252,37 +254,31 @@ def test_adam_skips_frozen_and_missing():
 # Batching
 
 
+def padded_units(records):
+    return [pad_record(r, max_words=45, max_sentences=35) for r in records]
+
+
 def test_make_batches_300_records():
-    records = toy_corpus(6) * 50
-    batches = make_batches(records, TrainConfig(), seed=None)
+    units = padded_units(toy_corpus(6)) * 50
+    batches = make_batches(units, TrainConfig().batch_size, seed=None)
     assert [len(b) for b in batches] == [128, 128, 44]
 
 
 def test_make_batches_preserves_order_without_seed():
-    records = toy_corpus(10)
-    batches = make_batches(records, tiny_config(batch_size=4), seed=None)
-    ids = [p.record.id for b in batches for p in b]
-    assert ids == [r.id for r in records]
+    units = padded_units(toy_corpus(10))
+    batches = make_batches(units, 4, seed=None)
+    assert [p for b in batches for p in b] == units
 
 
 def test_make_batches_shuffle_is_seeded_permutation():
     records = toy_corpus(20)
-    config = tiny_config(batch_size=6)
-    first = [p.record.id for b in make_batches(records, config, seed=5) for p in b]
-    second = [p.record.id for b in make_batches(records, config, seed=5) for p in b]
-    other = [p.record.id for b in make_batches(records, config, seed=6) for p in b]
+    units = padded_units(records)
+    first = [p.record.id for b in make_batches(units, 6, seed=5) for p in b]
+    second = [p.record.id for b in make_batches(units, 6, seed=5) for p in b]
+    other = [p.record.id for b in make_batches(units, 6, seed=6) for p in b]
     assert first == second
     assert sorted(first) == sorted(r.id for r in records)
     assert first != other
-
-
-def test_make_batches_applies_padding_limits():
-    records = toy_corpus(4)
-    config = tiny_config(batch_size=2, max_words_per_sentence=3, max_sentences=1)
-    for batch in make_batches(records, config, seed=None):
-        for padded in batch:
-            assert len(padded.sentences) == 1
-            assert all(len(s.tokens) <= 3 for s in padded.sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +461,53 @@ def test_train_constant_label_set_approaches_zero_loss():
     result = train(config, records, records, model_kind=MODEL_POSHAN)
     # All labels equal: the optimum is certainty, entropy zero.
     assert min(result.checkpoint.val_losses) < 0.05
+
+
+def test_train_pads_each_record_once_within_limits(splits, monkeypatch):
+    train_set, val_set, _ = splits
+    padded = []
+
+    def counting_pad(record, max_words, max_sentences):
+        padded.append(pad_record(record, max_words, max_sentences))
+        return padded[-1]
+
+    monkeypatch.setattr(train_module, "pad_record", counting_pad)
+    config = tiny_config(max_epochs=3, max_words_per_sentence=3, max_sentences=1)
+    train(config, train_set, val_set, model_kind=MODEL_LSTM)
+    assert sorted(p.record.id for p in padded) == sorted(r.id for r in [*train_set, *val_set])
+    for unit in padded:
+        assert len(unit.sentences) == 1
+        assert all(len(s.tokens) <= 3 for s in unit.sentences)
+
+
+def test_train_validates_with_one_forward_per_record(splits, monkeypatch):
+    train_set, val_set, _ = splits
+    calls = []
+    forward = LstmConcatModel.forward
+
+    def counting_forward(self, padded, query_mode="meanpool"):
+        calls.append(padded.record.id)
+        return forward(self, padded, query_mode)
+
+    monkeypatch.setattr(LstmConcatModel, "forward", counting_forward)
+    train(tiny_config(max_epochs=2), train_set, val_set, model_kind=MODEL_LSTM)
+    # one forward per training record for the loss, one per validation record
+    assert len(calls) == 2 * (len(train_set) + len(val_set))
+
+
+def test_train_validation_warnings(splits):
+    train_set, _, _ = splits
+    congruent = [r for r in train_set if r.label == "congruent"][:2]
+    no_cardinal = make_record("nc", "congruent", "Team wins games",
+                              "The team won games. Fans cheered loudly.")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train(tiny_config(max_epochs=1), train_set, [*congruent, no_cardinal],
+              model_kind=MODEL_POSHAN)
+    messages = [str(w.message) for w in caught]
+    # the record's own warning surfaces; the single-class report's do not
+    assert any("'nc' has no cardinal feature" in m for m in messages)
+    assert not any("AUC" in m or "F1 counts as 0" in m for m in messages)
 
 
 def test_train_all_model_kinds_run(splits):
