@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,14 +32,9 @@ from .grad import (
     Parameter,
     ShapeError,
     Tensor,
-    add,
-    constant,
-    dot,
+    additive_scores,
     masked_softmax,
-    matvec,
-    mean_vectors,
-    stack_scalars,
-    tanh_elem,
+    mean_fold,
     weighted_sum,
 )
 from .text import DataError, DatasetRecord
@@ -72,37 +67,37 @@ class AttentionParams:
         return [self.score_vec, self.state_proj, self.query_proj, self.bias]
 
 
-def score(hs: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
-    """Additive score: v . tanh(W_h hs + W_q query + b)."""
-    inner = add(add(matvec(params.state_proj.value, hs),
-                    matvec(params.query_proj.value, query)),
-                params.bias.value)
-    return dot(params.score_vec.value, tanh_elem(inner))
+def score(states: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
+    """Additive scores v . tanh(W_h s + W_q query + b) of every state row
+    s: states (..., T, S) give scores (..., T)."""
+    return additive_scores(states, query, params.score_vec.value,
+                           params.state_proj.value, params.query_proj.value,
+                           params.bias.value)
 
 
-def attend(states: Sequence[Tensor], mask: Sequence[bool], query: Tensor,
+def attend(states: Tensor, mask, query: Tensor,
            params: AttentionParams) -> Tensor:
-    """Attention weights: masked softmax over the per-state scores."""
-    scores = [score(s, query, params) if m else constant(0.0)
-              for s, m in zip(states, mask)]
-    return masked_softmax(stack_scalars(scores), mask)
+    """Attention weights: the masked softmax of the scores along the last
+    axis, for one sequence (T, S) or a block of sequences (N, T, S) with
+    a mask of the same leading shape."""
+    return masked_softmax(score(states, query, params), mask)
 
 
-def fuse_weights(*weight_vectors: Tensor, mask: Sequence[bool]) -> Tensor:
-    """Per-position mean of one to three attention weight vectors sharing
+def fuse_weights(*weight_vectors: Tensor, mask) -> Tensor:
+    """Per-position mean of one to three attention weight tensors sharing
     a mask; the result is a simplex over the same mask."""
     if not 1 <= len(weight_vectors) <= 3:
         raise ValueError(
             f"expected 1 to 3 weight vectors, got {len(weight_vectors)}")
-    k = len(mask)
+    m = np.asarray(mask, dtype=bool)
     for w in weight_vectors:
-        if w.shape != (k,):
-            raise ShapeError(f"weight vector {w.shape} vs mask length {k}")
+        if w.shape != m.shape:
+            raise ShapeError(f"weight vector {w.shape} vs mask {m.shape}")
     for w in weight_vectors:
-        if any(w.data[i] != 0.0 for i in range(k) if not mask[i]):
+        if np.any(w.data[~m] != 0.0):
             raise MaskMismatchError(
                 "weight vector carries mass on a masked position")
-    return mean_vectors(list(weight_vectors))
+    return mean_fold(weight_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +246,29 @@ def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
                      query_mode: str = ACTIVE, disable_pattern: bool = False,
                      disable_phrase: bool = False,
                      disable_headline: bool = False) -> tuple:
-    """Word-level attention per sentence, fusion, sentence encoding,
-    sentence-level attention, fusion; returns (document vector, trace)."""
+    """Word encoding and word-level attention over all sentences as one
+    block, fusion, sentence encoding, sentence-level attention, fusion;
+    returns (document vector, trace)."""
     record = padded.record
     queries = build_queries(record, word_table, pattern_table, query_mode,
                             disable_pattern, disable_phrase, disable_headline)
     types = [q for q in QUERY_TYPES if q in queries]
     trace = DocumentTrace(record_id=record.id, query_types=types)
 
-    sentence_vectors = []
-    for sent in padded.sentences:
-        embedded = [word_table.lookup(tok) for tok in sent.tokens]
-        states = word_encoder.encode(embedded, sent.mask)
-        weights = {q: attend(states, sent.mask, queries[q], attention.word[q])
-                   for q in types}
-        fused = fuse_weights(*(weights[q] for q in types), mask=sent.mask)
-        sentence_vectors.append(weighted_sum(fused, states))
+    tokens = [sent.tokens for sent in padded.sentences]
+    mask = np.array([sent.mask for sent in padded.sentences])
+    states = word_encoder.encode(word_table.lookup(tokens), mask.ravel().tolist())
+    weights = {q: attend(states, mask, queries[q], attention.word[q])
+               for q in types}
+    fused = fuse_weights(*(weights[q] for q in types), mask=mask)
+    sentence_vectors = weighted_sum(fused, states)
+    for i, sent in enumerate(padded.sentences):
         trace.sentences.append(SentenceTrace(
             tokens=list(sent.tokens), mask=list(sent.mask),
-            alpha={q: weights[q].data.copy() for q in types},
-            alpha_fused=fused.data.copy()))
+            alpha={q: weights[q].data[i].copy() for q in types},
+            alpha_fused=fused.data[i].copy()))
 
-    sent_mask = [True] * len(sentence_vectors)
+    sent_mask = [True] * len(padded.sentences)
     sent_states = sentence_encoder.encode(sentence_vectors, sent_mask)
     weights = {q: attend(sent_states, sent_mask, queries[q],
                          attention.sentence[q])

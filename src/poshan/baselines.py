@@ -17,8 +17,8 @@ from .grad import (
     Tensor,
     affine,
     constant,
+    hadamard,
     relu_elem,
-    scalar_scale,
 )
 from .model import Classifier, ClassifierHead
 from .text import DatasetRecord
@@ -77,14 +77,11 @@ class LstmConcatModel(Classifier):
                                        hidden=hidden_size, cell=cell, rng=rng)
         self.head = ClassifierHead("classifier", self.encoder.out_dim, rng)
 
-    def _inputs(self, tagged) -> list:
-        return [self.word_table.lookup(t.text) for t in tagged]
-
     def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
         tagged = flatten_record(padded.record, padded.max_words,
                                 padded.max_sentences)
-        inputs = self._inputs(tagged)
-        final = self.encoder.final_state(inputs, [True] * len(inputs))
+        inputs = self.word_table.lookup([t.text for t in tagged])
+        final = self.encoder.final_state(inputs, [True] * len(tagged))
         return self.head.logits(final)
 
     def parameters(self) -> list:
@@ -115,30 +112,24 @@ class PosAtModel(Classifier):
             "posat.theta_w", rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
         self.theta_bias = Parameter("posat.theta_b", np.zeros(1))
 
-    def category_theta(self, tag: str) -> Tensor:
-        onehot = np.zeros(len(POS_CATEGORIES))
-        onehot[pos_category_index(tag)] = 1.0
-        return relu_elem(affine(constant(onehot), self.theta_weight.value,
-                                self.theta_bias.value))
-
-    def scaled_inputs(self, tokens, tags) -> list:
+    def scaled_inputs(self, tokens, tags) -> Tensor:
+        """Word embeddings (L, D), each row scaled by its category's
+        theta = relu(theta_w . onehot(category) + theta_b)."""
         if len(tokens) != len(tags):
             raise ShapeError(
                 f"{len(tokens)} tokens vs {len(tags)} tags")
-        return [scalar_scale(self.word_table.lookup(tok),
-                             self.category_theta(tag))
-                for tok, tag in zip(tokens, tags)]
-
-    def forward_sequence(self, tokens, tags) -> Tensor:
-        inputs = self.scaled_inputs(tokens, tags)
-        final = self.encoder.final_state(inputs, [True] * len(inputs))
-        return self.head.logits(final)
+        onehot = np.zeros((len(tags), len(POS_CATEGORIES)))
+        onehot[np.arange(len(tags)), [pos_category_index(t) for t in tags]] = 1.0
+        theta = relu_elem(affine(constant(onehot), self.theta_weight.value,
+                                 self.theta_bias.value))
+        return hadamard(self.word_table.lookup(tokens), theta)
 
     def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
         tagged = flatten_record(padded.record, padded.max_words,
                                 padded.max_sentences)
-        return self.forward_sequence([t.text for t in tagged],
-                                     [t.pos for t in tagged])
+        inputs = self.scaled_inputs([t.text for t in tagged], [t.pos for t in tagged])
+        final = self.encoder.final_state(inputs, [True] * len(tagged))
+        return self.head.logits(final)
 
     def parameters(self) -> list:
         return [self.word_table.matrix, *self.encoder.parameters(),

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grad import Parameter, Tensor, constant, mean_vectors, pick_row, sum_vectors
+from .grad import Parameter, Tensor, constant, gather, mean_axis, sum_axis
 from .text import (
     BOS_TOKEN,
     CONGRUENT,
@@ -45,12 +45,24 @@ PATTERN_DIM = 100
 _SENTINELS = frozenset({PAD_TOKEN, BOS_TOKEN, EOS_TOKEN})
 
 
+def _nested_indices(index, keys):
+    if isinstance(keys, str):
+        return index(keys)
+    return [_nested_indices(index, k) for k in keys]
+
+
+def _index_array(index, keys) -> np.ndarray:
+    """Row indices of a key, or of a (nested) sequence of keys, keeping
+    the nesting as array shape."""
+    return np.array(_nested_indices(index, keys), dtype=np.intp)
+
+
 class WordEmbeddingTable:
     """Token to row-index map over a single embedding matrix.
 
     Sentinel tokens resolve to the zero padding row; unseen tokens resolve
-    to the unknown row.  Lookups of the padding row return a constant, so
-    no gradient can ever reach it.
+    to the unknown row.  Lookups of the padding row read zeros and pass no
+    gradient back, so no gradient can ever reach it.
     """
 
     def __init__(self, vocab: dict, matrix: Parameter, mode: str):
@@ -71,11 +83,11 @@ class WordEmbeddingTable:
             return PAD_INDEX
         return self.vocab.get(token, UNK_INDEX)
 
-    def lookup(self, token: str) -> Tensor:
-        idx = self.index(token)
-        if idx == PAD_INDEX:
-            return constant(np.zeros(self.dim))
-        return pick_row(self.matrix.value, idx)
+    def lookup(self, tokens) -> Tensor:
+        """Embedding rows of a token, (D,), or of a (nested) sequence of
+        tokens, e.g. (N, T, D) for N padded sentences, as one gather."""
+        return gather(self.matrix.value, _index_array(self.index, tokens),
+                      pad=PAD_INDEX)
 
 
 def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
@@ -164,8 +176,9 @@ class PatternEmbeddingTable:
     def index(self, key: str) -> int:
         return self.patterns.get(key, 0)
 
-    def lookup(self, key: str) -> Tensor:
-        return pick_row(self.matrix.value, self.index(key))
+    def lookup(self, keys) -> Tensor:
+        """Embedding rows of a pattern key or a sequence of keys."""
+        return gather(self.matrix.value, _index_array(self.index, keys))
 
     @classmethod
     def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,
@@ -184,19 +197,22 @@ class PatternEmbeddingTable:
 
 def headline_vector(tokens: Sequence[str], table: WordEmbeddingTable) -> Tensor:
     """Sum of the embeddings of all headline tokens (padding excluded)."""
-    vecs = [table.lookup(t) for t in tokens if table.index(t) != PAD_INDEX]
-    if not vecs:
+    kept = [t for t in tokens if table.index(t) != PAD_INDEX]
+    if not kept:
         warnings.warn("empty headline: query vector is zero", RuntimeWarning)
         return constant(np.zeros(table.dim))
-    return sum_vectors(vecs)
+    return sum_axis(table.lookup(kept))
+
+
+def _phrase_tokens(phrase: CardinalPhrase) -> list:
+    return [phrase.prev, phrase.num, phrase.next]
 
 
 def cardinal_phrase_vector(phrase: CardinalPhrase,
                            table: WordEmbeddingTable) -> Tensor:
     """Sum of the embeddings of the three phrase words; sentinel tokens
     contribute the zero row."""
-    return sum_vectors([table.lookup(t)
-                        for t in (phrase.prev, phrase.num, phrase.next)])
+    return sum_axis(table.lookup(_phrase_tokens(phrase)))
 
 
 def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable,
@@ -217,7 +233,7 @@ def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable,
                 "cardinal index")
         return table.lookup(record.patterns[record.active_cardinal_index].key)
     if mode == MEAN_POOL:
-        return mean_vectors([table.lookup(p.key) for p in record.patterns])
+        return mean_axis(table.lookup([p.key for p in record.patterns]))
     raise ValueError(f"unknown pattern query mode {mode!r}")
 
 
@@ -235,8 +251,8 @@ def phrase_query(record: DatasetRecord, table: WordEmbeddingTable,
         return cardinal_phrase_vector(
             record.phrases[record.active_cardinal_index], table)
     if mode == MEAN_POOL:
-        return mean_vectors([cardinal_phrase_vector(p, table)
-                             for p in record.phrases])
+        rows = table.lookup([_phrase_tokens(p) for p in record.phrases])
+        return mean_axis(sum_axis(rows, 1))
     raise ValueError(f"unknown phrase query mode {mode!r}")
 
 

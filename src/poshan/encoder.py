@@ -1,10 +1,11 @@
-"""Recurrent sequence encoders: single-step LSTM and GRU cells plus a
-masked bidirectional wrapper.
+"""Recurrent sequence encoders: LSTM and GRU directions over padded blocks
+of sequences, and a masked bidirectional wrapper.
 
-One encoder instance is used at the word level (shared across sentences)
-and another at the sentence level.  Masks must be contiguous prefixes;
-the backward direction runs over the reversed unmasked prefix only, so
-padding can never leak into real positions.
+One encoder instance is used at the word level, where it runs every
+sentence of a record as one (N, T, D) block, and another at the sentence
+level.  Masks must be contiguous prefixes; the backward direction runs
+over each sequence's reversed real prefix only, so padding can never leak
+into real positions.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from .grad import (
     Parameter,
     ShapeError,
     Tensor,
-    add,
-    affine,
     concat,
-    constant,
-    hadamard,
-    matvec,
-    scale,
-    sigmoid_elem,
-    tanh_elem,
+    gather,
+    gru_layer,
+    lstm_layer,
 )
 
 CELL_LSTM_BI = "lstm-bi"
@@ -36,101 +32,57 @@ CELLS = (CELL_LSTM_BI, CELL_GRU_BI, CELL_LSTM_UNI)
 FORGET_BIAS = 1.0
 
 
-def _gate(x: Tensor, h_prev: Tensor, w: Parameter, u: Parameter,
-          b: Parameter) -> Tensor:
-    return add(affine(x, w.value, b.value), matvec(u.value, h_prev))
+class _Cell:
+    """Parameters of one recurrent direction: an input weight ``w_<gate>``
+    (H, D), a recurrent weight ``u_<gate>`` (H, H) and a bias ``b_<gate>``
+    (H,) per gate, drawn uniformly from +-1/sqrt(H)."""
 
-
-def _one_minus(x: Tensor) -> Tensor:
-    return add(constant(np.ones(x.shape[0])), scale(x, -1.0))
-
-
-class LstmCell:
-    """One direction of an LSTM; state is (h, c)."""
+    gates: tuple = ()
+    bias_offsets: dict = {}
 
     def __init__(self, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
         self.hidden = hidden
         bound = 1.0 / math.sqrt(hidden)
-
-        def mk(name, shape, offset=0.0):
-            return Parameter(f"{prefix}.{name}",
-                             rng.uniform(-bound, bound, shape) + offset)
-
         self.params = []
-        for gate in ("i", "f", "o", "g"):
-            w = mk(f"w_{gate}", (hidden, in_dim))
-            u = mk(f"u_{gate}", (hidden, hidden))
-            b = mk(f"b_{gate}", hidden,
-                   offset=FORGET_BIAS if gate == "f" else 0.0)
-            setattr(self, f"w_{gate}", w)
-            setattr(self, f"u_{gate}", u)
-            setattr(self, f"b_{gate}", b)
-            self.params.extend((w, u, b))
+        for gate in self.gates:
+            for kind, shape in (("w", (hidden, in_dim)), ("u", (hidden, hidden)),
+                                ("b", hidden)):
+                offset = self.bias_offsets.get(gate, 0.0) if kind == "b" else 0.0
+                p = Parameter(f"{prefix}.{kind}_{gate}",
+                              rng.uniform(-bound, bound, shape) + offset)
+                setattr(self, f"{kind}_{gate}", p)
+                self.params.append(p)
 
-    def initial_state(self):
-        zeros = np.zeros(self.hidden)
-        return constant(zeros), constant(zeros)
+    def _values(self, kind: str) -> list:
+        return [getattr(self, f"{kind}_{gate}").value for gate in self.gates]
 
-    def step(self, x: Tensor, state):
-        h_prev, c_prev = state
-        i = sigmoid_elem(_gate(x, h_prev, self.w_i, self.u_i, self.b_i))
-        f = sigmoid_elem(_gate(x, h_prev, self.w_f, self.u_f, self.b_f))
-        o = sigmoid_elem(_gate(x, h_prev, self.w_o, self.u_o, self.b_o))
-        g = tanh_elem(_gate(x, h_prev, self.w_g, self.u_g, self.b_g))
-        c = add(hadamard(f, c_prev), hadamard(i, g))
-        h = hadamard(o, tanh_elem(c))
-        return h, c
-
-    def output(self, state) -> Tensor:
-        return state[0]
+    def run(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
+        """States of this direction over x (N, T, D) or (T, D); see
+        :func:`poshan.grad.lstm_layer`."""
+        return self.layer(x, lengths, self._values("w"), self._values("u"),
+                          self._values("b"), reverse=reverse)
 
     def parameters(self) -> list:
         return list(self.params)
 
 
-class GruCell:
-    """One direction of a GRU; state is (h,).
+class LstmCell(_Cell):
+    """One direction of an LSTM; the forget-gate bias starts near 1."""
+
+    gates = ("i", "f", "o", "g")
+    bias_offsets = {"f": FORGET_BIAS}
+    layer = staticmethod(lstm_layer)
+
+
+class GruCell(_Cell):
+    """One direction of a GRU.
 
     Update convention: h = (1 - z) * n + z * h_prev.
     """
 
-    def __init__(self, prefix: str, in_dim: int, hidden: int,
-                 rng: np.random.Generator):
-        self.hidden = hidden
-        bound = 1.0 / math.sqrt(hidden)
-
-        def mk(name, shape):
-            return Parameter(f"{prefix}.{name}",
-                             rng.uniform(-bound, bound, shape))
-
-        self.params = []
-        for gate in ("z", "r", "n"):
-            w = mk(f"w_{gate}", (hidden, in_dim))
-            u = mk(f"u_{gate}", (hidden, hidden))
-            b = mk(f"b_{gate}", hidden)
-            setattr(self, f"w_{gate}", w)
-            setattr(self, f"u_{gate}", u)
-            setattr(self, f"b_{gate}", b)
-            self.params.extend((w, u, b))
-
-    def initial_state(self):
-        return (constant(np.zeros(self.hidden)),)
-
-    def step(self, x: Tensor, state):
-        (h_prev,) = state
-        z = sigmoid_elem(_gate(x, h_prev, self.w_z, self.u_z, self.b_z))
-        r = sigmoid_elem(_gate(x, h_prev, self.w_r, self.u_r, self.b_r))
-        n = tanh_elem(add(affine(x, self.w_n.value, self.b_n.value),
-                          matvec(self.u_n.value, hadamard(r, h_prev))))
-        h = add(hadamard(_one_minus(z), n), hadamard(z, h_prev))
-        return (h,)
-
-    def output(self, state) -> Tensor:
-        return state[0]
-
-    def parameters(self) -> list:
-        return list(self.params)
+    gates = ("z", "r", "n")
+    layer = staticmethod(gru_layer)
 
 
 def _make_cell(kind: str, prefix: str, in_dim: int, hidden: int,
@@ -168,49 +120,46 @@ class SequenceEncoder:
             params += self.bwd.parameters()
         return params
 
-    def _real_length(self, inputs: list, mask: list) -> int:
-        if len(inputs) != len(mask):
+    def _lengths(self, inputs: Tensor, mask) -> np.ndarray:
+        """Real length of each sequence, from a flat row-major mask."""
+        if inputs.data.ndim not in (2, 3):
             raise ShapeError(
-                f"{self.name}: {len(inputs)} inputs vs {len(mask)} mask entries")
-        real = sum(1 for m in mask if m)
-        if real == 0:
+                f"{self.name}: inputs must be (N, T, D) or (T, D), got {inputs.shape}")
+        m = np.asarray(mask, dtype=bool)
+        positions = inputs.shape[:-1]
+        if m.ndim != 1 or m.size != math.prod(positions):
+            raise ShapeError(
+                f"{self.name}: inputs {inputs.shape} vs {m.size} mask entries")
+        m = m.reshape(positions if len(positions) == 2 else (1, -1))
+        lengths = m.sum(axis=1)
+        if not lengths.all():
             raise ShapeError(f"{self.name}: cannot encode an empty sequence")
-        if any(mask[real:]) or not all(mask[:real]):
+        if not np.array_equal(m, np.arange(m.shape[1]) < lengths[:, None]):
             raise ShapeError(f"{self.name}: mask must be a contiguous prefix")
-        return real
+        return lengths
 
-    def _run_directions(self, inputs: list, real: int) -> tuple:
-        fwd_states = []
-        state = self.fwd.initial_state()
-        for t in range(real):
-            state = self.fwd.step(inputs[t], state)
-            fwd_states.append(self.fwd.output(state))
+    def encode(self, inputs: Tensor, mask) -> Tensor:
+        """Hidden states per position; masked positions are zero.
 
+        ``inputs`` is a block of N sequences padded to T steps (N, T, D),
+        or one sequence (T, D); ``mask`` lists its N * T positions in
+        row-major order, one truthy entry per real position.  The result
+        has the inputs' leading shape and ``out_dim`` columns.
+        """
+        lengths = self._lengths(inputs, mask)
+        states = self.fwd.run(inputs, lengths)
         if self.bwd is None:
-            return fwd_states, None
-        bwd_states = [None] * real
-        state = self.bwd.initial_state()
-        for t in reversed(range(real)):
-            state = self.bwd.step(inputs[t], state)
-            bwd_states[t] = self.bwd.output(state)
-        return fwd_states, bwd_states
+            return states
+        return concat(states, self.bwd.run(inputs, lengths, reverse=True))
 
-    def encode(self, inputs: list, mask: list) -> list:
-        """Hidden states per position; masked positions are zero vectors."""
-        real = self._real_length(inputs, mask)
-        fwd_states, bwd_states = self._run_directions(inputs, real)
-        if bwd_states is None:
-            per_pos = fwd_states
-        else:
-            per_pos = [concat(f, b) for f, b in zip(fwd_states, bwd_states)]
-        pad = np.zeros(self.out_dim)
-        return per_pos + [constant(pad) for _ in range(len(inputs) - real)]
-
-    def final_state(self, inputs: list, mask: list) -> Tensor:
-        """Summary state: last forward state, concatenated with the
-        backward state that has consumed the whole sequence."""
-        real = self._real_length(inputs, mask)
-        fwd_states, bwd_states = self._run_directions(inputs, real)
-        if bwd_states is None:
-            return fwd_states[-1]
-        return concat(fwd_states[-1], bwd_states[0])
+    def final_state(self, inputs: Tensor, mask) -> Tensor:
+        """Summary state of one sequence (T, D): the last forward state,
+        concatenated with the backward state that has consumed the whole
+        sequence."""
+        if inputs.data.ndim != 2:
+            raise ShapeError(f"{self.name}: final_state takes one sequence, got {inputs.shape}")
+        lengths = self._lengths(inputs, mask)
+        last = gather(self.fwd.run(inputs, lengths), lengths[0] - 1)
+        if self.bwd is None:
+            return last
+        return concat(last, gather(self.bwd.run(inputs, lengths, reverse=True), 0))

@@ -1,16 +1,25 @@
 """Dense-tensor computation graph with reverse-mode gradients.
 
-All trainable machinery in this package is assembled from the primitives
-here.  Tensors wrap rank-0/1/2 float64 numpy arrays and record a
-define-by-run graph as ops are applied; :func:`backward` walks that graph
-in reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``.  Graphs are rebuilt per forward pass,
-so parameter tensors can be shared across many graphs and their gradients
-accumulate until explicitly cleared.
+All trainable machinery in this package is assembled from the ops here.
+Tensors wrap float64 numpy arrays of any rank and record a define-by-run
+graph as ops are applied; :func:`backward` walks that graph in reverse
+topological order and accumulates gradients into every tensor created with
+``requires_grad=True``.  Graphs are rebuilt per forward pass, so parameter
+tensors can be shared across many graphs and their gradients accumulate
+until explicitly cleared.
+
+Besides small elementwise and linear primitives, the module holds fused
+layer ops with hand-written backward passes: :func:`gather` for embedding
+rows, :func:`lstm_layer` and :func:`gru_layer` over a padded block of
+sequences, :func:`additive_scores` over a whole state matrix, and the
+masked softmax, mean fusion and weighted sum that complete an attention
+layer.  A model forward is then a few dozen nodes, not one per scalar.
+Inside :func:`no_grad` ops compute values only and record no graph.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -36,19 +45,16 @@ class DeterminismError(RuntimeError):
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is always a float64 array of rank 0, 1 or 2 (rank 0 is the
-    scalar case used for scores and losses).  ``grad`` stays ``None`` until
-    a backward pass deposits a gradient of the same shape.
+    ``data`` is always a float64 array; rank 0 is the scalar case used for
+    scores and losses.  ``grad`` stays ``None`` until a backward pass
+    deposits a gradient of the same shape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = ()):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 2:
-            raise ShapeError(f"tensors are rank 0..2, got shape {arr.shape}")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
@@ -79,6 +85,22 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False, op="const")
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Compute values only: ops inside record no parents and build no
+    backward closures, so nothing is kept for a backward pass."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``, allocating the buffer on first use."""
     if not t.requires_grad:
@@ -88,15 +110,49 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _tracked(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data, parents: tuple, op: str) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
-                 op=op, parents=parents)
-    return out
+    if _tracked(parents):
+        return Tensor(data, requires_grad=True, op=op, parents=parents)
+    return Tensor(data, op=op)
 
 
 def _require_rank(t: Tensor, rank: int, op: str, role: str) -> None:
     if t.data.ndim != rank:
         raise ShapeError(f"{op}: {role} must have rank {rank}, got shape {t.shape}")
+
+
+def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def _sum_to_shape(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a broadcast gradient back to an operand's shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def _split_rows(a: np.ndarray, parts: int) -> list:
+    """``a`` cut into ``parts`` equal blocks along its first axis."""
+    size = a.shape[0] // parts
+    return [a[k * size:(k + 1) * size] for k in range(parts)]
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # (1 + tanh(z / 2)) / 2: one transcendental call, no overflow in exp
+    out = np.tanh(0.5 * z, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,227 +166,111 @@ def matvec(m: Tensor, x: Tensor) -> Tensor:
     if m.shape[1] != x.shape[0]:
         raise ShapeError(f"matvec: matrix {m.shape} does not conform to vector {x.shape}")
     out = _result(m.data @ x.data, (m, x), "matvec")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            accumulate_grad(m, np.outer(g, x.data))
+            accumulate_grad(x, m.data.T @ g)
 
-    def back():
-        g = out.grad
-        accumulate_grad(m, np.outer(g, x.data))
-        accumulate_grad(x, m.data.T @ g)
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for a rank-1 input."""
-    _require_rank(x, 1, "affine", "input")
+    """w @ x + b for a rank-1 input; for a rank-2 input (L, in), the same
+    map applied to every row."""
     _require_rank(w, 2, "affine", "weight")
     _require_rank(b, 1, "affine", "bias")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
+    if x.data.ndim not in (1, 2) or w.shape[1] != x.shape[-1] or w.shape[0] != b.shape[0]:
         raise ShapeError(
             f"affine: weight {w.shape} does not conform to input {x.shape} and bias {b.shape}")
-    out = _result(w.data @ x.data + b.data, (x, w, b), "affine")
+    out = _result(x.data @ w.data.T + b.data, (x, w, b), "affine")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            accumulate_grad(x, g @ w.data)
+            accumulate_grad(w, np.outer(g, x.data) if g.ndim == 1 else g.T @ x.data)
+            accumulate_grad(b, g if g.ndim == 1 else g.sum(axis=0))
 
-    def back():
-        g = out.grad
-        accumulate_grad(x, w.data.T @ g)
-        accumulate_grad(w, np.outer(g, x.data))
-        accumulate_grad(b, g)
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    _require_same_shape(a, b, "add")
     out = _result(a.data + b.data, (a, b), "add")
+    if out.requires_grad:
+        def back():
+            accumulate_grad(a, out.grad)
+            accumulate_grad(b, out.grad)
 
-    def back():
-        accumulate_grad(a, out.grad)
-        accumulate_grad(b, out.grad)
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
+    """Elementwise product; ``b`` may broadcast against ``a``, e.g. a
+    (L, D) block scaled by a (L, 1) column."""
+    try:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        shape = None
+    if shape != a.shape:
+        raise ShapeError(f"hadamard: shape {b.shape} does not broadcast to {a.shape}")
     out = _result(a.data * b.data, (a, b), "hadamard")
+    if out.requires_grad:
+        def back():
+            accumulate_grad(a, out.grad * b.data)
+            accumulate_grad(b, _sum_to_shape(out.grad * a.data, b.shape))
 
-    def back():
-        accumulate_grad(a, out.grad * b.data)
-        accumulate_grad(b, out.grad * a.data)
-
-    out._backward = back
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python float (not a graph input)."""
-    out = _result(x.data * c, (x,), "scale")
-
-    def back():
-        accumulate_grad(x, out.grad * c)
-
-    out._backward = back
-    return out
-
-
-def scalar_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale a tensor by a scalar tensor (rank 0 or shape (1,))."""
-    if s.data.size != 1:
-        raise ShapeError(f"scalar_scale: scale factor must be a scalar, got shape {s.shape}")
-    sval = float(s.data.reshape(()))
-    out = _result(x.data * sval, (x, s), "scalar_scale")
-
-    def back():
-        g = out.grad
-        accumulate_grad(x, g * sval)
-        accumulate_grad(s, np.full_like(s.data, np.sum(g * x.data)))
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def tanh_elem(x: Tensor) -> Tensor:
     out = _result(np.tanh(x.data), (x,), "tanh")
+    if out.requires_grad:
+        def back():
+            accumulate_grad(x, out.grad * (1.0 - out.data ** 2))
 
-    def back():
-        accumulate_grad(x, out.grad * (1.0 - out.data ** 2))
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def sigmoid_elem(x: Tensor) -> Tensor:
-    # split form avoids overflow in exp for large |x|
-    d = x.data
-    pos = d >= 0
-    z = np.empty_like(d)
-    z[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    z[~pos] = ez / (1.0 + ez)
-    out = _result(z, (x,), "sigmoid")
+    out = _result(_sigmoid(x.data), (x,), "sigmoid")
+    if out.requires_grad:
+        def back():
+            accumulate_grad(x, out.grad * out.data * (1.0 - out.data))
 
-    def back():
-        accumulate_grad(x, out.grad * out.data * (1.0 - out.data))
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def relu_elem(x: Tensor) -> Tensor:
     out = _result(np.maximum(x.data, 0.0), (x,), "relu")
+    if out.requires_grad:
+        def back():
+            accumulate_grad(x, out.grad * (x.data > 0.0))
 
-    def back():
-        accumulate_grad(x, out.grad * (x.data > 0.0))
-
-    out._backward = back
+        out._backward = back
     return out
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two rank-1 tensors."""
-    _require_rank(a, 1, "concat", "left")
-    _require_rank(b, 1, "concat", "right")
-    out = _result(np.concatenate([a.data, b.data]), (a, b), "concat")
-    split = a.shape[0]
+    """Concatenate along the last axis; leading shapes must agree."""
+    if a.data.ndim == 0 or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"concat: shapes {a.shape} and {b.shape} do not conform")
+    out = _result(np.concatenate([a.data, b.data], axis=-1), (a, b), "concat")
+    if out.requires_grad:
+        split = a.shape[-1]
 
-    def back():
-        g = out.grad
-        accumulate_grad(a, g[:split])
-        accumulate_grad(b, g[split:])
+        def back():
+            g = out.grad
+            accumulate_grad(a, g[..., :split])
+            accumulate_grad(b, g[..., split:])
 
-    out._backward = back
-    return out
-
-
-def sum_vectors(vectors: Sequence[Tensor]) -> Tensor:
-    """Elementwise sum of one or more same-shape rank-1 tensors."""
-    if not vectors:
-        raise ShapeError("sum_vectors: need at least one vector")
-    shape = vectors[0].shape
-    for v in vectors:
-        if v.shape != shape:
-            raise ShapeError(f"sum_vectors: shapes {shape} and {v.shape} differ")
-    total = vectors[0].data.copy()
-    for v in vectors[1:]:
-        total += v.data
-    out = _result(total, tuple(vectors), "sum_vectors")
-
-    def back():
-        for v in vectors:
-            accumulate_grad(v, out.grad)
-
-    out._backward = back
-    return out
-
-
-def mean_vectors(vectors: Sequence[Tensor]) -> Tensor:
-    """Elementwise arithmetic mean of same-shape rank-1 tensors."""
-    if not vectors:
-        raise ShapeError("mean_vectors: need at least one vector")
-    shape = vectors[0].shape
-    for v in vectors:
-        if v.shape != shape:
-            raise ShapeError(f"mean_vectors: shapes {shape} and {v.shape} differ")
-    total = vectors[0].data.copy()
-    for v in vectors[1:]:
-        total += v.data
-    n = len(vectors)
-    out = _result(total / n, tuple(vectors), "mean_vectors")
-
-    def back():
-        g = out.grad / n
-        for v in vectors:
-            accumulate_grad(v, g)
-
-    out._backward = back
-    return out
-
-
-def weighted_sum(weights: Tensor, vectors: Sequence[Tensor]) -> Tensor:
-    """Sum of vectors scaled by the matching entry of ``weights``."""
-    _require_rank(weights, 1, "weighted_sum", "weights")
-    if weights.shape[0] != len(vectors):
-        raise ShapeError(
-            f"weighted_sum: {weights.shape[0]} weights for {len(vectors)} vectors")
-    shape = vectors[0].shape
-    for v in vectors:
-        if v.shape != shape:
-            raise ShapeError(f"weighted_sum: shapes {shape} and {v.shape} differ")
-    acc = weights.data[0] * vectors[0].data
-    for i in range(1, len(vectors)):
-        acc = acc + weights.data[i] * vectors[i].data
-    out = _result(acc, (weights, *vectors), "weighted_sum")
-
-    def back():
-        g = out.grad
-        gw = np.array([np.dot(g, v.data) for v in vectors])
-        accumulate_grad(weights, gw)
-        for i, v in enumerate(vectors):
-            accumulate_grad(v, weights.data[i] * g)
-
-    out._backward = back
-    return out
-
-
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack rank-0 tensors into a rank-1 tensor."""
-    if not scalars:
-        raise ShapeError("stack_scalars: need at least one scalar")
-    for s in scalars:
-        if s.data.ndim != 0:
-            raise ShapeError(f"stack_scalars: expected scalars, got shape {s.shape}")
-    out = _result(np.array([s.data for s in scalars]), tuple(scalars), "stack")
-
-    def back():
-        for i, s in enumerate(scalars):
-            accumulate_grad(s, out.grad[i])
-
-    out._backward = back
+        out._backward = back
     return out
 
 
@@ -338,59 +278,357 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     """Inner product of two rank-1 tensors; returns a scalar tensor."""
     _require_rank(a, 1, "dot", "left")
     _require_rank(b, 1, "dot", "right")
-    if a.shape != b.shape:
-        raise ShapeError(f"dot: shapes {a.shape} and {b.shape} differ")
+    _require_same_shape(a, b, "dot")
     out = _result(np.dot(a.data, b.data), (a, b), "dot")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            accumulate_grad(a, g * b.data)
+            accumulate_grad(b, g * a.data)
 
-    def back():
-        g = out.grad
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
-
-    out._backward = back
+        out._backward = back
     return out
 
 
-def pick_row(m: Tensor, index: int) -> Tensor:
-    """Select row ``index`` of a rank-2 tensor; gradients scatter back."""
-    _require_rank(m, 2, "pick_row", "matrix")
-    if not 0 <= index < m.shape[0]:
-        raise IndexError(f"pick_row: row {index} out of range for shape {m.shape}")
-    out = _result(m.data[index].copy(), (m,), "pick_row")
+# ---------------------------------------------------------------------------
+# Reductions: sums and means as left folds
 
-    def back():
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            m.grad[index] += out.grad
 
-    out._backward = back
+def _fold(parts, divisor=None) -> np.ndarray:
+    total = parts[0].copy()
+    for p in parts[1:]:
+        total += p
+    return total if divisor is None else total / divisor
+
+
+def _fold_axis(x: Tensor, axis: int, mean: bool, op: str) -> Tensor:
+    if x.data.ndim == 0 or x.shape[axis] == 0:
+        raise ShapeError(f"{op}: nothing to reduce along axis {axis} of shape {x.shape}")
+    n = x.shape[axis]
+    out = _result(_fold(np.moveaxis(x.data, axis, 0), n if mean else None), (x,), op)
+    if out.requires_grad:
+        def back():
+            g = out.grad / n if mean else out.grad
+            accumulate_grad(x, np.expand_dims(g, axis))
+
+        out._backward = back
     return out
 
 
-def masked_softmax(scores: Tensor, mask: Sequence[bool]) -> Tensor:
-    """Softmax over the unmasked positions; masked positions are exactly 0.
+def sum_axis(x: Tensor, axis: int = 0) -> Tensor:
+    """Sum along ``axis``, added slice by slice in index order."""
+    return _fold_axis(x, axis, False, "sum_axis")
 
-    Stabilized by subtracting the max over unmasked entries before
-    exponentiation, so large scores do not overflow.
+
+def mean_axis(x: Tensor, axis: int = 0) -> Tensor:
+    """Mean along ``axis``: the left-fold sum divided by the count."""
+    return _fold_axis(x, axis, True, "mean_axis")
+
+
+def mean_fold(tensors: Sequence[Tensor]) -> Tensor:
+    """Elementwise mean of same-shape tensors of any rank, summed as a
+    left fold, ``((a + b) + c) / 3``; used to fuse attention weights."""
+    if not tensors:
+        raise ShapeError("mean_fold: need at least one tensor")
+    for t in tensors[1:]:
+        _require_same_shape(tensors[0], t, "mean_fold")
+    n = len(tensors)
+    out = _result(_fold([t.data for t in tensors], n), tuple(tensors), "mean_fold")
+    if out.requires_grad:
+        def back():
+            g = out.grad / n
+            for t in tensors:
+                accumulate_grad(t, g)
+
+        out._backward = back
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Embedding rows
+
+
+def gather(matrix: Tensor, idx, pad: int | None = None) -> Tensor:
+    """Rows of ``matrix`` at an integer index array of any shape; the result
+    has shape ``idx.shape + matrix.shape[1:]``.
+
+    Rows at index ``pad`` read as zeros and receive no gradient, whatever
+    the matrix holds there.  The backward pass scatters with ``np.add.at``
+    straight into the matrix's gradient buffer, so repeated indices
+    accumulate and no dense temporary of the matrix's size is built.
     """
-    _require_rank(scores, 1, "masked_softmax", "scores")
+    idx = np.asarray(idx, dtype=np.intp)
+    if matrix.data.ndim == 0:
+        raise ShapeError("gather: cannot index a scalar")
+    if idx.size and (idx.min() < 0 or idx.max() >= matrix.shape[0]):
+        raise IndexError(f"gather: index out of range for shape {matrix.shape}")
+    rows = np.take(matrix.data, idx, axis=0)
+    live = None
+    if pad is not None:
+        live = idx != pad
+        rows[~live] = 0.0
+    parents = (matrix,) if live is None or live.any() else ()
+    out = _result(rows, parents, "gather")
+    if out.requires_grad:
+        def back():
+            if matrix.grad is None:
+                matrix.grad = np.zeros_like(matrix.data)
+            if live is None:
+                np.add.at(matrix.grad, idx, out.grad)
+            else:
+                np.add.at(matrix.grad, idx[live], out.grad[live])
+
+        out._backward = back
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Recurrent layers over a padded block
+
+
+def _lstm_steps(a: np.ndarray, u: list, keep: bool):
+    """LSTM recurrence over time-major gate pre-activations ``a`` (T, N, 4H),
+    input projection and bias already added; gates in i, f, o, g order.
+
+    Returns the hidden states (T, N, H) and, with ``keep``, a function from
+    their gradient to the pre-activation gradient and the ``u`` gradients.
+    """
+    steps, n, width = a.shape
+    hid = width // 4
+    rec = np.concatenate(u)
+    acts = np.empty_like(a)
+    cells = np.empty((steps, n, hid))
+    tcs = np.empty((steps, n, hid))
+    hs = np.empty((steps, n, hid))
+    h = np.zeros((n, hid))
+    c = np.zeros((n, hid))
+    for t in range(steps):
+        z = a[t] + h @ rec.T
+        act = acts[t]
+        _sigmoid(z[:, :3 * hid], out=act[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=act[:, 3 * hid:])
+        c = np.multiply(act[:, hid:2 * hid], c, out=cells[t])
+        c += act[:, :hid] * act[:, 3 * hid:]
+        h = np.multiply(act[:, 2 * hid:3 * hid], np.tanh(c, out=tcs[t]), out=hs[t])
+    if not keep:
+        return hs, None
+
+    def back(dhs: np.ndarray):
+        i, f, o, g = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
+        c_prev = np.concatenate((np.zeros((1, n, hid)), cells[:-1]))
+        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
+        slope = acts * (1.0 - acts)
+        slope[..., 3 * hid:] = 1.0 - g * g
+        # d(pre-activation) = (dc, dc, dh, dc) * coef, gate by gate
+        coef = np.concatenate((g, c_prev, tcs, i), axis=2) * slope
+        o_dtc = o * (1.0 - tcs * tcs)
+        da = np.empty_like(acts)
+        dh_next = np.zeros((n, hid))
+        dc_next = np.zeros((n, hid))
+        for t in reversed(range(steps)):
+            dh = dhs[t] + dh_next
+            dc = dh * o_dtc[t] + dc_next
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), coef[t], out=da[t])
+            dc_next = dc * f[t]
+            dh_next = da[t] @ rec
+        du = da.reshape(-1, width).T @ h_prev.reshape(-1, hid)
+        return da, _split_rows(du, 4)
+
+    return hs, back
+
+
+def _gru_steps(a: np.ndarray, u: list, keep: bool):
+    """GRU recurrence over time-major pre-activations ``a`` (T, N, 3H) in
+    z, r, n order: h = (1 - z) * n + z * h_prev with
+    n = tanh(x_n + U_n (r * h_prev)).  Same contract as :func:`_lstm_steps`.
+    """
+    steps, n, width = a.shape
+    hid = width // 3
+    u_zr = np.concatenate(u[:2])
+    u_n = u[2]
+    zr = np.empty((steps, n, 2 * hid))
+    cand = np.empty((steps, n, hid))
+    rhs = np.empty((steps, n, hid))
+    hs = np.empty((steps, n, hid))
+    h = np.zeros((n, hid))
+    for t in range(steps):
+        gates = _sigmoid(a[t, :, :2 * hid] + h @ u_zr.T, out=zr[t])
+        z, r = gates[:, :hid], gates[:, hid:]
+        rh = np.multiply(r, h, out=rhs[t])
+        nt = np.tanh(a[t, :, 2 * hid:] + rh @ u_n.T, out=cand[t])
+        h = np.add((1.0 - z) * nt, z * h, out=hs[t])
+    if not keep:
+        return hs, None
+
+    def back(dhs: np.ndarray):
+        z, r = zr[..., :hid], zr[..., hid:]
+        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
+        dn_coef = (1.0 - z) * (1.0 - cand * cand)
+        dz_coef = (h_prev - cand) * z * (1.0 - z)
+        dr_coef = h_prev * r * (1.0 - r)
+        da = np.empty((steps, n, width))
+        dh_next = np.zeros((n, hid))
+        for t in reversed(range(steps)):
+            dh = dhs[t] + dh_next
+            dan = dh * dn_coef[t]
+            drh = dan @ u_n
+            dzr = da[t, :, :2 * hid]
+            np.multiply(dh, dz_coef[t], out=dzr[:, :hid])
+            np.multiply(drh, dr_coef[t], out=dzr[:, hid:])
+            da[t, :, 2 * hid:] = dan
+            dh_next = dh * z[t] + drh * r[t] + dzr @ u_zr
+        flat = da.reshape(-1, width)
+        du_zr = flat[:, :2 * hid].T @ h_prev.reshape(-1, hid)
+        du_n = flat[:, 2 * hid:].T @ rhs.reshape(-1, hid)
+        return da, [*_split_rows(du_zr, 2), du_n]
+
+    return hs, back
+
+
+def _recurrent_layer(op: str, steps_fn, x: Tensor, lengths, w: Sequence[Tensor],
+                     u: Sequence[Tensor], b: Sequence[Tensor], reverse: bool) -> Tensor:
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"{op}: input must be (N, T, D) or (T, D), got shape {x.shape}")
+    xs = x.data if x.data.ndim == 3 else x.data[None]
+    n, steps, dim = xs.shape
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
+        raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit input shape {x.shape}")
+    w_all = np.concatenate([p.data for p in w])
+    b_all = np.concatenate([p.data for p in b])
+    if w_all.shape[1] != dim:
+        raise ShapeError(f"{op}: input weight {w[0].shape} does not conform to input {x.shape}")
+
+    times = np.arange(steps)
+    real = times < lengths[:, None]                       # (N, T)
+    # pos[n, s] is the position read at step s; an involution per row
+    pos = (np.where(real, lengths[:, None] - 1 - times, times) if reverse
+           else np.broadcast_to(times, (n, steps)))
+    rows = np.arange(n)
+    x_steps = xs[rows, pos.T]                             # (T, N, D)
+    a = (x_steps.reshape(-1, dim) @ w_all.T + b_all).reshape(steps, n, -1)
+    parents = (x, *w, *u, *b)
+    hs, steps_back = steps_fn(a, [p.data for p in u], _tracked(parents))
+    states = hs[pos, rows[:, None]] * real[..., None]     # (N, T, H)
+    out = _result(states if x.data.ndim == 3 else states[0], parents, op)
+    if out.requires_grad:
+        def back():
+            g = out.grad if x.data.ndim == 3 else out.grad[None]
+            da, du = steps_back(g[rows, pos.T] * real.T[..., None])
+            flat = da.reshape(-1, da.shape[-1])
+            for p, gp in zip(w, _split_rows(flat.T @ x_steps.reshape(-1, dim), len(w))):
+                accumulate_grad(p, gp)
+            for p, gp in zip(b, _split_rows(flat.sum(axis=0), len(b))):
+                accumulate_grad(p, gp)
+            for p, gp in zip(u, du):
+                accumulate_grad(p, gp)
+            if x.requires_grad:
+                dx = (flat @ w_all).reshape(steps, n, dim)[pos, rows[:, None]]
+                accumulate_grad(x, dx.reshape(x.shape))
+
+        out._backward = back
+    return out
+
+
+def lstm_layer(x: Tensor, lengths, w: Sequence[Tensor], u: Sequence[Tensor],
+               b: Sequence[Tensor], reverse: bool = False) -> Tensor:
+    """One LSTM direction over a padded block of sequences.
+
+    ``x`` is (N, T, D), N sequences padded to T steps, or one sequence
+    (T, D); ``lengths`` holds each sequence's real length.  ``w``, ``u``
+    and ``b`` are the input weights (H, D), recurrent weights (H, H) and
+    biases (H,) of the i, f, o and g gates; each kind is stacked into one
+    (4H, ...) matrix per call, so the input projection of every step is one
+    matrix product and each step one more.  The states have x's leading
+    shape with H columns; positions past a sequence's length are zero.
+    With ``reverse`` each sequence's real prefix is read last to first,
+    and the state at position t is the one that has consumed t..length-1.
+    """
+    return _recurrent_layer("lstm_layer", _lstm_steps, x, lengths, w, u, b, reverse)
+
+
+def gru_layer(x: Tensor, lengths, w: Sequence[Tensor], u: Sequence[Tensor],
+              b: Sequence[Tensor], reverse: bool = False) -> Tensor:
+    """One GRU direction over a padded block; gates in z, r, n order,
+    otherwise as :func:`lstm_layer`."""
+    return _recurrent_layer("gru_layer", _gru_steps, x, lengths, w, u, b, reverse)
+
+
+# ---------------------------------------------------------------------------
+# Attention
+
+
+def additive_scores(states: Tensor, query: Tensor, v: Tensor, w_h: Tensor,
+                    w_q: Tensor, b: Tensor) -> Tensor:
+    """Additive attention scores ``v . tanh(W_h s + W_q q + b)`` for every
+    state row ``s``: states (..., T, S) give scores (..., T)."""
+    if (states.data.ndim < 2 or w_h.data.ndim != 2 or w_q.data.ndim != 2
+            or states.shape[-1] != w_h.shape[1] or query.shape != (w_q.shape[1],)
+            or not w_h.shape[0] == w_q.shape[0] == b.shape[0] == v.shape[0]):
+        raise ShapeError(
+            f"additive_scores: states {states.shape} and query {query.shape} do not "
+            f"conform to W_h {w_h.shape}, W_q {w_q.shape}, b {b.shape}, v {v.shape}")
+    inner = np.tanh(states.data @ w_h.data.T + w_q.data @ query.data + b.data)
+    out = _result(inner @ v.data, (states, query, v, w_h, w_q, b), "additive_scores")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            att = inner.shape[-1]
+            flat_inner = inner.reshape(-1, att)
+            accumulate_grad(v, g.reshape(-1) @ flat_inner)
+            d_inner = g[..., None] * v.data * (1.0 - inner * inner)
+            flat = d_inner.reshape(-1, att)
+            accumulate_grad(w_h, flat.T @ states.data.reshape(-1, states.shape[-1]))
+            accumulate_grad(states, d_inner @ w_h.data)
+            d_query_proj = flat.sum(axis=0)
+            accumulate_grad(w_q, np.outer(d_query_proj, query.data))
+            accumulate_grad(query, w_q.data.T @ d_query_proj)
+            accumulate_grad(b, d_query_proj)
+
+        out._backward = back
+    return out
+
+
+def masked_softmax(scores: Tensor, mask) -> Tensor:
+    """Softmax along the last axis over the unmasked positions; masked
+    positions are exactly 0.
+
+    Stabilized by subtracting each row's max over unmasked entries before
+    exponentiation, so large scores do not overflow.  Every row needs an
+    unmasked position.
+    """
     m = np.asarray(mask, dtype=bool)
-    if m.shape != scores.shape:
+    if scores.data.ndim == 0 or m.shape != scores.shape:
         raise ShapeError(f"masked_softmax: scores {scores.shape} vs mask {m.shape}")
-    if not m.any():
+    if not m.any(axis=-1).all():
         raise EmptyAttentionError("masked_softmax: mask has no unmasked position")
-    shifted = scores.data - np.max(scores.data[m])
-    e = np.where(m, np.exp(np.where(m, shifted, 0.0)), 0.0)
-    p = e / e.sum()
-    out = _result(p, (scores,), "masked_softmax")
+    top = np.max(np.where(m, scores.data, -np.inf), axis=-1, keepdims=True)
+    e = np.where(m, np.exp(np.where(m, scores.data - top, 0.0)), 0.0)
+    out = _result(e / e.sum(axis=-1, keepdims=True), (scores,), "masked_softmax")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            s = np.sum(g * out.data, axis=-1, keepdims=True)
+            accumulate_grad(scores, out.data * (g - s))
 
-    def back():
-        g = out.grad
-        s = np.dot(g, out.data)
-        accumulate_grad(scores, out.data * (g - s))
+        out._backward = back
+    return out
 
-    out._backward = back
+
+def weighted_sum(weights: Tensor, states: Tensor) -> Tensor:
+    """``weights @ states`` for each leading index: weights (..., T) and
+    states (..., T, S) give (..., S)."""
+    if states.data.ndim < 2 or weights.shape != states.shape[:-1]:
+        raise ShapeError(f"weighted_sum: weights {weights.shape} vs states {states.shape}")
+    out = _result(np.matmul(weights.data[..., None, :], states.data)[..., 0, :],
+                  (weights, states), "weighted_sum")
+    if out.requires_grad:
+        def back():
+            g = out.grad
+            accumulate_grad(weights, np.matmul(states.data, g[..., :, None])[..., 0])
+            accumulate_grad(states, weights.data[..., :, None] * g[..., None, :])
+
+        out._backward = back
     return out
 
 
@@ -409,14 +647,14 @@ def softmax_cross_entropy_with_logits(logits: Tensor, label: int) -> Tensor:
     p = e / e.sum()
     loss = np.log(e.sum()) - shifted[label]
     out = _result(np.asarray(loss), (logits,), "softmax_xent")
+    if out.requires_grad:
+        def back():
+            g = float(out.grad)
+            delta = p.copy()
+            delta[label] -= 1.0
+            accumulate_grad(logits, g * delta)
 
-    def back():
-        g = float(out.grad)
-        delta = p.copy()
-        delta[label] -= 1.0
-        accumulate_grad(logits, g * delta)
-
-    out._backward = back
+        out._backward = back
     return out
 
 
@@ -454,7 +692,8 @@ class Parameter:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative postorder over the requires-grad subgraph under ``root``."""
+    """Iterative postorder over the requires-grad op nodes under ``root``;
+    leaves (parameters) have nothing to propagate and are left out."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, int]] = [(root, 0)]
@@ -467,7 +706,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             seen.add(id(node))
         parents = node._parents
         while child < len(parents) and (
-                not parents[child].requires_grad or id(parents[child]) in seen):
+                not parents[child].requires_grad or not parents[child]._parents
+                or id(parents[child]) in seen):
             child += 1
         if child < len(parents):
             stack[-1] = (node, child + 1)

@@ -27,6 +27,7 @@ from .grad import (
     affine,
     concat,
     constant,
+    no_grad,
     softmax_cross_entropy_with_logits,
     softmax_probs,
 )
@@ -58,14 +59,15 @@ class Classifier:
     """The interface the three models share: a subclass defines
     ``forward(padded, query_mode)``, returning the two class logits, and
     ``parameters()``; the loss and the probabilities are built on
-    ``forward``."""
+    ``forward``.  Prediction records no graph."""
 
     def loss(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
         return softmax_cross_entropy_with_logits(
             self.forward(padded, query_mode), label_index(padded.record.label))
 
     def predict_probs(self, padded: PaddedRecord) -> np.ndarray:
-        return softmax_probs(self.forward(padded, MEAN_POOL))
+        with no_grad():
+            return softmax_probs(self.forward(padded, MEAN_POOL))
 
 
 class PoshanModel(Classifier):
@@ -113,8 +115,8 @@ class PoshanModel(Classifier):
         tokens = [t.text for t in record.headline]
         if not tokens:
             return constant(np.zeros(self.word_encoder.out_dim))
-        embedded = [self.word_table.lookup(t) for t in tokens]
-        return self.word_encoder.final_state(embedded, [True] * len(tokens))
+        return self.word_encoder.final_state(self.word_table.lookup(tokens),
+                                             [True] * len(tokens))
 
     def _document(self, padded: PaddedRecord, query_mode: str) -> tuple:
         return document_forward(
@@ -134,7 +136,8 @@ class PoshanModel(Classifier):
     def attention_trace(self, padded: PaddedRecord,
                         query_mode: str = MEAN_POOL) -> DocumentTrace:
         """Word and sentence attention weights of one padded record."""
-        _, trace = self._document(padded, query_mode)
+        with no_grad():
+            _, trace = self._document(padded, query_mode)
         return trace
 
     def loss(self, padded: PaddedRecord, query_mode: str = ACTIVE) -> Tensor:

@@ -465,7 +465,14 @@ def _tagged_to_json(tokens: Sequence[TaggedToken]) -> list[list[str]]:
     return [[t.text, t.pos] for t in tokens]
 
 
-def _tagged_from_json(pairs) -> list[TaggedToken]:
+def _is_str_list(value, length=None) -> bool:
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and (length is None or len(value) == length))
+
+
+def _tagged_from_json(pairs, field: str) -> list[TaggedToken]:
+    if not isinstance(pairs, list) or not all(_is_str_list(p, 2) for p in pairs):
+        raise DataError(f"{field} must be a list of [token, tag] pairs")
     return [TaggedToken(text=p[0], pos=p[1]) for p in pairs]
 
 
@@ -482,18 +489,33 @@ def record_to_json(rec: DatasetRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> DatasetRecord:
+    """A derived record from its JSON object; a field of the wrong type or
+    an active cardinal index out of range raises DataError."""
+    if not isinstance(obj, dict):
+        raise DataError("record must be a JSON object")
+    if not isinstance(obj["sentences"], list):
+        raise DataError("sentences must be a list of sentences")
+    if not _is_str_list(obj["patterns"]):
+        raise DataError("patterns must be a list of strings")
+    if not isinstance(obj["phrases"], list) or not all(_is_str_list(p, 3) for p in obj["phrases"]):
+        raise DataError("phrases must be a list of [prev, num, next] triples")
     patterns = []
     for key in obj["patterns"]:
         left, mid, right = key.split(":")
         patterns.append(CardinalPattern(left=left, right=right, mid=mid))
+    active = obj.get("active_cardinal_index")
+    if active is not None and (not isinstance(active, int) or isinstance(active, bool)
+                               or not 0 <= active < len(patterns)):
+        raise DataError(f"active_cardinal_index {active!r} is not an index into "
+                        f"{len(patterns)} patterns")
     return DatasetRecord(
         id=obj["id"],
         label=obj["label"],
-        headline=_tagged_from_json(obj["headline"]),
-        sentences=[_tagged_from_json(s) for s in obj["sentences"]],
+        headline=_tagged_from_json(obj["headline"], "headline"),
+        sentences=[_tagged_from_json(s, "sentence") for s in obj["sentences"]],
         patterns=patterns,
         phrases=[CardinalPhrase(prev=p[0], num=p[1], next=p[2]) for p in obj["phrases"]],
-        active_cardinal_index=obj.get("active_cardinal_index"),
+        active_cardinal_index=active,
     )
 
 

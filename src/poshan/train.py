@@ -26,6 +26,8 @@ from .embeddings import (
     ACTIVE,
     MEAN_POOL,
     MODE_PRELOADED_FROZEN,
+    MODE_PRELOADED_TRAINABLE,
+    MODE_RANDOM_TRAINABLE,
     PATTERN_DIM,
     PatternEmbeddingTable,
     WordEmbeddingTable,
@@ -38,6 +40,7 @@ from .grad import (
     Parameter,
     backward,
     collect_gradients,
+    no_grad,
     softmax_cross_entropy_with_logits,
     softmax_probs,
     zero_gradients,
@@ -254,12 +257,16 @@ def clip_global_norm(grads: dict[str, np.ndarray], threshold: float) -> dict[str
 
     The norm is taken over every entry of every array together; when it
     exceeds the threshold each array is multiplied by threshold / norm,
-    e.g. gradients (8, 6) with threshold 6 become (4.8, 3.6).
+    e.g. gradients (8, 6) with threshold 6 become (4.8, 3.6).  A NaN or
+    infinite norm raises NonFiniteError naming the offending gradients.
     """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+        raise NonFiniteError(f"non-finite gradient norm {norm}; non-finite gradients: {bad}")
     if norm <= threshold or norm == 0.0:
         return {name: np.array(g, dtype=np.float64, copy=True) for name, g in grads.items()}
     scale = threshold / norm
@@ -357,7 +364,94 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     Path(path).write_bytes(buffer.getvalue())
 
 
+_HEADER_KEYS = ("best-epoch", "config", "model-kind", "params", "pattern-label-counts",
+                "patterns", "val-losses", "vocab", "word-mode")
+_WORD_MODES = (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE, MODE_RANDOM_TRAINABLE)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value fits a TrainConfig field annotation."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is float:
+        return _is_int(value) or isinstance(value, float)
+    if kind is str:
+        return isinstance(value, str)
+    if kind == Optional[int]:
+        return value is None or _is_int(value)
+    return _is_int(value)
+
+
+def _config_from_header(raw, where: str) -> TrainConfig:
+    """The header's config: every field present, of its annotated type,
+    and passing ``TrainConfig.validate``."""
+    if not isinstance(raw, dict):
+        raise DataError(f"{where}: config is not an object")
+    hints = get_type_hints(TrainConfig)
+    unknown, missing = sorted(set(raw) - set(hints)), sorted(set(hints) - set(raw))
+    if unknown or missing:
+        raise DataError(f"{where}: config has unknown keys {unknown} and missing keys {missing}")
+    for name, kind in hints.items():
+        if not _has_type(raw[name], kind):
+            raise DataError(f"{where}: config value {name}={raw[name]!r} has the wrong type")
+    config = TrainConfig(**raw)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    return config
+
+
+def _check_header(header, where: str) -> None:
+    """Reject a header a checkpoint writer could not have produced."""
+    if not isinstance(header, dict):
+        raise DataError(f"{where}: header is not an object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"{where}: header is missing keys {missing}")
+    if header["model-kind"] not in MODEL_KINDS:
+        raise DataError(f"{where}: unknown model kind {header['model-kind']!r}")
+    if header["word-mode"] not in _WORD_MODES:
+        raise DataError(f"{where}: unknown word mode {header['word-mode']!r}")
+    if not isinstance(header["vocab"], dict):
+        raise DataError(f"{where}: vocab is not an object")
+    for key in ("patterns", "pattern-label-counts"):
+        if header[key] is not None and not isinstance(header[key], dict):
+            raise DataError(f"{where}: {key} is neither null nor an object")
+    if not _is_int(header["best-epoch"]) or not isinstance(header["val-losses"], list):
+        raise DataError(f"{where}: bad best-epoch or val-losses")
+    entries = header["params"]
+    if not isinstance(entries, list):
+        raise DataError(f"{where}: params is not a list")
+    names = set()
+    for entry in entries:
+        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
+                or not isinstance(entry.get("shape"), list)
+                or not all(_is_int(n) and n >= 0 for n in entry["shape"])):
+            raise DataError(f"{where}: bad parameter entry {entry!r}")
+        if entry["name"] in names:
+            raise DataError(f"{where}: duplicate parameter {entry['name']!r}")
+        names.add(entry["name"])
+    shapes = {entry["name"]: entry["shape"] for entry in entries}
+    # vocabulary rows start after the pad and unknown rows, pattern rows
+    # after the unknown-pattern row
+    for key, table, first in (("vocab", "word_embeddings", 2),
+                              ("patterns", "pattern_embeddings", 1)):
+        if header[key] is None:
+            continue
+        if len(shapes.get(table, ())) != 2:
+            raise DataError(f"{where}: no {table} matrix among the parameters")
+        rows = shapes[table][0]
+        if not all(_is_int(i) and first <= i < rows for i in header[key].values()):
+            raise DataError(f"{where}: a {key} index lies outside rows {first}..{rows - 1}")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; a malformed header or truncated data raises DataError."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
@@ -370,6 +464,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+    where = f"{path}: checkpoint"
+    _check_header(header, where)
+    config = _config_from_header(header["config"], where)
+    try:
+        val_losses = [float(v) for v in header["val-losses"]]
+    except (TypeError, ValueError):
+        raise DataError(f"{where}: val-losses are not numbers") from None
     offset += header_len
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
@@ -381,7 +482,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         array = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
         params[entry["name"]] = np.array(array, dtype=np.float64)
         offset += count * 8
-    config = TrainConfig(**header["config"])
     return Checkpoint(
         model_kind=header["model-kind"],
         config=config,
@@ -391,7 +491,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         pattern_label_counts=header["pattern-label-counts"],
         params=params,
         best_epoch=header["best-epoch"],
-        val_losses=[float(v) for v in header["val-losses"]],
+        val_losses=val_losses,
     )
 
 
@@ -499,8 +599,9 @@ def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, Ev
     total = 0.0
     probs = []
     for padded in val_padded:
-        logits = model.forward(padded, MEAN_POOL)
-        loss = softmax_cross_entropy_with_logits(logits, label_index(padded.record.label))
+        with no_grad():
+            logits = model.forward(padded, MEAN_POOL)
+            loss = softmax_cross_entropy_with_logits(logits, label_index(padded.record.label))
         total += float(loss.data)
         probs.append(softmax_probs(logits))
     with warnings.catch_warnings():

@@ -98,11 +98,27 @@ def _lstm_direction(cell, xs):
     return outs
 
 
-def _bilstm(encoder, xs, mask):
+def _gru_direction(cell, xs):
+    h = np.zeros(cell.hidden)
+    outs = []
+    for x in xs:
+        z = _sigmoid((cell.w_z.data @ x + cell.b_z.data) + cell.u_z.data @ h)
+        r = _sigmoid((cell.w_r.data @ x + cell.b_r.data) + cell.u_r.data @ h)
+        n = np.tanh((cell.w_n.data @ x + cell.b_n.data) + cell.u_n.data @ (r * h))
+        h = (1.0 - z) * n + z * h
+        outs.append(h)
+    return outs
+
+
+def _encode(encoder, xs, mask):
+    """Per-position states of one sequence, zero past its real prefix;
+    the backward direction reads the real prefix last to first."""
+    direction = _gru_direction if encoder.cell_kind == "gru-bi" else _lstm_direction
     real = sum(1 for m in mask if m)
-    fwd = _lstm_direction(encoder.fwd, xs[:real])
-    bwd = list(reversed(_lstm_direction(encoder.bwd, list(reversed(xs[:real])))))
-    states = [np.concatenate([f, b]) for f, b in zip(fwd, bwd)]
+    states = direction(encoder.fwd, xs[:real])
+    if encoder.bwd is not None:
+        bwd = list(reversed(direction(encoder.bwd, list(reversed(xs[:real])))))
+        states = [np.concatenate([f, b]) for f, b in zip(states, bwd)]
     width = states[0].shape[0]
     return states + [np.zeros(width)] * (len(xs) - real)
 
@@ -154,7 +170,7 @@ def straight_line_poshan_forward(model, padded, query_mode):
     sentence_vectors = []
     for sent in padded.sentences:
         xs = [_word_row(wt, tok) for tok in sent.tokens]
-        states = _bilstm(model.word_encoder, xs, sent.mask)
+        states = _encode(model.word_encoder, xs, sent.mask)
         scores = {
             q: [(_score(model.attention.word[q], s, queries[q]) if m else 0.0)
                 for s, m in zip(states, sent.mask)]
@@ -165,7 +181,7 @@ def straight_line_poshan_forward(model, padded, query_mode):
             reduce(np.add, [w * s for w, s in zip(fused, states)]))
 
     sent_mask = [True] * len(sentence_vectors)
-    states = _bilstm(model.sentence_encoder, sentence_vectors, sent_mask)
+    states = _encode(model.sentence_encoder, sentence_vectors, sent_mask)
     scores = {q: [_score(model.attention.sentence[q], s, queries[q])
                   for s in states]
               for q in types}

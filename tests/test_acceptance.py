@@ -158,6 +158,28 @@ def test_document_forward_matches_straight_line_oracle():
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 
 
+@pytest.mark.parametrize("cell", ["gru-bi", "lstm-uni"])
+def test_document_forward_matches_straight_line_oracle_for_other_cells(cell):
+    record = featurized("o1", "congruent", "5 ways to save 100 now",
+                        "Save money fast today. Spend 100 less. Done.")
+    config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4,
+                         seed=6, cell=cell)
+    word_table, pattern_table = build_tables([record], config)
+    model = build_model("poshan", config, word_table, pattern_table)
+
+    variants = [dataclasses.replace(record, active_cardinal_index=i)
+                for i in range(len(record.patterns))]
+    cases = [(record, MEAN_POOL)] + [(v, "active") for v in variants]
+    for rec, mode in cases:
+        padded = pad_record(rec, max_words=5, max_sentences=3)
+        assert len({sum(s.mask) for s in padded.sentences}) > 1
+        d, _ = document_forward(padded, model.word_table, model.pattern_table,
+                                model.word_encoder, model.sentence_encoder,
+                                model.attention, query_mode=mode)
+        reference = straight_line_poshan_forward(model, padded, mode)
+        assert np.max(np.abs(d.data - reference)) <= 1e-10
+
+
 def test_macro_f1_matches_brute_force_on_1000_cases():
     rng = np.random.default_rng(41)
     for _ in range(1000):

@@ -32,7 +32,7 @@ from poshan.grad import (
     constant,
     dot,
     finite_difference_check,
-    sum_vectors,
+    gather,
     weighted_sum,
 )
 from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
@@ -57,27 +57,28 @@ class TestScore:
         p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
                             rng=np.random.default_rng(1))
         p.score_vec.value.data[...] = 0.0
-        s = score(constant(np.random.default_rng(2).normal(size=3)),
+        s = score(constant(np.random.default_rng(2).normal(size=(4, 3))),
                   constant(np.random.default_rng(3).normal(size=2)), p)
-        assert s.data == 0.0
+        assert np.array_equal(s.data, np.zeros(4))
 
     def test_scalar_hand_value(self):
-        s = score(constant(np.array([0.5])), constant(np.array([0.5])),
+        s = score(constant(np.array([[0.5]])), constant(np.array([0.5])),
                   scalar_params())
-        assert float(s.data) == pytest.approx(math.tanh(1.0), abs=1e-12)
+        assert s.shape == (1,)
+        assert s.data[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
                             rng=np.random.default_rng(1))
         with pytest.raises(ShapeError):
-            score(constant(np.zeros(5)), constant(np.zeros(2)), p)
+            score(constant(np.zeros((1, 5))), constant(np.zeros(2)), p)
 
     def test_gradients(self):
         p = AttentionParams("t", hs_dim=2, query_dim=3, att_dim=2,
                             rng=np.random.default_rng(4))
-        hs = constant(np.random.default_rng(5).normal(size=2))
+        hs = constant(np.random.default_rng(5).normal(size=(1, 2)))
         q = constant(np.random.default_rng(6).normal(size=3))
-        report = finite_difference_check(lambda: score(hs, q, p),
+        report = finite_difference_check(lambda: gather(score(hs, q, p), 0),
                                          p.parameters())
         assert report.passed, report.to_tsv()
 
@@ -91,7 +92,7 @@ class TestAttend:
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
                             rng=np.random.default_rng(7))
         state = np.array([0.4, -0.9])
-        states = [constant(state.copy()) for _ in range(3)]
+        states = constant(np.tile(state, (3, 1)))
         weights = attend(states, [True] * 3, constant(np.ones(2)), p)
         w = weights.data
         assert w[0] == w[1] == w[2]
@@ -104,13 +105,13 @@ class TestAttend:
                             rng=np.random.default_rng(8))
         p.score_vec.value.data[...] = 0.0
         rng = np.random.default_rng(9)
-        states = [constant(rng.normal(size=2)) for _ in range(4)]
+        states = constant(rng.normal(size=(4, 2)))
         w = attend(states, [True] * 4, constant(np.ones(2)), p).data
         assert np.all(w == w[0])
 
     def test_two_state_scalar_oracle(self):
         # state 0.5 scores tanh(1), state -0.5 scores tanh(0) = 0
-        states = [constant(np.array([0.5])), constant(np.array([-0.5]))]
+        states = constant(np.array([[0.5], [-0.5]]))
         weights = attend(states, [True, True], constant(np.array([0.5])),
                          scalar_params())
         w0 = 1.0 / (1.0 + math.exp(-math.tanh(1.0)))
@@ -124,7 +125,7 @@ class TestAttend:
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
                             rng=np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        states = [constant(rng.normal(size=2)) for _ in range(3)]
+        states = constant(rng.normal(size=(3, 2)))
         w = attend(states, [True, True, False], constant(np.ones(2)), p).data
         assert w[2] == 0.0
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
@@ -133,13 +134,13 @@ class TestAttend:
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
                             rng=np.random.default_rng(12))
         with pytest.raises(EmptyAttentionError):
-            attend([constant(np.zeros(2))], [False], constant(np.ones(2)), p)
+            attend(constant(np.zeros((1, 2))), [False], constant(np.ones(2)), p)
 
     def test_gradients_through_attend(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
                             rng=np.random.default_rng(13))
         rng = np.random.default_rng(14)
-        states = [constant(rng.normal(size=2)) for _ in range(3)]
+        states = constant(rng.normal(size=(3, 2)))
         q = constant(rng.normal(size=2))
 
         def forward():
@@ -148,6 +149,23 @@ class TestAttend:
 
         report = finite_difference_check(forward, p.parameters())
         assert report.passed, report.to_tsv()
+
+    def test_block_rows_match_single_sequences(self):
+        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
+                            rng=np.random.default_rng(15))
+        rng = np.random.default_rng(16)
+        states = rng.normal(size=(3, 4, 2))
+        mask = np.array([[True] * 4, [True, False, False, False],
+                         [True, True, True, False]])
+        states[~mask] = 0.0
+        q = constant(rng.normal(size=2))
+        block = attend(constant(states), mask, q, p).data
+        for n in range(3):
+            row = attend(constant(states[n]), mask[n], q, p).data
+            np.testing.assert_allclose(block[n], row, rtol=0, atol=1e-15)
+        assert np.all(block[~mask] == 0.0)
+        context = weighted_sum(constant(block), constant(states))
+        assert context.shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +214,17 @@ class TestFuseWeights:
         with pytest.raises(ShapeError):
             fuse_weights(tensor([0.5, 0.5]), tensor([1.0]), tensor([1.0]),
                          mask=[True, False])
+
+    def test_block_of_rows(self):
+        mask = [[True, True], [True, False]]
+        a = tensor([[0.5, 0.5], [1.0, 0.0]])
+        b = tensor([[0.25, 0.75], [1.0, 0.0]])
+        fused = fuse_weights(a, b, mask=mask)
+        assert np.array_equal(fused.data, [[0.375, 0.625], [1.0, 0.0]])
+        with pytest.raises(MaskMismatchError):
+            fuse_weights(a, tensor([[0.5, 0.5], [0.5, 0.5]]), mask=mask)
+        with pytest.raises(ShapeError):
+            fuse_weights(a, mask=[True, True])
 
     def test_vector_count_bounds(self):
         with pytest.raises(ValueError):
@@ -311,11 +340,11 @@ class TestDocumentForward:
         assert np.array_equal(st0.alpha_fused, [1.0])
         assert np.array_equal(trace.beta_fused, [1.0])
         # D equals the single sentence-level hidden state exactly
-        embedded = [s.word_table.lookup(t) for t in s.padded.sentences[0].tokens]
+        embedded = s.word_table.lookup(s.padded.sentences[0].tokens)
         word_states = s.word_encoder.encode(embedded,
                                             s.padded.sentences[0].mask)
-        sent_states = s.sentence_encoder.encode([word_states[0]], [True])
-        assert np.array_equal(doc.data, sent_states[0].data)
+        sent_states = s.sentence_encoder.encode(gather(word_states, [0]), [True])
+        assert np.array_equal(doc.data, sent_states.data[0])
 
     def test_trace_simplex_invariants(self):
         s = Setup()
@@ -433,9 +462,12 @@ class TestBuildQueries:
         s = Setup()
         queries = build_queries(s.record, s.word_table, s.pattern_table,
                                 MEAN_POOL)
-        expected = sum_vectors([s.word_table.lookup(t.text)
-                                for t in s.record.headline])
-        assert np.array_equal(queries[QUERY_HEADLINE].data, expected.data)
+        table = s.word_table
+        rows = [table.matrix.data[table.index(t.text)] for t in s.record.headline]
+        expected = rows[0].copy()
+        for row in rows[1:]:
+            expected += row
+        assert np.array_equal(queries[QUERY_HEADLINE].data, expected)
 
     def test_ablated_cardinal_record_no_warning(self):
         s = Setup(headline="Dog bites man")

@@ -214,6 +214,65 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through ``edit``."""
+    import struct
+
+    raw = src.read_bytes()
+    magic = raw.index(b"\n") + 1
+    (length,) = struct.unpack_from("<I", raw, magic)
+    header = json.loads(raw[magic + 4:magic + 4 + length])
+    edit(header)
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(raw[:magic] + struct.pack("<I", len(body)) + body
+                    + raw[magic + 4 + length:])
+
+
+def _drop_config(header):
+    del header["config"]
+
+
+def _extra_config_key(header):
+    header["config"]["dropout"] = 0.5
+
+
+def _negative_hidden_size(header):
+    header["config"]["hidden_size"] = -3
+
+
+def _vocab_index_past_table(header):
+    header["vocab"][sorted(header["vocab"])[0]] = 10 ** 6
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_config, "missing keys"),
+    (_extra_config_key, "unknown keys"),
+    (_negative_hidden_size, "hidden-size"),
+    (_vocab_index_past_table, "vocab index"),
+])
+def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
+                                                         edit, message):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(workspace / "model.ckpt", bad, edit)
+    rc = main(["eval", "--ckpt", str(bad),
+               "--test", str(workspace / "splits" / "test.jsonl"),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_path, capsys):
+    rows = [json.loads(line) for line in
+            (workspace / "splits" / "test.jsonl").read_text().splitlines()]
+    rows[0]["sentences"] = 5
+    bad = tmp_path / "bad.jsonl"
+    write_corpus(bad, rows)
+    rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(bad),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    assert ":1:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # dump commands
 

@@ -1,5 +1,6 @@
-"""Recurrent encoder tests: cell step semantics, masked bidirectional
-encoding, padding isolation and finite-difference gradient checks."""
+"""Recurrent encoder tests: cell semantics, masked bidirectional
+encoding of single sequences and padded blocks, padding isolation and
+finite-difference gradient checks."""
 
 import math
 
@@ -10,16 +11,21 @@ from poshan.encoder import (
     CELL_GRU_BI,
     CELL_LSTM_BI,
     CELL_LSTM_UNI,
+    CELLS,
     GruCell,
     LstmCell,
     SequenceEncoder,
 )
 from poshan.grad import (
+    Parameter,
     ShapeError,
+    backward,
     constant,
     dot,
     finite_difference_check,
-    sum_vectors,
+    gather,
+    hadamard,
+    sum_axis,
 )
 
 
@@ -32,6 +38,21 @@ def ones_const(n):
     return constant(np.ones(n))
 
 
+def run_cell(cell, xs):
+    """States (T, H) of one direction over one full-length sequence."""
+    x = constant(np.asarray(xs, dtype=np.float64))
+    return cell.run(x, [x.shape[0]])
+
+
+def readout(t, seed=0):
+    """A scalar that weighs every entry of ``t`` differently."""
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, t.shape)
+    out = hadamard(t, constant(weights))
+    while out.data.ndim > 1:
+        out = sum_axis(out)
+    return dot(out, ones_const(out.shape[0]))
+
+
 # ---------------------------------------------------------------------------
 # LSTM cell
 
@@ -40,30 +61,29 @@ class TestLstmStep:
     def test_zero_params_give_zero_state(self):
         cell = LstmCell("c", in_dim=3, hidden=2, rng=np.random.default_rng(0))
         zero_params(cell)
-        h0, c0 = cell.initial_state()
-        h, c = cell.step(constant(np.array([1.0, -2.0, 3.0])), (h0, c0))
-        # i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0, so c = h = 0
-        assert np.array_equal(h.data, [0.0, 0.0])
-        assert np.array_equal(c.data, [0.0, 0.0])
+        h = run_cell(cell, [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
+        # i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0, so c = h = 0 at
+        # every step
+        assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_bias_alone_keeps_zero_state(self):
         cell = LstmCell("c", in_dim=2, hidden=2, rng=np.random.default_rng(0))
         zero_params(cell)
         cell.b_f.value.data[...] = 10.0
-        h0, c0 = cell.initial_state()
-        h, c = cell.step(constant(np.zeros(2)), (h0, c0))
-        assert np.array_equal(c.data, [0.0, 0.0])
-        assert np.array_equal(h.data, [0.0, 0.0])
+        h = run_cell(cell, np.zeros((2, 2)))
+        assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_gate_carries_cell_state(self):
         cell = LstmCell("c", in_dim=1, hidden=1, rng=np.random.default_rng(0))
         zero_params(cell)
+        cell.b_i.value.data[...] = 30.0  # i saturates to 1
         cell.b_f.value.data[...] = 30.0  # f saturates to 1
-        c_prev = constant(np.array([0.8]))
-        h, c = cell.step(constant(np.zeros(1)), (constant(np.zeros(1)), c_prev))
-        assert c.data[0] == pytest.approx(0.8, abs=1e-12)
-        # h = sigmoid(0) * tanh(c)
-        assert h.data[0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
+        cell.w_g.value.data[...] = math.atanh(0.8)
+        # step 0 writes c = tanh(atanh(0.8)) = 0.8; step 1 adds g = tanh(0)
+        # and keeps c, so h = sigmoid(0) * tanh(c) at both steps
+        h = run_cell(cell, [[1.0], [0.0]])
+        assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
+        assert h.data[1, 0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
 
     def test_default_init_has_forget_bias_offset(self):
         rng = np.random.default_rng(0)
@@ -77,10 +97,8 @@ class TestLstmStep:
         cell = LstmCell("c", in_dim=1, hidden=1, rng=np.random.default_rng(7))
 
         def forward():
-            state = cell.initial_state()
-            state = cell.step(constant(np.array([0.7])), state)
-            state = cell.step(constant(np.array([-0.3])), state)
-            return dot(cell.output(state), ones_const(1))
+            h = run_cell(cell, [[0.7], [-0.3]])
+            return dot(gather(h, 1), ones_const(1))
 
         report = finite_difference_check(forward, cell.parameters())
         assert report.passed, report.to_tsv()
@@ -90,25 +108,23 @@ class TestGruCell:
     def test_zero_params_give_zero_state(self):
         cell = GruCell("g", in_dim=2, hidden=3, rng=np.random.default_rng(0))
         zero_params(cell)
-        (h,) = cell.step(constant(np.ones(2)), cell.initial_state())
-        assert np.array_equal(h.data, np.zeros(3))
+        h = run_cell(cell, [np.ones(2)])
+        assert np.array_equal(h.data, np.zeros((1, 3)))
 
     def test_scalar_hand_value(self):
         cell = GruCell("g", in_dim=1, hidden=1, rng=np.random.default_rng(0))
         zero_params(cell)
         cell.w_n.value.data[...] = 1.0
-        (h,) = cell.step(constant(np.array([1.0])), cell.initial_state())
+        h = run_cell(cell, [[1.0]])
         # z = 0.5, h_prev = 0, n = tanh(1): h = (1 - z) * n
-        assert h.data[0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-12)
+        assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-12)
 
     def test_two_step_scalar_gradients(self):
         cell = GruCell("g", in_dim=1, hidden=1, rng=np.random.default_rng(3))
 
         def forward():
-            state = cell.initial_state()
-            state = cell.step(constant(np.array([0.4])), state)
-            state = cell.step(constant(np.array([0.9])), state)
-            return dot(cell.output(state), ones_const(1))
+            h = run_cell(cell, [[0.4], [0.9]])
+            return dot(gather(h, 1), ones_const(1))
 
         report = finite_difference_check(forward, cell.parameters())
         assert report.passed, report.to_tsv()
@@ -119,7 +135,7 @@ class TestGruCell:
 
 
 def make_inputs(rng, n, dim):
-    return [constant(rng.normal(size=dim)) for _ in range(n)]
+    return constant(rng.normal(size=(n, dim)))
 
 
 class TestSequenceEncoder:
@@ -128,18 +144,17 @@ class TestSequenceEncoder:
                               rng=np.random.default_rng(0))
         xs = make_inputs(np.random.default_rng(1), 5, 3)
         out = enc.encode(xs, [True] * 5)
-        assert len(out) == 5
-        assert all(o.shape == (8,) for o in out)
+        assert out.shape == (5, 8)
         assert enc.out_dim == 8
 
     def test_single_position_is_concat_of_single_steps(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3,
                               rng=np.random.default_rng(2))
-        x = constant(np.array([0.3, -0.6]))
-        out = enc.encode([x], [True])[0]
-        fwd = enc.fwd.output(enc.fwd.step(x, enc.fwd.initial_state()))
-        bwd = enc.bwd.output(enc.bwd.step(x, enc.bwd.initial_state()))
-        assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data]))
+        x = constant(np.array([[0.3, -0.6]]))
+        out = enc.encode(x, [True])
+        fwd = enc.fwd.run(x, [1])
+        bwd = enc.bwd.run(x, [1], reverse=True)
+        assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data], axis=1))
 
     def test_zero_params_give_zero_states(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
@@ -148,45 +163,45 @@ class TestSequenceEncoder:
         zero_params(enc.bwd)
         out = enc.encode(make_inputs(np.random.default_rng(3), 4, 2),
                          [True] * 4)
-        for o in out:
-            assert np.array_equal(o.data, np.zeros(4))
+        assert np.array_equal(out.data, np.zeros((4, 4)))
 
     def test_palindrome_with_tied_directions(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3,
                               rng=np.random.default_rng(4))
         for pf, pb in zip(enc.fwd.parameters(), enc.bwd.parameters()):
             pb.value.data[...] = pf.value.data
-        v0 = constant(np.array([0.5, -0.2]))
-        v1 = constant(np.array([-0.8, 0.1]))
-        out = enc.encode([v0, v1, constant(v0.data.copy())], [True] * 3)
+        v0 = np.array([0.5, -0.2])
+        v1 = np.array([-0.8, 0.1])
+        out = enc.encode(constant(np.stack([v0, v1, v0.copy()])), [True] * 3)
         h = enc.hidden
         # tied params + palindromic input: bwd at mirror equals fwd at t
         for t in range(3):
-            fwd_t = out[t].data[:h]
-            bwd_mirror = out[2 - t].data[h:]
+            fwd_t = out.data[t, :h]
+            bwd_mirror = out.data[2 - t, h:]
             assert np.array_equal(fwd_t, bwd_mirror)
 
     def test_masked_positions_are_zero_and_constant(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
                               rng=np.random.default_rng(5))
-        xs = make_inputs(np.random.default_rng(6), 4, 2)
-        out = enc.encode(xs, [True, True, False, False])
-        assert np.array_equal(out[2].data, np.zeros(4))
-        assert np.array_equal(out[3].data, np.zeros(4))
-        assert not out[2].requires_grad
+        xs = Parameter("x", np.random.default_rng(6).normal(size=(4, 2)))
+        out = enc.encode(xs.value, [True, True, False, False])
+        assert np.array_equal(out.data[2:], np.zeros((2, 4)))
+        # nothing flows back into the padded positions
+        backward(readout(out), [xs])
+        assert np.array_equal(xs.value.grad[2:], np.zeros((2, 2)))
+        assert np.all(xs.value.grad[:2] != 0.0)
 
     def test_padding_isolation(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
                               rng=np.random.default_rng(7))
         rng = np.random.default_rng(8)
-        real = [constant(rng.normal(size=2)) for _ in range(2)]
-        pad_a = constant(rng.normal(size=2))
-        pad_b = constant(rng.normal(size=2) * 100.0)
+        real = rng.normal(size=(2, 2))
+        pad_a = rng.normal(size=(1, 2))
+        pad_b = rng.normal(size=(1, 2)) * 100.0
         mask = [True, True, False]
-        out_a = enc.encode(real + [pad_a], mask)
-        out_b = enc.encode(real + [pad_b], mask)
-        for t in range(2):
-            assert np.array_equal(out_a[t].data, out_b[t].data)
+        out_a = enc.encode(constant(np.concatenate([real, pad_a])), mask)
+        out_b = enc.encode(constant(np.concatenate([real, pad_b])), mask)
+        assert np.array_equal(out_a.data[:2], out_b.data[:2])
 
     def test_unidirectional_output_dim(self):
         enc = SequenceEncoder("e", in_dim=3, hidden=4, cell=CELL_LSTM_UNI,
@@ -195,7 +210,7 @@ class TestSequenceEncoder:
         assert enc.bwd is None
         out = enc.encode(make_inputs(np.random.default_rng(1), 2, 3),
                          [True] * 2)
-        assert all(o.shape == (4,) for o in out)
+        assert out.shape == (2, 4)
 
     def test_gru_cell_selection(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_GRU_BI,
@@ -217,7 +232,7 @@ class TestSequenceEncoder:
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
                               rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            enc.encode([], [])
+            enc.encode(constant(np.zeros((0, 2))), [])
 
     def test_all_masked_rejected(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
@@ -241,19 +256,74 @@ class TestSequenceEncoder:
 
 
 # ---------------------------------------------------------------------------
+# Padded blocks of sequences
+
+# three sequences padded to 4 steps; lengths include 1 and the full width
+BLOCK_MASK = [[True] * 4, [True, False, False, False], [True, True, True, False]]
+
+
+def flat(mask):
+    return [m for row in mask for m in row]
+
+
+class TestBlockEncoding:
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_block_matches_sequences_encoded_alone(self, cell):
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=cell,
+                              rng=np.random.default_rng(20))
+        xs = np.random.default_rng(21).normal(size=(3, 4, 2))
+        block = enc.encode(constant(xs), flat(BLOCK_MASK))
+        assert block.shape == (3, 4, enc.out_dim)
+        for n, row in enumerate(BLOCK_MASK):
+            length = sum(row)
+            alone = enc.encode(constant(xs[n, :length]), [True] * length)
+            np.testing.assert_allclose(block.data[n, :length], alone.data,
+                                       rtol=0, atol=1e-14)
+            assert np.array_equal(block.data[n, length:],
+                                  np.zeros((4 - length, enc.out_dim)))
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_ragged_block_gradients(self, cell):
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=cell,
+                              rng=np.random.default_rng(22))
+        xs = Parameter("x", np.random.default_rng(23).normal(size=(3, 4, 2)))
+
+        report = finite_difference_check(
+            lambda: readout(enc.encode(xs.value, flat(BLOCK_MASK))),
+            [xs, *enc.parameters()])
+        assert report.passed, report.to_tsv()
+
+    def test_mask_rows_must_be_prefixes(self):
+        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+                              rng=np.random.default_rng(0))
+        xs = constant(np.zeros((2, 3, 2)))
+        with pytest.raises(ShapeError, match="prefix"):
+            enc.encode(xs, [True, True, True, False, True, False])
+        with pytest.raises(ShapeError, match="empty"):
+            enc.encode(xs, [True, True, True, False, False, False])
+
+    def test_final_state_joins_both_ends(self):
+        enc = SequenceEncoder("e", in_dim=2, hidden=3,
+                              rng=np.random.default_rng(24))
+        xs = make_inputs(np.random.default_rng(25), 4, 2)
+        states = enc.encode(xs, [True] * 4).data
+        final = enc.final_state(xs, [True] * 4).data
+        assert np.array_equal(final, np.concatenate([states[3, :3], states[0, 3:]]))
+
+
+# ---------------------------------------------------------------------------
 # Gradient checks through full encodings
 
 
 class TestEncoderGradients:
     def encode_loss(self, enc, xs, mask):
         out = enc.encode(xs, mask)
-        return dot(sum_vectors(out), ones_const(enc.out_dim))
+        return dot(sum_axis(out), ones_const(enc.out_dim))
 
     def test_three_token_bilstm_all_params(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3,
                               rng=np.random.default_rng(11))
-        rng = np.random.default_rng(12)
-        xs = [constant(rng.normal(size=2)) for _ in range(3)]
+        xs = make_inputs(np.random.default_rng(12), 3, 2)
 
         report = finite_difference_check(
             lambda: self.encode_loss(enc, xs, [True] * 3), enc.parameters())
@@ -263,8 +333,7 @@ class TestEncoderGradients:
     def test_three_token_bigru_all_params(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_GRU_BI,
                               rng=np.random.default_rng(13))
-        rng = np.random.default_rng(14)
-        xs = [constant(rng.normal(size=2)) for _ in range(3)]
+        xs = make_inputs(np.random.default_rng(14), 3, 2)
 
         report = finite_difference_check(
             lambda: self.encode_loss(enc, xs, [True] * 3), enc.parameters())
@@ -273,8 +342,7 @@ class TestEncoderGradients:
     def test_masked_encoding_gradients(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
                               rng=np.random.default_rng(15))
-        rng = np.random.default_rng(16)
-        xs = [constant(rng.normal(size=2)) for _ in range(4)]
+        xs = make_inputs(np.random.default_rng(16), 4, 2)
 
         report = finite_difference_check(
             lambda: self.encode_loss(enc, xs, [True, True, False, False]),

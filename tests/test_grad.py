@@ -12,6 +12,8 @@ from poshan.grad import (
     Parameter,
     ShapeError,
     Tensor,
+    add,
+    additive_scores,
     affine,
     backward,
     collect_gradients,
@@ -19,20 +21,32 @@ from poshan.grad import (
     constant,
     dot,
     finite_difference_check,
+    gather,
+    gru_layer,
     hadamard,
+    lstm_layer,
     masked_softmax,
     matvec,
-    mean_vectors,
-    pick_row,
-    scalar_scale,
+    mean_axis,
+    mean_fold,
+    no_grad,
+    relu_elem,
     sigmoid_elem,
     softmax_cross_entropy_with_logits,
-    stack_scalars,
-    sum_vectors,
+    sum_axis,
     tanh_elem,
     weighted_sum,
     zero_gradients,
 )
+
+
+def readout(t, seed=0):
+    """A scalar that weighs every entry of ``t`` differently."""
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, t.shape)
+    out = hadamard(t, constant(weights))
+    while out.data.ndim > 1:
+        out = sum_axis(out)
+    return dot(out, constant(np.ones(out.shape[0])))
 
 
 def test_affine_identity():
@@ -69,20 +83,32 @@ def test_tanh_at_zero():
 
 def test_weighted_sum_symmetry():
     w = constant([0.5, 0.5])
-    vs = [constant([2.0, 0.0]), constant([0.0, 2.0])]
-    assert np.array_equal(weighted_sum(w, vs).data, [1.0, 1.0])
+    states = constant([[2.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(weighted_sum(w, states).data, [1.0, 1.0])
 
 
 def test_weighted_sum_one_hot_is_exact():
     rng = np.random.default_rng(3)
     for _ in range(20):
         k, d = rng.integers(1, 6), rng.integers(1, 5)
-        vs = [constant(rng.standard_normal(d)) for _ in range(k)]
+        states = constant(rng.standard_normal((k, d)))
         hot = int(rng.integers(k))
         w = np.zeros(k)
         w[hot] = 1.0
-        out = weighted_sum(constant(w), vs)
-        assert np.array_equal(out.data, vs[hot].data)
+        out = weighted_sum(constant(w), states)
+        assert np.array_equal(out.data, states.data[hot])
+
+
+def test_weighted_sum_block_is_per_row_product():
+    rng = np.random.default_rng(4)
+    w = rng.uniform(size=(3, 5))
+    states = rng.standard_normal((3, 5, 2))
+    out = weighted_sum(constant(w), constant(states))
+    assert out.shape == (3, 2)
+    for n in range(3):
+        np.testing.assert_allclose(out.data[n], w[n] @ states[n], rtol=0, atol=1e-14)
+    with pytest.raises(ShapeError):
+        weighted_sum(constant(w[:, :4]), constant(states))
 
 
 def test_concat():
@@ -213,7 +239,7 @@ def test_backward_two_consumers_equals_sum_of_single_paths():
 
     p = Parameter("p", v)
     shared = tanh_elem(p.value)
-    loss = dot(stack_scalars([dot(shared, a), dot(shared, b)]), constant([1.0, 1.0]))
+    loss = add(dot(shared, a), dot(shared, b))
     both = backward(loss, [p])["p"].copy()
 
     q = Parameter("q", v)
@@ -238,21 +264,25 @@ def test_misc_op_gradients_match_finite_differences():
     b = Parameter("b", rng.standard_normal(3) * 0.5)
     u = Parameter("u", rng.standard_normal(4) * 0.5)
     s = Parameter("s", np.array(0.7))
-    params = [w, b, u, s]
+    table = Parameter("table", rng.standard_normal((5, 4)) * 0.5)
+    head = Parameter("head", rng.standard_normal((2, 8)) * 0.5)
+    params = [w, b, u, s, table, head]
     x = constant(rng.standard_normal(4))
+    xs = constant(rng.standard_normal((2, 4)))
 
     def forward():
         h = tanh_elem(affine(x, w.value, b.value))
         g = sigmoid_elem(matvec(w.value, u.value))
         mixed = hadamard(h, g)
-        row = pick_row(w.value, 1)
-        pooled = mean_vectors([mixed, g, h])
-        scaled = scalar_scale(sum_vectors([pooled, mixed]), s.value)
-        att = masked_softmax(stack_scalars(
-            [dot(scaled, constant(np.eye(3)[i])) for i in range(3)]), [True, True, False])
-        ctx = weighted_sum(att, [h, g, mixed])
-        logits = stack_scalars([dot(ctx, h), dot(row, u.value)])
-        return softmax_cross_entropy_with_logits(logits, 0)
+        pooled = mean_fold([mixed, g, h])
+        scaled = hadamard(add(pooled, mixed), s.value)
+        att = masked_softmax(scaled, [True, True, False])
+        rows = gather(table.value, [[1, 2], [0, 4], [1, 1]])
+        ctx = weighted_sum(att, sum_axis(rows, 1))
+        batch = relu_elem(affine(xs, w.value, b.value))
+        feats = concat(ctx, mean_axis(gather(table.value, [0, 3])))
+        logits = affine(feats, head.value, constant(np.zeros(2)))
+        return add(softmax_cross_entropy_with_logits(logits, 0), readout(batch))
 
     report = finite_difference_check(forward, params, epsilon=1e-5, tolerance=1e-4)
     assert report.passed, report.to_tsv()
@@ -329,3 +359,200 @@ def test_tensor_finite_check():
     bad = Tensor([np.nan, 1.0])
     with pytest.raises(grad.NonFiniteError):
         bad.check_finite("loss")
+
+
+# ---------------------------------------------------------------------------
+# Fused layer ops
+
+
+def test_tensor_accepts_any_rank():
+    t = Tensor(np.zeros((2, 3, 4)))
+    assert t.shape == (2, 3, 4)
+
+
+def test_gather_rows_pad_and_scatter():
+    table = Parameter("t", np.arange(12.0).reshape(4, 3))
+    rows = gather(table.value, [[2, 0], [2, 3]], pad=0)
+    assert rows.shape == (2, 2, 3)
+    assert np.array_equal(rows.data[0, 0], [6.0, 7.0, 8.0])
+    # the pad row reads zeros whatever the table holds there
+    assert np.array_equal(rows.data[0, 1], [0.0, 0.0, 0.0])
+    backward(readout(rows), [table])
+    grad = table.value.grad
+    assert np.array_equal(grad[0], np.zeros(3))
+    assert np.array_equal(grad[1], np.zeros(3))
+    weights = np.random.default_rng(0).uniform(0.5, 1.5, (2, 2, 3))
+    np.testing.assert_allclose(grad[2], weights[0, 0] + weights[1, 0], rtol=0, atol=1e-15)
+    assert np.array_equal(grad[3], weights[1, 1])
+
+
+def test_gather_scatters_into_the_existing_buffer():
+    table = Parameter("t", np.ones((1000, 4)))
+    backward(dot(gather(table.value, 5), constant(np.ones(4))))
+    buffer = table.value.grad
+    backward(dot(gather(table.value, 5), constant(np.ones(4))))
+    assert table.value.grad is buffer
+    assert np.array_equal(buffer[5], [2.0] * 4)
+
+
+def test_gather_of_only_pad_rows_is_constant():
+    table = Parameter("t", np.ones((3, 2)))
+    out = gather(table.value, [0, 0], pad=0)
+    assert not out.requires_grad
+    assert np.array_equal(out.data, np.zeros((2, 2)))
+    with pytest.raises(IndexError):
+        gather(table.value, [3])
+
+
+def _layer_params(gates, in_dim, hidden, seed):
+    rng = np.random.default_rng(seed)
+    return ([Parameter(f"w{k}", rng.uniform(-0.7, 0.7, (hidden, in_dim))) for k in range(gates)],
+            [Parameter(f"u{k}", rng.uniform(-0.7, 0.7, (hidden, hidden))) for k in range(gates)],
+            [Parameter(f"b{k}", rng.uniform(-0.7, 0.7, hidden)) for k in range(gates)])
+
+
+def _run_layer(layer, x, lengths, params, reverse):
+    w, u, b = params
+    return layer(x, lengths, [p.value for p in w], [p.value for p in u],
+                 [p.value for p in b], reverse=reverse)
+
+
+LAYERS = [(lstm_layer, 4), (gru_layer, 3)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("layer,gates", LAYERS)
+def test_recurrent_layer_gradients_on_ragged_block(layer, gates, reverse):
+    rng = np.random.default_rng(5)
+    x = Parameter("x", rng.standard_normal((3, 4, 2)))
+    params = _layer_params(gates, in_dim=2, hidden=3, seed=6)
+    lengths = [4, 1, 3]
+
+    def forward():
+        return readout(_run_layer(layer, x.value, lengths, params, reverse))
+
+    report = finite_difference_check(forward, [x, *params[0], *params[1], *params[2]])
+    assert report.passed, report.to_tsv()
+    # padded input positions get no gradient
+    zero_gradients([x])
+    backward(forward(), [x])
+    assert np.all(x.value.grad[1, 1:] == 0.0) and np.all(x.value.grad[2, 3:] == 0.0)
+
+
+@pytest.mark.parametrize("layer,gates", LAYERS)
+def test_recurrent_layer_block_matches_single_sequences(layer, gates):
+    rng = np.random.default_rng(7)
+    xs = rng.standard_normal((3, 5, 2))
+    lengths = [5, 1, 3]
+    params = _layer_params(gates, in_dim=2, hidden=3, seed=8)
+    for reverse in (False, True):
+        block = _run_layer(layer, constant(xs), lengths, params, reverse).data
+        for n, length in enumerate(lengths):
+            alone = _run_layer(layer, constant(xs[n, :length]), [length], params, reverse).data
+            np.testing.assert_allclose(block[n, :length], alone, rtol=0, atol=1e-14)
+            assert np.array_equal(block[n, length:], np.zeros((5 - length, 3)))
+
+
+@pytest.mark.parametrize("layer,gates", LAYERS)
+def test_reverse_layer_reads_each_real_prefix_backwards(layer, gates):
+    rng = np.random.default_rng(9)
+    xs = rng.standard_normal((2, 4, 2))
+    xs[1, 2:] = 1e6  # padding must not leak into real positions
+    params = _layer_params(gates, in_dim=2, hidden=2, seed=10)
+    back = _run_layer(layer, constant(xs), [4, 2], params, reverse=True).data
+    for n, length in enumerate([4, 2]):
+        flipped = _run_layer(layer, constant(xs[n, :length][::-1].copy()), [length], params,
+                             reverse=False).data
+        np.testing.assert_allclose(back[n, :length], flipped[::-1], rtol=0, atol=1e-14)
+
+
+def test_recurrent_layer_rejects_bad_lengths():
+    params = _layer_params(4, in_dim=2, hidden=2, seed=0)
+    with pytest.raises(ShapeError):
+        _run_layer(lstm_layer, constant(np.zeros((2, 3, 2))), [3, 0], params, False)
+    with pytest.raises(ShapeError):
+        _run_layer(lstm_layer, constant(np.zeros((2, 3, 2))), [3], params, False)
+    with pytest.raises(ShapeError):
+        _run_layer(lstm_layer, constant(np.zeros((3, 5))), [3], params, False)
+
+
+def test_additive_scores_block_matches_rows_and_gradients():
+    rng = np.random.default_rng(12)
+    states = Parameter("s", rng.standard_normal((2, 3, 4)))
+    query = Parameter("q", rng.standard_normal(5))
+    v = Parameter("v", rng.standard_normal(3))
+    w_h = Parameter("w_h", rng.standard_normal((3, 4)))
+    w_q = Parameter("w_q", rng.standard_normal((3, 5)))
+    b = Parameter("b", rng.standard_normal(3))
+    params = [states, query, v, w_h, w_q, b]
+
+    def scores(s):
+        return additive_scores(s, query.value, v.value, w_h.value, w_q.value, b.value)
+
+    block = scores(states.value).data
+    assert block.shape == (2, 3)
+    for n in range(2):
+        for t in range(3):
+            inner = np.tanh(w_h.data @ states.data[n, t] + w_q.data @ query.data + b.data)
+            assert abs(block[n, t] - v.data @ inner) <= 1e-12
+    report = finite_difference_check(lambda: readout(scores(states.value)), params)
+    assert report.passed, report.to_tsv()
+    with pytest.raises(ShapeError):
+        scores(constant(np.zeros((3, 5))))
+
+
+def test_masked_softmax_rows_of_a_block():
+    rng = np.random.default_rng(13)
+    scores = Parameter("s", rng.standard_normal((3, 4)))
+    mask = np.array([[True] * 4, [True, False, False, False], [True, True, True, False]])
+    out = masked_softmax(scores.value, mask).data
+    for n in range(3):
+        expected = masked_softmax(constant(scores.data[n]), mask[n]).data
+        np.testing.assert_allclose(out[n], expected, rtol=0, atol=1e-15)
+    assert out[1, 0] == 1.0
+    report = finite_difference_check(
+        lambda: readout(masked_softmax(scores.value, mask)), [scores])
+    assert report.passed, report.to_tsv()
+    mask[2] = False
+    with pytest.raises(EmptyAttentionError):
+        masked_softmax(scores.value, mask)
+
+
+def test_mean_fold_is_a_left_fold():
+    rng = np.random.default_rng(14)
+    arrays = [rng.uniform(size=(2, 3)) for _ in range(3)]
+    fused = mean_fold([constant(a) for a in arrays])
+    assert np.array_equal(fused.data, ((arrays[0] + arrays[1]) + arrays[2]) / 3.0)
+    with pytest.raises(ShapeError):
+        mean_fold([constant(arrays[0]), constant(np.zeros(3))])
+    params = [Parameter(f"p{i}", a) for i, a in enumerate(arrays)]
+    report = finite_difference_check(
+        lambda: readout(mean_fold([p.value for p in params])), params)
+    assert report.passed, report.to_tsv()
+
+
+def test_axis_folds_add_in_index_order():
+    rng = np.random.default_rng(15)
+    x = Parameter("x", rng.uniform(size=(3, 4, 2)))
+    d = x.data
+    assert np.array_equal(sum_axis(x.value, 1).data, ((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
+    assert np.array_equal(mean_axis(x.value).data, ((d[0] + d[1]) + d[2]) / 3)
+    report = finite_difference_check(
+        lambda: add(readout(sum_axis(x.value, 1)), readout(mean_axis(x.value), seed=1)), [x])
+    assert report.passed, report.to_tsv()
+
+
+def test_no_grad_builds_no_graph():
+    p = Parameter("p", np.ones((2, 3)))
+    with no_grad():
+        out = tanh_elem(gather(p.value, [1, 0]))
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+    assert tanh_elem(p.value).requires_grad
+
+
+def test_hadamard_rejects_non_broadcasting_shapes():
+    with pytest.raises(ShapeError):
+        hadamard(constant(np.zeros(2)), constant(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        hadamard(constant(np.zeros((2, 1))), constant(np.zeros((2, 3))))

@@ -172,3 +172,35 @@ class TestEndToEndGradients:
             lambda: model.loss(padded, query_mode=ACTIVE),
             model.parameters())
         assert report.passed, report.to_tsv()
+
+
+class TestGraphSize:
+    def test_tensor_constructions_per_capped_record(self, monkeypatch):
+        """One loss + backward on a record at the 35x45 caps, with the
+        default dimensions, builds layer-sized nodes, not one per scalar."""
+        from poshan import grad
+
+        words = " ".join(f"w{i}" for i in range(45))
+        body = " ".join(f"{words} 3 more." for _ in range(36))
+        records = [featurize(RawRecord(id="cap", headline="Loan hits 1 million",
+                                       body=body, label="congruent"), RuleTagger())]
+        word_table = build_vocab(records, min_count=1, dim=64, seed=0)
+        pattern_table = PatternEmbeddingTable.build(records, dim=100, seed=0)
+        model = PoshanModel(word_table, pattern_table, hidden_size=16)
+        unit = records[0]
+        unit.active_cardinal_index = 0
+        padded = pad_record(unit, 45, 35)
+        assert len(padded.sentences) == 35
+        assert all(len(s.tokens) == 45 for s in padded.sentences)
+
+        count = 0
+        init = grad.Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(grad.Tensor, "__init__", counted)
+        backward(model.loss(padded, query_mode=ACTIVE), ())
+        assert 0 < count <= 2000

@@ -421,6 +421,25 @@ class TestDerivedIO:
         with pytest.raises(DataError, match=r":1:"):
             read_derived(p)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sentences", 5),
+        ("sentences", [["word"]]),
+        ("headline", "Loan hits 1 million"),
+        ("patterns", [3]),
+        ("phrases", [["a", "b"]]),
+        ("active_cardinal_index", 2),
+        ("active_cardinal_index", -1),
+        ("active_cardinal_index", True),
+        ("active_cardinal_index", "0"),
+    ])
+    def test_derived_record_field_types_checked(self, tmp_path, field, value):
+        obj = record_to_json(featurize(_raw(0, "Loan hits 1 million"), RuleTagger()))
+        obj[field] = value
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, [obj, obj])
+        with pytest.raises(DataError, match=r":1:"):
+            read_derived(p)
+
 
 class TestLabelIndex:
     def test_mapping(self):

@@ -194,6 +194,13 @@ def test_clip_zero_gradients():
     np.testing.assert_array_equal(clipped["a"], np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_rejects_non_finite_norm(bad):
+    grads = {"a": np.ones(2), "b": np.array([1.0, bad])}
+    with pytest.raises(NonFiniteError, match="'b'"):
+        clip_global_norm(grads, 6.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=5),
                 min_size=1, max_size=4),
