@@ -20,7 +20,6 @@ import numpy as np
 
 from .embeddings import (
     ACTIVE,
-    MEAN_POOL,
     PAD_TOKEN,
     PatternEmbeddingTable,
     WordEmbeddingTable,

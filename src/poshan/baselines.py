@@ -23,8 +23,7 @@ from .grad import (
 from .model import Classifier, ClassifierHead
 from .text import DatasetRecord
 
-# dimensions reported for the concat baseline's reference configuration
-DEFAULT_EMBED_DIM = 100
+# hidden size of the concat baseline's reference configuration
 DEFAULT_HIDDEN = 200
 
 POS_CATEGORIES = ("noun", "verb", "adjective", "pronoun", "adverb",
@@ -66,8 +65,6 @@ class LstmConcatModel(Classifier):
     encoder state feeds the classifier head.  ``forward`` ignores the
     query mode, which only the hierarchical model uses."""
 
-    kind = "lstm"
-
     def __init__(self, word_table: WordEmbeddingTable,
                  hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,
                  seed: int = 0):
@@ -97,8 +94,6 @@ class PosAtModel(Classifier):
     one-hot category vector, initialized near zero: weights are drawn
     from [0, 0.01].  ``forward`` ignores the query mode.
     """
-
-    kind = "posat"
 
     def __init__(self, word_table: WordEmbeddingTable,
                  hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,

@@ -19,14 +19,12 @@ from .text import (
     CONGRUENT,
     EOS_TOKEN,
     INCONGRUENT,
-    CardinalPhrase,
     DataError,
     DatasetRecord,
     NoCardinalError,
 )
 
 PAD_TOKEN = "<pad>"
-UNK_TOKEN = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
 UNK_PATTERN = "<unk>"
@@ -74,10 +72,6 @@ class WordEmbeddingTable:
     def dim(self) -> int:
         return self.matrix.data.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.matrix.data.shape[0]
-
     def index(self, token: str) -> int:
         if token in _SENTINELS:
             return PAD_INDEX
@@ -114,49 +108,6 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
     return WordEmbeddingTable(vocab, param, MODE_RANDOM_TRAINABLE)
 
 
-def load_pretrained(path, expected_dim: int,
-                    trainable: bool = False) -> WordEmbeddingTable:
-    """Read a text vector file: one line per token, token then
-    ``expected_dim`` space-separated floats.
-
-    The unknown row is the arithmetic mean of all loaded rows.
-    """
-    tokens: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
-            if token in _SENTINELS or token == UNK_TOKEN:
-                raise DataError(f"{path}:{lineno}: reserved token {token!r}")
-            if token in seen:
-                raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
-            if len(values) != expected_dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {expected_dim} values, "
-                    f"got {len(values)}")
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value") from None
-            seen.add(token)
-            tokens.append(token)
-    if not rows:
-        raise DataError(f"{path}: no vectors found")
-    loaded = np.asarray(rows, dtype=np.float64)
-    matrix = np.zeros((len(tokens) + 2, expected_dim))
-    matrix[UNK_INDEX] = loaded.mean(axis=0)
-    matrix[2:] = loaded
-    vocab = {t: i + 2 for i, t in enumerate(tokens)}
-    mode = MODE_PRELOADED_TRAINABLE if trainable else MODE_PRELOADED_FROZEN
-    param = Parameter("word_embeddings", matrix, trainable=trainable)
-    return WordEmbeddingTable(vocab, param, mode)
-
-
 class PatternEmbeddingTable:
     """Cardinal POS pattern strings to trainable rows; index 0 is the
     unknown-pattern row."""
@@ -168,10 +119,6 @@ class PatternEmbeddingTable:
     @property
     def dim(self) -> int:
         return self.matrix.data.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.matrix.data.shape[0]
 
     def index(self, key: str) -> int:
         return self.patterns.get(key, 0)
@@ -204,56 +151,41 @@ def headline_vector(tokens: Sequence[str], table: WordEmbeddingTable) -> Tensor:
     return sum_axis(table.lookup(kept))
 
 
-def _phrase_tokens(phrase: CardinalPhrase) -> list:
-    return [phrase.prev, phrase.num, phrase.next]
-
-
-def cardinal_phrase_vector(phrase: CardinalPhrase,
-                           table: WordEmbeddingTable) -> Tensor:
-    """Sum of the embeddings of the three phrase words; sentinel tokens
-    contribute the zero row."""
-    return sum_axis(table.lookup(_phrase_tokens(phrase)))
+def _chosen(record: DatasetRecord, items: list, what: str, mode: str) -> list:
+    """The record's cardinal patterns or phrases that a query pools over:
+    in active mode (training) only the one at the record's active cardinal
+    index, in mean-pool mode (inference) all of them."""
+    if not items:
+        raise NoCardinalError(
+            f"record {record.id!r} has no cardinal {what} to query")
+    if mode == ACTIVE:
+        if record.active_cardinal_index is None:
+            raise ValueError(
+                f"record {record.id!r}: active mode requires an active "
+                "cardinal index")
+        return [items[record.active_cardinal_index]]
+    if mode == MEAN_POOL:
+        return items
+    raise ValueError(f"unknown {what} query mode {mode!r}")
 
 
 def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable,
                   mode: str) -> Tensor:
-    """Pattern query vector for one record.
-
-    Active mode (training) selects the embedding at the record's active
-    cardinal index; mean-pool mode (inference) averages the embeddings of
-    all the record's patterns.
-    """
-    if not record.patterns:
-        raise NoCardinalError(
-            f"record {record.id!r} has no cardinal pattern to query")
-    if mode == ACTIVE:
-        if record.active_cardinal_index is None:
-            raise ValueError(
-                f"record {record.id!r}: active mode requires an active "
-                "cardinal index")
-        return table.lookup(record.patterns[record.active_cardinal_index].key)
-    if mode == MEAN_POOL:
-        return mean_axis(table.lookup([p.key for p in record.patterns]))
-    raise ValueError(f"unknown pattern query mode {mode!r}")
+    """Pattern query vector for one record: the mean of the embeddings of
+    the chosen patterns (see :func:`_chosen`), so in active mode the
+    active pattern's embedding itself."""
+    chosen = _chosen(record, record.patterns, "pattern", mode)
+    return mean_axis(table.lookup([p.key for p in chosen]))
 
 
 def phrase_query(record: DatasetRecord, table: WordEmbeddingTable,
                  mode: str) -> Tensor:
-    """Cardinal phrase query vector; same mode semantics as pattern_query."""
-    if not record.phrases:
-        raise NoCardinalError(
-            f"record {record.id!r} has no cardinal phrase to query")
-    if mode == ACTIVE:
-        if record.active_cardinal_index is None:
-            raise ValueError(
-                f"record {record.id!r}: active mode requires an active "
-                "cardinal index")
-        return cardinal_phrase_vector(
-            record.phrases[record.active_cardinal_index], table)
-    if mode == MEAN_POOL:
-        rows = table.lookup([_phrase_tokens(p) for p in record.phrases])
-        return mean_axis(sum_axis(rows, 1))
-    raise ValueError(f"unknown phrase query mode {mode!r}")
+    """Cardinal phrase query vector: per chosen phrase the sum of its three
+    words' embeddings (sentinel tokens read the zero row), then the mean
+    over the chosen phrases; same mode semantics as pattern_query."""
+    chosen = _chosen(record, record.phrases, "phrase", mode)
+    rows = table.lookup([[p.prev, p.num, p.next] for p in chosen])
+    return mean_axis(sum_axis(rows, 1))
 
 
 # ---------------------------------------------------------------------------

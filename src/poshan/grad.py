@@ -68,14 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
-    def check_finite(self, context: str = "tensor") -> "Tensor":
-        if not self.is_finite():
-            raise NonFiniteError(f"{context} contains non-finite values")
-        return self
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
@@ -159,23 +151,6 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # Primitive ops
 
 
-def matvec(m: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product m @ x."""
-    _require_rank(m, 2, "matvec", "matrix")
-    _require_rank(x, 1, "matvec", "vector")
-    if m.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: matrix {m.shape} does not conform to vector {x.shape}")
-    out = _result(m.data @ x.data, (m, x), "matvec")
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            accumulate_grad(m, np.outer(g, x.data))
-            accumulate_grad(x, m.data.T @ g)
-
-        out._backward = back
-    return out
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """w @ x + b for a rank-1 input; for a rank-2 input (L, in), the same
     map applied to every row."""
@@ -227,26 +202,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def tanh_elem(x: Tensor) -> Tensor:
-    out = _result(np.tanh(x.data), (x,), "tanh")
-    if out.requires_grad:
-        def back():
-            accumulate_grad(x, out.grad * (1.0 - out.data ** 2))
-
-        out._backward = back
-    return out
-
-
-def sigmoid_elem(x: Tensor) -> Tensor:
-    out = _result(_sigmoid(x.data), (x,), "sigmoid")
-    if out.requires_grad:
-        def back():
-            accumulate_grad(x, out.grad * out.data * (1.0 - out.data))
-
-        out._backward = back
-    return out
-
-
 def relu_elem(x: Tensor) -> Tensor:
     out = _result(np.maximum(x.data, 0.0), (x,), "relu")
     if out.requires_grad:
@@ -269,22 +224,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
             g = out.grad
             accumulate_grad(a, g[..., :split])
             accumulate_grad(b, g[..., split:])
-
-        out._backward = back
-    return out
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two rank-1 tensors; returns a scalar tensor."""
-    _require_rank(a, 1, "dot", "left")
-    _require_rank(b, 1, "dot", "right")
-    _require_same_shape(a, b, "dot")
-    out = _result(np.dot(a.data, b.data), (a, b), "dot")
-    if out.requires_grad:
-        def back():
-            g = out.grad
-            accumulate_grad(a, g * b.data)
-            accumulate_grad(b, g * a.data)
 
         out._backward = back
     return out

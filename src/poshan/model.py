@@ -50,11 +50,6 @@ class ClassifierHead:
         return [self.weight, self.bias]
 
 
-def classify(d: Tensor, head: ClassifierHead) -> np.ndarray:
-    """Class probability pair softmax(W d + b); sums to 1."""
-    return softmax_probs(head.logits(d))
-
-
 class Classifier:
     """The interface the three models share: a subclass defines
     ``forward(padded, query_mode)``, returning the two class logits, and
@@ -77,8 +72,6 @@ class PoshanModel(Classifier):
     instead concatenates the headline's final encoder state to the
     document vector before the classifier head.
     """
-
-    kind = "poshan"
 
     def __init__(self, word_table: WordEmbeddingTable,
                  pattern_table: PatternEmbeddingTable, hidden_size: int = 16,

@@ -489,16 +489,28 @@ def record_to_json(rec: DatasetRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> DatasetRecord:
-    """A derived record from its JSON object; a field of the wrong type or
-    an active cardinal index out of range raises DataError."""
+    """A derived record from its JSON object; a field of the wrong type (a
+    non-string id included), a label outside LABELS, an empty sentence,
+    patterns and phrases of different counts or an active cardinal index
+    out of range raise DataError."""
     if not isinstance(obj, dict):
         raise DataError("record must be a JSON object")
+    if not isinstance(obj["id"], str):
+        raise DataError(f"id {obj['id']!r} is not a string")
+    if obj["label"] not in LABELS:
+        raise DataError(f"label {obj['label']!r} not one of {LABELS}")
     if not isinstance(obj["sentences"], list):
         raise DataError("sentences must be a list of sentences")
     if not _is_str_list(obj["patterns"]):
         raise DataError("patterns must be a list of strings")
     if not isinstance(obj["phrases"], list) or not all(_is_str_list(p, 3) for p in obj["phrases"]):
         raise DataError("phrases must be a list of [prev, num, next] triples")
+    if len(obj["phrases"]) != len(obj["patterns"]):
+        raise DataError(f"{len(obj['patterns'])} patterns but {len(obj['phrases'])} phrases; "
+                        "each cardinal has one of each")
+    sentences = [_tagged_from_json(s, "sentence") for s in obj["sentences"]]
+    if not all(sentences):
+        raise DataError("a sentence has no tokens")
     patterns = []
     for key in obj["patterns"]:
         left, mid, right = key.split(":")
@@ -512,7 +524,7 @@ def record_from_json(obj: dict) -> DatasetRecord:
         id=obj["id"],
         label=obj["label"],
         headline=_tagged_from_json(obj["headline"], "headline"),
-        sentences=[_tagged_from_json(s, "sentence") for s in obj["sentences"]],
+        sentences=sentences,
         patterns=patterns,
         phrases=[CardinalPhrase(prev=p[0], num=p[1], next=p[2]) for p in obj["phrases"]],
         active_cardinal_index=active,

@@ -23,7 +23,6 @@ import numpy as np
 from .attention import PaddedRecord, pad_record
 from .baselines import LstmConcatModel, PosAtModel
 from .embeddings import (
-    ACTIVE,
     MEAN_POOL,
     MODE_PRELOADED_FROZEN,
     MODE_PRELOADED_TRAINABLE,
@@ -161,25 +160,6 @@ def parse_config(path: str | Path) -> TrainConfig:
     config = TrainConfig(**overrides)
     config.validate()
     return config
-
-
-def serialize_config(config: TrainConfig) -> str:
-    """Render a config as the same key=value format parse_config reads."""
-    lines = []
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            text = "none"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name.replace('_', '-')}={text}")
-    return "\n".join(lines) + "\n"
-
-
-def write_config(config: TrainConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(config), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +400,9 @@ def _check_header(header, where: str) -> None:
     if not isinstance(header["vocab"], dict):
         raise DataError(f"{where}: vocab is not an object")
     for key in ("patterns", "pattern-label-counts"):
-        if header[key] is not None and not isinstance(header[key], dict):
-            raise DataError(f"{where}: {key} is neither null nor an object")
+        if not (isinstance(header[key], dict)
+                or header[key] is None and header["model-kind"] != MODEL_POSHAN):
+            raise DataError(f"{where}: {key} is not an object (null only for a baseline)")
     if not _is_int(header["best-epoch"]) or not isinstance(header["val-losses"], list):
         raise DataError(f"{where}: bad best-epoch or val-losses")
     entries = header["params"]
@@ -451,7 +432,8 @@ def _check_header(header, where: str) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a malformed header or truncated data raises DataError."""
+    """Read a checkpoint; a malformed header, truncated data or bytes past
+    the last parameter raise DataError."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
@@ -481,7 +463,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataError(f"{path}: truncated parameter data for {entry['name']!r}")
         array = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
         params[entry["name"]] = np.array(array, dtype=np.float64)
-        offset += count * 8
+        offset = end
+    if offset != len(raw):
+        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the parameter data")
     return Checkpoint(
         model_kind=header["model-kind"],
         config=config,
@@ -642,10 +626,8 @@ def train(
         train_units: list[DatasetRecord] = []
         for record in train_records:
             train_units.extend(replicate_for_training(record))
-        query_mode = ACTIVE
     else:
         train_units = list(train_records)
-        query_mode = MEAN_POOL
 
     limits = dict(max_words=config.max_words_per_sentence, max_sentences=config.max_sentences)
     val_padded = [pad_record(r, **limits) for r in val_records]
@@ -667,7 +649,7 @@ def train(
             zero_gradients(params)
             batch_total = 0.0
             for padded in batch:
-                loss = model.loss(padded, query_mode=query_mode)
+                loss = model.loss(padded)
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NonFiniteError(

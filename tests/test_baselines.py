@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from poshan.attention import pad_record
 from poshan.baselines import (
-    DEFAULT_EMBED_DIM,
     DEFAULT_HIDDEN,
     OTHER_CATEGORY,
     POS_CATEGORIES,
@@ -72,7 +71,6 @@ class TestFlattenRecord:
 
 class TestLstmConcat:
     def test_reference_dims(self):
-        assert DEFAULT_EMBED_DIM == 100
         assert DEFAULT_HIDDEN == 200
 
     def test_zero_weights_give_even_split(self):

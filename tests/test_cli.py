@@ -214,6 +214,18 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_trailing_bytes(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((workspace / "model.ckpt").read_bytes() + b"\0\0\0\0")
+    rc = main(["eval", "--ckpt", str(bad),
+               "--test", str(workspace / "splits" / "test.jsonl"),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "4 trailing bytes" in err
+    assert len(err.splitlines()) == 1
+
+
 def rewrite_header(src, dst, edit):
     """Copy a checkpoint with its JSON header passed through ``edit``."""
     import struct
@@ -244,11 +256,16 @@ def _vocab_index_past_table(header):
     header["vocab"][sorted(header["vocab"])[0]] = 10 ** 6
 
 
+def _null_patterns(header):
+    header["patterns"] = None
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_config, "missing keys"),
     (_extra_config_key, "unknown keys"),
     (_negative_hidden_size, "hidden-size"),
     (_vocab_index_past_table, "vocab index"),
+    (_null_patterns, "patterns is not an object"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -261,16 +278,43 @@ def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+def _sentences_not_a_list(row):
+    row["sentences"] = 5
+
+
+def _extra_pattern(row):
+    row["patterns"].append(row["patterns"][0])
+
+
+def _no_phrases(row):
+    row["phrases"] = []
+
+
+def _empty_sentence(row):
+    row["sentences"].append([])
+
+
+def _unknown_label(row):
+    row["label"] = "maybe"
+
+
+def _numeric_id(row):
+    row["id"] = 5
+
+
 def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_path, capsys):
-    rows = [json.loads(line) for line in
-            (workspace / "splits" / "test.jsonl").read_text().splitlines()]
-    rows[0]["sentences"] = 5
-    bad = tmp_path / "bad.jsonl"
-    write_corpus(bad, rows)
-    rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(bad),
-               "--report", str(tmp_path / "report.json")])
-    assert rc == EXIT_DATA
-    assert ":1:" in capsys.readouterr().err
+    lines = (workspace / "splits" / "test.jsonl").read_text().splitlines()
+    for edit in (_sentences_not_a_list, _extra_pattern, _no_phrases, _empty_sentence,
+                 _unknown_label, _numeric_id):
+        rows = [json.loads(line) for line in lines]
+        edit(rows[0])
+        bad = tmp_path / "bad.jsonl"
+        write_corpus(bad, rows)
+        rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(bad),
+                   "--report", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, (edit.__name__, err)
+        assert ":1:" in err and len(err.splitlines()) == 1, (edit.__name__, err)
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,20 @@ import pytest
 from poshan.embeddings import (
     ACTIVE,
     MEAN_POOL,
-    MODE_PRELOADED_FROZEN,
-    MODE_PRELOADED_TRAINABLE,
     MODE_RANDOM_TRAINABLE,
     PAD_INDEX,
     UNK_INDEX,
     PatternEmbeddingTable,
     WordEmbeddingTable,
     build_vocab,
-    cardinal_phrase_vector,
     export_pattern_embeddings,
     export_pattern_majority,
     headline_vector,
-    load_pretrained,
     pattern_label_counts,
     pattern_query,
+    phrase_query,
 )
-from poshan.grad import Parameter, backward, dot, zero_gradients
+from poshan.grad import Parameter, backward, zero_gradients
 from poshan.grad import constant as gconst
 from poshan.text import (
     BOS_TOKEN,
@@ -36,6 +33,7 @@ from poshan.text import (
     NoCardinalError,
     TaggedToken,
 )
+from toy_ops import dot
 
 
 def word_table(rows: dict, dim: int) -> WordEmbeddingTable:
@@ -82,7 +80,7 @@ class TestBuildVocab:
         table = build_vocab([headline_record("r0", ["a", "a", "b"])],
                             min_count=2, dim=4, seed=0)
         assert set(table.vocab) == {"a"}
-        assert table.size == 3
+        assert table.matrix.data.shape[0] == 3
         assert table.index("b") == UNK_INDEX
 
     def test_sorted_token_order(self):
@@ -119,70 +117,6 @@ class TestBuildVocab:
     def test_mode_and_trainable(self):
         table = build_vocab([headline_record("r0", ["a"])], min_count=1)
         assert table.mode == MODE_RANDOM_TRAINABLE
-        assert table.matrix.trainable
-
-
-# ---------------------------------------------------------------------------
-# load_pretrained
-
-
-def write_vectors(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class TestLoadPretrained:
-    def test_round_trip(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["apple 1 2 3 4", "pear 5 6 7 8", "plum 0 0 0 1"])
-        table = load_pretrained(p, expected_dim=4)
-        assert table.size == 5
-        assert np.array_equal(table.matrix.data[table.index("pear")],
-                              [5.0, 6.0, 7.0, 8.0])
-        assert table.mode == MODE_PRELOADED_FROZEN
-        assert not table.matrix.trainable
-
-    def test_unk_is_mean_of_loaded_rows(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["a 1 2", "b 3 4", "c 5 6"])
-        table = load_pretrained(p, expected_dim=2)
-        # hand mean: (1+3+5)/3, (2+4+6)/3
-        assert np.array_equal(table.matrix.data[UNK_INDEX], [3.0, 4.0])
-
-    def test_dimension_mismatch_reports_line(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["a 1 2 3 4", "b 1 2 3"])
-        with pytest.raises(DataError, match=r":2:"):
-            load_pretrained(p, expected_dim=4)
-
-    def test_non_numeric_reports_line(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["a 1 2", "b x 2"])
-        with pytest.raises(DataError, match=r":2:"):
-            load_pretrained(p, expected_dim=2)
-
-    def test_duplicate_token_rejected(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["a 1 2", "a 3 4"])
-        with pytest.raises(DataError, match="duplicate"):
-            load_pretrained(p, expected_dim=2)
-
-    def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        p.write_text("", encoding="utf-8")
-        with pytest.raises(DataError, match="no vectors"):
-            load_pretrained(p, expected_dim=2)
-
-    def test_reserved_token_rejected(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["<unk> 1 2"])
-        with pytest.raises(DataError, match="reserved"):
-            load_pretrained(p, expected_dim=2)
-
-    def test_trainable_flag(self, tmp_path):
-        p = tmp_path / "vec.txt"
-        write_vectors(p, ["a 1 2"])
-        table = load_pretrained(p, expected_dim=2, trainable=True)
-        assert table.mode == MODE_PRELOADED_TRAINABLE
         assert table.matrix.trainable
 
 
@@ -248,23 +182,32 @@ class TestHeadlineVector:
         zero_gradients([table.matrix])
 
 
+def phrase_vector(phrase, table):
+    """The active-mode phrase query of a record whose one cardinal has
+    ``phrase``."""
+    rec = DatasetRecord(id="r0", headline=[], sentences=[], label=CONGRUENT,
+                        patterns=[CardinalPattern(left="NN", right="NN")],
+                        phrases=[phrase], active_cardinal_index=0)
+    return phrase_query(rec, table, ACTIVE)
+
+
 class TestCardinalPhraseVector:
     def test_sentinel_contributes_zero(self):
         table = word_table({"five": [1, 2], "ways": [10, 20]}, dim=2)
         phrase = CardinalPhrase(prev=BOS_TOKEN, num="five", next="ways")
-        assert np.array_equal(cardinal_phrase_vector(phrase, table).data,
+        assert np.array_equal(phrase_vector(phrase, table).data,
                               [11.0, 22.0])
 
     def test_sum_of_three_rows(self):
         table = word_table({"loan": [1, 0], "1": [0, 1], "million": [2, 2]}, dim=2)
         phrase = CardinalPhrase(prev="loan", num="1", next="million")
-        assert np.array_equal(cardinal_phrase_vector(phrase, table).data,
+        assert np.array_equal(phrase_vector(phrase, table).data,
                               [3.0, 3.0])
 
     def test_trailing_sentinel(self):
         table = word_table({"1": [4, 4], "million": [1, 1]}, dim=2)
         phrase = CardinalPhrase(prev="1", num="million", next=EOS_TOKEN)
-        assert np.array_equal(cardinal_phrase_vector(phrase, table).data,
+        assert np.array_equal(phrase_vector(phrase, table).data,
                               [5.0, 5.0])
 
 
@@ -340,7 +283,7 @@ class TestPatternTableBuild:
                 record_with_patterns(["NN:CD:CD"])]
         table = PatternEmbeddingTable.build(recs, dim=10, seed=0)
         assert table.patterns == {"CD:CD:EOS": 1, "NN:CD:CD": 2}
-        assert table.size == 3
+        assert table.matrix.data.shape[0] == 3
         assert table.dim == 10
         assert np.all(np.abs(table.matrix.data) <= 0.05)
 

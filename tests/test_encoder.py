@@ -21,12 +21,12 @@ from poshan.grad import (
     ShapeError,
     backward,
     constant,
-    dot,
     finite_difference_check,
     gather,
     hadamard,
     sum_axis,
 )
+from toy_ops import dot
 
 
 def zero_params(cell) -> None:

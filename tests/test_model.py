@@ -7,8 +7,15 @@ import pytest
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
 from poshan.embeddings import ACTIVE, MEAN_POOL, PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_GRU_BI, CELL_LSTM_UNI
-from poshan.grad import Tensor, backward, collect_gradients, constant, finite_difference_check
-from poshan.model import ClassifierHead, PoshanModel, classify
+from poshan.grad import (
+    Tensor,
+    backward,
+    collect_gradients,
+    constant,
+    finite_difference_check,
+    softmax_probs,
+)
+from poshan.model import ClassifierHead, PoshanModel
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize
 from poshan.train import Adam
 
@@ -31,6 +38,12 @@ def make_model(records=None, **kwargs):
     word_table = build_vocab(records, min_count=1, dim=3, seed=0)
     pattern_table = PatternEmbeddingTable.build(records, dim=4, seed=0)
     return PoshanModel(word_table, pattern_table, **kwargs), records
+
+
+def classify(d, head):
+    """Class probabilities of a document vector, as ``predict_probs``
+    computes them from the head's logits."""
+    return softmax_probs(head.logits(d))
 
 
 class TestClassify:

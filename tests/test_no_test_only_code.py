@@ -1,0 +1,65 @@
+"""Every function, method and class defined in ``src/poshan`` must be named
+by the program itself: somewhere in ``src/poshan`` or in the benchmark
+harness ``perfbench/`` outside its own definition.  A name that only tests
+reach is code the system never runs; delete it together with its tests.
+
+The search is by whole word, comments and strings included, and runs to a
+fixed point: a definition named only inside definitions that are
+themselves unnamed is unnamed too.  Names of the form ``__name__`` are
+exempt, because the interpreter calls them by protocol, not by name.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "poshan"
+HARNESS = ROOT / "perfbench"
+
+
+def _program_sources() -> list:
+    harness = [p for p in HARNESS.rglob("*.py") if "tests" not in p.relative_to(HARNESS).parts]
+    return sorted(PACKAGE.glob("*.py")) + sorted(harness)
+
+
+def _definitions(path: Path) -> list:
+    """(name, first line, last line) of every def and class in a module,
+    decorators included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            found.append((node.name, first, node.end_lineno))
+    return found
+
+
+def _named_outside(definition, occurrences: dict, dead: set) -> bool:
+    """Whether a definition's name occurs outside its own lines and outside
+    every definition already found unnamed."""
+    path, name, first, last = definition
+    return any(not (where == path and first <= line <= last)
+               and not any(where == d[0] and d[2] <= line <= d[3] for d in dead)
+               for where, line in occurrences.get(name, ()))
+
+
+def unnamed_definitions() -> list:
+    occurrences: dict = {}
+    for path in _program_sources():
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            for word in re.findall(r"\w+", line):
+                occurrences.setdefault(word, []).append((path, lineno))
+    live = {(path, *d) for path in sorted(PACKAGE.glob("*.py")) for d in _definitions(path)
+            if not (d[0].startswith("__") and d[0].endswith("__"))}
+    dead: set = set()
+    while True:
+        newly = {d for d in live if not _named_outside(d, occurrences, dead)}
+        if not newly:
+            return sorted(f"{path.name}:{first} {name}" for path, name, first, _ in dead)
+        live -= newly
+        dead |= newly
+
+
+def test_every_definition_is_named_outside_its_definition():
+    unnamed = unnamed_definitions()
+    assert not unnamed, f"defined in src/poshan but named only by tests: {unnamed}"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from poshan.attention import pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
+from poshan.embeddings import MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE
 from poshan.grad import NonFiniteError, Parameter, constant
 from poshan.model import PoshanModel
 from poshan import train as train_module
@@ -33,10 +34,8 @@ from poshan.train import (
     parse_config,
     predict,
     save_checkpoint,
-    serialize_config,
     stratified_split,
     train,
-    write_config,
 )
 
 _TAGGER = RuleTagger()
@@ -107,18 +106,19 @@ def test_config_round_trip(tmp_path):
     config = TrainConfig(learning_rate=0.01, batch_size=16, attention_size=7,
                          disable_phrase_att=True, cell="gru-bi", seed=9)
     path = tmp_path / "run.cfg"
-    write_config(config, path)
+    path.write_text("learning-rate=0.01\nbatch-size=16\nattention-size=7\n"
+                    "disable-phrase-att=true\ncell=gru-bi\nseed=9\n")
     assert parse_config(path) == config
 
 
-def test_config_file_uses_kebab_case_keys():
-    text = serialize_config(TrainConfig())
-    assert "learning-rate=0.003" in text
-    assert "batch-size=128" in text
-    assert "grad-clip=6.0" in text
-    assert "early-stop-patience=5" in text
-    assert "max-words-per-sentence=45" in text
-    assert "_" not in text.split("=")[0]
+def test_config_file_uses_kebab_case_keys(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("learning-rate=0.003\nbatch-size=128\ngrad-clip=6.0\n"
+                    "early-stop-patience=5\nmax-words-per-sentence=45\n")
+    assert parse_config(path) == TrainConfig()
+    path.write_text("learning_rate=0.003\n")
+    with pytest.raises(DataError, match="unknown key 'learning_rate'"):
+        parse_config(path)
 
 
 def test_config_file_ignores_comments_and_blanks(tmp_path):
@@ -584,6 +584,26 @@ def test_model_from_checkpoint_reproduces_predictions(trained, splits, tmp_path)
                             max_sentences=config.max_sentences)
         np.testing.assert_array_equal(model.predict_probs(padded),
                                       restored.predict_probs(padded))
+
+
+def test_checkpoint_reader_keeps_the_preloaded_word_modes(trained, splits, tmp_path):
+    # no code path writes these modes any more, but v1 files that carry
+    # them must still load, with a frozen table where the mode says so
+    config = trained.checkpoint.config
+    padded = [pad_record(r, max_words=config.max_words_per_sentence,
+                         max_sentences=config.max_sentences) for r in splits[2]]
+    reference = model_from_checkpoint(trained.checkpoint)
+    for mode, trainable in ((MODE_PRELOADED_FROZEN, False), (MODE_PRELOADED_TRAINABLE, True)):
+        path = tmp_path / f"{mode}.ckpt"
+        save_checkpoint(dataclasses.replace(trained.checkpoint, word_mode=mode), path)
+        model = model_from_checkpoint(load_checkpoint(path))
+        table = model.word_table.matrix
+        assert model.word_table.mode == mode
+        assert table.trainable is trainable
+        optimized = Adam(model.parameters(), learning_rate=0.1).params
+        assert any(p is table for p in optimized) is trainable
+        for p in padded:
+            np.testing.assert_array_equal(model.predict_probs(p), reference.predict_probs(p))
 
 
 def test_model_from_checkpoint_missing_param(trained):
