@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .embeddings import (
-    ACTIVE,
     PAD_TOKEN,
     PatternEmbeddingTable,
     WordEmbeddingTable,
@@ -210,7 +209,7 @@ class DocumentTrace:
 
 
 def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
-                  pattern_table: PatternEmbeddingTable, query_mode: str,
+                  pattern_table: PatternEmbeddingTable,
                   disable_pattern: bool = False,
                   disable_phrase: bool = False,
                   disable_headline: bool = False) -> dict:
@@ -226,9 +225,9 @@ def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
             f"record {record.id!r} has no cardinal feature; "
             "falling back to headline-only attention", RuntimeWarning)
     if has_cardinal and not disable_pattern:
-        queries[QUERY_PATTERN] = pattern_query(record, pattern_table, query_mode)
+        queries[QUERY_PATTERN] = pattern_query(record, pattern_table)
     if has_cardinal and not disable_phrase:
-        queries[QUERY_PHRASE] = phrase_query(record, word_table, query_mode)
+        queries[QUERY_PHRASE] = phrase_query(record, word_table)
     if not disable_headline:
         queries[QUERY_HEADLINE] = headline_vector(
             [t.text for t in record.headline], word_table)
@@ -242,15 +241,14 @@ def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
 def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
                      pattern_table: PatternEmbeddingTable, word_encoder,
                      sentence_encoder, attention: HierarchicalAttention,
-                     query_mode: str = ACTIVE, disable_pattern: bool = False,
-                     disable_phrase: bool = False,
+                     disable_pattern: bool = False, disable_phrase: bool = False,
                      disable_headline: bool = False) -> tuple:
     """Word encoding and word-level attention over all sentences as one
     block, fusion, sentence encoding, sentence-level attention, fusion;
     returns (document vector, trace)."""
     record = padded.record
-    queries = build_queries(record, word_table, pattern_table, query_mode,
-                            disable_pattern, disable_phrase, disable_headline)
+    queries = build_queries(record, word_table, pattern_table, disable_pattern,
+                            disable_phrase, disable_headline)
     types = [q for q in QUERY_TYPES if q in queries]
     trace = DocumentTrace(record_id=record.id, query_types=types)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import PaddedRecord
-from .embeddings import MEAN_POOL, WordEmbeddingTable
+from .embeddings import WordEmbeddingTable
 from .encoder import CELL_LSTM_BI, SequenceEncoder
 from .grad import (
     Parameter,
@@ -62,8 +62,7 @@ def flatten_record(record: DatasetRecord, max_words=None,
 
 class LstmConcatModel(Classifier):
     """Single bidirectional encoder over [headline || body]; the final
-    encoder state feeds the classifier head.  ``forward`` ignores the
-    query mode, which only the hierarchical model uses."""
+    encoder state feeds the classifier head."""
 
     def __init__(self, word_table: WordEmbeddingTable,
                  hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,
@@ -73,12 +72,19 @@ class LstmConcatModel(Classifier):
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
                                        hidden=hidden_size, cell=cell, rng=rng)
         self.head = ClassifierHead("classifier", self.encoder.out_dim, rng)
+        self._init_inputs(rng)
 
-    def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
+    def _init_inputs(self, rng: np.random.Generator) -> None:
+        """Draw the input layer's own parameters: none beyond the table."""
+
+    def inputs(self, tagged) -> Tensor:
+        """Encoder inputs (L, D): the word embeddings of the tagged tokens."""
+        return self.word_table.lookup([t.text for t in tagged])
+
+    def forward(self, padded: PaddedRecord) -> Tensor:
         tagged = flatten_record(padded.record, padded.max_words,
                                 padded.max_sentences)
-        inputs = self.word_table.lookup([t.text for t in tagged])
-        final = self.encoder.final_state(inputs, [True] * len(tagged))
+        final = self.encoder.final_state(self.inputs(tagged), [True] * len(tagged))
         return self.head.logits(final)
 
     def parameters(self) -> list:
@@ -86,26 +92,22 @@ class LstmConcatModel(Classifier):
                 *self.head.parameters()]
 
 
-class PosAtModel(Classifier):
+class PosAtModel(LstmConcatModel):
     """Concat encoder whose word embeddings are scaled by a learned
     scalar per POS category before encoding.
 
     Each category weight is a one-unit rectified-linear dense over the
     one-hot category vector, initialized near zero: weights are drawn
-    from [0, 0.01].  ``forward`` ignores the query mode.
+    from [0, 0.01].
     """
 
-    def __init__(self, word_table: WordEmbeddingTable,
-                 hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,
-                 seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.word_table = word_table
-        self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
-                                       hidden=hidden_size, cell=cell, rng=rng)
-        self.head = ClassifierHead("classifier", self.encoder.out_dim, rng)
+    def _init_inputs(self, rng: np.random.Generator) -> None:
         self.theta_weight = Parameter(
             "posat.theta_w", rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
         self.theta_bias = Parameter("posat.theta_b", np.zeros(1))
+
+    def inputs(self, tagged) -> Tensor:
+        return self.scaled_inputs([t.text for t in tagged], [t.pos for t in tagged])
 
     def scaled_inputs(self, tokens, tags) -> Tensor:
         """Word embeddings (L, D), each row scaled by its category's
@@ -119,13 +121,8 @@ class PosAtModel(Classifier):
                                  self.theta_bias.value))
         return hadamard(self.word_table.lookup(tokens), theta)
 
-    def forward(self, padded: PaddedRecord, query_mode: str = MEAN_POOL) -> Tensor:
-        tagged = flatten_record(padded.record, padded.max_words,
-                                padded.max_sentences)
-        inputs = self.scaled_inputs([t.text for t in tagged], [t.pos for t in tagged])
-        final = self.encoder.final_state(inputs, [True] * len(tagged))
-        return self.head.logits(final)
+    # in the class's own namespace, where the benchmark's tracing wraps it
+    forward = LstmConcatModel.forward
 
     def parameters(self) -> list:
-        return [self.word_table.matrix, *self.encoder.parameters(),
-                *self.head.parameters(), self.theta_weight, self.theta_bias]
+        return [*super().parameters(), self.theta_weight, self.theta_bias]

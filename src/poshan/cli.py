@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .attention import pad_record
-from .embeddings import MEAN_POOL, PatternEmbeddingTable, export_pattern_embeddings, export_pattern_majority
+from .embeddings import PatternEmbeddingTable, export_pattern_embeddings, export_pattern_majority
 from .grad import GradCheckReport, NonFiniteError, Parameter, add, finite_difference_check
 from .text import (
     DataError,
@@ -165,15 +165,14 @@ def _cmd_dump_attention(args) -> int:
     if checkpoint.model_kind != MODEL_POSHAN:
         raise DataError(
             f"attention traces exist only for the hierarchical model, not {checkpoint.model_kind!r}")
-    records = read_derived(args.input)
-    matches = [r for r in records if r.id == args.record_id]
-    if not matches:
+    record = {r.id: r for r in read_derived(args.input)}.get(args.record_id)
+    if record is None:
         raise DataError(f"record id {args.record_id!r} not found in {args.input}")
     model = model_from_checkpoint(checkpoint)
     config = checkpoint.config
-    padded = pad_record(matches[0], max_words=config.max_words_per_sentence,
+    padded = pad_record(record, max_words=config.max_words_per_sentence,
                         max_sentences=config.max_sentences)
-    trace = model.attention_trace(padded, query_mode=MEAN_POOL)
+    trace = model.attention_trace(padded)
     Path(args.out).write_text(json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(f"record\t{args.record_id}")
@@ -226,9 +225,9 @@ def run_gradcheck(kind: str, seed: int = 0) -> GradCheckReport:
     padded = [pad_record(r, max_words=6, max_sentences=2) for r in records]
 
     def forward():
-        total = model.loss(padded[0], query_mode=MEAN_POOL)
+        total = model.loss(padded[0])
         for p in padded[1:]:
-            total = add(total, model.loss(p, query_mode=MEAN_POOL))
+            total = add(total, model.loss(p))
         return total
 
     return finite_difference_check(forward, model.parameters(), seed=seed)

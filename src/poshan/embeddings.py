@@ -21,7 +21,6 @@ from .text import (
     INCONGRUENT,
     DataError,
     DatasetRecord,
-    NoCardinalError,
 )
 
 PAD_TOKEN = "<pad>"
@@ -32,10 +31,6 @@ UNK_PATTERN = "<unk>"
 MODE_PRELOADED_FROZEN = "preloaded-frozen"
 MODE_PRELOADED_TRAINABLE = "preloaded-trainable"
 MODE_RANDOM_TRAINABLE = "random-trainable"
-
-# query modes for multi-cardinal records
-ACTIVE = "active"
-MEAN_POOL = "meanpool"
 
 INIT_RANGE = 0.05
 PATTERN_DIM = 100
@@ -151,40 +146,18 @@ def headline_vector(tokens: Sequence[str], table: WordEmbeddingTable) -> Tensor:
     return sum_axis(table.lookup(kept))
 
 
-def _chosen(record: DatasetRecord, items: list, what: str, mode: str) -> list:
-    """The record's cardinal patterns or phrases that a query pools over:
-    in active mode (training) only the one at the record's active cardinal
-    index, in mean-pool mode (inference) all of them."""
-    if not items:
-        raise NoCardinalError(
-            f"record {record.id!r} has no cardinal {what} to query")
-    if mode == ACTIVE:
-        if record.active_cardinal_index is None:
-            raise ValueError(
-                f"record {record.id!r}: active mode requires an active "
-                "cardinal index")
-        return [items[record.active_cardinal_index]]
-    if mode == MEAN_POOL:
-        return items
-    raise ValueError(f"unknown {what} query mode {mode!r}")
+def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable) -> Tensor:
+    """Pattern query vector: the mean of the embeddings of the record's
+    cardinal patterns.  A training unit holds one cardinal (see
+    ``replicate_for_training``), so its query is that pattern's row."""
+    return mean_axis(table.lookup([p.key for p in record.patterns]))
 
 
-def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable,
-                  mode: str) -> Tensor:
-    """Pattern query vector for one record: the mean of the embeddings of
-    the chosen patterns (see :func:`_chosen`), so in active mode the
-    active pattern's embedding itself."""
-    chosen = _chosen(record, record.patterns, "pattern", mode)
-    return mean_axis(table.lookup([p.key for p in chosen]))
-
-
-def phrase_query(record: DatasetRecord, table: WordEmbeddingTable,
-                 mode: str) -> Tensor:
-    """Cardinal phrase query vector: per chosen phrase the sum of its three
-    words' embeddings (sentinel tokens read the zero row), then the mean
-    over the chosen phrases; same mode semantics as pattern_query."""
-    chosen = _chosen(record, record.phrases, "phrase", mode)
-    rows = table.lookup([[p.prev, p.num, p.next] for p in chosen])
+def phrase_query(record: DatasetRecord, table: WordEmbeddingTable) -> Tensor:
+    """Cardinal phrase query vector: per cardinal phrase the sum of its
+    three words' embeddings (sentinel tokens read the zero row), then the
+    mean over the record's phrases."""
+    rows = table.lookup([[p.prev, p.num, p.next] for p in record.phrases])
     return mean_axis(sum_axis(rows, 1))
 
 

@@ -67,15 +67,14 @@ class TaggedToken:
 
 @dataclass(frozen=True)
 class CardinalPattern:
-    """POS tag triple around a cardinal token, rendered ``LEFT:CD:RIGHT``."""
+    """POS tags on either side of a cardinal token, rendered ``LEFT:CD:RIGHT``."""
 
     left: str
     right: str
-    mid: str = CD_TAG
 
     @property
     def key(self) -> str:
-        return f"{self.left}:{self.mid}:{self.right}"
+        return f"{self.left}:{CD_TAG}:{self.right}"
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class DatasetRecord:
     label: str
     patterns: list[CardinalPattern]
     phrases: list[CardinalPhrase]
-    active_cardinal_index: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +413,14 @@ def derive_dataset(records: Iterable[RawRecord],
 
 
 def replicate_for_training(record: DatasetRecord) -> list[DatasetRecord]:
-    """One copy per cardinal pattern, differing only in the active index."""
+    """One training unit per cardinal: a copy of the record that keeps only
+    that cardinal's pattern and phrase, so its queries are that cardinal's."""
     k = len(record.patterns)
     if k == 0:
         raise NoCardinalError(
             f"record {record.id!r} has no cardinal pattern; it must not reach training")
-    return [replace(record, active_cardinal_index=i) for i in range(k)]
+    return [replace(record, patterns=record.patterns[i:i + 1],
+                    phrases=record.phrases[i:i + 1]) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +465,10 @@ def _tagged_to_json(tokens: Sequence[TaggedToken]) -> list[list[str]]:
     return [[t.text, t.pos] for t in tokens]
 
 
-def _is_str_list(value, length=None) -> bool:
-    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
-            and (length is None or len(value) == length))
-
-
 def _tagged_from_json(pairs, field: str) -> list[TaggedToken]:
-    if not isinstance(pairs, list) or not all(_is_str_list(p, 2) for p in pairs):
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
+            for p in pairs):
         raise DataError(f"{field} must be a list of [token, tag] pairs")
     return [TaggedToken(text=p[0], pos=p[1]) for p in pairs]
 
@@ -484,15 +481,17 @@ def record_to_json(rec: DatasetRecord) -> dict:
         "sentences": [_tagged_to_json(s) for s in rec.sentences],
         "patterns": [p.key for p in rec.patterns],
         "phrases": [[p.prev, p.num, p.next] for p in rec.phrases],
-        "active_cardinal_index": rec.active_cardinal_index,
+        # kept so derived files stay byte-compatible; readers only range-check it
+        "active_cardinal_index": None,
     }
 
 
 def record_from_json(obj: dict) -> DatasetRecord:
-    """A derived record from its JSON object; a field of the wrong type (a
-    non-string id included), a label outside LABELS, an empty sentence,
-    patterns and phrases of different counts or an active cardinal index
-    out of range raise DataError."""
+    """A derived record from its JSON object.  Patterns and phrases are
+    derived from the tagged headline; stored ones that differ raise
+    DataError, as do a field of the wrong type (a non-string id included),
+    a label outside LABELS, an empty sentence or an active cardinal index
+    out of range."""
     if not isinstance(obj, dict):
         raise DataError("record must be a JSON object")
     if not isinstance(obj["id"], str):
@@ -501,34 +500,22 @@ def record_from_json(obj: dict) -> DatasetRecord:
         raise DataError(f"label {obj['label']!r} not one of {LABELS}")
     if not isinstance(obj["sentences"], list):
         raise DataError("sentences must be a list of sentences")
-    if not _is_str_list(obj["patterns"]):
-        raise DataError("patterns must be a list of strings")
-    if not isinstance(obj["phrases"], list) or not all(_is_str_list(p, 3) for p in obj["phrases"]):
-        raise DataError("phrases must be a list of [prev, num, next] triples")
-    if len(obj["phrases"]) != len(obj["patterns"]):
-        raise DataError(f"{len(obj['patterns'])} patterns but {len(obj['phrases'])} phrases; "
-                        "each cardinal has one of each")
     sentences = [_tagged_from_json(s, "sentence") for s in obj["sentences"]]
     if not all(sentences):
         raise DataError("a sentence has no tokens")
-    patterns = []
-    for key in obj["patterns"]:
-        left, mid, right = key.split(":")
-        patterns.append(CardinalPattern(left=left, right=right, mid=mid))
+    headline = _tagged_from_json(obj["headline"], "headline")
+    patterns, phrases = extract_cardinal_features(headline)
+    if obj["patterns"] != [p.key for p in patterns]:
+        raise DataError(f"patterns {obj['patterns']!r} are not the headline's cardinal patterns")
+    if obj["phrases"] != [[p.prev, p.num, p.next] for p in phrases]:
+        raise DataError(f"phrases {obj['phrases']!r} are not the headline's cardinal phrases")
     active = obj.get("active_cardinal_index")
     if active is not None and (not isinstance(active, int) or isinstance(active, bool)
                                or not 0 <= active < len(patterns)):
         raise DataError(f"active_cardinal_index {active!r} is not an index into "
                         f"{len(patterns)} patterns")
-    return DatasetRecord(
-        id=obj["id"],
-        label=obj["label"],
-        headline=_tagged_from_json(obj["headline"], "headline"),
-        sentences=sentences,
-        patterns=patterns,
-        phrases=[CardinalPhrase(prev=p[0], num=p[1], next=p[2]) for p in obj["phrases"]],
-        active_cardinal_index=active,
-    )
+    return DatasetRecord(id=obj["id"], label=obj["label"], headline=headline,
+                         sentences=sentences, patterns=patterns, phrases=phrases)
 
 
 def write_derived(records: Iterable[DatasetRecord], path: str | Path) -> None:
@@ -538,10 +525,17 @@ def write_derived(records: Iterable[DatasetRecord], path: str | Path) -> None:
 
 
 def read_derived(path: str | Path) -> list[DatasetRecord]:
+    """Derived records in file order; a malformed record or an id that
+    appears twice raises DataError naming the line(s)."""
     records = []
+    lines: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         try:
-            records.append(record_from_json(obj))
-        except (KeyError, IndexError, ValueError) as exc:
+            record = record_from_json(obj)
+        except (KeyError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad derived record ({exc})") from None
+        first = lines.setdefault(record.id, lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{first}: id {record.id!r} appears again on line {lineno}")
+        records.append(record)
     return records

@@ -23,7 +23,6 @@ import numpy as np
 from .attention import PaddedRecord, pad_record
 from .baselines import LstmConcatModel, PosAtModel
 from .embeddings import (
-    MEAN_POOL,
     MODE_PRELOADED_FROZEN,
     MODE_PRELOADED_TRAINABLE,
     MODE_RANDOM_TRAINABLE,
@@ -574,8 +573,8 @@ LOG_HEADER = "epoch\ttrain-loss\tval-loss\tval-macro-f1"
 
 
 def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, EvalReport]:
-    """Mean validation loss and the validation report, from one
-    mean-pooled forward per record.
+    """Mean validation loss and the validation report, from one forward
+    per record.
 
     Warnings raised by a record's forward surface; the report's own
     RuntimeWarnings (single-class AUC, absent-class F1) are silenced.
@@ -584,7 +583,7 @@ def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, Ev
     probs = []
     for padded in val_padded:
         with no_grad():
-            logits = model.forward(padded, MEAN_POOL)
+            logits = model.forward(padded)
             loss = softmax_cross_entropy_with_logits(logits, label_index(padded.record.label))
         total += float(loss.data)
         probs.append(softmax_probs(logits))

@@ -144,7 +144,7 @@ def _mean(rows):
     return reduce(np.add, rows) / len(rows)
 
 
-def straight_line_poshan_forward(model, padded, query_mode):
+def straight_line_poshan_forward(model, padded):
     """Document vector recomputed from the model's raw parameter arrays."""
     rec = padded.record
     wt, pt = model.word_table, model.pattern_table
@@ -156,13 +156,8 @@ def straight_line_poshan_forward(model, padded, query_mode):
         return (_word_row(wt, p.prev) + _word_row(wt, p.num)
                 + _word_row(wt, p.next))
 
-    if query_mode == "active":
-        idx = rec.active_cardinal_index
-        pp = pattern_row(rec.patterns[idx])
-        cp = phrase_vec(rec.phrases[idx])
-    else:
-        pp = _mean([pattern_row(p) for p in rec.patterns])
-        cp = _mean([phrase_vec(p) for p in rec.phrases])
+    pp = _mean([pattern_row(p) for p in rec.patterns])
+    cp = _mean([phrase_vec(p) for p in rec.phrases])
     h = reduce(np.add, [_word_row(wt, t.text) for t in rec.headline])
     queries = {"pattern": pp, "phrase": cp, "headline": h}
     types = ("pattern", "phrase", "headline")

@@ -8,7 +8,6 @@ determinism, the published default hyperparameters, and (when the
 external corpora are available) the documented derivation counts.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -22,7 +21,6 @@ from oracles import oracle_macro_f1, oracle_roc_auc, straight_line_poshan_forwar
 from synthetic import make_matching_task
 from poshan.attention import document_forward, pad_record
 from poshan.cli import main, run_gradcheck
-from poshan.embeddings import MEAN_POOL
 from poshan.metrics import macro_f1, roc_auc
 from poshan.text import (
     CardinalPattern,
@@ -34,6 +32,7 @@ from poshan.text import (
     derive_dataset,
     extract_cardinal_features,
     read_corpus,
+    replicate_for_training,
     tokenize,
     write_derived,
 )
@@ -117,7 +116,7 @@ def test_attention_invariants_over_1000_randomized_forwards():
         model = build_model("poshan", config, word_table, pattern_table)
         for record in records:
             padded = pad_record(record, max_words=6, max_sentences=3)
-            trace = model.attention_trace(padded, query_mode=MEAN_POOL)
+            trace = model.attention_trace(padded)
             types = trace.query_types
             assert len(types) == 3
             for st in trace.sentences:
@@ -146,15 +145,14 @@ def test_document_forward_matches_straight_line_oracle():
     word_table, pattern_table = build_tables([record], config)
     model = build_model("poshan", config, word_table, pattern_table)
 
-    variants = [dataclasses.replace(record, active_cardinal_index=i)
-                for i in range(len(record.patterns))]
-    cases = [(record, MEAN_POOL)] + [(v, "active") for v in variants]
-    for rec, mode in cases:
+    units = replicate_for_training(record)
+    assert len(units) == 2
+    for rec in [record, *units]:
         padded = pad_record(rec, max_words=5, max_sentences=2)
         d, _ = document_forward(padded, model.word_table, model.pattern_table,
                                 model.word_encoder, model.sentence_encoder,
-                                model.attention, query_mode=mode)
-        reference = straight_line_poshan_forward(model, padded, mode)
+                                model.attention)
+        reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 
 
@@ -167,16 +165,15 @@ def test_document_forward_matches_straight_line_oracle_for_other_cells(cell):
     word_table, pattern_table = build_tables([record], config)
     model = build_model("poshan", config, word_table, pattern_table)
 
-    variants = [dataclasses.replace(record, active_cardinal_index=i)
-                for i in range(len(record.patterns))]
-    cases = [(record, MEAN_POOL)] + [(v, "active") for v in variants]
-    for rec, mode in cases:
+    units = replicate_for_training(record)
+    assert len(units) == 2
+    for rec in [record, *units]:
         padded = pad_record(rec, max_words=5, max_sentences=3)
         assert len({sum(s.mask) for s in padded.sentences}) > 1
         d, _ = document_forward(padded, model.word_table, model.pattern_table,
                                 model.word_encoder, model.sentence_encoder,
-                                model.attention, query_mode=mode)
-        reference = straight_line_poshan_forward(model, padded, mode)
+                                model.attention)
+        reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 
 
@@ -257,7 +254,9 @@ def test_pattern_count_equals_cardinal_count_on_1000_headlines():
         cardinal_count = tags.count("CD")
         assert len(patterns) == cardinal_count
         assert len(phrases) == cardinal_count
-        assert all(p.mid == "CD" for p in patterns)
+        around = [(tags[i - 1] if i else "BOS", tags[i + 1] if i + 1 < n else "EOS")
+                  for i, g in enumerate(tags) if g == "CD"]
+        assert [(p.left, p.right) for p in patterns] == around
         for phrase, tok in zip(phrases, [t for t, g in zip(tokens, tags) if g == "CD"]):
             assert phrase.num == tok
 

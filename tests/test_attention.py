@@ -23,7 +23,7 @@ from poshan.attention import (
     pad_record,
     score,
 )
-from poshan.embeddings import ACTIVE, MEAN_POOL, PatternEmbeddingTable, build_vocab
+from poshan.embeddings import PatternEmbeddingTable, build_vocab
 from poshan.encoder import SequenceEncoder
 from poshan.grad import (
     EmptyAttentionError,
@@ -316,7 +316,6 @@ class Setup:
         self.padded = pad_record(self.record, max_words=45, max_sentences=35)
 
     def forward(self, **kwargs):
-        kwargs.setdefault("query_mode", MEAN_POOL)
         return document_forward(self.padded, self.word_table,
                                 self.pattern_table, self.word_encoder,
                                 self.sentence_encoder, self.attention,
@@ -408,7 +407,7 @@ class TestDocumentForward:
             padded = pad_record(copy, 45, 35)
             doc, _ = document_forward(padded, s.word_table, s.pattern_table,
                                       s.word_encoder, s.sentence_encoder,
-                                      s.attention, query_mode=ACTIVE)
+                                      s.attention)
             tr.append(doc.data.copy())
         # the two cardinal copies condition on different patterns/phrases
         assert not np.array_equal(tr[0], tr[1])
@@ -451,8 +450,7 @@ class TestDocumentForward:
 class TestBuildQueries:
     def test_all_three_types_present(self):
         s = Setup()
-        queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                MEAN_POOL)
+        queries = build_queries(s.record, s.word_table, s.pattern_table)
         assert set(queries) == {QUERY_PATTERN, QUERY_PHRASE, QUERY_HEADLINE}
         assert queries[QUERY_PATTERN].shape == (4,)
         assert queries[QUERY_PHRASE].shape == (3,)
@@ -460,8 +458,7 @@ class TestBuildQueries:
 
     def test_headline_query_is_token_sum(self):
         s = Setup()
-        queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                MEAN_POOL)
+        queries = build_queries(s.record, s.word_table, s.pattern_table)
         table = s.word_table
         rows = [table.matrix.data[table.index(t.text)] for t in s.record.headline]
         expected = rows[0].copy()
@@ -476,6 +473,5 @@ class TestBuildQueries:
         with w.catch_warnings():
             w.simplefilter("error")
             queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                    MEAN_POOL, disable_pattern=True,
-                                    disable_phrase=True)
+                                    disable_pattern=True, disable_phrase=True)
         assert set(queries) == {QUERY_HEADLINE}

@@ -85,22 +85,26 @@ def test_derive_summary_matches_hand_filter(tmp_path, capsys):
 
 def test_derive_with_sidecar_tags(tmp_path):
     rows = [dict(id="s0", headline="Loan hits 3 million", body="He won 2 games.",
+                 label="congruent"),
+            dict(id="s1", headline="Top 5 -- ways", body="He won 2 games.",
                  label="congruent")]
     write_corpus(tmp_path / "corpus.jsonl", rows)
-    headline_toks = tokenize("Loan hits 3 million")
     body_toks = tokenize("He won 2 games.")
-    sidecar = dict(id="s0",
-                   headline_tags=["NN", "VBZ", "CD", "CD"],
-                   body_tags=[["PRP", "VBD", "CD", "NNS", "."]])
-    assert len(sidecar["headline_tags"]) == len(headline_toks)
-    assert len(sidecar["body_tags"][0]) == len(body_toks)
-    (tmp_path / "tags.jsonl").write_text(json.dumps(sidecar) + "\n")
+    body_tags = [["PRP", "VBD", "CD", "NNS", "."]]
+    # Penn tags a dash as ":", the separator of pattern keys
+    sidecars = [dict(id="s0", headline_tags=["NN", "VBZ", "CD", "CD"], body_tags=body_tags),
+                dict(id="s1", headline_tags=["JJ", "CD", ":", ":", "NNS"], body_tags=body_tags)]
+    for row, sidecar in zip(rows, sidecars):
+        assert len(sidecar["headline_tags"]) == len(tokenize(row["headline"]))
+    assert len(body_tags[0]) == len(body_toks)
+    (tmp_path / "tags.jsonl").write_text("".join(json.dumps(s) + "\n" for s in sidecars))
     rc = main(["derive", "--input", str(tmp_path / "corpus.jsonl"),
                "--tags", str(tmp_path / "tags.jsonl"),
                "--output", str(tmp_path / "derived.jsonl")])
     assert rc == EXIT_OK
-    (record,) = read_derived(tmp_path / "derived.jsonl")
-    assert len(record.patterns) == 2
+    first, second = read_derived(tmp_path / "derived.jsonl")
+    assert len(first.patterns) == 2
+    assert [p.key for p in second.patterns] == ["JJ:CD::"]
 
 
 def test_derive_sidecar_mismatch_is_data_error(tmp_path, capsys):
@@ -278,36 +282,44 @@ def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
-def _sentences_not_a_list(row):
-    row["sentences"] = 5
+def _sentences_not_a_list(rows):
+    rows[0]["sentences"] = 5
 
 
-def _extra_pattern(row):
-    row["patterns"].append(row["patterns"][0])
+def _extra_pattern(rows):
+    rows[0]["patterns"].append(rows[0]["patterns"][0])
 
 
-def _no_phrases(row):
-    row["phrases"] = []
+def _no_phrases(rows):
+    rows[0]["phrases"] = []
 
 
-def _empty_sentence(row):
-    row["sentences"].append([])
+def _empty_sentence(rows):
+    rows[0]["sentences"].append([])
 
 
-def _unknown_label(row):
-    row["label"] = "maybe"
+def _unknown_label(rows):
+    rows[0]["label"] = "maybe"
 
 
-def _numeric_id(row):
-    row["id"] = 5
+def _numeric_id(rows):
+    rows[0]["id"] = 5
+
+
+def _empty_headline_keeps_pattern(rows):
+    rows[0]["headline"] = []
+
+
+def _duplicated_id(rows):
+    rows[1]["id"] = rows[0]["id"]
 
 
 def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_path, capsys):
     lines = (workspace / "splits" / "test.jsonl").read_text().splitlines()
     for edit in (_sentences_not_a_list, _extra_pattern, _no_phrases, _empty_sentence,
-                 _unknown_label, _numeric_id):
+                 _unknown_label, _numeric_id, _empty_headline_keeps_pattern, _duplicated_id):
         rows = [json.loads(line) for line in lines]
-        edit(rows[0])
+        edit(rows)
         bad = tmp_path / "bad.jsonl"
         write_corpus(bad, rows)
         rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(bad),

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from poshan.embeddings import (
-    ACTIVE,
-    MEAN_POOL,
     MODE_RANDOM_TRAINABLE,
     PAD_INDEX,
     UNK_INDEX,
@@ -30,8 +28,8 @@ from poshan.text import (
     CardinalPhrase,
     DataError,
     DatasetRecord,
-    NoCardinalError,
     TaggedToken,
+    replicate_for_training,
 )
 from toy_ops import dot
 
@@ -55,14 +53,13 @@ def pattern_table(rows: dict, dim: int) -> PatternEmbeddingTable:
     return PatternEmbeddingTable(patterns, Parameter("pattern_embeddings", m))
 
 
-def record_with_patterns(keys, active=None):
+def record_with_patterns(keys):
     patterns = []
     for key in keys:
         left, _, right = key.split(":")
         patterns.append(CardinalPattern(left=left, right=right))
     return DatasetRecord(id="r0", headline=[], sentences=[], label=CONGRUENT,
-                         patterns=patterns, phrases=[],
-                         active_cardinal_index=active)
+                         patterns=patterns, phrases=[])
 
 
 def headline_record(rid, tokens, label=CONGRUENT):
@@ -183,12 +180,11 @@ class TestHeadlineVector:
 
 
 def phrase_vector(phrase, table):
-    """The active-mode phrase query of a record whose one cardinal has
-    ``phrase``."""
+    """The phrase query of a record whose one cardinal has ``phrase``."""
     rec = DatasetRecord(id="r0", headline=[], sentences=[], label=CONGRUENT,
                         patterns=[CardinalPattern(left="NN", right="NN")],
-                        phrases=[phrase], active_cardinal_index=0)
-    return phrase_query(rec, table, ACTIVE)
+                        phrases=[phrase])
+    return phrase_query(rec, table)
 
 
 class TestCardinalPhraseVector:
@@ -214,60 +210,41 @@ class TestCardinalPhraseVector:
 class TestPatternQuery:
     def test_single_pattern_modes_agree(self):
         table = pattern_table({"NN:CD:CD": [7.0, 8.0]}, dim=2)
-        rec = record_with_patterns(["NN:CD:CD"], active=0)
-        a = pattern_query(rec, table, ACTIVE)
-        m = pattern_query(rec, table, MEAN_POOL)
-        assert np.array_equal(a.data, [7.0, 8.0])
-        assert np.array_equal(m.data, [7.0, 8.0])
+        rec = record_with_patterns(["NN:CD:CD"])
+        (unit,) = replicate_for_training(rec)
+        assert np.array_equal(pattern_query(unit, table).data, [7.0, 8.0])
+        assert np.array_equal(pattern_query(rec, table).data, [7.0, 8.0])
 
     def test_meanpool_hand_mean(self):
         table = pattern_table({"NN:CD:CD": [2.0, 4.0], "CD:CD:EOS": [0.0, 0.0]},
                               dim=2)
         rec = record_with_patterns(["NN:CD:CD", "CD:CD:EOS"])
-        got = pattern_query(rec, table, MEAN_POOL)
+        got = pattern_query(rec, table)
         assert np.array_equal(got.data, [1.0, 2.0])
 
     def test_active_picks_indexed_pattern(self):
         table = pattern_table({"NN:CD:CD": [1.0], "CD:CD:EOS": [2.0]}, dim=1)
-        rec = record_with_patterns(["NN:CD:CD", "CD:CD:EOS"], active=1)
-        assert pattern_query(rec, table, ACTIVE).data[0] == 2.0
+        units = replicate_for_training(record_with_patterns(["NN:CD:CD", "CD:CD:EOS"]))
+        assert [pattern_query(u, table).data[0] for u in units] == [1.0, 2.0]
 
     def test_meanpool_of_identical_patterns_is_that_embedding(self):
         table = pattern_table({"NN:CD:CD": [0.3, -0.7, 0.1]}, dim=3)
         rec = record_with_patterns(["NN:CD:CD"] * 3)
-        got = pattern_query(rec, table, MEAN_POOL)
+        got = pattern_query(rec, table)
         np.testing.assert_array_almost_equal_nulp(got.data,
                                                   np.array([0.3, -0.7, 0.1]),
                                                   nulp=2)
 
     def test_unseen_pattern_uses_unk_row(self):
         table = pattern_table({"NN:CD:CD": [5.0]}, dim=1)
-        rec = record_with_patterns(["JJ:CD:VB"], active=0)
-        assert pattern_query(rec, table, ACTIVE).data[0] == -1.0
-
-    def test_zero_patterns_rejected(self):
-        table = pattern_table({"NN:CD:CD": [1.0]}, dim=1)
-        rec = record_with_patterns([])
-        with pytest.raises(NoCardinalError, match="r0"):
-            pattern_query(rec, table, MEAN_POOL)
-
-    def test_active_requires_index(self):
-        table = pattern_table({"NN:CD:CD": [1.0]}, dim=1)
-        rec = record_with_patterns(["NN:CD:CD"])
-        with pytest.raises(ValueError, match="active"):
-            pattern_query(rec, table, ACTIVE)
-
-    def test_unknown_mode_rejected(self):
-        table = pattern_table({"NN:CD:CD": [1.0]}, dim=1)
-        rec = record_with_patterns(["NN:CD:CD"], active=0)
-        with pytest.raises(ValueError, match="mode"):
-            pattern_query(rec, table, "concat")
+        rec = record_with_patterns(["JJ:CD:VB"])
+        assert pattern_query(rec, table).data[0] == -1.0
 
     def test_gradients_touch_only_queried_rows(self):
         table = pattern_table({"NN:CD:CD": [1.0, 1.0], "CD:CD:EOS": [2.0, 2.0],
                                "JJ:CD:NN": [3.0, 3.0]}, dim=2)
         rec = record_with_patterns(["NN:CD:CD", "CD:CD:EOS"])
-        loss = dot(pattern_query(rec, table, MEAN_POOL), gconst(np.ones(2)))
+        loss = dot(pattern_query(rec, table), gconst(np.ones(2)))
         backward(loss, [table.matrix])
         grad = table.matrix.value.grad
         assert np.all(grad[table.index("NN:CD:CD")] != 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
-from poshan.embeddings import ACTIVE, MEAN_POOL, PatternEmbeddingTable, build_vocab
+from poshan.embeddings import PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_GRU_BI, CELL_LSTM_UNI
 from poshan.grad import (
     Tensor,
@@ -16,7 +16,7 @@ from poshan.grad import (
     softmax_probs,
 )
 from poshan.model import ClassifierHead, PoshanModel
-from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize
+from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize, replicate_for_training
 from poshan.train import Adam
 
 
@@ -85,8 +85,8 @@ class TestModelAssembly:
     def test_forward_shapes_and_trace(self):
         model, records = make_model()
         padded = pad_record(records[0], 45, 35)
-        logits = model.forward(padded, MEAN_POOL)
-        trace = model.attention_trace(padded, MEAN_POOL)
+        logits = model.forward(padded)
+        trace = model.attention_trace(padded)
         assert logits.shape == (2,)
         assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE,
                                      QUERY_HEADLINE]
@@ -94,7 +94,7 @@ class TestModelAssembly:
     def test_loss_is_finite_scalar(self):
         model, records = make_model()
         padded = pad_record(records[1], 45, 35)
-        loss = model.loss(padded, query_mode=MEAN_POOL)
+        loss = model.loss(padded)
         assert loss.shape == ()
         assert np.isfinite(loss.data)
         assert float(loss.data) > 0.0
@@ -119,7 +119,7 @@ class TestModelAssembly:
         trainable = Adam(model.parameters(), learning_rate=0.1).params
         assert model.word_table.matrix not in trainable
         assert model.pattern_table.matrix in trainable
-        backward(model.loss(pad_record(records[0], 45, 35), MEAN_POOL), ())
+        backward(model.loss(pad_record(records[0], 45, 35)), ())
         grads = collect_gradients(model.parameters())
         assert model.word_table.matrix.name not in grads
         assert model.pattern_table.matrix.name in grads
@@ -131,27 +131,27 @@ class TestVariants:
         expected = model.sentence_encoder.out_dim + model.word_encoder.out_dim
         assert model.head.weight.data.shape == (2, expected)
         padded = pad_record(records[0], 45, 35)
-        assert model.forward(padded, MEAN_POOL).shape == (2,)
-        trace = model.attention_trace(padded, MEAN_POOL)
+        assert model.forward(padded).shape == (2,)
+        trace = model.attention_trace(padded)
         assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE]
 
     def test_pattern_ablation_drops_query_type(self):
         model, records = make_model(disable_pattern_att=True)
         padded = pad_record(records[0], 45, 35)
-        trace = model.attention_trace(padded, MEAN_POOL)
+        trace = model.attention_trace(padded)
         assert trace.query_types == [QUERY_PHRASE, QUERY_HEADLINE]
 
     def test_gru_cell_variant(self):
         model, records = make_model(cell=CELL_GRU_BI)
         padded = pad_record(records[0], 45, 35)
-        loss = model.loss(padded, query_mode=MEAN_POOL)
+        loss = model.loss(padded)
         assert np.isfinite(loss.data)
 
     def test_unidirectional_variant(self):
         model, records = make_model(cell=CELL_LSTM_UNI)
         assert model.word_encoder.out_dim == 2
         padded = pad_record(records[0], 45, 35)
-        loss = model.loss(padded, query_mode=MEAN_POOL)
+        loss = model.loss(padded)
         assert np.isfinite(loss.data)
 
     def test_same_seed_same_init(self):
@@ -165,26 +165,24 @@ class TestVariants:
 class TestEndToEndGradients:
     def test_all_parameter_groups(self):
         model, records = make_model()
-        replicated = records[0]
-        replicated.active_cardinal_index = 0
-        padded = pad_record(replicated, 45, 35)
-
-        report = finite_difference_check(
-            lambda: model.loss(padded, query_mode=ACTIVE),
-            model.parameters())
-        assert report.passed, report.to_tsv()
-        assert len(report.entries) == len(model.parameters())
+        units = replicate_for_training(records[0])
+        assert len(units) == 2
+        for rec in [records[0], *units]:
+            padded = pad_record(rec, 45, 35)
+            report = finite_difference_check(lambda: model.loss(padded),
+                                             model.parameters())
+            assert report.passed, report.to_tsv()
+            assert len(report.entries) == len(model.parameters())
 
     def test_headline_encoder_variant_gradients(self):
         model, records = make_model(replace_headline_att=True)
-        rec = records[1]
-        rec.active_cardinal_index = 1
-        padded = pad_record(rec, 45, 35)
-
-        report = finite_difference_check(
-            lambda: model.loss(padded, query_mode=ACTIVE),
-            model.parameters())
-        assert report.passed, report.to_tsv()
+        units = replicate_for_training(records[1])
+        assert len(units) == 2
+        for rec in [records[1], *units]:
+            padded = pad_record(rec, 45, 35)
+            report = finite_difference_check(lambda: model.loss(padded),
+                                             model.parameters())
+            assert report.passed, report.to_tsv()
 
 
 class TestGraphSize:
@@ -200,13 +198,8 @@ class TestGraphSize:
         word_table = build_vocab(records, min_count=1, dim=64, seed=0)
         pattern_table = PatternEmbeddingTable.build(records, dim=100, seed=0)
         model = PoshanModel(word_table, pattern_table, hidden_size=16)
-        unit = records[0]
-        unit.active_cardinal_index = 0
-        padded = pad_record(unit, 45, 35)
-        assert len(padded.sentences) == 35
-        assert all(len(s.tokens) == 45 for s in padded.sentences)
-
-        count = 0
+        units = replicate_for_training(records[0])
+        assert len(units) == 2
         init = grad.Tensor.__init__
 
         def counted(self, *args, **kwargs):
@@ -215,5 +208,10 @@ class TestGraphSize:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(grad.Tensor, "__init__", counted)
-        backward(model.loss(padded, query_mode=ACTIVE), ())
-        assert 0 < count <= 2000
+        for rec in [records[0], *units]:
+            padded = pad_record(rec, 45, 35)
+            assert len(padded.sentences) == 35
+            assert all(len(s.tokens) == 45 for s in padded.sentences)
+            count = 0
+            backward(model.loss(padded), ())
+            assert 0 < count <= 2000

@@ -433,7 +433,7 @@ def test_train_restores_best_parameters(splits):
     for record in splits[1]:
         padded = pad_record(record, max_words=config.max_words_per_sentence,
                             max_sentences=config.max_sentences)
-        total += float(model.loss(padded, query_mode="meanpool").data)
+        total += float(model.loss(padded).data)
     assert total / len(splits[1]) == checkpoint.val_losses[best]
 
 
@@ -454,7 +454,7 @@ def test_train_rejects_unknown_model_kind(splits):
 def test_train_aborts_on_non_finite_loss(splits, monkeypatch):
     train_set, val_set, _ = splits
     monkeypatch.setattr(PoshanModel, "loss",
-                        lambda self, padded, query_mode="active": constant(np.array(np.nan)))
+                        lambda self, padded: constant(np.array(np.nan)))
     with pytest.raises(NonFiniteError, match="epoch 0 batch 0"):
         train(tiny_config(), train_set, val_set, model_kind=MODEL_POSHAN)
 
@@ -492,9 +492,9 @@ def test_train_validates_with_one_forward_per_record(splits, monkeypatch):
     calls = []
     forward = LstmConcatModel.forward
 
-    def counting_forward(self, padded, query_mode="meanpool"):
+    def counting_forward(self, padded):
         calls.append(padded.record.id)
-        return forward(self, padded, query_mode)
+        return forward(self, padded)
 
     monkeypatch.setattr(LstmConcatModel, "forward", counting_forward)
     train(tiny_config(max_epochs=2), train_set, val_set, model_kind=MODEL_LSTM)
