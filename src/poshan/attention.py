@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,8 +111,6 @@ class PaddedSentence:
 class PaddedRecord:
     record: DatasetRecord
     sentences: list
-    max_words: Optional[int] = None
-    max_sentences: Optional[int] = None
 
 
 def pad_record(record: DatasetRecord, max_words: int,
@@ -131,8 +128,7 @@ def pad_record(record: DatasetRecord, max_words: int,
         sentences.append(PaddedSentence(
             tokens=ts + [PAD_TOKEN] * (width - n),
             mask=[True] * n + [False] * (width - n)))
-    return PaddedRecord(record=record, sentences=sentences,
-                        max_words=max_words, max_sentences=max_sentences)
+    return PaddedRecord(record=record, sentences=sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -180,98 +176,91 @@ class SentenceTrace:
 class DocumentTrace:
     record_id: str
     query_types: list
-    sentences: list = field(default_factory=list)
-    beta: dict = field(default_factory=dict)
-    beta_fused: Optional[np.ndarray] = None
+    sentences: list
+    beta: dict
+    beta_fused: np.ndarray
 
     def to_json(self) -> dict:
-        def weight(arr, i):
-            return None if arr is None else float(arr[i])
+        def row(level, per_type, fused, i):
+            weights = {f"{level}_{q}": float(per_type[q][i]) if q in per_type else None
+                       for q in QUERY_TYPES}
+            return {**weights, f"{level}_fused": float(fused[i])}
 
-        sentences = []
-        for st in self.sentences:
-            sentences.append([
-                {"token": tok,
-                 "alpha_pattern": weight(st.alpha.get(QUERY_PATTERN), i),
-                 "alpha_phrase": weight(st.alpha.get(QUERY_PHRASE), i),
-                 "alpha_headline": weight(st.alpha.get(QUERY_HEADLINE), i),
-                 "alpha_fused": float(st.alpha_fused[i])}
-                for i, tok in enumerate(st.tokens) if st.mask[i]])
-        betas = [
-            {"beta_pattern": weight(self.beta.get(QUERY_PATTERN), j),
-             "beta_phrase": weight(self.beta.get(QUERY_PHRASE), j),
-             "beta_headline": weight(self.beta.get(QUERY_HEADLINE), j),
-             "beta_fused": float(self.beta_fused[j])}
-            for j in range(len(self.sentences))]
+        sentences = [[{"token": tok, **row("alpha", st.alpha, st.alpha_fused, i)}
+                      for i, tok in enumerate(st.tokens) if st.mask[i]]
+                     for st in self.sentences]
+        betas = [row("beta", self.beta, self.beta_fused, j)
+                 for j in range(len(self.sentences))]
         return {"record_id": self.record_id,
                 "query_types": list(self.query_types),
                 "sentences": sentences, "betas": betas}
 
 
 def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
-                  pattern_table: PatternEmbeddingTable,
-                  disable_pattern: bool = False,
-                  disable_phrase: bool = False,
-                  disable_headline: bool = False) -> dict:
-    """Query vectors by type, honoring ablation flags.
+                  pattern_table: PatternEmbeddingTable, types: tuple) -> dict:
+    """Query vectors of the given types, in their order.
 
-    Records without cardinal features degrade to the headline query alone,
-    with a warning; at least one query type must remain.
+    A record without cardinal features drops the pattern and phrase
+    queries, with a warning; a record left with no query type raises
+    DataError.
     """
-    queries = {}
-    has_cardinal = bool(record.patterns)
-    if not has_cardinal and not (disable_pattern and disable_phrase):
+    kept = [q for q in types if record.patterns or q == QUERY_HEADLINE]
+    if not kept:
+        raise DataError(
+            f"record {record.id!r}: every attention query type is disabled "
+            "or unavailable")
+    if len(kept) < len(types):
         warnings.warn(
             f"record {record.id!r} has no cardinal feature; "
             "falling back to headline-only attention", RuntimeWarning)
-    if has_cardinal and not disable_pattern:
-        queries[QUERY_PATTERN] = pattern_query(record, pattern_table)
-    if has_cardinal and not disable_phrase:
-        queries[QUERY_PHRASE] = phrase_query(record, word_table)
-    if not disable_headline:
-        queries[QUERY_HEADLINE] = headline_vector(
-            [t.text for t in record.headline], word_table)
-    if not queries:
-        raise ValueError(
-            f"record {record.id!r}: every attention query type is disabled "
-            "or unavailable")
-    return queries
+    build = {QUERY_PATTERN: lambda: pattern_query(record, pattern_table),
+             QUERY_PHRASE: lambda: phrase_query(record, word_table),
+             QUERY_HEADLINE: lambda: headline_vector(
+                 [t.text for t in record.headline], word_table)}
+    return {q: build[q]() for q in kept}
+
+
+def _attention_level(states: Tensor, mask, queries: dict, params: dict) -> tuple:
+    """One attention level: the weights of each query type, their fusion,
+    and the fused weighted sum of the states."""
+    weights = {q: attend(states, mask, query, params[q])
+               for q, query in queries.items()}
+    fused = fuse_weights(*weights.values(), mask=mask)
+    return weighted_sum(fused, states), weights, fused
 
 
 def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
                      pattern_table: PatternEmbeddingTable, word_encoder,
                      sentence_encoder, attention: HierarchicalAttention,
-                     disable_pattern: bool = False, disable_phrase: bool = False,
-                     disable_headline: bool = False) -> tuple:
+                     types: tuple) -> tuple:
     """Word encoding and word-level attention over all sentences as one
     block, fusion, sentence encoding, sentence-level attention, fusion;
-    returns (document vector, trace)."""
-    record = padded.record
-    queries = build_queries(record, word_table, pattern_table, disable_pattern,
-                            disable_phrase, disable_headline)
-    types = [q for q in QUERY_TYPES if q in queries]
-    trace = DocumentTrace(record_id=record.id, query_types=types)
-
+    returns (document vector, weights).  ``weights`` maps ``alpha`` and
+    ``beta`` to the word and sentence weights of each query type used,
+    and ``alpha_fused`` and ``beta_fused`` to their fusions."""
+    queries = build_queries(padded.record, word_table, pattern_table, types)
     tokens = [sent.tokens for sent in padded.sentences]
     mask = np.array([sent.mask for sent in padded.sentences])
     states = word_encoder.encode(word_table.lookup(tokens), mask.ravel().tolist())
-    weights = {q: attend(states, mask, queries[q], attention.word[q])
-               for q in types}
-    fused = fuse_weights(*(weights[q] for q in types), mask=mask)
-    sentence_vectors = weighted_sum(fused, states)
-    for i, sent in enumerate(padded.sentences):
-        trace.sentences.append(SentenceTrace(
-            tokens=list(sent.tokens), mask=list(sent.mask),
-            alpha={q: weights[q].data[i].copy() for q in types},
-            alpha_fused=fused.data[i].copy()))
-
+    sentence_vectors, alpha, alpha_fused = _attention_level(
+        states, mask, queries, attention.word)
     sent_mask = [True] * len(padded.sentences)
     sent_states = sentence_encoder.encode(sentence_vectors, sent_mask)
-    weights = {q: attend(sent_states, sent_mask, queries[q],
-                         attention.sentence[q])
-               for q in types}
-    fused = fuse_weights(*(weights[q] for q in types), mask=sent_mask)
-    document = weighted_sum(fused, sent_states)
-    trace.beta = {q: weights[q].data.copy() for q in types}
-    trace.beta_fused = fused.data.copy()
-    return document, trace
+    document, beta, beta_fused = _attention_level(
+        sent_states, sent_mask, queries, attention.sentence)
+    return document, {"alpha": alpha, "alpha_fused": alpha_fused,
+                      "beta": beta, "beta_fused": beta_fused}
+
+
+def document_trace(padded: PaddedRecord, weights: dict) -> DocumentTrace:
+    """The attention trace of one record from its ``document_forward``
+    weights."""
+    alpha, alpha_fused = weights["alpha"], weights["alpha_fused"].data
+    sentences = [SentenceTrace(tokens=sent.tokens, mask=sent.mask,
+                               alpha={q: w.data[i] for q, w in alpha.items()},
+                               alpha_fused=alpha_fused[i])
+                 for i, sent in enumerate(padded.sentences)]
+    return DocumentTrace(record_id=padded.record.id, query_types=list(alpha),
+                         sentences=sentences,
+                         beta={q: w.data for q, w in weights["beta"].items()},
+                         beta_fused=weights["beta_fused"].data)

@@ -21,7 +21,6 @@ from .grad import (
     relu_elem,
 )
 from .model import Classifier, ClassifierHead
-from .text import DatasetRecord
 
 # hidden size of the concat baseline's reference configuration
 DEFAULT_HIDDEN = 200
@@ -48,15 +47,11 @@ def pos_category_index(tag: str) -> int:
     return OTHER_CATEGORY
 
 
-def flatten_record(record: DatasetRecord, max_words=None,
-                   max_sentences=None) -> list:
-    """Headline tokens followed by body tokens, truncated to the limits."""
-    tagged = list(record.headline)
-    sentences = record.sentences
-    if max_sentences is not None:
-        sentences = sentences[:max_sentences]
-    for sent in sentences:
-        tagged.extend(sent if max_words is None else sent[:max_words])
+def flatten_record(padded: PaddedRecord) -> list:
+    """Headline tokens followed by the body tokens the padding kept."""
+    tagged = list(padded.record.headline)
+    for sent, kept in zip(padded.record.sentences, padded.sentences):
+        tagged.extend(sent[:sum(kept.mask)])
     return tagged
 
 
@@ -82,8 +77,7 @@ class LstmConcatModel(Classifier):
         return self.word_table.lookup([t.text for t in tagged])
 
     def forward(self, padded: PaddedRecord) -> Tensor:
-        tagged = flatten_record(padded.record, padded.max_words,
-                                padded.max_sentences)
+        tagged = flatten_record(padded)
         final = self.encoder.final_state(self.inputs(tagged), [True] * len(tagged))
         return self.head.logits(final)
 

@@ -661,9 +661,11 @@ def backward(loss: Tensor, params: Iterable[Parameter] = ()) -> dict[str, np.nda
     """Run reverse accumulation from a scalar loss.
 
     Gradients are added into every reachable ``requires_grad`` tensor, so
-    repeated calls without clearing accumulate (used for batching).  Returns
-    a map from parameter name to its current gradient; parameters that are
-    not on the path to the loss get zeros.
+    the backward passes of several losses accumulate (used for batching).
+    A graph is backwarded once: each node drops its backward closure, which
+    refers to the node, after running it, so reference counting frees the
+    graph without the cycle collector.  Returns a map from parameter name
+    to its current gradient; parameters off the path to the loss get zeros.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -672,6 +674,7 @@ def backward(loss: Tensor, params: Iterable[Parameter] = ()) -> dict[str, np.nda
         for node in reversed(_topo_order(loss)):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            node._backward = None
     return collect_gradients(params)
 
 

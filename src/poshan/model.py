@@ -9,10 +9,13 @@ from typing import Optional
 import numpy as np
 
 from .attention import (
+    QUERY_HEADLINE,
+    QUERY_TYPES,
     DocumentTrace,
     HierarchicalAttention,
     PaddedRecord,
     document_forward,
+    document_trace,
 )
 from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
 from .encoder import CELL_LSTM_BI, SequenceEncoder
@@ -21,12 +24,11 @@ from .grad import (
     Tensor,
     affine,
     concat,
-    constant,
     no_grad,
     softmax_cross_entropy_with_logits,
     softmax_probs,
 )
-from .text import DatasetRecord, label_index
+from .text import label_index
 
 
 class ClassifierHead:
@@ -77,9 +79,8 @@ class PoshanModel(Classifier):
         rng = np.random.default_rng(seed)
         self.word_table = word_table
         self.pattern_table = pattern_table
-        self.disable_pattern_att = disable_pattern_att
-        self.disable_phrase_att = disable_phrase_att
-        self.replace_headline_att = replace_headline_att
+        disabled = (disable_pattern_att, disable_phrase_att, replace_headline_att)
+        self.query_types = tuple(q for q, off in zip(QUERY_TYPES, disabled) if not off)
 
         self.word_encoder = SequenceEncoder("word_enc", in_dim=word_table.dim,
                                             hidden=hidden_size, cell=cell,
@@ -99,33 +100,25 @@ class PoshanModel(Classifier):
             head_in += self.word_encoder.out_dim
         self.head = ClassifierHead("classifier", head_in, rng)
 
-    def _encode_headline(self, record: DatasetRecord) -> Tensor:
-        tokens = [t.text for t in record.headline]
-        if not tokens:
-            return constant(np.zeros(self.word_encoder.out_dim))
-        return self.word_encoder.final_state(self.word_table.lookup(tokens),
-                                             [True] * len(tokens))
-
     def _document(self, padded: PaddedRecord) -> tuple:
         return document_forward(
             padded, self.word_table, self.pattern_table, self.word_encoder,
-            self.sentence_encoder, self.attention,
-            disable_pattern=self.disable_pattern_att,
-            disable_phrase=self.disable_phrase_att,
-            disable_headline=self.replace_headline_att)
+            self.sentence_encoder, self.attention, self.query_types)
 
     def forward(self, padded: PaddedRecord) -> Tensor:
         """Class logits for one padded record."""
         d, _ = self._document(padded)
-        if self.replace_headline_att:
-            d = concat(d, self._encode_headline(padded.record))
+        if QUERY_HEADLINE not in self.query_types:
+            tokens = [t.text for t in padded.record.headline]
+            d = concat(d, self.word_encoder.final_state(
+                self.word_table.lookup(tokens), [True] * len(tokens)))
         return self.head.logits(d)
 
     def attention_trace(self, padded: PaddedRecord) -> DocumentTrace:
         """Word and sentence attention weights of one padded record."""
         with no_grad():
-            _, trace = self._document(padded)
-        return trace
+            _, weights = self._document(padded)
+            return document_trace(padded, weights)
 
     # in the class's own namespace, where the benchmark's tracing wraps it
     loss = Classifier.loss

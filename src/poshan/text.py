@@ -35,10 +35,6 @@ class TaggingError(ValueError):
     """Sidecar tags missing or inconsistent for a record."""
 
 
-class NoCardinalError(ValueError):
-    """A record without cardinal patterns reached a cardinal-only path."""
-
-
 def label_index(label: str) -> int:
     """Class index for a label string; incongruent is the positive class 1."""
     try:
@@ -417,7 +413,7 @@ def replicate_for_training(record: DatasetRecord) -> list[DatasetRecord]:
     that cardinal's pattern and phrase, so its queries are that cardinal's."""
     k = len(record.patterns)
     if k == 0:
-        raise NoCardinalError(
+        raise DataError(
             f"record {record.id!r} has no cardinal pattern; it must not reach training")
     return [replace(record, patterns=record.patterns[i:i + 1],
                     phrases=record.phrases[i:i + 1]) for i in range(k)]
@@ -490,8 +486,8 @@ def record_from_json(obj: dict) -> DatasetRecord:
     """A derived record from its JSON object.  Patterns and phrases are
     derived from the tagged headline; stored ones that differ raise
     DataError, as do a field of the wrong type (a non-string id included),
-    a label outside LABELS, an empty sentence or an active cardinal index
-    out of range."""
+    a label outside LABELS, an empty headline or sentence or an active
+    cardinal index out of range."""
     if not isinstance(obj, dict):
         raise DataError("record must be a JSON object")
     if not isinstance(obj["id"], str):
@@ -504,6 +500,8 @@ def record_from_json(obj: dict) -> DatasetRecord:
     if not all(sentences):
         raise DataError("a sentence has no tokens")
     headline = _tagged_from_json(obj["headline"], "headline")
+    if not headline:
+        raise DataError("headline has no tokens")
     patterns, phrases = extract_cardinal_features(headline)
     if obj["patterns"] != [p.key for p in patterns]:
         raise DataError(f"patterns {obj['patterns']!r} are not the headline's cardinal patterns")

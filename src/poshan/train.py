@@ -112,6 +112,8 @@ class TrainConfig:
             raise ValueError(f"attention-size must be at least 1, got {self.attention_size}")
         if self.cell not in _CELLS:
             raise ValueError(f"unknown cell {self.cell!r}; expected one of {_CELLS}")
+        if self.disable_pattern_att and self.disable_phrase_att and self.replace_headline_att:
+            raise ValueError("the three attention flags leave no attention query type")
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -140,7 +142,7 @@ def parse_config(path: str | Path) -> TrainConfig:
 
     Keys are kebab-case field names; blank lines and ``#`` comments are
     ignored.  Unknown keys and unparsable values raise DataError with the
-    line number.
+    line number, values ``TrainConfig.validate`` rejects with the path.
     """
     known = {f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
     overrides: dict[str, object] = {}
@@ -157,7 +159,10 @@ def parse_config(path: str | Path) -> TrainConfig:
                 raise DataError(f"config line {line_no}: unknown key {key!r}")
             overrides[key.replace("-", "_")] = _parse_value(key, raw, line_no)
     config = TrainConfig(**overrides)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return config
 
 

@@ -151,7 +151,7 @@ def test_document_forward_matches_straight_line_oracle():
         padded = pad_record(rec, max_words=5, max_sentences=2)
         d, _ = document_forward(padded, model.word_table, model.pattern_table,
                                 model.word_encoder, model.sentence_encoder,
-                                model.attention)
+                                model.attention, model.query_types)
         reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 
@@ -172,7 +172,7 @@ def test_document_forward_matches_straight_line_oracle_for_other_cells(cell):
         assert len({sum(s.mask) for s in padded.sentences}) > 1
         d, _ = document_forward(padded, model.word_table, model.pattern_table,
                                 model.word_encoder, model.sentence_encoder,
-                                model.attention)
+                                model.attention, model.query_types)
         reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 

@@ -12,6 +12,7 @@ from poshan.attention import (
     QUERY_HEADLINE,
     QUERY_PATTERN,
     QUERY_PHRASE,
+    QUERY_TYPES,
     AttentionParams,
     HierarchicalAttention,
     MaskMismatchError,
@@ -19,6 +20,7 @@ from poshan.attention import (
     attend,
     build_queries,
     document_forward,
+    document_trace,
     fuse_weights,
     pad_record,
     score,
@@ -315,11 +317,12 @@ class Setup:
             rng=rng)
         self.padded = pad_record(self.record, max_words=45, max_sentences=35)
 
-    def forward(self, **kwargs):
-        return document_forward(self.padded, self.word_table,
-                                self.pattern_table, self.word_encoder,
-                                self.sentence_encoder, self.attention,
-                                **kwargs)
+    def forward(self, types=QUERY_TYPES):
+        doc, weights = document_forward(self.padded, self.word_table,
+                                        self.pattern_table, self.word_encoder,
+                                        self.sentence_encoder, self.attention,
+                                        types)
+        return doc, document_trace(self.padded, weights)
 
     def parameters(self):
         return (self.word_encoder.parameters()
@@ -372,7 +375,7 @@ class TestDocumentForward:
 
     def test_headline_only_ablation_reduces_to_headline_weights(self):
         s = Setup()
-        _, trace = s.forward(disable_pattern=True, disable_phrase=True)
+        _, trace = s.forward((QUERY_HEADLINE,))
         assert trace.query_types == [QUERY_HEADLINE]
         for st_ in trace.sentences:
             assert np.array_equal(st_.alpha_fused, st_.alpha[QUERY_HEADLINE])
@@ -380,7 +383,7 @@ class TestDocumentForward:
 
     def test_disable_single_type_fuses_remaining_two(self):
         s = Setup()
-        _, trace = s.forward(disable_phrase=True)
+        _, trace = s.forward((QUERY_PATTERN, QUERY_HEADLINE))
         assert trace.query_types == [QUERY_PATTERN, QUERY_HEADLINE]
         for st_ in trace.sentences:
             expected = (st_.alpha[QUERY_PATTERN]
@@ -396,8 +399,7 @@ class TestDocumentForward:
     def test_all_types_disabled_rejected(self):
         s = Setup()
         with pytest.raises(ValueError, match="disabled"):
-            s.forward(disable_pattern=True, disable_phrase=True,
-                      disable_headline=True)
+            s.forward(())
 
     def test_active_mode_uses_replicated_index(self):
         s = Setup()
@@ -407,7 +409,7 @@ class TestDocumentForward:
             padded = pad_record(copy, 45, 35)
             doc, _ = document_forward(padded, s.word_table, s.pattern_table,
                                       s.word_encoder, s.sentence_encoder,
-                                      s.attention)
+                                      s.attention, QUERY_TYPES)
             tr.append(doc.data.copy())
         # the two cardinal copies condition on different patterns/phrases
         assert not np.array_equal(tr[0], tr[1])
@@ -419,7 +421,7 @@ class TestDocumentForward:
 
     def test_trace_json_export(self):
         s = Setup()
-        _, trace = s.forward(disable_phrase=True)
+        _, trace = s.forward((QUERY_PATTERN, QUERY_HEADLINE))
         obj = trace.to_json()
         assert obj["record_id"] == "r0"
         assert obj["query_types"] == [QUERY_PATTERN, QUERY_HEADLINE]
@@ -450,7 +452,8 @@ class TestDocumentForward:
 class TestBuildQueries:
     def test_all_three_types_present(self):
         s = Setup()
-        queries = build_queries(s.record, s.word_table, s.pattern_table)
+        queries = build_queries(s.record, s.word_table, s.pattern_table,
+                                QUERY_TYPES)
         assert set(queries) == {QUERY_PATTERN, QUERY_PHRASE, QUERY_HEADLINE}
         assert queries[QUERY_PATTERN].shape == (4,)
         assert queries[QUERY_PHRASE].shape == (3,)
@@ -458,7 +461,8 @@ class TestBuildQueries:
 
     def test_headline_query_is_token_sum(self):
         s = Setup()
-        queries = build_queries(s.record, s.word_table, s.pattern_table)
+        queries = build_queries(s.record, s.word_table, s.pattern_table,
+                                QUERY_TYPES)
         table = s.word_table
         rows = [table.matrix.data[table.index(t.text)] for t in s.record.headline]
         expected = rows[0].copy()
@@ -473,5 +477,5 @@ class TestBuildQueries:
         with w.catch_warnings():
             w.simplefilter("error")
             queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                    disable_pattern=True, disable_phrase=True)
+                                    (QUERY_HEADLINE,))
         assert set(queries) == {QUERY_HEADLINE}

@@ -58,14 +58,14 @@ class TestPosCategoryMap:
 class TestFlattenRecord:
     def test_headline_then_body_order(self):
         rec = make_record(body="A b. C d.")
-        tokens = [t.text for t in flatten_record(rec)]
+        tokens = [t.text for t in flatten_record(pad_record(rec, 45, 35))]
         head_len = len(rec.headline)
         assert tokens[:head_len] == [t.text for t in rec.headline]
         assert tokens[head_len:] == ["a", "b", ".", "c", "d", "."]
 
     def test_truncation_limits(self):
         rec = make_record(body="One two three four five. Six seven.")
-        tokens = flatten_record(rec, max_words=3, max_sentences=1)
+        tokens = flatten_record(pad_record(rec, max_words=3, max_sentences=1))
         assert len(tokens) == len(rec.headline) + 3
 
 

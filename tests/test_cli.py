@@ -178,6 +178,60 @@ def test_train_writes_checkpoint_and_log(workspace):
     assert len(log) == 5
 
 
+def _without_cardinal(row):
+    """A derived record whose headline has no cardinal token."""
+    return dict(row, id="nocard", headline=[["Nothing", "NN"], ["here", "RB"]],
+                patterns=[], phrases=[])
+
+
+_BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-dim=3\n"
+
+
+@pytest.mark.parametrize("config,add_record,message", [
+    ("learning-rate=0\n", False, "learning-rate must be positive"),
+    ("disable-pattern-att=true\ndisable-phrase-att=true\nreplace-headline-att=true\n",
+     False, "no attention query type"),
+    ("", True, "has no cardinal pattern"),
+], ids=["zero-learning-rate", "no-query-type", "record-without-cardinal"])
+def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config, add_record,
+                                             message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE_CONFIG + config)
+    train_path = workspace / "splits" / "train.jsonl"
+    if add_record:
+        rows = [json.loads(line) for line in train_path.read_text().splitlines()]
+        train_path = tmp_path / "train.jsonl"
+        write_corpus(train_path, rows + [_without_cardinal(rows[0])])
+    rc = main(["train", "--config", str(cfg), "--train", str(train_path),
+               "--val", str(workspace / "splits" / "val.jsonl"),
+               "--out", str(tmp_path / "model.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert message in err and len(err.splitlines()) == 1, err
+    if not add_record:
+        assert str(cfg) in err
+
+
+def test_eval_record_without_cardinal_needs_a_query_type(workspace, tmp_path, capsys):
+    """Without headline attention, a record with no cardinal has no query
+    left: a data error, where the other models fall back to the headline."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE_CONFIG + "replace-headline-att=true\n")
+    ckpt = tmp_path / "model.ckpt"
+    splits = workspace / "splits"
+    assert main(["train", "--config", str(cfg), "--train", str(splits / "train.jsonl"),
+                 "--val", str(splits / "val.jsonl"), "--out", str(ckpt)]) == EXIT_OK
+    rows = [json.loads(line) for line in (splits / "test.jsonl").read_text().splitlines()]
+    test_path = tmp_path / "test.jsonl"
+    write_corpus(test_path, rows + [_without_cardinal(rows[0])])
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(ckpt), "--test", str(test_path),
+               "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert "'nocard'" in err and len(err.splitlines()) == 1, err
+
+
 def test_eval_report_validates_against_schema(workspace, capsys):
     rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"),
                "--test", str(workspace / "splits" / "test.jsonl"),
@@ -310,6 +364,10 @@ def _empty_headline_keeps_pattern(rows):
     rows[0]["headline"] = []
 
 
+def _empty_headline_and_cardinals(rows):
+    rows[0].update(headline=[], patterns=[], phrases=[])
+
+
 def _duplicated_id(rows):
     rows[1]["id"] = rows[0]["id"]
 
@@ -317,7 +375,8 @@ def _duplicated_id(rows):
 def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_path, capsys):
     lines = (workspace / "splits" / "test.jsonl").read_text().splitlines()
     for edit in (_sentences_not_a_list, _extra_pattern, _no_phrases, _empty_sentence,
-                 _unknown_label, _numeric_id, _empty_headline_keeps_pattern, _duplicated_id):
+                 _unknown_label, _numeric_id, _empty_headline_keeps_pattern,
+                 _empty_headline_and_cardinals, _duplicated_id):
         rows = [json.loads(line) for line in lines]
         edit(rows)
         bad = tmp_path / "bad.jsonl"

@@ -215,3 +215,47 @@ class TestGraphSize:
             count = 0
             backward(model.loss(padded), ())
             assert 0 < count <= 2000
+
+
+class TestTraceOnRequest:
+    def test_loss_prediction_and_validation_build_no_trace(self, monkeypatch):
+        from poshan import attention
+        from poshan.train import _mean_val_loss
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attention trace was built")
+
+        monkeypatch.setattr(attention, "SentenceTrace", refuse)
+        monkeypatch.setattr(attention, "DocumentTrace", refuse)
+        model, records = make_model()
+        padded = [pad_record(r, 45, 35) for r in records]
+        backward(model.loss(padded[0]), ())
+        model.predict_probs(padded[1])
+        _mean_val_loss(model, padded)
+        with pytest.raises(AssertionError, match="trace was built"):
+            model.attention_trace(padded[0])
+
+
+class TestGraphLifetime:
+    def test_backward_frees_the_loss_graph_without_the_cycle_collector(self):
+        """backward drops each node's closure, which refers to the node, so
+        the graph dies with the last reference to the loss even with the
+        cycle collector off; a weakref to each node's own array shows it."""
+        import gc
+        import weakref
+
+        from poshan.grad import _topo_order
+
+        model, records = make_model()
+        padded = pad_record(records[0], 45, 35)
+        gc.disable()
+        try:
+            loss = model.loss(padded)
+            refs = [weakref.ref(node.data) for node in _topo_order(loss)]
+            backward(loss, ())
+            del loss
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert len(refs) > 10
+        assert alive == 0

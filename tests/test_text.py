@@ -19,7 +19,6 @@ from poshan.text import (
     CardinalPhrase,
     DataError,
     DatasetRecord,
-    NoCardinalError,
     RawRecord,
     RuleTagger,
     SidecarTags,
@@ -347,7 +346,7 @@ class TestReplicateForTraining:
 
     def test_no_cardinal_raises(self):
         rec = featurize(_raw(0, "Dog bites man"), RuleTagger())
-        with pytest.raises(NoCardinalError, match="r0"):
+        with pytest.raises(DataError, match="r0"):
             replicate_for_training(rec)
 
 
@@ -429,7 +428,12 @@ class TestDerivedIO:
         # appears as a separator in pattern keys
         headline = "".join(piece + sep for piece, sep in pieces)
         rec = featurize(_raw(0, headline), RuleTagger())
-        assert record_from_json(json.loads(json.dumps(record_to_json(rec)))) == rec
+        obj = json.loads(json.dumps(record_to_json(rec)))
+        if not rec.headline:
+            with pytest.raises(DataError, match="headline has no tokens"):
+                record_from_json(obj)
+        else:
+            assert record_from_json(obj) == rec
 
     def test_bad_derived_record_reports_line(self, tmp_path):
         p = tmp_path / "d.jsonl"

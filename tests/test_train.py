@@ -96,6 +96,8 @@ def test_default_config_is_valid():
     (dict(max_epochs=0), "max-epochs"),
     (dict(attention_size=0), "attention-size"),
     (dict(cell="transformer"), "cell"),
+    (dict(disable_pattern_att=True, disable_phrase_att=True, replace_headline_att=True),
+     "no attention query type"),
 ])
 def test_config_validation_errors(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
