@@ -67,9 +67,8 @@ class AttentionParams:
 def score(states: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
     """Additive scores v . tanh(W_h s + W_q query + b) of every state row
     s: states (..., T, S) give scores (..., T)."""
-    return additive_scores(states, query, params.score_vec.value,
-                           params.state_proj.value, params.query_proj.value,
-                           params.bias.value)
+    return additive_scores(states, query, params.score_vec, params.state_proj,
+                           params.query_proj, params.bias)
 
 
 def attend(states: Tensor, mask, query: Tensor,

@@ -13,7 +13,6 @@ from .embeddings import WordEmbeddingTable
 from .encoder import CELL_LSTM_BI, SequenceEncoder
 from .grad import (
     Parameter,
-    ShapeError,
     Tensor,
     affine,
     constant,
@@ -39,12 +38,13 @@ _CATEGORY_TAGS = {
 }
 
 
+_CATEGORY_OF_TAG = {tag: i for i, cat in enumerate(POS_CATEGORIES[:-1])
+                    for tag in _CATEGORY_TAGS[cat]}
+
+
 def pos_category_index(tag: str) -> int:
     """Total map from a POS tag to one of the seven category indices."""
-    for i, cat in enumerate(POS_CATEGORIES[:-1]):
-        if tag in _CATEGORY_TAGS[cat]:
-            return i
-    return OTHER_CATEGORY
+    return _CATEGORY_OF_TAG.get(tag, OTHER_CATEGORY)
 
 
 def flatten_record(padded: PaddedRecord) -> list:
@@ -101,19 +101,12 @@ class PosAtModel(LstmConcatModel):
         self.theta_bias = Parameter("posat.theta_b", np.zeros(1))
 
     def inputs(self, tagged) -> Tensor:
-        return self.scaled_inputs([t.text for t in tagged], [t.pos for t in tagged])
-
-    def scaled_inputs(self, tokens, tags) -> Tensor:
         """Word embeddings (L, D), each row scaled by its category's
         theta = relu(theta_w . onehot(category) + theta_b)."""
-        if len(tokens) != len(tags):
-            raise ShapeError(
-                f"{len(tokens)} tokens vs {len(tags)} tags")
-        onehot = np.zeros((len(tags), len(POS_CATEGORIES)))
-        onehot[np.arange(len(tags)), [pos_category_index(t) for t in tags]] = 1.0
-        theta = relu_elem(affine(constant(onehot), self.theta_weight.value,
-                                 self.theta_bias.value))
-        return hadamard(self.word_table.lookup(tokens), theta)
+        onehot = np.zeros((len(tagged), len(POS_CATEGORIES)))
+        onehot[np.arange(len(tagged)), [pos_category_index(t.pos) for t in tagged]] = 1.0
+        theta = relu_elem(affine(constant(onehot), self.theta_weight, self.theta_bias))
+        return hadamard(super().inputs(tagged), theta)
 
     # in the class's own namespace, where the benchmark's tracing wraps it
     forward = LstmConcatModel.forward

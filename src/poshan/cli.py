@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .attention import pad_record
@@ -253,8 +254,15 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"poshan: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Run one command; while it runs each warning is one stderr line."""
     parser = _build_parser()
+    saved = warnings.showwarning
+    warnings.showwarning = _show_warning
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -267,6 +275,8 @@ def main(argv=None) -> int:
     except (DataError, TaggingError, NonFiniteError) as exc:
         print(f"poshan: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        warnings.showwarning = saved
 
 
 if __name__ == "__main__":

@@ -75,8 +75,7 @@ class WordEmbeddingTable:
     def lookup(self, tokens) -> Tensor:
         """Embedding rows of a token, (D,), or of a (nested) sequence of
         tokens, e.g. (N, T, D) for N padded sentences, as one gather."""
-        return gather(self.matrix.value, _index_array(self.index, tokens),
-                      pad=PAD_INDEX)
+        return gather(self.matrix, _index_array(self.index, tokens), pad=PAD_INDEX)
 
 
 def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
@@ -99,7 +98,7 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(kept) + 2, dim))
     matrix[PAD_INDEX] = 0.0
-    param = Parameter("word_embeddings", matrix, trainable=True)
+    param = Parameter("word_embeddings", matrix)
     return WordEmbeddingTable(vocab, param, MODE_RANDOM_TRAINABLE)
 
 
@@ -120,7 +119,7 @@ class PatternEmbeddingTable:
 
     def lookup(self, keys) -> Tensor:
         """Embedding rows of a pattern key or a sequence of keys."""
-        return gather(self.matrix.value, _index_array(self.index, keys))
+        return gather(self.matrix, _index_array(self.index, keys))
 
     @classmethod
     def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,
@@ -129,7 +128,7 @@ class PatternEmbeddingTable:
         patterns = {k: i + 1 for i, k in enumerate(keys)}
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(keys) + 1, dim))
-        param = Parameter("pattern_embeddings", matrix, trainable=True)
+        param = Parameter("pattern_embeddings", matrix)
         return cls(patterns, param)
 
 

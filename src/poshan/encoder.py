@@ -54,14 +54,14 @@ class _Cell:
                 setattr(self, f"{kind}_{gate}", p)
                 self.params.append(p)
 
-    def _values(self, kind: str) -> list:
-        return [getattr(self, f"{kind}_{gate}").value for gate in self.gates]
+    def _of_kind(self, kind: str) -> list:
+        return [getattr(self, f"{kind}_{gate}") for gate in self.gates]
 
     def run(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
         """States of this direction over x (N, T, D) or (T, D); see
         :func:`poshan.grad.lstm_layer`."""
-        return self.layer(x, lengths, self._values("w"), self._values("u"),
-                          self._values("b"), reverse=reverse)
+        return self.layer(x, lengths, self._of_kind("w"), self._of_kind("u"),
+                          self._of_kind("b"), reverse=reverse)
 
     def parameters(self) -> list:
         return list(self.params)

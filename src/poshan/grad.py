@@ -608,26 +608,21 @@ def softmax_probs(logits: Tensor) -> np.ndarray:
 # Parameters and the backward pass
 
 
-class Parameter:
-    """A named, optionally trainable leaf tensor.
+class Parameter(Tensor):
+    """A named leaf tensor; ``requires_grad`` says whether it is trained.
 
-    Names must be unique within a model; the training loop addresses
-    gradients, optimizer state and checkpoints by these names.
+    Names must be unique within a model; checkpoints address parameters
+    by these names.
     """
 
-    def __init__(self, name: str, value, trainable: bool = True):
-        self.name = name
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.value.requires_grad = trainable
-        self.value.op = f"param:{name}"
-        self.trainable = trainable
+    __slots__ = ("name",)
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
+    def __init__(self, name: str, data, requires_grad: bool = True):
+        super().__init__(data, requires_grad=requires_grad)
+        self.name = name
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -657,15 +652,14 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params: Iterable[Parameter] = ()) -> dict[str, np.ndarray]:
+def backward(loss: Tensor) -> None:
     """Run reverse accumulation from a scalar loss.
 
     Gradients are added into every reachable ``requires_grad`` tensor, so
     the backward passes of several losses accumulate (used for batching).
     A graph is backwarded once: each node drops its backward closure, which
     refers to the node, after running it, so reference counting frees the
-    graph without the cycle collector.  Returns a map from parameter name
-    to its current gradient; parameters off the path to the loss get zeros.
+    graph without the cycle collector.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -675,22 +669,14 @@ def backward(loss: Tensor, params: Iterable[Parameter] = ()) -> dict[str, np.nda
             if node._backward is not None and node.grad is not None:
                 node._backward()
             node._backward = None
-    return collect_gradients(params)
-
-
-def collect_gradients(params: Iterable[Parameter]) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    for p in params:
-        if not p.trainable:
-            continue
-        g = p.value.grad
-        grads[p.name] = np.zeros_like(p.data) if g is None else g
-    return grads
 
 
 def zero_gradients(params: Iterable[Parameter]) -> None:
+    """Give each trainable parameter a fresh zero gradient buffer, so a
+    parameter off the path to the loss still has a gradient."""
     for p in params:
-        p.value.grad = None
+        if p.requires_grad:
+            p.grad = np.zeros_like(p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +740,9 @@ def finite_difference_check(forward: Callable[[], Tensor],
         raise DeterminismError(
             f"forward is not deterministic: {first!r} != {second!r}")
 
-    trainable = [p for p in params if p.trainable]
+    trainable = [p for p in params if p.requires_grad]
     zero_gradients(trainable)
-    analytic = backward(forward(), trainable)
-    zero_gradients(trainable)
+    backward(forward())
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
@@ -768,7 +753,7 @@ def finite_difference_check(forward: Callable[[], Tensor],
             indices = np.sort(rng.choice(n, size=SAMPLE_SIZE, replace=False))
         else:
             indices = np.arange(n)
-        a_flat = analytic[p.name].reshape(-1)
+        a_flat = p.grad.reshape(-1)
         worst = 0.0
         for i in indices:
             orig = flat[i]

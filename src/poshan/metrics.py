@@ -22,9 +22,6 @@ POSITIVE_CLASS = INCONGRUENT
 
 def _confusion(predictions: Sequence[str], labels: Sequence[str]) -> Counter:
     """Count of each (predicted, true) label pair, in one pass."""
-    if len(predictions) != len(labels):
-        raise ValueError(
-            f"{len(predictions)} predictions vs {len(labels)} labels")
     if not labels:
         raise ValueError("cannot score an empty prediction list")
     return Counter(zip(predictions, labels))
@@ -44,6 +41,11 @@ def _class_counts(pairs: Counter, cls: str) -> tuple:
 
 
 def _macro_f1(pairs: Counter) -> float:
+    """Unweighted mean of per-class F1 over the two classes.
+
+    A class absent from both predictions and labels contributes F1 = 0
+    with a warning.
+    """
     f1s = []
     for cls in LABELS:
         tp, fp, fn = _class_counts(pairs, cls)
@@ -55,15 +57,6 @@ def _macro_f1(pairs: Counter) -> float:
         else:
             f1s.append(2.0 * tp / (2.0 * tp + fp + fn))
     return sum(f1s) / len(f1s)
-
-
-def macro_f1(predictions: Sequence[str], labels: Sequence[str]) -> float:
-    """Unweighted mean of per-class F1 over the two classes.
-
-    A class absent from both predictions and labels contributes F1 = 0
-    with a warning.
-    """
-    return _macro_f1(_confusion(predictions, labels))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:

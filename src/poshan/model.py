@@ -41,7 +41,7 @@ class ClassifierHead:
         self.bias = Parameter(f"{name}.b", np.zeros(2))
 
     def logits(self, d: Tensor) -> Tensor:
-        return affine(d, self.weight.value, self.bias.value)
+        return affine(d, self.weight, self.bias)
 
     def parameters(self) -> list:
         return [self.weight, self.bias]

@@ -37,7 +37,6 @@ from .grad import (
     NonFiniteError,
     Parameter,
     backward,
-    collect_gradients,
     no_grad,
     softmax_cross_entropy_with_logits,
     softmax_probs,
@@ -236,29 +235,33 @@ def make_batches(
 # Optimization
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
-    """Scale all gradients down so their joint L2 norm is at most threshold.
+def clip_global_norm(params: Sequence[Parameter], threshold: float) -> float:
+    """Scale the parameters' gradients in place so their joint L2 norm is
+    at most threshold, and return the norm before clipping.
 
-    The norm is taken over every entry of every array together; when it
-    exceeds the threshold each array is multiplied by threshold / norm,
-    e.g. gradients (8, 6) with threshold 6 become (4.8, 3.6).  A NaN or
-    infinite norm raises NonFiniteError naming the offending gradients.
+    The norm is taken over every entry of every gradient together, in
+    parameter order; when it exceeds the threshold each gradient is
+    multiplied by threshold / norm, e.g. gradients (8, 6) with threshold 6
+    become (4.8, 3.6).  A NaN or infinite norm raises NonFiniteError
+    naming the parameters with non-finite gradients.
     """
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+    for p in params:
+        total += float(np.sum(p.grad ** 2))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
-        bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+        bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
         raise NonFiniteError(f"non-finite gradient norm {norm}; non-finite gradients: {bad}")
-    if norm <= threshold or norm == 0.0:
-        return {name: np.array(g, dtype=np.float64, copy=True) for name, g in grads.items()}
-    scale = threshold / norm
-    return {name: np.asarray(g, dtype=np.float64) * scale for name, g in grads.items()}
+    if norm > threshold:
+        scale = threshold / norm
+        for p in params:
+            p.grad *= scale
+    return norm
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name."""
+    """Adam with bias correction over the trainable parameters; each
+    step reads every parameter's gradient."""
 
     def __init__(
         self,
@@ -268,24 +271,20 @@ class Adam:
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ):
-        self.params = [p for p in params if p.trainable]
+        self.params = [p for p in params if p.requires_grad]
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p in self.params:
-            g = grads.get(p.name)
-            if g is None:
-                continue
-            m = self._m[p.name]
-            v = self._v[p.name]
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
             m[...] = b1 * m + (1.0 - b1) * g
             v[...] = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**self.t)
@@ -500,7 +499,7 @@ def model_from_checkpoint(checkpoint: Checkpoint):
     config = checkpoint.config
     word_matrix = checkpoint.params["word_embeddings"]
     word_param = Parameter(
-        "word_embeddings", word_matrix.copy(), trainable=checkpoint.word_mode != MODE_PRELOADED_FROZEN
+        "word_embeddings", word_matrix.copy(), requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN
     )
     word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
     pattern_table = None
@@ -608,10 +607,11 @@ def train(
     """Train a model with Adam, clipping, and early stopping.
 
     Training loss is the mean over records; gradients are accumulated
-    per record in a fixed order, averaged over the batch, clipped by
-    global norm, then applied.  The run stops once validation loss has
-    not improved by more than 1e-4 for ``early_stop_patience`` epochs,
-    and the returned checkpoint holds the best-validation parameters.
+    per record in a fixed order into the parameters' own buffers, then
+    averaged over the batch, clipped by global norm and applied, all in
+    place.  The run stops once validation loss has not improved by more
+    than 1e-4 for ``early_stop_patience`` epochs, and the returned
+    checkpoint holds the best-validation parameters.
     """
     config.validate()
     if model_kind not in MODEL_KINDS:
@@ -625,6 +625,7 @@ def train(
     model = build_model(model_kind, config, word_table, pattern_table)
     params = model.parameters()
     optimizer = Adam(params, learning_rate=config.learning_rate)
+    trainable = optimizer.params
 
     if model_kind == MODEL_POSHAN:
         train_units: list[DatasetRecord] = []
@@ -650,7 +651,7 @@ def train(
         batches = make_batches(train_padded, config.batch_size, seed=config.seed + epoch)
         epoch_total = 0.0
         for batch_index, batch in enumerate(batches):
-            zero_gradients(params)
+            zero_gradients(trainable)
             batch_total = 0.0
             for padded in batch:
                 loss = model.loss(padded)
@@ -659,13 +660,13 @@ def train(
                     raise NonFiniteError(
                         f"non-finite loss at epoch {epoch} batch {batch_index}; aborting"
                     )
-                backward(loss, ())
+                backward(loss)
                 batch_total += value
-            grads = collect_gradients(params)
             inv = 1.0 / len(batch)
-            mean_grads = {name: g * inv for name, g in grads.items()}
-            clipped = clip_global_norm(mean_grads, config.grad_clip)
-            optimizer.step(clipped)
+            for p in trainable:
+                p.grad *= inv
+            clip_global_norm(trainable, config.grad_clip)
+            optimizer.step()
             epoch_total += batch_total
         train_loss = epoch_total / len(train_padded)
 

@@ -13,6 +13,7 @@ import math
 import os
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from oracles import oracle_macro_f1, oracle_roc_auc, straight_line_poshan_forwar
 from synthetic import make_matching_task
 from poshan.attention import document_forward, pad_record
 from poshan.cli import main, run_gradcheck
-from poshan.metrics import macro_f1, roc_auc
+from poshan.metrics import build_report, roc_auc
 from poshan.text import (
+    LABELS,
     CardinalPattern,
     CardinalPhrase,
     RawRecord,
@@ -183,9 +185,11 @@ def test_macro_f1_matches_brute_force_on_1000_cases():
         n = int(rng.integers(1, 12))
         labels = ["congruent" if rng.integers(2) else "incongruent" for _ in range(n)]
         preds = ["congruent" if rng.integers(2) else "incongruent" for _ in range(n)]
+        records = [SimpleNamespace(id=f"r{i}", label=y) for i, y in enumerate(labels)]
+        one_hot = [np.eye(2)[LABELS.index(p)] for p in preds]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert macro_f1(preds, labels) == oracle_macro_f1(preds, labels)
+            assert build_report(records, one_hot).macro_f1 == oracle_macro_f1(preds, labels)
 
 
 def test_roc_auc_matches_brute_force_on_1000_cases():

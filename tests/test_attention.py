@@ -43,10 +43,10 @@ from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_f
 def scalar_params():
     p = AttentionParams("t", hs_dim=1, query_dim=1, att_dim=1,
                         rng=np.random.default_rng(0))
-    p.score_vec.value.data[...] = 1.0
-    p.state_proj.value.data[...] = 1.0
-    p.query_proj.value.data[...] = 1.0
-    p.bias.value.data[...] = 0.0
+    p.score_vec.data[...] = 1.0
+    p.state_proj.data[...] = 1.0
+    p.query_proj.data[...] = 1.0
+    p.bias.data[...] = 0.0
     return p
 
 
@@ -58,7 +58,7 @@ class TestScore:
     def test_zero_score_vec_gives_zero(self):
         p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
                             rng=np.random.default_rng(1))
-        p.score_vec.value.data[...] = 0.0
+        p.score_vec.data[...] = 0.0
         s = score(constant(np.random.default_rng(2).normal(size=(4, 3))),
                   constant(np.random.default_rng(3).normal(size=2)), p)
         assert np.array_equal(s.data, np.zeros(4))
@@ -105,7 +105,7 @@ class TestAttend:
     def test_zero_score_vec_uniform(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
                             rng=np.random.default_rng(8))
-        p.score_vec.value.data[...] = 0.0
+        p.score_vec.data[...] = 0.0
         rng = np.random.default_rng(9)
         states = constant(rng.normal(size=(4, 2)))
         w = attend(states, [True] * 4, constant(np.ones(2)), p).data

@@ -232,6 +232,28 @@ def test_eval_record_without_cardinal_needs_a_query_type(workspace, tmp_path, ca
     assert "'nocard'" in err and len(err.splitlines()) == 1, err
 
 
+def test_eval_warning_is_one_line(workspace, tmp_path, capsys):
+    """The headline-only fallback for a record with no cardinal reaches
+    stderr as one ``poshan: warning:`` line with no source location, and
+    ``main`` restores the warning printer it replaced."""
+    import warnings
+
+    rows = [json.loads(line)
+            for line in (workspace / "splits" / "test.jsonl").read_text().splitlines()]
+    test_path = tmp_path / "test.jsonl"
+    write_corpus(test_path, rows + [_without_cardinal(rows[0])])
+    capsys.readouterr()
+    saved = warnings.showwarning
+    rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(test_path),
+               "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_OK, err
+    assert "poshan: warning: record 'nocard' has no cardinal feature" in err, err
+    assert all(line.startswith("poshan: ") for line in err.splitlines()), err
+    assert ".py:" not in err
+    assert warnings.showwarning is saved
+
+
 def test_eval_report_validates_against_schema(workspace, capsys):
     rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"),
                "--test", str(workspace / "splits" / "test.jsonl"),

@@ -114,7 +114,7 @@ class TestBuildVocab:
     def test_mode_and_trainable(self):
         table = build_vocab([headline_record("r0", ["a"])], min_count=1)
         assert table.mode == MODE_RANDOM_TRAINABLE
-        assert table.matrix.trainable
+        assert table.matrix.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,8 @@ class TestHeadlineVector:
         table = word_table({"a": [1, 1], "b": [2, 2]}, dim=2)
         loss = dot(headline_vector(["a", BOS_TOKEN, "b"], table),
                    gconst(np.ones(2)))
-        backward(loss, [table.matrix])
-        grad = table.matrix.value.grad
+        backward(loss)
+        grad = table.matrix.grad
         assert np.array_equal(grad[PAD_INDEX], [0.0, 0.0])
         assert np.array_equal(grad[table.index("a")], [1.0, 1.0])
         zero_gradients([table.matrix])
@@ -245,8 +245,8 @@ class TestPatternQuery:
                                "JJ:CD:NN": [3.0, 3.0]}, dim=2)
         rec = record_with_patterns(["NN:CD:CD", "CD:CD:EOS"])
         loss = dot(pattern_query(rec, table), gconst(np.ones(2)))
-        backward(loss, [table.matrix])
-        grad = table.matrix.value.grad
+        backward(loss)
+        grad = table.matrix.grad
         assert np.all(grad[table.index("NN:CD:CD")] != 0.0)
         assert np.all(grad[table.index("CD:CD:EOS")] != 0.0)
         assert np.array_equal(grad[table.index("JJ:CD:NN")], [0.0, 0.0])

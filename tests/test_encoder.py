@@ -31,7 +31,7 @@ from toy_ops import dot
 
 def zero_params(cell) -> None:
     for p in cell.parameters():
-        p.value.data[...] = 0.0
+        p.data[...] = 0.0
 
 
 def ones_const(n):
@@ -69,16 +69,16 @@ class TestLstmStep:
     def test_forget_bias_alone_keeps_zero_state(self):
         cell = LstmCell("c", in_dim=2, hidden=2, rng=np.random.default_rng(0))
         zero_params(cell)
-        cell.b_f.value.data[...] = 10.0
+        cell.b_f.data[...] = 10.0
         h = run_cell(cell, np.zeros((2, 2)))
         assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_gate_carries_cell_state(self):
         cell = LstmCell("c", in_dim=1, hidden=1, rng=np.random.default_rng(0))
         zero_params(cell)
-        cell.b_i.value.data[...] = 30.0  # i saturates to 1
-        cell.b_f.value.data[...] = 30.0  # f saturates to 1
-        cell.w_g.value.data[...] = math.atanh(0.8)
+        cell.b_i.data[...] = 30.0  # i saturates to 1
+        cell.b_f.data[...] = 30.0  # f saturates to 1
+        cell.w_g.data[...] = math.atanh(0.8)
         # step 0 writes c = tanh(atanh(0.8)) = 0.8; step 1 adds g = tanh(0)
         # and keeps c, so h = sigmoid(0) * tanh(c) at both steps
         h = run_cell(cell, [[1.0], [0.0]])
@@ -114,7 +114,7 @@ class TestGruCell:
     def test_scalar_hand_value(self):
         cell = GruCell("g", in_dim=1, hidden=1, rng=np.random.default_rng(0))
         zero_params(cell)
-        cell.w_n.value.data[...] = 1.0
+        cell.w_n.data[...] = 1.0
         h = run_cell(cell, [[1.0]])
         # z = 0.5, h_prev = 0, n = tanh(1): h = (1 - z) * n
         assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-12)
@@ -169,7 +169,7 @@ class TestSequenceEncoder:
         enc = SequenceEncoder("e", in_dim=2, hidden=3,
                               rng=np.random.default_rng(4))
         for pf, pb in zip(enc.fwd.parameters(), enc.bwd.parameters()):
-            pb.value.data[...] = pf.value.data
+            pb.data[...] = pf.data
         v0 = np.array([0.5, -0.2])
         v1 = np.array([-0.8, 0.1])
         out = enc.encode(constant(np.stack([v0, v1, v0.copy()])), [True] * 3)
@@ -184,12 +184,12 @@ class TestSequenceEncoder:
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
                               rng=np.random.default_rng(5))
         xs = Parameter("x", np.random.default_rng(6).normal(size=(4, 2)))
-        out = enc.encode(xs.value, [True, True, False, False])
+        out = enc.encode(xs, [True, True, False, False])
         assert np.array_equal(out.data[2:], np.zeros((2, 4)))
         # nothing flows back into the padded positions
-        backward(readout(out), [xs])
-        assert np.array_equal(xs.value.grad[2:], np.zeros((2, 2)))
-        assert np.all(xs.value.grad[:2] != 0.0)
+        backward(readout(out))
+        assert np.array_equal(xs.grad[2:], np.zeros((2, 2)))
+        assert np.all(xs.grad[:2] != 0.0)
 
     def test_padding_isolation(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2,
@@ -289,7 +289,7 @@ class TestBlockEncoding:
         xs = Parameter("x", np.random.default_rng(23).normal(size=(3, 4, 2)))
 
         report = finite_difference_check(
-            lambda: readout(enc.encode(xs.value, flat(BLOCK_MASK))),
+            lambda: readout(enc.encode(xs, flat(BLOCK_MASK))),
             [xs, *enc.parameters()])
         assert report.passed, report.to_tsv()
 

@@ -16,7 +16,6 @@ from poshan.grad import (
     additive_scores,
     affine,
     backward,
-    collect_gradients,
     concat,
     constant,
     finite_difference_check,
@@ -189,35 +188,35 @@ def test_backward_matvec_grad_is_outer_product():
     # d loss / dW = ones outer x
     w = Parameter("w", np.arange(6.0).reshape(2, 3))
     x = constant([1.0, 2.0, 3.0])
-    loss = dot(affine(x, w.value, constant([0.0, 0.0])), constant([1.0, 1.0]))
-    grads = backward(loss, [w])
-    assert set(grads) == {"w"}
-    assert np.array_equal(grads["w"], np.outer([1.0, 1.0], [1.0, 2.0, 3.0]))
+    loss = dot(affine(x, w, constant([0.0, 0.0])), constant([1.0, 1.0]))
+    backward(loss)
+    assert np.array_equal(w.grad, np.outer([1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 def test_backward_constant_loss_gives_zeros():
     p = Parameter("p", [1.0, 2.0])
-    grads = backward(constant(0.5), [p])
-    assert np.array_equal(grads["p"], np.zeros(2))
+    zero_gradients([p])
+    backward(constant(0.5))
+    assert np.array_equal(p.grad, np.zeros(2))
 
 
 def test_backward_requires_scalar_loss():
     p = Parameter("p", [1.0, 2.0])
     with pytest.raises(ShapeError):
-        backward(p.value, [p])
+        backward(p)
 
 
 def test_backward_reused_node_accumulates():
     # y = p * p; loss = dot(y, y) = sum(p^4): gradient must count p and y twice
     p = Parameter("p", [0.3, -0.7])
-    y = hadamard(p.value, p.value)
+    y = hadamard(p, p)
     loss = dot(y, y)
-    grads = backward(loss, [p])
-    np.testing.assert_allclose(grads["p"], 4.0 * p.data ** 3, atol=1e-14)
+    backward(loss)
+    np.testing.assert_allclose(p.grad, 4.0 * p.data ** 3, atol=1e-14)
     zero_gradients([p])
 
     def forward():
-        yy = hadamard(p.value, p.value)
+        yy = hadamard(p, p)
         return dot(yy, yy)
 
     report = finite_difference_check(forward, [p])
@@ -231,24 +230,27 @@ def test_backward_two_consumers_equals_sum_of_single_paths():
     b = constant(rng.standard_normal(3))
 
     p = Parameter("p", v)
-    shared = hadamard(p.value, p.value)
+    shared = hadamard(p, p)
     loss = add(dot(shared, a), dot(shared, b))
-    both = backward(loss, [p])["p"].copy()
+    backward(loss)
+    both = p.grad.copy()
 
     q = Parameter("q", v)
-    ga = backward(dot(hadamard(q.value, q.value), a), [q])["q"].copy()
+    backward(dot(hadamard(q, q), a))
+    ga = q.grad.copy()
     zero_gradients([q])
-    gb = backward(dot(hadamard(q.value, q.value), b), [q])["q"].copy()
+    backward(dot(hadamard(q, q), b))
+    gb = q.grad.copy()
     np.testing.assert_allclose(both, ga + gb, atol=1e-14)
 
 
 def test_gradient_accumulates_across_graphs_until_cleared():
     p = Parameter("p", [1.0, 1.0])
     for _ in range(3):
-        backward(dot(p.value, constant([1.0, 2.0])))
-    assert np.array_equal(collect_gradients([p])["p"], [3.0, 6.0])
+        backward(dot(p, constant([1.0, 2.0])))
+    assert np.array_equal(p.grad, [3.0, 6.0])
     zero_gradients([p])
-    assert np.array_equal(collect_gradients([p])["p"], [0.0, 0.0])
+    assert np.array_equal(p.grad, [0.0, 0.0])
 
 
 def test_misc_op_gradients_match_finite_differences():
@@ -264,18 +266,18 @@ def test_misc_op_gradients_match_finite_differences():
     xs = constant(rng.standard_normal((2, 4)))
 
     def forward():
-        pre = affine(x, w.value, b.value)
+        pre = affine(x, w, b)
         h = hadamard(pre, pre)
-        g = masked_softmax(affine(u.value, w.value, constant(np.zeros(3))), [True] * 3)
+        g = masked_softmax(affine(u, w, constant(np.zeros(3))), [True] * 3)
         mixed = hadamard(h, g)
         pooled = mean_fold([mixed, g, h])
-        scaled = hadamard(add(pooled, mixed), s.value)
+        scaled = hadamard(add(pooled, mixed), s)
         att = masked_softmax(scaled, [True, True, False])
-        rows = gather(table.value, [[1, 2], [0, 4], [1, 1]])
+        rows = gather(table, [[1, 2], [0, 4], [1, 1]])
         ctx = weighted_sum(att, sum_axis(rows, 1))
-        batch = relu_elem(affine(xs, w.value, b.value))
-        feats = concat(ctx, mean_axis(gather(table.value, [0, 3])))
-        logits = affine(feats, head.value, constant(np.zeros(2)))
+        batch = relu_elem(affine(xs, w, b))
+        feats = concat(ctx, mean_axis(gather(table, [0, 3])))
+        logits = affine(feats, head, constant(np.zeros(2)))
         return add(softmax_cross_entropy_with_logits(logits, 0), readout(batch))
 
     report = finite_difference_check(forward, params, epsilon=1e-5, tolerance=1e-4)
@@ -289,7 +291,7 @@ def test_finite_difference_toy_net():
     x = constant([0.2, -0.4, 0.9])
 
     def forward():
-        pre = affine(x, w.value, b.value)
+        pre = affine(x, w, b)
         return softmax_cross_entropy_with_logits(hadamard(pre, pre), 1)
 
     report = finite_difference_check(forward, [w, b], epsilon=1e-5, tolerance=1e-4)
@@ -316,7 +318,7 @@ def test_finite_difference_detects_corrupted_gradient():
         return out
 
     report = finite_difference_check(
-        lambda: dot(wrong_double(p.value), constant([1.0, 1.0])), [p])
+        lambda: dot(wrong_double(p), constant([1.0, 1.0])), [p])
     assert not report.passed
     failed = [e.name for e in report.entries if not e.passed]
     assert failed == ["bad_w"]
@@ -325,7 +327,7 @@ def test_finite_difference_detects_corrupted_gradient():
 def test_finite_difference_rejects_bad_epsilon():
     p = Parameter("p", [1.0])
     with pytest.raises(ValueError):
-        finite_difference_check(lambda: dot(p.value, constant([1.0])), [p], epsilon=0.5)
+        finite_difference_check(lambda: dot(p, constant([1.0])), [p], epsilon=0.5)
 
 
 def test_finite_difference_detects_nondeterminism():
@@ -334,7 +336,7 @@ def test_finite_difference_detects_nondeterminism():
 
     def forward():
         state["n"] += 1
-        return dot(p.value, constant([float(state["n"])]))
+        return dot(p, constant([float(state["n"])]))
 
     with pytest.raises(DeterminismError):
         finite_difference_check(forward, [p])
@@ -342,7 +344,7 @@ def test_finite_difference_detects_nondeterminism():
 
 def test_gradcheck_report_tsv_format():
     p = Parameter("w", [0.1, 0.2])
-    report = finite_difference_check(lambda: dot(p.value, p.value), [p])
+    report = finite_difference_check(lambda: dot(p, p), [p])
     lines = report.to_tsv().strip().split("\n")
     assert lines[0] == "parameter\tmax_rel_error\tstatus"
     assert lines[1].startswith("w\t") and lines[1].endswith("pass")
@@ -359,13 +361,13 @@ def test_tensor_accepts_any_rank():
 
 def test_gather_rows_pad_and_scatter():
     table = Parameter("t", np.arange(12.0).reshape(4, 3))
-    rows = gather(table.value, [[2, 0], [2, 3]], pad=0)
+    rows = gather(table, [[2, 0], [2, 3]], pad=0)
     assert rows.shape == (2, 2, 3)
     assert np.array_equal(rows.data[0, 0], [6.0, 7.0, 8.0])
     # the pad row reads zeros whatever the table holds there
     assert np.array_equal(rows.data[0, 1], [0.0, 0.0, 0.0])
-    backward(readout(rows), [table])
-    grad = table.value.grad
+    backward(readout(rows))
+    grad = table.grad
     assert np.array_equal(grad[0], np.zeros(3))
     assert np.array_equal(grad[1], np.zeros(3))
     weights = np.random.default_rng(0).uniform(0.5, 1.5, (2, 2, 3))
@@ -375,20 +377,20 @@ def test_gather_rows_pad_and_scatter():
 
 def test_gather_scatters_into_the_existing_buffer():
     table = Parameter("t", np.ones((1000, 4)))
-    backward(dot(gather(table.value, 5), constant(np.ones(4))))
-    buffer = table.value.grad
-    backward(dot(gather(table.value, 5), constant(np.ones(4))))
-    assert table.value.grad is buffer
+    backward(dot(gather(table, 5), constant(np.ones(4))))
+    buffer = table.grad
+    backward(dot(gather(table, 5), constant(np.ones(4))))
+    assert table.grad is buffer
     assert np.array_equal(buffer[5], [2.0] * 4)
 
 
 def test_gather_of_only_pad_rows_is_constant():
     table = Parameter("t", np.ones((3, 2)))
-    out = gather(table.value, [0, 0], pad=0)
+    out = gather(table, [0, 0], pad=0)
     assert not out.requires_grad
     assert np.array_equal(out.data, np.zeros((2, 2)))
     with pytest.raises(IndexError):
-        gather(table.value, [3])
+        gather(table, [3])
 
 
 def _layer_params(gates, in_dim, hidden, seed):
@@ -396,12 +398,6 @@ def _layer_params(gates, in_dim, hidden, seed):
     return ([Parameter(f"w{k}", rng.uniform(-0.7, 0.7, (hidden, in_dim))) for k in range(gates)],
             [Parameter(f"u{k}", rng.uniform(-0.7, 0.7, (hidden, hidden))) for k in range(gates)],
             [Parameter(f"b{k}", rng.uniform(-0.7, 0.7, hidden)) for k in range(gates)])
-
-
-def _run_layer(layer, x, lengths, params, reverse):
-    w, u, b = params
-    return layer(x, lengths, [p.value for p in w], [p.value for p in u],
-                 [p.value for p in b], reverse=reverse)
 
 
 LAYERS = [(lstm_layer, 4), (gru_layer, 3)]
@@ -416,14 +412,14 @@ def test_recurrent_layer_gradients_on_ragged_block(layer, gates, reverse):
     lengths = [4, 1, 3]
 
     def forward():
-        return readout(_run_layer(layer, x.value, lengths, params, reverse))
+        return readout(layer(x, lengths, *params, reverse=reverse))
 
     report = finite_difference_check(forward, [x, *params[0], *params[1], *params[2]])
     assert report.passed, report.to_tsv()
     # padded input positions get no gradient
     zero_gradients([x])
-    backward(forward(), [x])
-    assert np.all(x.value.grad[1, 1:] == 0.0) and np.all(x.value.grad[2, 3:] == 0.0)
+    backward(forward())
+    assert np.all(x.grad[1, 1:] == 0.0) and np.all(x.grad[2, 3:] == 0.0)
 
 
 @pytest.mark.parametrize("layer,gates", LAYERS)
@@ -433,9 +429,9 @@ def test_recurrent_layer_block_matches_single_sequences(layer, gates):
     lengths = [5, 1, 3]
     params = _layer_params(gates, in_dim=2, hidden=3, seed=8)
     for reverse in (False, True):
-        block = _run_layer(layer, constant(xs), lengths, params, reverse).data
+        block = layer(constant(xs), lengths, *params, reverse=reverse).data
         for n, length in enumerate(lengths):
-            alone = _run_layer(layer, constant(xs[n, :length]), [length], params, reverse).data
+            alone = layer(constant(xs[n, :length]), [length], *params, reverse=reverse).data
             np.testing.assert_allclose(block[n, :length], alone, rtol=0, atol=1e-14)
             assert np.array_equal(block[n, length:], np.zeros((5 - length, 3)))
 
@@ -446,21 +442,20 @@ def test_reverse_layer_reads_each_real_prefix_backwards(layer, gates):
     xs = rng.standard_normal((2, 4, 2))
     xs[1, 2:] = 1e6  # padding must not leak into real positions
     params = _layer_params(gates, in_dim=2, hidden=2, seed=10)
-    back = _run_layer(layer, constant(xs), [4, 2], params, reverse=True).data
+    back = layer(constant(xs), [4, 2], *params, reverse=True).data
     for n, length in enumerate([4, 2]):
-        flipped = _run_layer(layer, constant(xs[n, :length][::-1].copy()), [length], params,
-                             reverse=False).data
+        flipped = layer(constant(xs[n, :length][::-1].copy()), [length], *params).data
         np.testing.assert_allclose(back[n, :length], flipped[::-1], rtol=0, atol=1e-14)
 
 
 def test_recurrent_layer_rejects_bad_lengths():
     params = _layer_params(4, in_dim=2, hidden=2, seed=0)
     with pytest.raises(ShapeError):
-        _run_layer(lstm_layer, constant(np.zeros((2, 3, 2))), [3, 0], params, False)
+        lstm_layer(constant(np.zeros((2, 3, 2))), [3, 0], *params)
     with pytest.raises(ShapeError):
-        _run_layer(lstm_layer, constant(np.zeros((2, 3, 2))), [3], params, False)
+        lstm_layer(constant(np.zeros((2, 3, 2))), [3], *params)
     with pytest.raises(ShapeError):
-        _run_layer(lstm_layer, constant(np.zeros((3, 5))), [3], params, False)
+        lstm_layer(constant(np.zeros((3, 5))), [3], *params)
 
 
 def test_additive_scores_block_matches_rows_and_gradients():
@@ -474,15 +469,15 @@ def test_additive_scores_block_matches_rows_and_gradients():
     params = [states, query, v, w_h, w_q, b]
 
     def scores(s):
-        return additive_scores(s, query.value, v.value, w_h.value, w_q.value, b.value)
+        return additive_scores(s, query, v, w_h, w_q, b)
 
-    block = scores(states.value).data
+    block = scores(states).data
     assert block.shape == (2, 3)
     for n in range(2):
         for t in range(3):
             inner = np.tanh(w_h.data @ states.data[n, t] + w_q.data @ query.data + b.data)
             assert abs(block[n, t] - v.data @ inner) <= 1e-12
-    report = finite_difference_check(lambda: readout(scores(states.value)), params)
+    report = finite_difference_check(lambda: readout(scores(states)), params)
     assert report.passed, report.to_tsv()
     with pytest.raises(ShapeError):
         scores(constant(np.zeros((3, 5))))
@@ -492,17 +487,17 @@ def test_masked_softmax_rows_of_a_block():
     rng = np.random.default_rng(13)
     scores = Parameter("s", rng.standard_normal((3, 4)))
     mask = np.array([[True] * 4, [True, False, False, False], [True, True, True, False]])
-    out = masked_softmax(scores.value, mask).data
+    out = masked_softmax(scores, mask).data
     for n in range(3):
         expected = masked_softmax(constant(scores.data[n]), mask[n]).data
         np.testing.assert_allclose(out[n], expected, rtol=0, atol=1e-15)
     assert out[1, 0] == 1.0
     report = finite_difference_check(
-        lambda: readout(masked_softmax(scores.value, mask)), [scores])
+        lambda: readout(masked_softmax(scores, mask)), [scores])
     assert report.passed, report.to_tsv()
     mask[2] = False
     with pytest.raises(EmptyAttentionError):
-        masked_softmax(scores.value, mask)
+        masked_softmax(scores, mask)
 
 
 def test_mean_fold_is_a_left_fold():
@@ -514,7 +509,7 @@ def test_mean_fold_is_a_left_fold():
         mean_fold([constant(arrays[0]), constant(np.zeros(3))])
     params = [Parameter(f"p{i}", a) for i, a in enumerate(arrays)]
     report = finite_difference_check(
-        lambda: readout(mean_fold([p.value for p in params])), params)
+        lambda: readout(mean_fold(params)), params)
     assert report.passed, report.to_tsv()
 
 
@@ -522,20 +517,20 @@ def test_axis_folds_add_in_index_order():
     rng = np.random.default_rng(15)
     x = Parameter("x", rng.uniform(size=(3, 4, 2)))
     d = x.data
-    assert np.array_equal(sum_axis(x.value, 1).data, ((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
-    assert np.array_equal(mean_axis(x.value).data, ((d[0] + d[1]) + d[2]) / 3)
+    assert np.array_equal(sum_axis(x, 1).data, ((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
+    assert np.array_equal(mean_axis(x).data, ((d[0] + d[1]) + d[2]) / 3)
     report = finite_difference_check(
-        lambda: add(readout(sum_axis(x.value, 1)), readout(mean_axis(x.value), seed=1)), [x])
+        lambda: add(readout(sum_axis(x, 1)), readout(mean_axis(x), seed=1)), [x])
     assert report.passed, report.to_tsv()
 
 
 def test_no_grad_builds_no_graph():
     p = Parameter("p", np.ones((2, 3)))
     with no_grad():
-        out = relu_elem(gather(p.value, [1, 0]))
+        out = relu_elem(gather(p, [1, 0]))
     assert not out.requires_grad
     assert out._backward is None and out._parents == ()
-    assert relu_elem(p.value).requires_grad
+    assert relu_elem(p).requires_grad
 
 
 def test_hadamard_rejects_non_broadcasting_shapes():

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from poshan.attention import pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
 from poshan.embeddings import MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE
-from poshan.grad import NonFiniteError, Parameter, constant
+from poshan.grad import NonFiniteError, Parameter, backward, constant
 from poshan.model import PoshanModel
 from poshan import train as train_module
-from poshan.text import DataError, RawRecord, RuleTagger, featurize
+from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
 from poshan.train import (
     Adam,
     Checkpoint,
@@ -176,31 +176,41 @@ def test_config_file_parses_booleans(tmp_path):
 # Gradient clipping
 
 
+def params_with_grads(**grads):
+    """Parameters named by the keywords, each holding that gradient."""
+    params = []
+    for name, g in grads.items():
+        p = Parameter(name, np.zeros(np.shape(g)))
+        p.grad = np.array(g, dtype=np.float64)
+        params.append(p)
+    return params
+
+
 def test_clip_scales_to_threshold():
-    grads = {"a": np.array([8.0]), "b": np.array([6.0])}
-    clipped = clip_global_norm(grads, 6.0)
-    assert clipped["a"] == pytest.approx([4.8])
-    assert clipped["b"] == pytest.approx([3.6])
+    a, b = params_with_grads(a=[8.0], b=[6.0])
+    assert clip_global_norm([a, b], 6.0) == 10.0
+    assert a.grad == pytest.approx([4.8])
+    assert b.grad == pytest.approx([3.6])
 
 
 def test_clip_no_op_below_threshold():
-    grads = {"a": np.array([[1.0, 2.0]]), "b": np.array([2.0])}
-    clipped = clip_global_norm(grads, 100.0)
-    for name in grads:
-        np.testing.assert_array_equal(clipped[name], grads[name])
-        assert clipped[name] is not grads[name]
+    a, b = params_with_grads(a=[[1.0, 2.0]], b=[2.0])
+    assert clip_global_norm([a, b], 100.0) == 3.0
+    np.testing.assert_array_equal(a.grad, [[1.0, 2.0]])
+    np.testing.assert_array_equal(b.grad, [2.0])
 
 
 def test_clip_zero_gradients():
-    clipped = clip_global_norm({"a": np.zeros((2, 2))}, 6.0)
-    np.testing.assert_array_equal(clipped["a"], np.zeros((2, 2)))
+    (a,) = params_with_grads(a=np.zeros((2, 2)))
+    assert clip_global_norm([a], 6.0) == 0.0
+    np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_clip_rejects_non_finite_norm(bad):
-    grads = {"a": np.ones(2), "b": np.array([1.0, bad])}
+    params = params_with_grads(a=np.ones(2), b=[1.0, bad])
     with pytest.raises(NonFiniteError, match="'b'"):
-        clip_global_norm(grads, 6.0)
+        clip_global_norm(params, 6.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,15 +218,16 @@ def test_clip_rejects_non_finite_norm(bad):
                 min_size=1, max_size=4),
        st.floats(min_value=1e-3, max_value=50.0))
 def test_clip_norm_bounded_and_direction_kept(rows, threshold):
-    grads = {f"g{i}": np.array(row) for i, row in enumerate(rows)}
-    clipped = clip_global_norm(grads, threshold)
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
+    params = params_with_grads(**{f"g{i}": row for i, row in enumerate(rows)})
+    before = clip_global_norm(params, threshold)
+    norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
     assert norm <= threshold + 1e-9
     original = math.sqrt(sum(float(np.sum(np.array(r) ** 2)) for r in rows))
+    assert before == original
     if original > 0:
         scale = min(1.0, threshold / original)
-        for i, row in enumerate(rows):
-            np.testing.assert_allclose(clipped[f"g{i}"], np.array(row) * scale, rtol=1e-12)
+        for p, row in zip(params, rows):
+            np.testing.assert_allclose(p.grad, np.array(row) * scale, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +237,8 @@ def test_clip_norm_bounded_and_direction_kept(rows, threshold):
 def test_adam_first_step_matches_hand_formula():
     p = Parameter("w", np.array([1.0]))
     opt = Adam([p], learning_rate=0.1)
-    g = np.array([0.5])
-    opt.step({"w": g})
+    p.grad = np.array([0.5])
+    opt.step()
     m_hat = 0.05 / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -243,7 +254,8 @@ def test_adam_matches_reference_loop():
     opt = Adam([p], learning_rate=0.01)
     for t in range(1, 6):
         g = rng.standard_normal(4)
-        opt.step({"w": g.copy()})
+        p.grad = g.copy()
+        opt.step()
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         reference -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -251,10 +263,15 @@ def test_adam_matches_reference_loop():
 
 
 def test_adam_skips_frozen_and_missing():
-    frozen = Parameter("f", np.array([1.0]), trainable=False)
+    """A frozen parameter is not optimized; one off the loss path holds a
+    zero gradient and does not move on the first step."""
+    frozen = Parameter("f", np.array([1.0]), requires_grad=False)
     loose = Parameter("w", np.array([1.0]))
     opt = Adam([frozen, loose], learning_rate=0.1)
-    opt.step({"f": np.array([5.0])})
+    assert opt.params == [loose]
+    frozen.grad = np.array([5.0])
+    loose.grad = np.zeros(1)
+    opt.step()
     assert frozen.data[0] == 1.0
     assert loose.data[0] == 1.0
 
@@ -439,6 +456,41 @@ def test_train_restores_best_parameters(splits):
     assert total / len(splits[1]) == checkpoint.val_losses[best]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_one_clipped_step_equals_straight_line_reference(splits, kind):
+    """One epoch of one batch, clipped: the trained parameters equal, bit
+    for bit, per-record backward into shared buffers, the batch mean, a
+    global-norm clip in parameter order and one Adam step."""
+    train_set, val_set, _ = splits
+    config = tiny_config(max_epochs=1, batch_size=8, grad_clip=1e-3)
+    records = train_set[:3]
+    result = train(config, records, val_set, model_kind=kind)
+
+    word_table, pattern_table = build_tables(records, config)
+    model = build_model(kind, config, word_table, pattern_table)
+    units = [u for r in records for u in replicate_for_training(r)] if kind == MODEL_POSHAN else records
+    (batch,) = make_batches(padded_units(units), config.batch_size, seed=config.seed)
+    assert len(batch) >= 2
+    params = [p for p in model.parameters() if p.requires_grad]
+    for padded in batch:
+        backward(model.loss(padded))
+    grads = [(np.zeros_like(p.data) if p.grad is None else p.grad) * (1.0 / len(batch))
+             for p in params]
+    norm = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads))
+    assert norm > config.grad_clip
+    for p, g in zip(params, grads):
+        g = g * (config.grad_clip / norm)
+        m = 0.9 * np.zeros_like(g) + (1.0 - 0.9) * g
+        v = 0.999 * np.zeros_like(g) + (1.0 - 0.999) * g * g
+        m_hat, v_hat = m / (1.0 - 0.9), v / (1.0 - 0.999)
+        p.data[...] = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+    assert result.checkpoint.best_epoch == 0
+    assert list(result.checkpoint.params) == [p.name for p in model.parameters()]
+    for p in model.parameters():
+        assert np.array_equal(result.checkpoint.params[p.name], p.data), p.name
+
+
 def test_train_rejects_empty_splits(splits):
     train_set, val_set, _ = splits
     with pytest.raises(DataError, match="training"):
@@ -601,7 +653,7 @@ def test_checkpoint_reader_keeps_the_preloaded_word_modes(trained, splits, tmp_p
         model = model_from_checkpoint(load_checkpoint(path))
         table = model.word_table.matrix
         assert model.word_table.mode == mode
-        assert table.trainable is trainable
+        assert table.requires_grad is trainable
         optimized = Adam(model.parameters(), learning_rate=0.1).params
         assert any(p is table for p in optimized) is trainable
         for p in padded:
