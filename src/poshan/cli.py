@@ -24,6 +24,7 @@ from .text import (
     featurize,
     read_corpus,
     read_derived,
+    summary_tsv,
     write_derived,
 )
 from .train import (
@@ -117,9 +118,9 @@ def _cmd_derive(args) -> int:
         raise _UsageError("derive: --tags and --fallback-tagger are mutually exclusive")
     provider = SidecarTags.from_jsonl(args.tags) if args.tags else RuleTagger()
     records = read_corpus(args.input)
-    kept, summary = derive_dataset(records, provider)
+    kept, counts = derive_dataset(records, provider)
     write_derived(kept, args.output)
-    print(summary.to_tsv(), end="")
+    print(summary_tsv(counts), end="")
     return EXIT_OK
 
 

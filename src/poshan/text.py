@@ -2,7 +2,9 @@
 cardinal-feature extraction that turns raw headline/body pairs into
 model-ready records.
 
-Tagging is pluggable.  The primary path reads precomputed tags from a
+Tagging is pluggable.  A provider has one method, ``tags(record_id,
+headline_tokens, sentence_tokens)``, that returns the headline's tags and
+one tag list per sentence.  The primary path reads precomputed tags from a
 sidecar file keyed by record id; a deterministic rule tagger is bundled so
 the pipeline works self-contained in tests and demos.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -97,34 +100,9 @@ class DatasetRecord:
 
 
 _PUNCT = frozenset(string.punctuation)
-# digits with optional comma grouping and optional decimal part
-_NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
-
-
-def _is_number(s: str) -> bool:
-    return bool(_NUMBER_RE.fullmatch(s))
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    if _is_number(chunk):
-        return [chunk]
-    leading: list[str] = []
-    while chunk and chunk[0] in _PUNCT:
-        leading.append(chunk[0])
-        chunk = chunk[1:]
-        if _is_number(chunk):
-            return leading + [chunk]
-    trailing: list[str] = []
-    while chunk and chunk[-1] in _PUNCT:
-        trailing.append(chunk[-1])
-        chunk = chunk[:-1]
-        if _is_number(chunk):
-            break
-    parts = leading
-    if chunk:
-        parts.append(chunk)
-    parts.extend(reversed(trailing))
-    return parts
+# one punctuation character, or a run of non-space characters that starts
+# and ends with a non-punctuation character
+_TOKEN_RE = re.compile(r"[{0}]|[^\s{0}](?:\S*[^\s{0}])?".format(re.escape(string.punctuation)))
 
 
 def tokenize(text: str) -> list[str]:
@@ -132,15 +110,11 @@ def tokenize(text: str) -> list[str]:
 
     Whitespace separates tokens; leading/trailing punctuation becomes its
     own token; numeric strings (digits, optional decimal point, optional
-    comma grouping) stay whole.
+    comma grouping) stay whole, as does every other run that starts and
+    ends with a non-punctuation character.
     """
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
-
-_TERMINATORS = ".!?"
 
 # words ending in '.' that do not end a sentence
 ABBREVIATIONS = frozenset({
@@ -152,31 +126,25 @@ ABBREVIATIONS = frozenset({
     "sept.", "oct.", "nov.", "dec.",
 })
 
-
-def _ends_abbreviation(text: str, i: int) -> bool:
-    j = i
-    while j > 0 and not text[j - 1].isspace():
-        j -= 1
-    return text[j:i + 1].lower() in ABBREVIATIONS
+# a whole word ending in '.', '!' or '?'
+_END_WORD_RE = re.compile(r"(?<!\S)\S*[.!?](?!\S)")
 
 
 def split_sentences(body: str) -> list[str]:
-    """Split body text on '.', '!', '?' followed by whitespace or end.
+    """Split body text after each word that ends in '.', '!' or '?'.
 
     A guard list of common abbreviations suppresses false splits.  Empty
     sentences are never returned.
     """
     sentences: list[str] = []
     start = 0
-    n = len(body)
-    for i, ch in enumerate(body):
-        if ch in _TERMINATORS and (i + 1 == n or body[i + 1].isspace()):
-            if ch == "." and _ends_abbreviation(body, i):
-                continue
-            piece = body[start:i + 1].strip()
-            if piece:
-                sentences.append(piece)
-            start = i + 1
+    for match in _END_WORD_RE.finditer(body):
+        if match.group().lower() in ABBREVIATIONS:
+            continue
+        piece = body[start:match.end()].strip()
+        if piece:
+            sentences.append(piece)
+        start = match.end()
     tail = body[start:].strip()
     if tail:
         sentences.append(tail)
@@ -192,6 +160,9 @@ one two three four five six seven eight nine ten eleven twelve thirteen
 fourteen fifteen sixteen seventeen eighteen nineteen twenty thirty forty
 fifty sixty seventy eighty ninety hundred thousand million billion
 """.split())
+
+# digits with optional comma grouping and optional decimal part
+_NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
 
 _WORD_TAGS: dict[str, str] = {}
 for _w in ("the", "a", "an", "this", "that", "these", "those"):
@@ -247,7 +218,7 @@ class RuleTagger:
     a small lexicon and suffix table cover the rest, default NN."""
 
     def tag_token(self, token: str) -> str:
-        if _is_number(token) or token in NUMBER_WORDS:
+        if _NUMBER_RE.fullmatch(token) or token in NUMBER_WORDS:
             return CD_TAG
         if token in _WORD_TAGS:
             return _WORD_TAGS[token]
@@ -260,68 +231,59 @@ class RuleTagger:
                 return tag
         return "NN"
 
-    def headline_tags(self, record_id: str | None, tokens: Sequence[str]) -> list[str]:
-        return [self.tag_token(t) for t in tokens]
-
-    def sentence_tags(self, record_id: str | None, sentence_index: int,
-                      tokens: Sequence[str]) -> list[str]:
-        return [self.tag_token(t) for t in tokens]
+    def tags(self, record_id: str, headline: Sequence[str],
+             sentences: Sequence[Sequence[str]]) -> tuple[list[str], list[list[str]]]:
+        return [self.tag_token(t) for t in headline], [
+            [self.tag_token(t) for t in sentence] for sentence in sentences]
 
 
 class SidecarTags:
     """Precomputed tags keyed by record id, one tag list per token list."""
 
-    def __init__(self, entries: dict[str, dict]):
+    def __init__(self, entries: dict[str, tuple[list[str], list[list[str]]]]):
         self._entries = entries
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "SidecarTags":
-        entries: dict[str, dict] = {}
+        entries = {}
+        lines: dict[str, int] = {}
         for lineno, obj in _read_jsonl(path):
             for key in ("id", "headline_tags", "body_tags"):
                 if key not in obj:
                     raise DataError(f"{path}:{lineno}: sidecar entry missing {key!r}")
-            entries[obj["id"]] = obj
+            record_id, headline, body = obj["id"], obj["headline_tags"], obj["body_tags"]
+            if not isinstance(record_id, str):
+                raise DataError(f"{path}:{lineno}: sidecar id {record_id!r} is not a string")
+            if not _is_tag_list(headline):
+                raise DataError(f"{path}:{lineno}: headline_tags must be a list of strings")
+            if not (isinstance(body, list) and all(_is_tag_list(tags) for tags in body)):
+                raise DataError(f"{path}:{lineno}: body_tags must be a list of lists of strings")
+            _note_id(lines, record_id, path, lineno)
+            entries[record_id] = (headline, body)
         return cls(entries)
 
-    def _entry(self, record_id: str | None) -> dict:
-        if record_id is None:
-            raise TaggingError("sidecar tagging requires a record id")
+    def tags(self, record_id: str, headline: Sequence[str],
+             sentences: Sequence[Sequence[str]]) -> tuple[list[str], list[list[str]]]:
         if record_id not in self._entries:
             raise TaggingError(f"no sidecar tags for record {record_id!r}")
-        return self._entries[record_id]
-
-    def headline_tags(self, record_id: str | None, tokens: Sequence[str]) -> list[str]:
-        tags = self._entry(record_id)["headline_tags"]
-        if len(tags) != len(tokens):
+        head, body = self._entries[record_id]
+        if len(head) != len(headline):
             raise TaggingError(
-                f"record {record_id!r}: sidecar has {len(tags)} headline tags "
-                f"for {len(tokens)} tokens")
-        return list(tags)
-
-    def sentence_tags(self, record_id: str | None, sentence_index: int,
-                      tokens: Sequence[str]) -> list[str]:
-        body = self._entry(record_id)["body_tags"]
-        if sentence_index >= len(body):
-            raise TaggingError(
-                f"record {record_id!r}: sidecar has {len(body)} sentences, "
-                f"needed index {sentence_index}")
-        tags = body[sentence_index]
-        if len(tags) != len(tokens):
-            raise TaggingError(
-                f"record {record_id!r}: sidecar sentence {sentence_index} has "
-                f"{len(tags)} tags for {len(tokens)} tokens")
-        return list(tags)
+                f"record {record_id!r}: sidecar has {len(head)} headline tags "
+                f"for {len(headline)} tokens")
+        for i, tokens in enumerate(sentences):
+            if i >= len(body):
+                raise TaggingError(
+                    f"record {record_id!r}: sidecar has {len(body)} sentences, needed index {i}")
+            if len(body[i]) != len(tokens):
+                raise TaggingError(
+                    f"record {record_id!r}: sidecar sentence {i} has "
+                    f"{len(body[i])} tags for {len(tokens)} tokens")
+        return head, body[:len(sentences)]
 
 
-def pos_tag(tokens: Sequence[str], provider, record_id: str | None = None,
-            sentence_index: int | None = None) -> list[TaggedToken]:
-    """Tag a token list via the given provider; one tag per token."""
-    if sentence_index is None:
-        tags = provider.headline_tags(record_id, tokens)
-    else:
-        tags = provider.sentence_tags(record_id, sentence_index, tokens)
-    return [TaggedToken(text=t, pos=p) for t, p in zip(tokens, tags)]
+def _is_tag_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(tag, str) for tag in value)
 
 
 # ---------------------------------------------------------------------------
@@ -349,63 +311,44 @@ def extract_cardinal_features(
     return patterns, phrases
 
 
-@dataclass
-class DeriveSummary:
-    counts: dict[str, list[int]] = field(default_factory=dict)
-
-    def add(self, label: str, kept: bool) -> None:
-        row = self.counts.setdefault(label, [0, 0])
-        row[0 if kept else 1] += 1
-
-    def kept(self, label: str) -> int:
-        return self.counts.get(label, [0, 0])[0]
-
-    def dropped(self, label: str) -> int:
-        return self.counts.get(label, [0, 0])[1]
-
-    @property
-    def total_kept(self) -> int:
-        return sum(v[0] for v in self.counts.values())
-
-    def to_tsv(self) -> str:
-        lines = ["label\tkept\tdropped"]
-        for label in LABELS:
-            lines.append(f"{label}\t{self.kept(label)}\t{self.dropped(label)}")
-        total_dropped = sum(v[1] for v in self.counts.values())
-        lines.append(f"total\t{self.total_kept}\t{total_dropped}")
-        return "\n".join(lines) + "\n"
+def _tagged(tokens: Sequence[str], tags: Sequence[str]) -> list[TaggedToken]:
+    return [TaggedToken(text=t, pos=p) for t, p in zip(tokens, tags)]
 
 
 def featurize(raw: RawRecord, provider) -> DatasetRecord:
     """Tokenize, tag and extract cardinal features for one record."""
-    headline = pos_tag(tokenize(raw.headline), provider, record_id=raw.id)
-    patterns, phrases = extract_cardinal_features(headline)
-    sentences = []
-    for si, sent in enumerate(split_sentences(raw.body)):
-        toks = tokenize(sent)
-        if toks:
-            sentences.append(pos_tag(toks, provider, record_id=raw.id, sentence_index=si))
-    return DatasetRecord(id=raw.id, headline=headline, sentences=sentences,
+    headline = tokenize(raw.headline)
+    sentences = [tokenize(sentence) for sentence in split_sentences(raw.body)]
+    head_tags, body_tags = provider.tags(raw.id, headline, sentences)
+    tagged = _tagged(headline, head_tags)
+    patterns, phrases = extract_cardinal_features(tagged)
+    return DatasetRecord(id=raw.id, headline=tagged,
+                         sentences=[_tagged(toks, tags) for toks, tags in zip(sentences, body_tags)],
                          label=raw.label, patterns=patterns, phrases=phrases)
 
 
 def derive_dataset(records: Iterable[RawRecord],
-                   provider) -> tuple[list[DatasetRecord], DeriveSummary]:
+                   provider) -> tuple[list[DatasetRecord], Counter]:
     """Keep exactly the records whose tagged headline contains a CD token.
 
-    Returns the kept records in input order plus a kept/dropped summary
-    per label.
+    Returns the kept records in input order plus a count of records per
+    ``(label, kept)`` pair.
     """
     kept: list[DatasetRecord] = []
-    summary = DeriveSummary()
+    counts: Counter = Counter()
     for raw in records:
         rec = featurize(raw, provider)
         if rec.patterns:
             kept.append(rec)
-            summary.add(raw.label, kept=True)
-        else:
-            summary.add(raw.label, kept=False)
-    return kept, summary
+        counts[raw.label, bool(rec.patterns)] += 1
+    return kept, counts
+
+
+def summary_tsv(counts: Counter) -> str:
+    """Kept and dropped records per label and in total, as TSV."""
+    rows = [(label, counts[label, True], counts[label, False]) for label in LABELS]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    return "label\tkept\tdropped\n" + "".join(f"{a}\t{b}\t{c}\n" for a, b, c in rows)
 
 
 def replicate_for_training(record: DatasetRecord) -> list[DatasetRecord]:
@@ -441,18 +384,33 @@ def _read_jsonl(path: str | Path):
             yield lineno, obj
 
 
+def _note_id(lines: dict[str, int], record_id: str, path, lineno: int) -> None:
+    """Remember the line of an id; an id seen before raises DataError."""
+    first = lines.setdefault(record_id, lineno)
+    if first != lineno:
+        raise DataError(f"{path}:{first}: id {record_id!r} appears again on line {lineno}")
+
+
 def read_corpus(path: str | Path) -> list[RawRecord]:
-    """Read raw headline/body records from JSON Lines."""
+    """Read raw headline/body records from JSON Lines; a missing field, a
+    headline or body that is not a string, an unknown label or a repeated
+    id raises DataError naming the line(s)."""
     records = []
+    lines: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         for key in ("id", "headline", "body", "label"):
             if key not in obj:
                 raise DataError(f"{path}:{lineno}: record missing {key!r}")
+        for key in ("headline", "body"):
+            if not isinstance(obj[key], str):
+                raise DataError(f"{path}:{lineno}: {key} {obj[key]!r} is not a string")
         label = str(obj["label"]).lower()
         if label not in LABELS:
             raise DataError(
                 f"{path}:{lineno}: label {obj['label']!r} not one of {LABELS}")
-        records.append(RawRecord(id=str(obj["id"]), headline=obj["headline"],
+        record_id = str(obj["id"])
+        _note_id(lines, record_id, path, lineno)
+        records.append(RawRecord(id=record_id, headline=obj["headline"],
                                  body=obj["body"], label=label))
     return records
 
@@ -532,8 +490,6 @@ def read_derived(path: str | Path) -> list[DatasetRecord]:
             record = record_from_json(obj)
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad derived record ({exc})") from None
-        first = lines.setdefault(record.id, lineno)
-        if first != lineno:
-            raise DataError(f"{path}:{first}: id {record.id!r} appears again on line {lineno}")
+        _note_id(lines, record.id, path, lineno)
         records.append(record)
     return records

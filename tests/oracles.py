@@ -1,15 +1,20 @@
 """Independent reference computations the test suite checks the package
-against: brute-force metric oracles and a straight-line transcription of
-the full document forward.
+against: brute-force metric oracles, a straight-line transcription of
+the full document forward, and character-loop references for the
+tokenizer and the sentence splitter.
 
 Everything here reads parameter data as plain numpy arrays and
 recomputes results from first principles, without calling the package's
-graph operations.
+graph operations or its regular expressions.
 """
 
+import re
+import string
 from functools import reduce
 
 import numpy as np
+
+from poshan.text import ABBREVIATIONS
 
 CLASSES = ("congruent", "incongruent")
 POSITIVE = "incongruent"
@@ -183,3 +188,77 @@ def straight_line_poshan_forward(model, padded):
     betas = [_masked_softmax(scores[q], sent_mask) for q in types]
     fused = _mean(betas)
     return reduce(np.add, [w * s for w, s in zip(fused, states)])
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer and sentence splitter, one character at a time
+
+
+_PUNCT = frozenset(string.punctuation)
+# digits with optional comma grouping and optional decimal part
+_NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
+
+
+def _is_number(s: str) -> bool:
+    return bool(_NUMBER_RE.fullmatch(s))
+
+
+def _split_chunk(chunk: str) -> list[str]:
+    if _is_number(chunk):
+        return [chunk]
+    leading: list[str] = []
+    while chunk and chunk[0] in _PUNCT:
+        leading.append(chunk[0])
+        chunk = chunk[1:]
+        if _is_number(chunk):
+            return leading + [chunk]
+    trailing: list[str] = []
+    while chunk and chunk[-1] in _PUNCT:
+        trailing.append(chunk[-1])
+        chunk = chunk[:-1]
+        if _is_number(chunk):
+            break
+    parts = leading
+    if chunk:
+        parts.append(chunk)
+    parts.extend(reversed(trailing))
+    return parts
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Lowercase, split on whitespace, then peel edge punctuation off each
+    chunk one character at a time, keeping numbers whole."""
+    tokens: list[str] = []
+    for chunk in text.lower().split():
+        tokens.extend(_split_chunk(chunk))
+    return tokens
+
+
+_TERMINATORS = ".!?"
+
+
+def _ends_abbreviation(text: str, i: int) -> bool:
+    j = i
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    return text[j:i + 1].lower() in ABBREVIATIONS
+
+
+def oracle_split_sentences(body: str) -> list[str]:
+    """Split after every '.', '!' or '?' followed by whitespace or the end,
+    unless the word it ends is an abbreviation; empty pieces are dropped."""
+    sentences: list[str] = []
+    start = 0
+    n = len(body)
+    for i, ch in enumerate(body):
+        if ch in _TERMINATORS and (i + 1 == n or body[i + 1].isspace()):
+            if ch == "." and _ends_abbreviation(body, i):
+                continue
+            piece = body[start:i + 1].strip()
+            if piece:
+                sentences.append(piece)
+            start = i + 1
+    tail = body[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences

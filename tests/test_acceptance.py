@@ -225,12 +225,12 @@ def test_derive_matches_hand_filter_on_ten_records():
     ]
     records = [RawRecord(id=i, headline=h, body="Something happened today.",
                          label="congruent") for i, h, _ in rows]
-    kept, summary = derive_dataset(records, _TAGGER)
+    kept, counts = derive_dataset(records, _TAGGER)
     expected = [i for i, _, keep in rows if keep]
     assert [r.id for r in kept] == expected
-    assert summary.total_kept == len(expected)
-    assert summary.kept("congruent") == len(expected)
-    assert summary.dropped("congruent") == len(rows) - len(expected)
+    assert counts["congruent", True] + counts["incongruent", True] == len(expected)
+    assert counts["congruent", True] == len(expected)
+    assert counts["congruent", False] == len(rows) - len(expected)
 
 
 def test_extract_features_matches_hand_oracle():
@@ -252,7 +252,7 @@ def test_pattern_count_equals_cardinal_count_on_1000_headlines():
                 tokens.append(str(int(rng.integers(0, 5000))))
             else:
                 tokens.append(_POOL[rng.integers(len(_POOL))])
-        tags = _TAGGER.headline_tags(None, tokens)
+        tags, _ = _TAGGER.tags(f"h{i}", tokens, [])
         tagged = [TaggedToken(t, g) for t, g in zip(tokens, tags)]
         patterns, phrases = extract_cardinal_features(tagged)
         cardinal_count = tags.count("CD")
@@ -402,7 +402,7 @@ def test_external_corpus_derivation_counts(corpus_env, tags_env, total,
         pytest.skip(f"set {corpus_env} and {tags_env} to run this check")
     records = read_corpus(corpus_path)
     provider = SidecarTags.from_jsonl(tags_path)
-    _, summary = derive_dataset(records, provider)
-    assert summary.total_kept == total
-    assert summary.kept("congruent") == congruent
-    assert summary.kept("incongruent") == incongruent
+    _, counts = derive_dataset(records, provider)
+    assert counts["congruent", True] + counts["incongruent", True] == total
+    assert counts["congruent", True] == congruent
+    assert counts["incongruent", True] == incongruent

@@ -145,6 +145,39 @@ def test_derive_malformed_corpus_names_line(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
+_ROW = dict(id="a", headline="Loan hits 3 million", body="He won 2 games.", label="congruent")
+_TAGS = dict(id="a", headline_tags=["NN", "VBZ", "CD", "CD"],
+             body_tags=[["PRP", "VBD", "CD", "NNS", "."]])
+
+
+@pytest.mark.parametrize("rows,tags,message", [
+    ([dict(_ROW, headline=5)], None, "corpus.jsonl:1: headline 5 is not a string"),
+    ([dict(_ROW, headline=None)], None, "corpus.jsonl:1: headline None is not a string"),
+    ([dict(_ROW, body=["x"])], None, "corpus.jsonl:1: body ['x'] is not a string"),
+    ([_ROW, _ROW], None, "corpus.jsonl:1: id 'a' appears again on line 2"),
+    ([_ROW], [_TAGS, _TAGS], "tags.jsonl:1: id 'a' appears again on line 2"),
+    ([_ROW], [dict(_TAGS, headline_tags=5)], "tags.jsonl:1: headline_tags must be"),
+    ([_ROW], [dict(_TAGS, id=["a"])], "tags.jsonl:1: sidecar id ['a'] is not a string"),
+    ([dict(_ROW, headline="Loan 3")], [dict(_TAGS, headline_tags="CD")],
+     "tags.jsonl:1: headline_tags must be"),
+    ([_ROW], [dict(_TAGS, body_tags=[["PRP", "VBD", "CD", 7, "."]])],
+     "tags.jsonl:1: body_tags must be"),
+], ids=["headline-number", "headline-null", "body-list", "raw-id-twice", "sidecar-id-twice",
+        "headline-tags-number", "sidecar-id-list", "headline-tags-string", "body-tag-number"])
+def test_derive_malformed_input_is_one_line_data_error(tmp_path, capsys, rows, tags, message):
+    write_corpus(tmp_path / "corpus.jsonl", rows)
+    source = ["--fallback-tagger"]
+    if tags is not None:
+        write_corpus(tmp_path / "tags.jsonl", tags)
+        source = ["--tags", str(tmp_path / "tags.jsonl")]
+    rc = main(["derive", "--input", str(tmp_path / "corpus.jsonl"), *source,
+               "--output", str(tmp_path / "derived.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert len(err.splitlines()) == 1 and err.startswith("poshan: "), err
+    assert message in err and "Traceback" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # split
 

@@ -2,12 +2,15 @@
 features, dataset derivation and the JSONL round trip."""
 
 import json
+import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_split_sentences, oracle_tokenize
 from poshan.text import (
+    ABBREVIATIONS,
     BOS_TAG,
     BOS_TOKEN,
     CD_TAG,
@@ -28,13 +31,13 @@ from poshan.text import (
     extract_cardinal_features,
     featurize,
     label_index,
-    pos_tag,
     read_corpus,
     read_derived,
     record_from_json,
     record_to_json,
     replicate_for_training,
     split_sentences,
+    summary_tsv,
     tokenize,
     write_derived,
 )
@@ -42,6 +45,13 @@ from poshan.text import (
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+
+
+# every character for which str.isspace() holds
+_WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+_ALPHABET = st.sampled_from(
+    list(string.punctuation) + list(string.digits) + list("aBzİßﬁé") + _WHITESPACE)
+_ABBREVIATION = st.sampled_from(sorted(ABBREVIATIONS | {a.upper() for a in ABBREVIATIONS}))
 
 
 class TestTokenize:
@@ -80,6 +90,11 @@ class TestTokenize:
     def test_idempotent(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.text(_ALPHABET, max_size=40))
+    @settings(max_examples=300)
+    def test_matches_character_loop_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
 
     @given(st.text(max_size=80))
     @settings(max_examples=200)
@@ -123,6 +138,12 @@ class TestSplitSentences:
         got = split_sentences("The U.S. economy grew. Markets rose.")
         assert got == ["The U.S. economy grew.", "Markets rose."]
 
+    @given(st.lists(st.one_of(_ABBREVIATION, st.text(_ALPHABET, max_size=4)),
+                    max_size=20).map("".join))
+    @settings(max_examples=300)
+    def test_matches_character_loop_oracle(self, body):
+        assert split_sentences(body) == oracle_split_sentences(body)
+
     @given(st.text(max_size=120))
     @settings(max_examples=200)
     def test_never_empty_and_preserves_nonspace(self, body):
@@ -142,7 +163,8 @@ class TestRuleTagger:
         self.tagger = RuleTagger()
 
     def tags(self, tokens):
-        return [t.pos for t in pos_tag(tokens, self.tagger)]
+        headline_tags, _ = self.tagger.tags("r0", tokens, [])
+        return headline_tags
 
     def test_reference_sequence(self):
         assert self.tags(["loan", "1", "million"]) == ["NN", CD_TAG, CD_TAG]
@@ -198,36 +220,32 @@ class TestSidecarTags:
             "headline_tags": ["NN", "CD"],
             "body_tags": [["DT", "NN"], ["PRP", "VBD"]],
         }])
-        assert side.headline_tags("r1", ["loan", "1"]) == ["NN", "CD"]
-        assert side.sentence_tags("r1", 1, ["he", "ran"]) == ["PRP", "VBD"]
+        headline, sentences = side.tags("r1", ["loan", "1"], [["a", "b"], ["he", "ran"]])
+        assert headline == ["NN", "CD"]
+        assert sentences[1] == ["PRP", "VBD"]
 
     def test_unknown_record_names_id(self, tmp_path):
         side = self.make(tmp_path, [])
         with pytest.raises(TaggingError, match="r9"):
-            side.headline_tags("r9", ["x"])
+            side.tags("r9", ["x"], [])
 
     def test_length_mismatch_names_id(self, tmp_path):
         side = self.make(tmp_path, [{
             "id": "r1", "headline_tags": ["NN"], "body_tags": []}])
         with pytest.raises(TaggingError, match="r1"):
-            side.headline_tags("r1", ["two", "tokens"])
+            side.tags("r1", ["two", "tokens"], [])
 
     def test_sentence_index_out_of_range(self, tmp_path):
         side = self.make(tmp_path, [{
             "id": "r1", "headline_tags": [], "body_tags": [["NN"]]}])
         with pytest.raises(TaggingError, match="r1"):
-            side.sentence_tags("r1", 3, ["x"])
+            side.tags("r1", [], [["x"], ["y"]])
 
     def test_missing_field_in_file(self, tmp_path):
         p = tmp_path / "tags.jsonl"
         _write_jsonl(p, [{"id": "r1", "headline_tags": []}])
         with pytest.raises(DataError, match="body_tags"):
             SidecarTags.from_jsonl(p)
-
-    def test_requires_record_id(self, tmp_path):
-        side = self.make(tmp_path, [])
-        with pytest.raises(TaggingError):
-            side.headline_tags(None, ["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +315,11 @@ class TestDeriveDataset:
             _raw(1, "Dog bites man", label=INCONGRUENT),
             _raw(2, "Five ways to save", label=INCONGRUENT),
         ]
-        kept, summary = derive_dataset(records, RuleTagger())
+        kept, counts = derive_dataset(records, RuleTagger())
         assert [r.id for r in kept] == ["r0", "r2"]
-        assert summary.kept(CONGRUENT) == 1 and summary.dropped(CONGRUENT) == 0
-        assert summary.kept(INCONGRUENT) == 1 and summary.dropped(INCONGRUENT) == 1
-        assert summary.total_kept == 2
+        assert counts[CONGRUENT, True] == 1 and counts[CONGRUENT, False] == 0
+        assert counts[INCONGRUENT, True] == 1 and counts[INCONGRUENT, False] == 1
+        assert counts[CONGRUENT, True] + counts[INCONGRUENT, True] == 2
 
     def test_filter_matches_tag_scan(self):
         # kept iff the tagged headline contains at least one CD token
@@ -310,8 +328,7 @@ class TestDeriveDataset:
         tagger = RuleTagger()
         kept, _ = derive_dataset(records, tagger)
         expect = {r.id for r in records
-                  if any(t.pos == CD_TAG
-                         for t in pos_tag(tokenize(r.headline), tagger))}
+                  if CD_TAG in tagger.tags(r.id, tokenize(r.headline), [])[0]}
         assert {r.id for r in kept} == expect
 
     def test_featurize_populates_sentences(self):
@@ -320,8 +337,8 @@ class TestDeriveDataset:
         assert [t.text for t in rec.sentences[0]] == ["a", "b", "."]
 
     def test_summary_tsv_shape(self):
-        _, summary = derive_dataset([_raw(0, "7 up")], RuleTagger())
-        lines = summary.to_tsv().strip().split("\n")
+        _, counts = derive_dataset([_raw(0, "7 up")], RuleTagger())
+        lines = summary_tsv(counts).strip().split("\n")
         assert lines[0] == "label\tkept\tdropped"
         assert len(lines) == 4
         assert lines[-1].startswith("total\t")
