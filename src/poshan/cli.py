@@ -187,7 +187,7 @@ def _cmd_dump_patterns(args) -> int:
     if checkpoint.patterns is None:
         raise DataError(
             f"checkpoint for {checkpoint.model_kind!r} has no pattern table")
-    param = Parameter("pattern_embeddings", checkpoint.params["pattern_embeddings"].copy())
+    param = Parameter("pattern_embeddings", checkpoint.params["pattern_embeddings"])
     table = PatternEmbeddingTable(dict(checkpoint.patterns), param)
     export_pattern_embeddings(table, args.out)
     if args.majority_out:

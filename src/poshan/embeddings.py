@@ -55,13 +55,16 @@ class WordEmbeddingTable:
 
     Sentinel tokens resolve to the zero padding row; unseen tokens resolve
     to the unknown row.  Lookups of the padding row read zeros and pass no
-    gradient back, so no gradient can ever reach it.
+    gradient back, so no gradient can ever reach it.  The table gives its
+    matrix the per-row ``active`` flags (see ``grad.Parameter``), so the
+    optimizer touches only rows that have had a gradient.
     """
 
     def __init__(self, vocab: dict, matrix: Parameter, mode: str):
         self.vocab = vocab
         self.matrix = matrix
         self.mode = mode
+        matrix.active = np.zeros(len(matrix.data), dtype=bool)
 
     @property
     def dim(self) -> int:
@@ -104,11 +107,13 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
 
 class PatternEmbeddingTable:
     """Cardinal POS pattern strings to trainable rows; index 0 is the
-    unknown-pattern row."""
+    unknown-pattern row.  Like the word table, it gives its matrix the
+    per-row ``active`` flags."""
 
     def __init__(self, patterns: dict, matrix: Parameter):
         self.patterns = patterns
         self.matrix = matrix
+        matrix.active = np.zeros(len(matrix.data), dtype=bool)
 
     @property
     def dim(self) -> int:

@@ -294,7 +294,8 @@ def gather(matrix: Tensor, idx, pad: int | None = None) -> Tensor:
     Rows at index ``pad`` read as zeros and receive no gradient, whatever
     the matrix holds there.  The backward pass scatters with ``np.add.at``
     straight into the matrix's gradient buffer, so repeated indices
-    accumulate and no dense temporary of the matrix's size is built.
+    accumulate and no dense temporary of the matrix's size is built, and
+    sets those rows' ``active`` flags when the matrix is a table.
     """
     idx = np.asarray(idx, dtype=np.intp)
     if matrix.data.ndim == 0:
@@ -311,11 +312,12 @@ def gather(matrix: Tensor, idx, pad: int | None = None) -> Tensor:
     if out.requires_grad:
         def back():
             if matrix.grad is None:
-                matrix.grad = np.zeros_like(matrix.data)
-            if live is None:
-                np.add.at(matrix.grad, idx, out.grad)
-            else:
-                np.add.at(matrix.grad, idx[live], out.grad[live])
+                matrix.grad = np.zeros(matrix.data.shape)
+            hit, g = (idx, out.grad) if live is None else (idx[live], out.grad[live])
+            np.add.at(matrix.grad, hit, g)
+            active = getattr(matrix, "active", None)
+            if active is not None:
+                active[hit] = True
 
         out._backward = back
     return out
@@ -613,13 +615,27 @@ class Parameter(Tensor):
 
     Names must be unique within a model; checkpoints address parameters
     by these names.
+
+    An embedding table's matrix also has ``active``, one flag per row that
+    :func:`gather`'s backward sets for every row it scatters into; a table
+    gradient is written only there, so a row whose flag is false has never
+    had a gradient.  ``active`` is None on every other parameter.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "active")
 
     def __init__(self, name: str, data, requires_grad: bool = True):
         super().__init__(data, requires_grad=requires_grad)
         self.name = name
+        self.active: np.ndarray | None = None
+
+    def rows(self):
+        """Index of the rows whose gradient can be nonzero: ``...`` (all of
+        them) unless this is a table with rows that never had a gradient,
+        then the active rows' indices."""
+        if self.active is None or self.active.all():
+            return ...
+        return np.flatnonzero(self.active)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -672,11 +688,16 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_gradients(params: Iterable[Parameter]) -> None:
-    """Give each trainable parameter a fresh zero gradient buffer, so a
-    parameter off the path to the loss still has a gradient."""
+    """Zero each trainable parameter's gradient buffer in place, allocating
+    it on first use, so a parameter off the path to the loss still has a
+    gradient.  A table zeroes only its active rows: the others are zero."""
     for p in params:
-        if p.requires_grad:
-            p.grad = np.zeros_like(p.data)
+        if not p.requires_grad:
+            continue
+        if p.grad is None:
+            p.grad = np.zeros(p.data.shape)
+        else:
+            p.grad[p.rows()] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -271,15 +271,16 @@ class SidecarTags:
             raise TaggingError(
                 f"record {record_id!r}: sidecar has {len(head)} headline tags "
                 f"for {len(headline)} tokens")
-        for i, tokens in enumerate(sentences):
-            if i >= len(body):
-                raise TaggingError(
-                    f"record {record_id!r}: sidecar has {len(body)} sentences, needed index {i}")
-            if len(body[i]) != len(tokens):
+        if len(body) != len(sentences):
+            raise TaggingError(
+                f"record {record_id!r}: sidecar has {len(body)} sentence tag lists "
+                f"for {len(sentences)} sentences")
+        for i, (tags, tokens) in enumerate(zip(body, sentences)):
+            if len(tags) != len(tokens):
                 raise TaggingError(
                     f"record {record_id!r}: sidecar sentence {i} has "
-                    f"{len(body[i])} tags for {len(tokens)} tokens")
-        return head, body[:len(sentences)]
+                    f"{len(tags)} tags for {len(tokens)} tokens")
+        return head, body
 
 
 def _is_tag_list(value) -> bool:
@@ -392,23 +393,23 @@ def _note_id(lines: dict[str, int], record_id: str, path, lineno: int) -> None:
 
 
 def read_corpus(path: str | Path) -> list[RawRecord]:
-    """Read raw headline/body records from JSON Lines; a missing field, a
-    headline or body that is not a string, an unknown label or a repeated
-    id raises DataError naming the line(s)."""
+    """Read raw headline/body records from JSON Lines; a missing field, an
+    id, headline or body that is not a string, an unknown label or a
+    repeated id raises DataError naming the line(s)."""
     records = []
     lines: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         for key in ("id", "headline", "body", "label"):
             if key not in obj:
                 raise DataError(f"{path}:{lineno}: record missing {key!r}")
-        for key in ("headline", "body"):
+        for key in ("id", "headline", "body"):
             if not isinstance(obj[key], str):
                 raise DataError(f"{path}:{lineno}: {key} {obj[key]!r} is not a string")
         label = str(obj["label"]).lower()
         if label not in LABELS:
             raise DataError(
                 f"{path}:{lineno}: label {obj['label']!r} not one of {LABELS}")
-        record_id = str(obj["id"])
+        record_id = obj["id"]
         _note_id(lines, record_id, path, lineno)
         records.append(RawRecord(id=record_id, headline=obj["headline"],
                                  body=obj["body"], label=label))

@@ -255,13 +255,19 @@ def clip_global_norm(params: Sequence[Parameter], threshold: float) -> float:
     if norm > threshold:
         scale = threshold / norm
         for p in params:
-            p.grad *= scale
+            p.grad[p.rows()] *= scale
     return norm
 
 
 class Adam:
-    """Adam with bias correction over the trainable parameters; each
-    step reads every parameter's gradient."""
+    """Adam with bias correction over the trainable parameters, in place.
+
+    An embedding table is updated only in its active rows, the rows that
+    have had a gradient (``grad.Parameter.active``).  That is exact: a row
+    that never had a gradient has m = v = 0, so its update is exactly 0
+    and ``p - 0.0 == p``.  Every other parameter is updated whole, through
+    two scratch buffers kept between steps.
+    """
 
     def __init__(
         self,
@@ -277,19 +283,44 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # np.zeros, unlike zeros_like, leaves pages unwritten until a row is
+        # first updated, so a table's never-active rows cost no memory
+        self._m = [np.zeros(p.shape) for p in self.params]
+        self._v = [np.zeros(p.shape) for p in self.params]
+        self._scratch = [None if p.active is not None else (np.empty(p.shape), np.empty(p.shape))
+                         for p in self.params]
 
     def step(self) -> None:
         self.t += 1
+        for p, m, v, scratch in zip(self.params, self._m, self._v, self._scratch):
+            if scratch is not None:
+                self._update(p.data, p.grad, m, v, *scratch)
+                continue
+            rows = p.rows()
+            data, g, m_rows, v_rows = p.data[rows], p.grad[rows], m[rows], v[rows]
+            self._update(data, g, m_rows, v_rows, np.empty_like(g), np.empty_like(g))
+            p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
+
+    def _update(self, data, g, m, v, s, r) -> None:
+        """One step on arrays, in place, in the operation order of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``data - lr*m_hat / (sqrt(v_hat) + eps)``; ``s`` and ``r`` are
+        scratch of ``g``'s shape."""
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m[...] = b1 * m + (1.0 - b1) * g
-            v[...] = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p.data[...] = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(m, 1.0 - b1**self.t, out=s)
+        np.multiply(s, self.learning_rate, out=s)
+        np.divide(v, 1.0 - b2**self.t, out=r)
+        np.sqrt(r, out=r)
+        np.add(r, self.epsilon, out=r)
+        np.divide(s, r, out=s)
+        np.subtract(data, s, out=data)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +467,11 @@ def _check_header(header, where: str) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; a malformed header, truncated data or bytes past
-    the last parameter raise DataError."""
+    the last parameter raise DataError.
+
+    The parameter arrays are read-only views of the file's bytes, not
+    copies; ``model_from_checkpoint`` copies each one once, into its
+    parameter."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
@@ -464,8 +499,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         end = offset + count * 8
         if end > len(raw):
             raise DataError(f"{path}: truncated parameter data for {entry['name']!r}")
-        array = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
-        params[entry["name"]] = np.array(array, dtype=np.float64)
+        array = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        params[entry["name"]] = array.reshape(shape)
         offset = end
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the parameter data")
@@ -495,19 +530,19 @@ def _apply_params(model, stored: dict[str, np.ndarray]) -> None:
 
 
 def model_from_checkpoint(checkpoint: Checkpoint):
-    """Rebuild the trained model with its stored parameter values."""
+    """Rebuild the trained model with its stored parameter values, copying
+    each stored array once, into its parameter."""
     config = checkpoint.config
-    word_matrix = checkpoint.params["word_embeddings"]
-    word_param = Parameter(
-        "word_embeddings", word_matrix.copy(), requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN
-    )
+    stored = checkpoint.params
+    word_param = Parameter("word_embeddings", np.empty(stored["word_embeddings"].shape),
+                           requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN)
     word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
     pattern_table = None
     if checkpoint.patterns is not None:
-        pattern_param = Parameter("pattern_embeddings", checkpoint.params["pattern_embeddings"].copy())
+        pattern_param = Parameter("pattern_embeddings", np.empty(stored["pattern_embeddings"].shape))
         pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
     model = build_model(checkpoint.model_kind, config, word_table, pattern_table)
-    _apply_params(model, checkpoint.params)
+    _apply_params(model, stored)
     return model
 
 
@@ -664,7 +699,7 @@ def train(
                 batch_total += value
             inv = 1.0 / len(batch)
             for p in trainable:
-                p.grad *= inv
+                p.grad[p.rows()] *= inv
             clip_global_norm(trainable, config.grad_clip)
             optimizer.step()
             epoch_total += batch_total
@@ -689,8 +724,6 @@ def train(
     if best_epoch < 0:
         best_epoch = epochs_run - 1
         best_params = {p.name: p.data.copy() for p in params}
-    for p in params:
-        p.data[...] = best_params[p.name]
 
     checkpoint = Checkpoint(
         model_kind=model_kind,
@@ -703,7 +736,7 @@ def train(
             if model_kind == MODEL_POSHAN
             else None
         ),
-        params={p.name: p.data.copy() for p in params},
+        params=best_params,
         best_epoch=best_epoch,
         val_losses=val_losses,
     )

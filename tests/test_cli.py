@@ -162,8 +162,13 @@ _TAGS = dict(id="a", headline_tags=["NN", "VBZ", "CD", "CD"],
      "tags.jsonl:1: headline_tags must be"),
     ([_ROW], [dict(_TAGS, body_tags=[["PRP", "VBD", "CD", 7, "."]])],
      "tags.jsonl:1: body_tags must be"),
+    ([dict(_ROW, id=None)], None, "corpus.jsonl:1: id None is not a string"),
+    ([dict(_ROW, id=1), dict(_ROW, id="1")], None, "corpus.jsonl:1: id 1 is not a string"),
+    ([_ROW], [dict(_TAGS, body_tags=_TAGS["body_tags"] + [["NN"], ["NN"]])],
+     "record 'a': sidecar has 3 sentence tag lists for 1 sentences"),
 ], ids=["headline-number", "headline-null", "body-list", "raw-id-twice", "sidecar-id-twice",
-        "headline-tags-number", "sidecar-id-list", "headline-tags-string", "body-tag-number"])
+        "headline-tags-number", "sidecar-id-list", "headline-tags-string", "body-tag-number",
+        "raw-id-null", "raw-id-number", "sidecar-extra-sentence-tags"])
 def test_derive_malformed_input_is_one_line_data_error(tmp_path, capsys, rows, tags, message):
     write_corpus(tmp_path / "corpus.jsonl", rows)
     source = ["--fallback-tagger"]

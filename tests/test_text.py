@@ -241,6 +241,12 @@ class TestSidecarTags:
         with pytest.raises(TaggingError, match="r1"):
             side.tags("r1", [], [["x"], ["y"]])
 
+    def test_extra_sentence_tag_lists_rejected(self, tmp_path):
+        side = self.make(tmp_path, [{
+            "id": "r1", "headline_tags": [], "body_tags": [["NN"], ["NN"]]}])
+        with pytest.raises(TaggingError, match="r1.*2 sentence tag lists for 1 sentences"):
+            side.tags("r1", [], [["x"]])
+
     def test_missing_field_in_file(self, tmp_path):
         p = tmp_path / "tags.jsonl"
         _write_jsonl(p, [{"id": "r1", "headline_tags": []}])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from poshan.attention import pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
 from poshan.embeddings import MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE
-from poshan.grad import NonFiniteError, Parameter, backward, constant
+from poshan.grad import NonFiniteError, Parameter, backward, constant, zero_gradients
 from poshan.model import PoshanModel
 from poshan import train as train_module
 from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
@@ -489,6 +489,107 @@ def test_one_clipped_step_equals_straight_line_reference(splits, kind):
     assert list(result.checkpoint.params) == [p.name for p in model.parameters()]
     for p in model.parameters():
         assert np.array_equal(result.checkpoint.params[p.name], p.data), p.name
+
+
+def dense_adam_reference(kind, config, records):
+    """The parameters after one epoch of ``config.batch_size`` batches, from
+    a loop that updates every row of every parameter with the dense Adam
+    formula; also the batch at which each word-table row first had a
+    nonzero gradient, and the number of batches the clip fired in."""
+    word_table, pattern_table = build_tables(records, config)
+    model = build_model(kind, config, word_table, pattern_table)
+    units = [u for r in records for u in replicate_for_training(r)] if kind == MODEL_POSHAN else records
+    params = [p for p in model.parameters() if p.requires_grad]
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    first_batch = {}
+    clipped = 0
+    batches = make_batches(padded_units(units), config.batch_size, seed=config.seed)
+    for t, batch in enumerate(batches, start=1):
+        for p in params:
+            p.grad = None
+        for padded in batch:
+            backward(model.loss(padded))
+        grads = [(np.zeros_like(p.data) if p.grad is None else p.grad) * (1.0 / len(batch))
+                 for p in params]
+        norm = math.sqrt(sum(float(np.sum(g ** 2)) for g in grads))
+        if norm > config.grad_clip:
+            grads = [g * (config.grad_clip / norm) for g in grads]
+            clipped += 1
+        for p, g, (m, v) in zip(params, grads, moments):
+            if p.name == "word_embeddings":
+                for row in np.flatnonzero(np.any(g != 0.0, axis=1)):
+                    first_batch.setdefault(int(row), t)
+            m[...] = 0.9 * m + (1.0 - 0.9) * g
+            v[...] = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            p.data[...] = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return model, first_batch, clipped, len(batches)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_equals_dense_adam_reference_over_several_clipped_batches(splits, kind):
+    """Adam updates only table rows that have had a gradient; over batches
+    in which rows first get a gradient late, the trained parameters still
+    equal, bit for bit, the dense reference."""
+    train_set, val_set, _ = splits
+    config = tiny_config(max_epochs=1, batch_size=2, grad_clip=1e-2)
+    records = train_set[:7]
+    result = train(config, records, val_set, model_kind=kind)
+
+    model, first_batch, clipped, n_batches = dense_adam_reference(kind, config, records)
+    assert n_batches >= 3 and clipped == n_batches
+    assert max(first_batch.values()) > 1
+    assert len(first_batch) < len(model.word_table.matrix.data)
+    for p in model.parameters():
+        assert np.array_equal(result.checkpoint.params[p.name], p.data), p.name
+
+
+def test_a_table_row_never_gathered_keeps_its_bytes_and_zero_moments(splits, monkeypatch):
+    train_set, val_set, _ = splits
+    # "zebra" lies past the word cap, so it is in the vocabulary but never gathered
+    config = tiny_config(max_epochs=2, batch_size=4, max_words_per_sentence=6)
+    records = train_set[:6] + [make_record("z0", "congruent", "Team wins 3 games",
+                                           "The team won 3 games and a zebra.")]
+    made = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_module, "Adam", RecordingAdam)
+    result = train(config, records, val_set, model_kind=MODEL_POSHAN)
+
+    initial, _ = build_tables(records, config)
+    row = initial.vocab["zebra"]
+    trained_table = result.checkpoint.params["word_embeddings"]
+    assert trained_table[row].tobytes() == initial.matrix.data[row].tobytes()
+    assert not np.array_equal(trained_table, initial.matrix.data)
+    (optimizer,) = made
+    (k,) = [k for k, p in enumerate(optimizer.params) if p.name == "word_embeddings"]
+    table = optimizer.params[k]
+    assert not table.active[row] and table.active.any()
+    assert not optimizer._m[k][row].any() and not optimizer._v[k][row].any()
+
+
+def test_a_frozen_preloaded_word_table_is_not_changed(trained, splits, tmp_path):
+    path = tmp_path / "frozen.ckpt"
+    save_checkpoint(dataclasses.replace(trained.checkpoint, word_mode=MODE_PRELOADED_FROZEN), path)
+    model = model_from_checkpoint(load_checkpoint(path))
+    table = model.word_table.matrix
+    before = table.data.tobytes()
+    optimizer = Adam(model.parameters(), learning_rate=0.1)
+    config = trained.checkpoint.config
+    for batch in make_batches(padded_units(splits[0]), 4, seed=0):
+        zero_gradients(optimizer.params)
+        for padded in batch:
+            backward(model.loss(padded))
+        clip_global_norm(optimizer.params, config.grad_clip)
+        optimizer.step()
+    assert table.data.tobytes() == before
+    assert table.grad is None and not table.active.any()
+    pattern = model.pattern_table.matrix
+    assert not np.array_equal(pattern.data, trained.checkpoint.params["pattern_embeddings"])
 
 
 def test_train_rejects_empty_splits(splits):
