@@ -1,5 +1,6 @@
-"""Recurrent sequence encoders: LSTM and GRU directions over padded blocks
-of sequences, and a masked bidirectional wrapper.
+"""Recurrent sequence encoders: the parameters of LSTM and GRU directions,
+and a masked encoder that runs all of its directions over a padded block
+of sequences in one :func:`poshan.grad.recurrent` op.
 
 One encoder instance is used at the word level, where it runs every
 sentence of a record as one (N, T, D) block, and another at the sentence
@@ -14,15 +15,7 @@ import math
 
 import numpy as np
 
-from .grad import (
-    Parameter,
-    ShapeError,
-    Tensor,
-    concat,
-    gather,
-    gru_layer,
-    lstm_layer,
-)
+from .grad import Parameter, ShapeError, Tensor, recurrent
 
 CELL_LSTM_BI = "lstm-bi"
 CELL_GRU_BI = "gru-bi"
@@ -39,6 +32,7 @@ class _Cell:
 
     gates: tuple = ()
     bias_offsets: dict = {}
+    cell: str = ""  # the recurrence, as poshan.grad.recurrent names it
 
     def __init__(self, prefix: str, in_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -54,14 +48,10 @@ class _Cell:
                 setattr(self, f"{kind}_{gate}", p)
                 self.params.append(p)
 
-    def _of_kind(self, kind: str) -> list:
-        return [getattr(self, f"{kind}_{gate}") for gate in self.gates]
-
-    def run(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """States of this direction over x (N, T, D) or (T, D); see
-        :func:`poshan.grad.lstm_layer`."""
-        return self.layer(x, lengths, self._of_kind("w"), self._of_kind("u"),
-                          self._of_kind("b"), reverse=reverse)
+    def direction(self, reverse: bool = False) -> tuple:
+        """This direction as :func:`poshan.grad.recurrent` takes it."""
+        return tuple([getattr(self, f"{kind}_{gate}") for gate in self.gates]
+                     for kind in "wub") + (reverse,)
 
     def parameters(self) -> list:
         return list(self.params)
@@ -72,7 +62,7 @@ class LstmCell(_Cell):
 
     gates = ("i", "f", "o", "g")
     bias_offsets = {"f": FORGET_BIAS}
-    layer = staticmethod(lstm_layer)
+    cell = "lstm"
 
 
 class GruCell(_Cell):
@@ -82,7 +72,7 @@ class GruCell(_Cell):
     """
 
     gates = ("z", "r", "n")
-    layer = staticmethod(gru_layer)
+    cell = "gru"
 
 
 def _make_cell(kind: str, prefix: str, in_dim: int, hidden: int,
@@ -120,6 +110,11 @@ class SequenceEncoder:
             params += self.bwd.parameters()
         return params
 
+    def _directions(self) -> list:
+        if self.bwd is None:
+            return [self.fwd.direction()]
+        return [self.fwd.direction(), self.bwd.direction(reverse=True)]
+
     def _lengths(self, inputs: Tensor, mask) -> np.ndarray:
         """Real length of each sequence, from a flat row-major mask."""
         if inputs.data.ndim not in (2, 3):
@@ -146,11 +141,8 @@ class SequenceEncoder:
         row-major order, one truthy entry per real position.  The result
         has the inputs' leading shape and ``out_dim`` columns.
         """
-        lengths = self._lengths(inputs, mask)
-        states = self.fwd.run(inputs, lengths)
-        if self.bwd is None:
-            return states
-        return concat(states, self.bwd.run(inputs, lengths, reverse=True))
+        return recurrent(self.fwd.cell, inputs, self._lengths(inputs, mask),
+                         self._directions())
 
     def final_state(self, inputs: Tensor, mask) -> Tensor:
         """Summary state of one sequence (T, D): the last forward state,
@@ -158,8 +150,5 @@ class SequenceEncoder:
         sequence."""
         if inputs.data.ndim != 2:
             raise ShapeError(f"{self.name}: final_state takes one sequence, got {inputs.shape}")
-        lengths = self._lengths(inputs, mask)
-        last = gather(self.fwd.run(inputs, lengths), lengths[0] - 1)
-        if self.bwd is None:
-            return last
-        return concat(last, gather(self.bwd.run(inputs, lengths, reverse=True), 0))
+        return recurrent(self.fwd.cell, inputs, self._lengths(inputs, mask),
+                         self._directions(), final=True)

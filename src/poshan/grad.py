@@ -10,8 +10,10 @@ until explicitly cleared.
 
 Besides small elementwise and linear primitives, the module holds fused
 layer ops with hand-written backward passes: :func:`gather` for embedding
-rows, :func:`lstm_layer` and :func:`gru_layer` over a padded block of
-sequences, :func:`additive_scores` over a whole state matrix, and the
+rows; :func:`recurrent`, which runs every direction of an LSTM or GRU
+encoder over a padded block of sequences in one time loop, forward and
+backward, with one stacked product and one elementwise op per update at
+each step; :func:`additive_scores` over a whole state matrix; and the
 masked softmax, mean fusion and weighted sum that complete an attention
 layer.  A model forward is then a few dozen nodes, not one per scalar.
 Inside :func:`no_grad` ops compute values only and record no graph.
@@ -137,14 +139,6 @@ def _split_rows(a: np.ndarray, parts: int) -> list:
     """``a`` cut into ``parts`` equal blocks along its first axis."""
     size = a.shape[0] // parts
     return [a[k * size:(k + 1) * size] for k in range(parts)]
-
-
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # (1 + tanh(z / 2)) / 2: one transcendental call, no overflow in exp
-    out = np.tanh(0.5 * z, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,110 +318,183 @@ def gather(matrix: Tensor, idx, pad: int | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Recurrent layers over a padded block
+# Recurrent layers: every direction of an encoder in one time loop
+
+# gates per cell, and how many of them (the leading ones) are sigmoids
+_CELL_GATES = {"lstm": (4, 3), "gru": (3, 2)}
 
 
-def _lstm_steps(a: np.ndarray, u: list, keep: bool):
-    """LSTM recurrence over time-major gate pre-activations ``a`` (T, N, 4H),
-    input projection and bias already added; gates in i, f, o, g order.
+def _lstm_steps(a: np.ndarray, rec: np.ndarray, half: np.ndarray, keep: bool):
+    """LSTM recurrence of K directions at once.
 
-    Returns the hidden states (T, N, H) and, with ``keep``, a function from
-    their gradient to the pre-activation gradient and the ``u`` gradients.
+    ``a`` (K, T, N, 4H) holds the gate pre-activations, input projection
+    and bias added, gates in i, f, o, g order, with the sigmoid gates'
+    columns halved; the loop overwrites it with the gate activations.
+    ``rec`` (K, 4H, H) holds each direction's stacked recurrent weights
+    and ``half`` the same with the sigmoid rows halved.  Returns the
+    hidden states (T, K, N, H) and, with ``keep``, a function from their
+    gradient, which it overwrites, to each direction's pre-activation
+    gradient (T * N, 4H) and recurrent weight gradients.
     """
-    steps, n, width = a.shape
+    k, steps, n, width = a.shape
     hid = width // 4
-    rec = np.concatenate(u)
-    acts = np.empty_like(a)
-    cells = np.empty((steps, n, hid))
-    tcs = np.empty((steps, n, hid))
-    hs = np.empty((steps, n, hid))
-    h = np.zeros((n, hid))
-    c = np.zeros((n, hid))
-    for t in range(steps):
-        z = a[t] + h @ rec.T
-        act = acts[t]
-        _sigmoid(z[:, :3 * hid], out=act[:, :3 * hid])
-        np.tanh(z[:, 3 * hid:], out=act[:, 3 * hid:])
-        c = np.multiply(act[:, hid:2 * hid], c, out=cells[t])
-        c += act[:, :hid] * act[:, 3 * hid:]
-        h = np.multiply(act[:, 2 * hid:3 * hid], np.tanh(c, out=tcs[t]), out=hs[t])
+    acts = a.swapaxes(0, 1)
+    cells = np.empty((steps, k, n, hid))
+    tcs = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    carried = np.empty((k, n, width))
+    ig = np.empty((k, n, hid))
+    h = c = np.zeros((k, n, hid))
+    half_t = half.transpose(0, 2, 1)
+    i, f, o, g = (acts[..., q * hid:(q + 1) * hid] for q in range(4))
+    for z, z_sig, i_t, f_t, o_t, g_t, c_t, tc, h_t in zip(
+            acts, acts[..., :3 * hid], i, f, o, g, cells, tcs, hs):
+        z += np.matmul(h, half_t, out=carried)
+        # sigmoid(x) = (1 + tanh(x / 2)) / 2, the halving already done
+        np.tanh(z, out=z)
+        z_sig *= 0.5
+        z_sig += 0.5
+        c = np.multiply(f_t, c, out=c_t)
+        c += np.multiply(i_t, g_t, out=ig)
+        h = np.multiply(o_t, np.tanh(c, out=tc), out=h_t)
     if not keep:
         return hs, None
 
     def back(dhs: np.ndarray):
-        i, f, o, g = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
-        c_prev = np.concatenate((np.zeros((1, n, hid)), cells[:-1]))
-        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
-        slope = acts * (1.0 - acts)
+        # d(pre-activation) = (dc, dc, dh, dc) * coef, gate by gate, where
+        # coef is (g, c_prev, tanh(c), i) times each activation's slope
+        coef = np.concatenate((g, np.concatenate((np.zeros((1, k, n, hid)), cells[:-1])),
+                               tcs, i), axis=-1)
+        slope = np.subtract(1.0, acts)
+        slope *= acts
         slope[..., 3 * hid:] = 1.0 - g * g
-        # d(pre-activation) = (dc, dc, dh, dc) * coef, gate by gate
-        coef = np.concatenate((g, c_prev, tcs, i), axis=2) * slope
+        coef *= slope
+        del slope
         o_dtc = o * (1.0 - tcs * tcs)
-        da = np.empty_like(acts)
-        dh_next = np.zeros((n, hid))
-        dc_next = np.zeros((n, hid))
-        for t in reversed(range(steps)):
-            dh = dhs[t] + dh_next
-            dc = dh * o_dtc[t] + dc_next
-            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), coef[t], out=da[t])
-            dc_next = dc * f[t]
-            dh_next = da[t] @ rec
-        du = da.reshape(-1, width).T @ h_prev.reshape(-1, hid)
-        return da, _split_rows(du, 4)
+        da = np.empty((k, steps, n, 4, hid))
+        da_steps = da.swapaxes(0, 1)
+        dh_next = np.zeros((k, n, hid))
+        dc_next = np.zeros((k, n, hid))
+        dc = np.empty((k, n, hid))
+        dc_gates = dc[..., None, :]
+        for dh, o_dtc_t, f_t, coef_t, coef_o, da_gates, da_o, da_t in zip(
+                dhs[::-1], o_dtc[::-1], f[::-1],
+                coef.reshape(steps, k, n, 4, hid)[::-1], coef[..., 2 * hid:3 * hid][::-1],
+                da_steps[::-1], da_steps[::-1, ..., 2, :],
+                da.reshape(k, steps, n, width).swapaxes(0, 1)[::-1]):
+            dh += dh_next
+            np.multiply(dh, o_dtc_t, out=dc)
+            dc += dc_next
+            np.multiply(dc_gates, coef_t, out=da_gates)
+            np.multiply(dh, coef_o, out=da_o)
+            np.multiply(dc, f_t, out=dc_next)
+            np.matmul(da_t, rec, out=dh_next)
+        flats = list(da.reshape(k, -1, width))
+        du = [_split_rows(flat.T @ np.concatenate((np.zeros((1, n, hid)), hs[:-1, d]))
+                          .reshape(-1, hid), 4)
+              for d, flat in enumerate(flats)]
+        return flats, du
 
     return hs, back
 
 
-def _gru_steps(a: np.ndarray, u: list, keep: bool):
-    """GRU recurrence over time-major pre-activations ``a`` (T, N, 3H) in
-    z, r, n order: h = (1 - z) * n + z * h_prev with
-    n = tanh(x_n + U_n (r * h_prev)).  Same contract as :func:`_lstm_steps`.
+def _gru_steps(a: np.ndarray, rec: np.ndarray, half: np.ndarray, keep: bool):
+    """GRU recurrence of K directions at once over pre-activations ``a``
+    (K, T, N, 3H) in z, r, n order: h = (1 - z) * n + z * h_prev with
+    n = tanh(x_n + U_n (r * h_prev)).  The z and r gates are halved as the
+    LSTM's sigmoid gates are; same contract as :func:`_lstm_steps`.
     """
-    steps, n, width = a.shape
+    k, steps, n, width = a.shape
     hid = width // 3
-    u_zr = np.concatenate(u[:2])
-    u_n = u[2]
-    zr = np.empty((steps, n, 2 * hid))
-    cand = np.empty((steps, n, hid))
-    rhs = np.empty((steps, n, hid))
-    hs = np.empty((steps, n, hid))
-    h = np.zeros((n, hid))
-    for t in range(steps):
-        gates = _sigmoid(a[t, :, :2 * hid] + h @ u_zr.T, out=zr[t])
-        z, r = gates[:, :hid], gates[:, hid:]
-        rh = np.multiply(r, h, out=rhs[t])
-        nt = np.tanh(a[t, :, 2 * hid:] + rh @ u_n.T, out=cand[t])
-        h = np.add((1.0 - z) * nt, z * h, out=hs[t])
+    acts = a.swapaxes(0, 1)
+    rhs = np.empty((steps, k, n, hid))
+    hs = np.empty_like(rhs)
+    carried_zr = np.empty((k, n, 2 * hid))
+    carried_n = np.empty((k, n, hid))
+    zn = np.empty((k, n, hid))
+    h = np.zeros((k, n, hid))
+    u_zr_t = half[:, :2 * hid].transpose(0, 2, 1)
+    u_n_t = half[:, 2 * hid:].transpose(0, 2, 1)
+    for gates, z, r, nt, rh, h_t in zip(
+            acts[..., :2 * hid], acts[..., :hid], acts[..., hid:2 * hid],
+            acts[..., 2 * hid:], rhs, hs):
+        gates += np.matmul(h, u_zr_t, out=carried_zr)
+        np.tanh(gates, out=gates)
+        gates *= 0.5
+        gates += 0.5
+        nt += np.matmul(np.multiply(r, h, out=rh), u_n_t, out=carried_n)
+        np.tanh(nt, out=nt)
+        np.subtract(1.0, z, out=zn)
+        zn *= nt
+        h = np.multiply(z, h, out=h_t)
+        h += zn
     if not keep:
         return hs, None
 
     def back(dhs: np.ndarray):
-        z, r = zr[..., :hid], zr[..., hid:]
-        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
+        z, r, cand = acts[..., :hid], acts[..., hid:2 * hid], acts[..., 2 * hid:]
+        h_prev = np.concatenate((np.zeros((1, k, n, hid)), hs[:-1]))
         dn_coef = (1.0 - z) * (1.0 - cand * cand)
         dz_coef = (h_prev - cand) * z * (1.0 - z)
         dr_coef = h_prev * r * (1.0 - r)
-        da = np.empty((steps, n, width))
-        dh_next = np.zeros((n, hid))
-        for t in reversed(range(steps)):
-            dh = dhs[t] + dh_next
-            dan = dh * dn_coef[t]
-            drh = dan @ u_n
-            dzr = da[t, :, :2 * hid]
-            np.multiply(dh, dz_coef[t], out=dzr[:, :hid])
-            np.multiply(drh, dr_coef[t], out=dzr[:, hid:])
-            da[t, :, 2 * hid:] = dan
-            dh_next = dh * z[t] + drh * r[t] + dzr @ u_zr
-        flat = da.reshape(-1, width)
-        du_zr = flat[:, :2 * hid].T @ h_prev.reshape(-1, hid)
-        du_n = flat[:, 2 * hid:].T @ rhs.reshape(-1, hid)
-        return da, [*_split_rows(du_zr, 2), du_n]
+        da = np.empty((k, steps, n, width))
+        da_steps = da.swapaxes(0, 1)
+        dh_next = np.zeros((k, n, hid))
+        dan = np.empty((k, n, hid))
+        drh = np.empty((k, n, hid))
+        term = np.empty((k, n, hid))
+        u_zr, u_n = rec[:, :2 * hid], rec[:, 2 * hid:]
+        for dh, z_t, r_t, dn_t, dz_t, dr_t, da_z, da_r, da_n, da_zr in zip(
+                dhs[::-1], z[::-1], r[::-1], dn_coef[::-1], dz_coef[::-1], dr_coef[::-1],
+                da_steps[::-1, ..., :hid], da_steps[::-1, ..., hid:2 * hid],
+                da_steps[::-1, ..., 2 * hid:], da_steps[::-1, ..., :2 * hid]):
+            dh += dh_next
+            np.multiply(dh, dn_t, out=dan)
+            np.matmul(dan, u_n, out=drh)
+            np.multiply(dh, dz_t, out=da_z)
+            np.multiply(drh, dr_t, out=da_r)
+            da_n[...] = dan
+            np.multiply(dh, z_t, out=dh_next)
+            dh_next += np.multiply(drh, r_t, out=term)
+            dh_next += np.matmul(da_zr, u_zr, out=term)
+        flats = list(da.reshape(k, -1, width))
+        du = [[*_split_rows(flat[:, :2 * hid].T @ h_prev[:, d].reshape(-1, hid), 2),
+               flat[:, 2 * hid:].T @ rhs[:, d].reshape(-1, hid)]
+              for d, flat in enumerate(flats)]
+        return flats, du
 
     return hs, back
 
 
-def _recurrent_layer(op: str, steps_fn, x: Tensor, lengths, w: Sequence[Tensor],
-                     u: Sequence[Tensor], b: Sequence[Tensor], reverse: bool) -> Tensor:
+def recurrent(cell: str, x: Tensor, lengths, directions: Sequence[tuple],
+              final: bool = False) -> Tensor:
+    """Every direction of a recurrent encoder over a padded block, run in
+    one time loop.
+
+    ``cell`` is ``"lstm"``, with gates in i, f, o, g order, or ``"gru"``,
+    with gates in z, r, n order.  ``x`` is (N, T, D), N sequences padded to
+    T steps, or one sequence (T, D); ``lengths`` holds each sequence's real
+    length.  Each of the K ``directions`` is ``(w, u, b, reverse)``: the
+    input weights (H, D), recurrent weights (H, H) and biases (H,) of its
+    gates, and whether it reads each sequence's real prefix last to first,
+    so that its state at position t is the one that has consumed
+    t..length-1.
+
+    The states have x's leading shape and K * H columns, direction by
+    direction; positions past a sequence's length are zero.  With
+    ``final`` the result is instead each direction's state after its last
+    step, (N, K * H) or (K * H,): for a reversed direction that is its
+    state at position 0.
+
+    Each direction's input projection of all steps is one matrix product,
+    with its gates stacked; each step is then one stacked product for all
+    directions and one elementwise op per update on the (K, N, ...) block.
+    The sigmoid gates' rows of ``w``, ``b`` and ``u`` are halved once per
+    call, so one ``tanh`` evaluates every gate; halving is exact, so the
+    result equals ``(1 + tanh(x / 2)) / 2`` of the unhalved sum.
+    """
+    op = f"recurrent[{cell}]"
+    gates, sigmoids = _CELL_GATES[cell]
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"{op}: input must be (N, T, D) or (T, D), got shape {x.shape}")
     xs = x.data if x.data.ndim == 3 else x.data[None]
@@ -435,64 +502,74 @@ def _recurrent_layer(op: str, steps_fn, x: Tensor, lengths, w: Sequence[Tensor],
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
         raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit input shape {x.shape}")
-    w_all = np.concatenate([p.data for p in w])
-    b_all = np.concatenate([p.data for p in b])
-    if w_all.shape[1] != dim:
-        raise ShapeError(f"{op}: input weight {w[0].shape} does not conform to input {x.shape}")
+    hid = directions[0][1][0].shape[0]
+    k = len(directions)
+    halves = np.repeat([0.5] * sigmoids + [1.0] * (gates - sigmoids), hid)
 
     times = np.arange(steps)
     real = times < lengths[:, None]                       # (N, T)
-    # pos[n, s] is the position read at step s; an involution per row
-    pos = (np.where(real, lengths[:, None] - 1 - times, times) if reverse
-           else np.broadcast_to(times, (n, steps)))
     rows = np.arange(n)
-    x_steps = xs[rows, pos.T]                             # (T, N, D)
-    a = (x_steps.reshape(-1, dim) @ w_all.T + b_all).reshape(steps, n, -1)
-    parents = (x, *w, *u, *b)
-    hs, steps_back = steps_fn(a, [p.data for p in u], _tracked(parents))
-    states = hs[pos, rows[:, None]] * real[..., None]     # (N, T, H)
-    out = _result(states if x.data.ndim == 3 else states[0], parents, op)
+    # order[n, s] is the position a direction reads at step s; reversed,
+    # an involution per row
+    ahead = np.broadcast_to(times, (n, steps))
+    behind = np.where(real, lengths[:, None] - 1 - times, times)
+    a = np.empty((k, steps, n, gates * hid))
+    rec = np.empty((k, gates * hid, hid))
+    pos, w_all = [], []
+    for d, (w, u, b, reverse) in enumerate(directions):
+        wd = np.concatenate([p.data for p in w])
+        if wd.shape[1] != dim:
+            raise ShapeError(
+                f"{op}: input weight {w[0].shape} does not conform to input {x.shape}")
+        order = behind if reverse else ahead
+        proj = a[d].reshape(-1, gates * hid)
+        np.matmul(xs[rows, order.T].reshape(-1, dim), (wd * halves[:, None]).T, out=proj)
+        proj += np.concatenate([p.data for p in b]) * halves
+        np.concatenate([p.data for p in u], out=rec[d])
+        pos.append(order)
+        w_all.append(wd)
+    parents = (x, *(p for w, u, b, _ in directions for p in (*w, *u, *b)))
+    steps_fn = _lstm_steps if cell == "lstm" else _gru_steps
+    hs, steps_back = steps_fn(a, rec, rec * halves[:, None], _tracked(parents))
+    last = lengths - 1                                    # every direction's last step
+    if final:
+        data = hs[last, :, rows].reshape(n, k * hid)
+    else:
+        data = np.empty((n, steps, k * hid))
+        for d, p in enumerate(pos):
+            np.multiply(hs[:, d][p, rows[:, None]], real[..., None],
+                        out=data[..., d * hid:(d + 1) * hid])
+    out = _result(data if x.data.ndim == 3 else data[0], parents, op)
     if out.requires_grad:
         def back():
             g = out.grad if x.data.ndim == 3 else out.grad[None]
-            da, du = steps_back(g[rows, pos.T] * real.T[..., None])
-            flat = da.reshape(-1, da.shape[-1])
-            for p, gp in zip(w, _split_rows(flat.T @ x_steps.reshape(-1, dim), len(w))):
-                accumulate_grad(p, gp)
-            for p, gp in zip(b, _split_rows(flat.sum(axis=0), len(b))):
-                accumulate_grad(p, gp)
-            for p, gp in zip(u, du):
-                accumulate_grad(p, gp)
-            if x.requires_grad:
-                dx = (flat @ w_all).reshape(steps, n, dim)[pos, rows[:, None]]
-                accumulate_grad(x, dx.reshape(x.shape))
+            if final:
+                dhs = np.zeros((steps, k, n, hid))
+                dhs[last, :, rows] = g.reshape(n, k, hid)
+            else:
+                dhs = np.empty((steps, k, n, hid))
+                for d, p in enumerate(pos):
+                    np.multiply(g[..., d * hid:(d + 1) * hid][rows, p.T], real.T[..., None],
+                                out=dhs[:, d])
+            flats, du = steps_back(dhs)
+            # last direction first: x's gradient adds up in the order that
+            # one graph node per direction would give it
+            for d in reversed(range(k)):
+                w, u, b, _ = directions[d]
+                flat = flats[d]
+                x_steps = xs[rows, pos[d].T].reshape(-1, dim)
+                for p, gp in zip(w, _split_rows(flat.T @ x_steps, len(w))):
+                    accumulate_grad(p, gp)
+                for p, gp in zip(b, _split_rows(flat.sum(axis=0), len(b))):
+                    accumulate_grad(p, gp)
+                for p, gp in zip(u, du[d]):
+                    accumulate_grad(p, gp)
+                if x.requires_grad:
+                    dx = (flat @ w_all[d]).reshape(steps, n, dim)[pos[d], rows[:, None]]
+                    accumulate_grad(x, dx.reshape(x.shape))
 
         out._backward = back
     return out
-
-
-def lstm_layer(x: Tensor, lengths, w: Sequence[Tensor], u: Sequence[Tensor],
-               b: Sequence[Tensor], reverse: bool = False) -> Tensor:
-    """One LSTM direction over a padded block of sequences.
-
-    ``x`` is (N, T, D), N sequences padded to T steps, or one sequence
-    (T, D); ``lengths`` holds each sequence's real length.  ``w``, ``u``
-    and ``b`` are the input weights (H, D), recurrent weights (H, H) and
-    biases (H,) of the i, f, o and g gates; each kind is stacked into one
-    (4H, ...) matrix per call, so the input projection of every step is one
-    matrix product and each step one more.  The states have x's leading
-    shape with H columns; positions past a sequence's length are zero.
-    With ``reverse`` each sequence's real prefix is read last to first,
-    and the state at position t is the one that has consumed t..length-1.
-    """
-    return _recurrent_layer("lstm_layer", _lstm_steps, x, lengths, w, u, b, reverse)
-
-
-def gru_layer(x: Tensor, lengths, w: Sequence[Tensor], u: Sequence[Tensor],
-              b: Sequence[Tensor], reverse: bool = False) -> Tensor:
-    """One GRU direction over a padded block; gates in z, r, n order,
-    otherwise as :func:`lstm_layer`."""
-    return _recurrent_layer("gru_layer", _gru_steps, x, lengths, w, u, b, reverse)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
@@ -88,10 +89,11 @@ class TrainConfig:
     replace_headline_att: bool = False
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning-rate must be positive, got {self.learning_rate}")
-        if self.grad_clip <= 0:
-            raise ValueError(f"grad-clip must be positive, got {self.grad_clip}")
+        for name in ("learning_rate", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                key = name.replace("_", "-")
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         for name in (
             "batch_size",
             "max_epochs",
@@ -437,6 +439,11 @@ def _check_header(header, where: str) -> None:
         if not (isinstance(header[key], dict)
                 or header[key] is None and header["model-kind"] != MODEL_POSHAN):
             raise DataError(f"{where}: {key} is not an object (null only for a baseline)")
+    for key, counts in (header["pattern-label-counts"] or {}).items():
+        if not (isinstance(counts, list) and len(counts) == 2
+                and all(_is_int(c) and c >= 0 for c in counts)):
+            raise DataError(f"{where}: pattern-label-counts for {key!r} is {counts!r}, "
+                            "not [congruent, incongruent] counts")
     if not _is_int(header["best-epoch"]) or not isinstance(header["val-losses"], list):
         raise DataError(f"{where}: bad best-epoch or val-losses")
     entries = header["params"]
@@ -491,6 +498,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         val_losses = [float(v) for v in header["val-losses"]]
     except (TypeError, ValueError):
         raise DataError(f"{where}: val-losses are not numbers") from None
+    if not all(map(math.isfinite, val_losses)):
+        raise DataError(f"{where}: val-losses are not all finite")
     offset += header_len
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
@@ -632,6 +641,20 @@ def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, Ev
     return total / len(val_padded), report
 
 
+@contextmanager
+def _divergence_as_error():
+    """Raise NonFiniteError at the first numpy overflow, invalid operation
+    or division by zero, instead of a warning: a diverging run meets one of
+    them before its parameters turn non-finite."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        if isinstance(exc, NonFiniteError):
+            raise
+        raise NonFiniteError(f"training diverged: {exc}") from None
+
+
 def train(
     config: TrainConfig,
     train_records: Sequence[DatasetRecord],
@@ -682,44 +705,45 @@ def train(
     stopped_early = False
     epochs_run = 0
 
-    for epoch in range(config.max_epochs):
-        batches = make_batches(train_padded, config.batch_size, seed=config.seed + epoch)
-        epoch_total = 0.0
-        for batch_index, batch in enumerate(batches):
-            zero_gradients(trainable)
-            batch_total = 0.0
-            for padded in batch:
-                loss = model.loss(padded)
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise NonFiniteError(
-                        f"non-finite loss at epoch {epoch} batch {batch_index}; aborting"
-                    )
-                backward(loss)
-                batch_total += value
-            inv = 1.0 / len(batch)
-            for p in trainable:
-                p.grad[p.rows()] *= inv
-            clip_global_norm(trainable, config.grad_clip)
-            optimizer.step()
-            epoch_total += batch_total
-        train_loss = epoch_total / len(train_padded)
+    with _divergence_as_error():
+        for epoch in range(config.max_epochs):
+            batches = make_batches(train_padded, config.batch_size, seed=config.seed + epoch)
+            epoch_total = 0.0
+            for batch_index, batch in enumerate(batches):
+                zero_gradients(trainable)
+                batch_total = 0.0
+                for padded in batch:
+                    loss = model.loss(padded)
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise NonFiniteError(
+                            f"non-finite loss at epoch {epoch} batch {batch_index}; aborting"
+                        )
+                    backward(loss)
+                    batch_total += value
+                inv = 1.0 / len(batch)
+                for p in trainable:
+                    p.grad[p.rows()] *= inv
+                clip_global_norm(trainable, config.grad_clip)
+                optimizer.step()
+                epoch_total += batch_total
+            train_loss = epoch_total / len(train_padded)
 
-        val_loss, report = _mean_val_loss(model, val_padded)
-        val_losses.append(val_loss)
-        log_lines.append(f"{epoch}\t{train_loss!r}\t{val_loss!r}\t{report.macro_f1!r}")
-        epochs_run = epoch + 1
+            val_loss, report = _mean_val_loss(model, val_padded)
+            val_losses.append(val_loss)
+            log_lines.append(f"{epoch}\t{train_loss!r}\t{val_loss!r}\t{report.macro_f1!r}")
+            epochs_run = epoch + 1
 
-        if best_val - val_loss > IMPROVEMENT_THRESHOLD:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = {p.name: p.data.copy() for p in params}
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= config.early_stop_patience:
-                stopped_early = True
-                break
+            if best_val - val_loss > IMPROVEMENT_THRESHOLD:
+                best_val = val_loss
+                best_epoch = epoch
+                best_params = {p.name: p.data.copy() for p in params}
+                epochs_without_improvement = 0
+            else:
+                epochs_without_improvement += 1
+                if epochs_without_improvement >= config.early_stop_patience:
+                    stopped_early = True
+                    break
 
     if best_epoch < 0:
         best_epoch = epochs_run - 1

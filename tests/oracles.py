@@ -1,19 +1,24 @@
 """Independent reference computations the test suite checks the package
 against: brute-force metric oracles, a straight-line transcription of
-the full document forward, and character-loop references for the
-tokenizer and the sentence splitter.
+the full document forward, character-loop references for the tokenizer
+and the sentence splitter, and a per-direction recurrent kernel.
 
-Everything here reads parameter data as plain numpy arrays and
-recomputes results from first principles, without calling the package's
-graph operations or its regular expressions.
+Everything here but the last reads parameter data as plain numpy arrays
+and recomputes results from first principles, without calling the
+package's graph operations or its regular expressions.  The recurrent
+kernel is the earlier one-direction-per-call implementation, kept
+verbatim: the joint kernel in :func:`poshan.grad.recurrent` must give
+exactly its bits, direction by direction.
 """
 
 import re
 import string
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
+from poshan.grad import ShapeError, Tensor, _result, _tracked, accumulate_grad
 from poshan.text import ABBREVIATIONS
 
 CLASSES = ("congruent", "incongruent")
@@ -78,7 +83,7 @@ def rank_auc(scores, labels):
 # Straight-line document forward
 
 
-def _sigmoid(x):
+def _logistic(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -93,9 +98,9 @@ def _lstm_direction(cell, xs):
     c = np.zeros(cell.hidden)
     outs = []
     for x in xs:
-        i = _sigmoid((cell.w_i.data @ x + cell.b_i.data) + cell.u_i.data @ h)
-        f = _sigmoid((cell.w_f.data @ x + cell.b_f.data) + cell.u_f.data @ h)
-        o = _sigmoid((cell.w_o.data @ x + cell.b_o.data) + cell.u_o.data @ h)
+        i = _logistic((cell.w_i.data @ x + cell.b_i.data) + cell.u_i.data @ h)
+        f = _logistic((cell.w_f.data @ x + cell.b_f.data) + cell.u_f.data @ h)
+        o = _logistic((cell.w_o.data @ x + cell.b_o.data) + cell.u_o.data @ h)
         g = np.tanh((cell.w_g.data @ x + cell.b_g.data) + cell.u_g.data @ h)
         c = f * c + i * g
         h = o * np.tanh(c)
@@ -107,8 +112,8 @@ def _gru_direction(cell, xs):
     h = np.zeros(cell.hidden)
     outs = []
     for x in xs:
-        z = _sigmoid((cell.w_z.data @ x + cell.b_z.data) + cell.u_z.data @ h)
-        r = _sigmoid((cell.w_r.data @ x + cell.b_r.data) + cell.u_r.data @ h)
+        z = _logistic((cell.w_z.data @ x + cell.b_z.data) + cell.u_z.data @ h)
+        r = _logistic((cell.w_r.data @ x + cell.b_r.data) + cell.u_r.data @ h)
         n = np.tanh((cell.w_n.data @ x + cell.b_n.data) + cell.u_n.data @ (r * h))
         h = (1.0 - z) * n + z * h
         outs.append(h)
@@ -262,3 +267,165 @@ def oracle_split_sentences(body: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+# ---------------------------------------------------------------------------
+# Per-direction recurrent kernel (one direction per call, bit-exact reference)
+
+
+def _split_rows(a: np.ndarray, parts: int) -> list:
+    """``a`` cut into ``parts`` equal blocks along its first axis."""
+    size = a.shape[0] // parts
+    return [a[k * size:(k + 1) * size] for k in range(parts)]
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # (1 + tanh(z / 2)) / 2: one transcendental call, no overflow in exp
+    out = np.tanh(0.5 * z, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
+def _lstm_steps(a: np.ndarray, u: list, keep: bool):
+    """LSTM recurrence over time-major gate pre-activations ``a`` (T, N, 4H),
+    input projection and bias already added; gates in i, f, o, g order.
+
+    Returns the hidden states (T, N, H) and, with ``keep``, a function from
+    their gradient to the pre-activation gradient and the ``u`` gradients.
+    """
+    steps, n, width = a.shape
+    hid = width // 4
+    rec = np.concatenate(u)
+    acts = np.empty_like(a)
+    cells = np.empty((steps, n, hid))
+    tcs = np.empty((steps, n, hid))
+    hs = np.empty((steps, n, hid))
+    h = np.zeros((n, hid))
+    c = np.zeros((n, hid))
+    for t in range(steps):
+        z = a[t] + h @ rec.T
+        act = acts[t]
+        _sigmoid(z[:, :3 * hid], out=act[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=act[:, 3 * hid:])
+        c = np.multiply(act[:, hid:2 * hid], c, out=cells[t])
+        c += act[:, :hid] * act[:, 3 * hid:]
+        h = np.multiply(act[:, 2 * hid:3 * hid], np.tanh(c, out=tcs[t]), out=hs[t])
+    if not keep:
+        return hs, None
+
+    def back(dhs: np.ndarray):
+        i, f, o, g = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
+        c_prev = np.concatenate((np.zeros((1, n, hid)), cells[:-1]))
+        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
+        slope = acts * (1.0 - acts)
+        slope[..., 3 * hid:] = 1.0 - g * g
+        # d(pre-activation) = (dc, dc, dh, dc) * coef, gate by gate
+        coef = np.concatenate((g, c_prev, tcs, i), axis=2) * slope
+        o_dtc = o * (1.0 - tcs * tcs)
+        da = np.empty_like(acts)
+        dh_next = np.zeros((n, hid))
+        dc_next = np.zeros((n, hid))
+        for t in reversed(range(steps)):
+            dh = dhs[t] + dh_next
+            dc = dh * o_dtc[t] + dc_next
+            np.multiply(np.concatenate((dc, dc, dh, dc), axis=1), coef[t], out=da[t])
+            dc_next = dc * f[t]
+            dh_next = da[t] @ rec
+        du = da.reshape(-1, width).T @ h_prev.reshape(-1, hid)
+        return da, _split_rows(du, 4)
+
+    return hs, back
+
+
+def _gru_steps(a: np.ndarray, u: list, keep: bool):
+    """GRU recurrence over time-major pre-activations ``a`` (T, N, 3H) in
+    z, r, n order: h = (1 - z) * n + z * h_prev with
+    n = tanh(x_n + U_n (r * h_prev)).  Same contract as :func:`_lstm_steps`.
+    """
+    steps, n, width = a.shape
+    hid = width // 3
+    u_zr = np.concatenate(u[:2])
+    u_n = u[2]
+    zr = np.empty((steps, n, 2 * hid))
+    cand = np.empty((steps, n, hid))
+    rhs = np.empty((steps, n, hid))
+    hs = np.empty((steps, n, hid))
+    h = np.zeros((n, hid))
+    for t in range(steps):
+        gates = _sigmoid(a[t, :, :2 * hid] + h @ u_zr.T, out=zr[t])
+        z, r = gates[:, :hid], gates[:, hid:]
+        rh = np.multiply(r, h, out=rhs[t])
+        nt = np.tanh(a[t, :, 2 * hid:] + rh @ u_n.T, out=cand[t])
+        h = np.add((1.0 - z) * nt, z * h, out=hs[t])
+    if not keep:
+        return hs, None
+
+    def back(dhs: np.ndarray):
+        z, r = zr[..., :hid], zr[..., hid:]
+        h_prev = np.concatenate((np.zeros((1, n, hid)), hs[:-1]))
+        dn_coef = (1.0 - z) * (1.0 - cand * cand)
+        dz_coef = (h_prev - cand) * z * (1.0 - z)
+        dr_coef = h_prev * r * (1.0 - r)
+        da = np.empty((steps, n, width))
+        dh_next = np.zeros((n, hid))
+        for t in reversed(range(steps)):
+            dh = dhs[t] + dh_next
+            dan = dh * dn_coef[t]
+            drh = dan @ u_n
+            dzr = da[t, :, :2 * hid]
+            np.multiply(dh, dz_coef[t], out=dzr[:, :hid])
+            np.multiply(drh, dr_coef[t], out=dzr[:, hid:])
+            da[t, :, 2 * hid:] = dan
+            dh_next = dh * z[t] + drh * r[t] + dzr @ u_zr
+        flat = da.reshape(-1, width)
+        du_zr = flat[:, :2 * hid].T @ h_prev.reshape(-1, hid)
+        du_n = flat[:, 2 * hid:].T @ rhs.reshape(-1, hid)
+        return da, [*_split_rows(du_zr, 2), du_n]
+
+    return hs, back
+
+
+def _recurrent_layer(op: str, steps_fn, x: Tensor, lengths, w: Sequence[Tensor],
+                     u: Sequence[Tensor], b: Sequence[Tensor], reverse: bool) -> Tensor:
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"{op}: input must be (N, T, D) or (T, D), got shape {x.shape}")
+    xs = x.data if x.data.ndim == 3 else x.data[None]
+    n, steps, dim = xs.shape
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > steps):
+        raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit input shape {x.shape}")
+    w_all = np.concatenate([p.data for p in w])
+    b_all = np.concatenate([p.data for p in b])
+    if w_all.shape[1] != dim:
+        raise ShapeError(f"{op}: input weight {w[0].shape} does not conform to input {x.shape}")
+
+    times = np.arange(steps)
+    real = times < lengths[:, None]                       # (N, T)
+    # pos[n, s] is the position read at step s; an involution per row
+    pos = (np.where(real, lengths[:, None] - 1 - times, times) if reverse
+           else np.broadcast_to(times, (n, steps)))
+    rows = np.arange(n)
+    x_steps = xs[rows, pos.T]                             # (T, N, D)
+    a = (x_steps.reshape(-1, dim) @ w_all.T + b_all).reshape(steps, n, -1)
+    parents = (x, *w, *u, *b)
+    hs, steps_back = steps_fn(a, [p.data for p in u], _tracked(parents))
+    states = hs[pos, rows[:, None]] * real[..., None]     # (N, T, H)
+    out = _result(states if x.data.ndim == 3 else states[0], parents, op)
+    if out.requires_grad:
+        def back():
+            g = out.grad if x.data.ndim == 3 else out.grad[None]
+            da, du = steps_back(g[rows, pos.T] * real.T[..., None])
+            flat = da.reshape(-1, da.shape[-1])
+            for p, gp in zip(w, _split_rows(flat.T @ x_steps.reshape(-1, dim), len(w))):
+                accumulate_grad(p, gp)
+            for p, gp in zip(b, _split_rows(flat.sum(axis=0), len(b))):
+                accumulate_grad(p, gp)
+            for p, gp in zip(u, du):
+                accumulate_grad(p, gp)
+            if x.requires_grad:
+                dx = (flat @ w_all).reshape(steps, n, dim)[pos, rows[:, None]]
+                accumulate_grad(x, dx.reshape(x.shape))
+
+        out._backward = back
+    return out

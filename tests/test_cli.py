@@ -227,10 +227,15 @@ _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-d
 
 @pytest.mark.parametrize("config,add_record,message", [
     ("learning-rate=0\n", False, "learning-rate must be positive"),
+    ("learning-rate=nan\n", False, "learning-rate must be positive and finite, got nan"),
+    ("learning-rate=inf\n", False, "learning-rate must be positive and finite, got inf"),
+    ("grad-clip=nan\n", False, "grad-clip must be positive and finite, got nan"),
+    ("grad-clip=inf\n", False, "grad-clip must be positive and finite, got inf"),
     ("disable-pattern-att=true\ndisable-phrase-att=true\nreplace-headline-att=true\n",
      False, "no attention query type"),
     ("", True, "has no cardinal pattern"),
-], ids=["zero-learning-rate", "no-query-type", "record-without-cardinal"])
+], ids=["zero-learning-rate", "nan-learning-rate", "inf-learning-rate", "nan-grad-clip",
+        "inf-grad-clip", "no-query-type", "record-without-cardinal"])
 def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config, add_record,
                                              message):
     cfg = tmp_path / "run.cfg"
@@ -248,6 +253,20 @@ def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config
     assert message in err and len(err.splitlines()) == 1, err
     if not add_record:
         assert str(cfg) in err
+
+
+def test_diverging_training_run_is_one_line_data_error(workspace, tmp_path, capsys):
+    """A learning rate near the largest double drives the parameters past
+    it: the run stops at the first overflow, before fusion sees NaN."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE_CONFIG + "learning-rate=1e308\n")
+    splits = workspace / "splits"
+    rc = main(["train", "--config", str(cfg), "--train", str(splits / "train.jsonl"),
+               "--val", str(splits / "val.jsonl"), "--out", str(tmp_path / "model.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err.startswith("poshan: training diverged: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_eval_record_without_cardinal_needs_a_query_type(workspace, tmp_path, capsys):
@@ -378,12 +397,27 @@ def _null_patterns(header):
     header["patterns"] = None
 
 
+def _nan_learning_rate(header):
+    header["config"]["learning_rate"] = float("nan")
+
+
+def _infinite_grad_clip(header):
+    header["config"]["grad_clip"] = float("inf")
+
+
+def _nan_val_loss(header):
+    header["val-losses"][0] = float("nan")
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_config, "missing keys"),
     (_extra_config_key, "unknown keys"),
     (_negative_hidden_size, "hidden-size"),
     (_vocab_index_past_table, "vocab index"),
     (_null_patterns, "patterns is not an object"),
+    (_nan_learning_rate, "learning-rate must be positive and finite, got nan"),
+    (_infinite_grad_clip, "grad-clip must be positive and finite, got inf"),
+    (_nan_val_loss, "val-losses are not all finite"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -488,6 +522,26 @@ def test_dump_attention_rejects_baseline_checkpoint(workspace, tmp_path, capsys)
                "--record-id", "r0", "--out", str(tmp_path / "trace.json")])
     assert rc == EXIT_DATA
     assert "hierarchical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", [5, [1, 2, 3], "ab", [1, -1], [1, 2.0], [True, 0]],
+                         ids=["number", "three-counts", "string", "negative", "float", "bool"])
+def test_dump_patterns_malformed_label_counts_is_data_error(workspace, tmp_path, capsys,
+                                                            counts):
+    def edit(header):
+        first = sorted(header["pattern-label-counts"])[0]
+        header["pattern-label-counts"][first] = counts
+
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(workspace / "model.ckpt", bad, edit)
+    majority = tmp_path / "majority.tsv"
+    rc = main(["dump-patterns", "--ckpt", str(bad), "--out", str(tmp_path / "patterns.tsv"),
+               "--majority-out", str(majority)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err.startswith("poshan: ") and "pattern-label-counts" in err, err
+    assert len(err.splitlines()) == 1, err
+    assert not majority.exists()
 
 
 def test_dump_patterns_writes_tables(workspace, tmp_path):

@@ -24,6 +24,7 @@ from poshan.grad import (
     finite_difference_check,
     gather,
     hadamard,
+    recurrent,
     sum_axis,
 )
 from toy_ops import dot
@@ -41,7 +42,7 @@ def ones_const(n):
 def run_cell(cell, xs):
     """States (T, H) of one direction over one full-length sequence."""
     x = constant(np.asarray(xs, dtype=np.float64))
-    return cell.run(x, [x.shape[0]])
+    return recurrent(cell.cell, x, [x.shape[0]], [cell.direction()])
 
 
 def readout(t, seed=0):
@@ -152,8 +153,8 @@ class TestSequenceEncoder:
                               rng=np.random.default_rng(2))
         x = constant(np.array([[0.3, -0.6]]))
         out = enc.encode(x, [True])
-        fwd = enc.fwd.run(x, [1])
-        bwd = enc.bwd.run(x, [1], reverse=True)
+        fwd = recurrent(enc.fwd.cell, x, [1], [enc.fwd.direction()])
+        bwd = recurrent(enc.bwd.cell, x, [1], [enc.bwd.direction(reverse=True)])
         assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data], axis=1))
 
     def test_zero_params_give_zero_states(self):

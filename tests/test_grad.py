@@ -20,19 +20,19 @@ from poshan.grad import (
     constant,
     finite_difference_check,
     gather,
-    gru_layer,
     hadamard,
-    lstm_layer,
     masked_softmax,
     mean_axis,
     mean_fold,
     no_grad,
+    recurrent,
     relu_elem,
     softmax_cross_entropy_with_logits,
     sum_axis,
     weighted_sum,
     zero_gradients,
 )
+import oracles
 from toy_ops import dot
 
 
@@ -400,6 +400,16 @@ def _layer_params(gates, in_dim, hidden, seed):
             [Parameter(f"b{k}", rng.uniform(-0.7, 0.7, hidden)) for k in range(gates)])
 
 
+def lstm_layer(x, lengths, w, u, b, reverse=False):
+    """One LSTM direction through the joint recurrent op."""
+    return recurrent("lstm", x, lengths, [(w, u, b, reverse)])
+
+
+def gru_layer(x, lengths, w, u, b, reverse=False):
+    """One GRU direction through the joint recurrent op."""
+    return recurrent("gru", x, lengths, [(w, u, b, reverse)])
+
+
 LAYERS = [(lstm_layer, 4), (gru_layer, 3)]
 
 
@@ -456,6 +466,85 @@ def test_recurrent_layer_rejects_bad_lengths():
         lstm_layer(constant(np.zeros((2, 3, 2))), [3], *params)
     with pytest.raises(ShapeError):
         lstm_layer(constant(np.zeros((3, 5))), [3], *params)
+
+
+# cell kind -> (recurrent cell, gates, directions)
+ENCODER_CELLS = {"lstm-bi": ("lstm", 4, 2), "gru-bi": ("gru", 3, 2), "lstm-uni": ("lstm", 4, 1)}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_joint_op_matches_oracle(kind, xs, lengths, hidden, final, seed):
+    """States and every gradient of the joint op, byte for byte against
+    one oracle node per direction: their states joined as the joint op
+    joins them, their backward passes run last direction first, the order
+    a graph of one node per direction runs them in."""
+    cell, gates, k = ENCODER_CELLS[kind]
+    steps_fn = oracles._lstm_steps if cell == "lstm" else oracles._gru_steps
+    directions = [(*_layer_params(gates, xs.shape[-1], hidden, seed + d), d == 1)
+                  for d in range(k)]
+    params = [p for w, u, b, _ in directions for p in (*w, *u, *b)]
+    x = Parameter("x", xs)
+    rows = np.arange(len(lengths))
+    lengths = np.asarray(lengths)
+    # x already holds a gradient, so the order of its two terms shows
+    earlier = np.random.default_rng(seed + 7).standard_normal(xs.shape)
+
+    zero_gradients(params)
+    x.grad = earlier.copy()
+    out = recurrent(cell, x, lengths, directions, final=final)
+    upstream = np.random.default_rng(seed).standard_normal(out.shape)
+    out.grad = upstream
+    out._backward()
+    joint = [out.data, x.grad, *(p.grad.copy() for p in params)]
+
+    zero_gradients(params)
+    x.grad = earlier.copy()
+    nodes = [oracles._recurrent_layer("oracle", steps_fn, x, lengths, w, u, b, reverse)
+             for w, u, b, reverse in directions]
+    up = upstream.reshape(len(lengths), *upstream.shape[xs.ndim - 2:])
+    pieces = []
+    for d, (node, (*_, reverse)) in enumerate(zip(nodes, directions)):
+        states = node.data.reshape(len(lengths), *node.shape[xs.ndim - 2:])
+        g = up[..., d * hidden:(d + 1) * hidden]
+        if final:
+            at = 0 if reverse else lengths - 1
+            pieces.append(states[rows, at])
+            grad = np.zeros(states.shape)
+            grad[rows, at] = g
+            g = grad
+        else:
+            pieces.append(states)
+        node.grad = g.reshape(node.shape)
+    for node in reversed(nodes):
+        node._backward()
+    expected = np.concatenate(pieces, axis=-1).reshape(out.shape)
+    oracle = [expected, x.grad, *(p.grad for p in params)]
+    assert [_bits(a) for a in joint] == [_bits(a) for a in oracle]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(ENCODER_CELLS)), data=st.data(), final=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_joint_recurrent_op_is_bit_equal_to_per_direction_oracle(kind, data, final, seed):
+    n = data.draw(st.integers(1, 4))
+    steps = data.draw(st.integers(1, 6))
+    lengths = data.draw(st.lists(st.integers(1, steps), min_size=n, max_size=n))
+    dim = data.draw(st.integers(1, 5))
+    hidden = data.draw(st.sampled_from([1, 2, 3, 16]))
+    one = n == 1 and data.draw(st.booleans())
+    xs = np.random.default_rng(seed).standard_normal((steps, dim) if one else (n, steps, dim))
+    _assert_joint_op_matches_oracle(kind, xs, lengths, hidden, final, seed)
+
+
+@pytest.mark.parametrize("final", [False, True])
+@pytest.mark.parametrize("kind", sorted(ENCODER_CELLS))
+def test_joint_recurrent_op_matches_oracle_on_a_long_single_sequence(kind, final):
+    # N=1 takes BLAS's matrix-vector path at every step
+    xs = np.random.default_rng(31).standard_normal((300, 64))
+    _assert_joint_op_matches_oracle(kind, xs, [300], 16, final, seed=32)
 
 
 def test_additive_scores_block_matches_rows_and_gradients():
