@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import PaddedRecord
 from .embeddings import WordEmbeddingTable
-from .encoder import CELL_LSTM_BI, SequenceEncoder
+from .encoder import SequenceEncoder
 from .grad import (
     Parameter,
     Tensor,
@@ -20,9 +20,6 @@ from .grad import (
     relu_elem,
 )
 from .model import Classifier, ClassifierHead
-
-# hidden size of the concat baseline's reference configuration
-DEFAULT_HIDDEN = 200
 
 POS_CATEGORIES = ("noun", "verb", "adjective", "pronoun", "adverb",
                   "cardinal", "other")
@@ -59,9 +56,8 @@ class LstmConcatModel(Classifier):
     """Single bidirectional encoder over [headline || body]; the final
     encoder state feeds the classifier head."""
 
-    def __init__(self, word_table: WordEmbeddingTable,
-                 hidden_size: int = DEFAULT_HIDDEN, cell: str = CELL_LSTM_BI,
-                 seed: int = 0):
+    def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
+                 cell: str, seed: int):
         rng = np.random.default_rng(seed)
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
@@ -77,8 +73,7 @@ class LstmConcatModel(Classifier):
         return self.word_table.lookup([t.text for t in tagged])
 
     def forward(self, padded: PaddedRecord) -> Tensor:
-        tagged = flatten_record(padded)
-        final = self.encoder.final_state(self.inputs(tagged), [True] * len(tagged))
+        final = self.encoder.final_state(self.inputs(flatten_record(padded)))
         return self.head.logits(final)
 
     def parameters(self) -> list:

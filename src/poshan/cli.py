@@ -12,8 +12,8 @@ import warnings
 from pathlib import Path
 
 from .attention import pad_record
-from .embeddings import PatternEmbeddingTable, export_pattern_embeddings, export_pattern_majority
-from .grad import GradCheckReport, NonFiniteError, Parameter, add, finite_difference_check
+from .embeddings import export_pattern_embeddings, export_pattern_majority
+from .grad import GradCheckReport, NonFiniteError, add, finite_difference_check
 from .text import (
     DataError,
     RawRecord,
@@ -187,9 +187,8 @@ def _cmd_dump_patterns(args) -> int:
     if checkpoint.patterns is None:
         raise DataError(
             f"checkpoint for {checkpoint.model_kind!r} has no pattern table")
-    param = Parameter("pattern_embeddings", checkpoint.params["pattern_embeddings"])
-    table = PatternEmbeddingTable(dict(checkpoint.patterns), param)
-    export_pattern_embeddings(table, args.out)
+    export_pattern_embeddings(checkpoint.patterns, checkpoint.params["pattern_embeddings"],
+                              args.out)
     if args.majority_out:
         counts = checkpoint.pattern_label_counts or {}
         export_pattern_majority(counts, args.majority_out)
@@ -213,7 +212,7 @@ def _gradcheck_records() -> list:
     return [featurize(raw, tagger) for raw in raws]
 
 
-def run_gradcheck(kind: str, seed: int = 0) -> GradCheckReport:
+def run_gradcheck(kind: str, seed: int) -> GradCheckReport:
     """Finite-difference check of a small model's full gradient.
 
     The model is built on a tiny fixed corpus; the loss closure sums the
@@ -236,6 +235,8 @@ def run_gradcheck(kind: str, seed: int = 0) -> GradCheckReport:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"gradcheck: --seed must be non-negative, got {args.seed}")
     report = run_gradcheck(args.model, seed=args.seed)
     print(report.to_tsv(), end="")
     if not report.passed:

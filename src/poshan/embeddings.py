@@ -169,16 +169,13 @@ def phrase_query(record: DatasetRecord, table: WordEmbeddingTable) -> Tensor:
 # Exports
 
 
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def export_pattern_embeddings(table: PatternEmbeddingTable, path) -> None:
-    """TSV: pattern string followed by its embedding row; unknown row first."""
-    ordered = [(UNK_PATTERN, 0)] + sorted(table.patterns.items(), key=lambda kv: kv[1])
+def export_pattern_embeddings(patterns: dict, matrix: np.ndarray, path) -> None:
+    """TSV: pattern string followed by its embedding row, the rows of
+    ``matrix`` in ``patterns``' index order; unknown row first."""
+    ordered = [(UNK_PATTERN, 0)] + sorted(patterns.items(), key=lambda kv: kv[1])
     with open(path, "w", encoding="utf-8") as fh:
         for key, idx in ordered:
-            row = "\t".join(format_float(v) for v in table.matrix.data[idx])
+            row = "\t".join(repr(float(v)) for v in matrix[idx])
             fh.write(f"{key}\t{row}\n")
 
 

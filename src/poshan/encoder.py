@@ -88,10 +88,8 @@ class SequenceEncoder:
     """Masked sequence encoder; bidirectional outputs concatenate the
     forward and backward states position by position."""
 
-    def __init__(self, name: str, in_dim: int, hidden: int,
-                 cell: str = CELL_LSTM_BI, rng: np.random.Generator = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, name: str, in_dim: int, hidden: int, cell: str,
+                 rng: np.random.Generator):
         self.name = name
         self.hidden = hidden
         self.cell_kind = cell
@@ -144,11 +142,11 @@ class SequenceEncoder:
         return recurrent(self.fwd.cell, inputs, self._lengths(inputs, mask),
                          self._directions())
 
-    def final_state(self, inputs: Tensor, mask) -> Tensor:
-        """Summary state of one sequence (T, D): the last forward state,
-        concatenated with the backward state that has consumed the whole
-        sequence."""
+    def final_state(self, inputs: Tensor) -> Tensor:
+        """Summary state of one sequence (T, D) whose T positions are all
+        real: the last forward state, concatenated with the backward state
+        that has consumed the whole sequence."""
         if inputs.data.ndim != 2:
             raise ShapeError(f"{self.name}: final_state takes one sequence, got {inputs.shape}")
-        return recurrent(self.fwd.cell, inputs, self._lengths(inputs, mask),
-                         self._directions(), final=True)
+        return recurrent(self.fwd.cell, inputs, [len(inputs.data)], self._directions(),
+                         final=True)

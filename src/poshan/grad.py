@@ -722,21 +722,17 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     """Iterative postorder over the requires-grad op nodes under ``root``;
     leaves (parameters) have nothing to propagate and are left out."""
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[int] = {id(root)}
     stack: list[tuple[Tensor, int]] = [(root, 0)]
     while stack:
         node, child = stack[-1]
-        if child == 0:
-            if id(node) in seen:
-                stack.pop()
-                continue
-            seen.add(id(node))
         parents = node._parents
         while child < len(parents) and (
                 not parents[child].requires_grad or not parents[child]._parents
                 or id(parents[child]) in seen):
             child += 1
         if child < len(parents):
+            seen.add(id(parents[child]))
             stack[-1] = (node, child + 1)
             stack.append((parents[child], 0))
         else:
@@ -785,14 +781,11 @@ def zero_gradients(params: Iterable[Parameter]) -> None:
 class GradCheckEntry:
     name: str
     max_rel_error: float
-    checked: int
     passed: bool
 
 
 @dataclass
 class GradCheckReport:
-    epsilon: float
-    tolerance: float
     entries: list[GradCheckEntry] = field(default_factory=list)
 
     @property
@@ -843,7 +836,7 @@ def finite_difference_check(forward: Callable[[], Tensor],
     backward(forward())
 
     rng = np.random.default_rng(seed)
-    report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
+    report = GradCheckReport()
     for p in trainable:
         flat = p.data.reshape(-1)
         n = flat.size
@@ -866,6 +859,5 @@ def finite_difference_check(forward: Callable[[], Tensor],
             if rel > worst:
                 worst = rel
         report.entries.append(GradCheckEntry(
-            name=p.name, max_rel_error=worst, checked=len(indices),
-            passed=worst <= tolerance))
+            name=p.name, max_rel_error=worst, passed=worst <= tolerance))
     return report

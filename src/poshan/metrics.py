@@ -180,8 +180,7 @@ def build_report(records, probs) -> EvalReport:
                       predictions=predictions)
 
 
-def evaluate_model(model, records, max_words: int = 45,
-                   max_sentences: int = 35) -> EvalReport:
+def evaluate_model(model, records, max_words: int, max_sentences: int) -> EvalReport:
     """Predict every record and assemble the evaluation report."""
     if not records:
         raise DataError("cannot evaluate an empty record list")

@@ -18,7 +18,7 @@ from .attention import (
     document_trace,
 )
 from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
-from .encoder import CELL_LSTM_BI, SequenceEncoder
+from .encoder import SequenceEncoder
 from .grad import (
     Parameter,
     Tensor,
@@ -71,11 +71,10 @@ class PoshanModel(Classifier):
     """
 
     def __init__(self, word_table: WordEmbeddingTable,
-                 pattern_table: PatternEmbeddingTable, hidden_size: int = 16,
-                 attention_size: Optional[int] = None,
-                 cell: str = CELL_LSTM_BI, disable_pattern_att: bool = False,
-                 disable_phrase_att: bool = False,
-                 replace_headline_att: bool = False, seed: int = 0):
+                 pattern_table: PatternEmbeddingTable, hidden_size: int,
+                 attention_size: Optional[int], cell: str,
+                 disable_pattern_att: bool, disable_phrase_att: bool,
+                 replace_headline_att: bool, seed: int):
         rng = np.random.default_rng(seed)
         self.word_table = word_table
         self.pattern_table = pattern_table
@@ -109,9 +108,8 @@ class PoshanModel(Classifier):
         """Class logits for one padded record."""
         d, _ = self._document(padded)
         if QUERY_HEADLINE not in self.query_types:
-            tokens = [t.text for t in padded.record.headline]
-            d = concat(d, self.word_encoder.final_state(
-                self.word_table.lookup(tokens), [True] * len(tokens)))
+            d = concat(d, self.word_encoder.final_state(self.word_table.lookup(
+                [t.text for t in padded.record.headline])))
         return self.head.logits(d)
 
     def attention_trace(self, padded: PaddedRecord) -> DocumentTrace:

@@ -33,7 +33,7 @@ from .embeddings import (
     build_vocab,
     pattern_label_counts,
 )
-from .encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI
+from .encoder import CELL_LSTM_BI, CELLS
 from .grad import (
     NonFiniteError,
     Parameter,
@@ -51,8 +51,6 @@ MODEL_POSHAN = "poshan"
 MODEL_LSTM = "lstm"
 MODEL_POSAT = "posat"
 MODEL_KINDS = (MODEL_POSHAN, MODEL_LSTM, MODEL_POSAT)
-
-_CELLS = (CELL_LSTM_BI, CELL_GRU_BI, CELL_LSTM_UNI)
 
 # Minimum drop in validation loss that counts as progress for early stopping.
 IMPROVEMENT_THRESHOLD = 1e-4
@@ -111,8 +109,10 @@ class TrainConfig:
                 raise ValueError(f"{key} must be at least 1, got {value}")
         if self.attention_size is not None and self.attention_size < 1:
             raise ValueError(f"attention-size must be at least 1, got {self.attention_size}")
-        if self.cell not in _CELLS:
-            raise ValueError(f"unknown cell {self.cell!r}; expected one of {_CELLS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        if self.cell not in CELLS:
+            raise ValueError(f"unknown cell {self.cell!r}; expected one of {CELLS}")
         if self.disable_pattern_att and self.disable_phrase_att and self.replace_headline_att:
             raise ValueError("the three attention flags leave no attention query type")
 
@@ -189,9 +189,10 @@ def build_model(
     kind: str,
     config: TrainConfig,
     word_table: WordEmbeddingTable,
-    pattern_table: Optional[PatternEmbeddingTable] = None,
+    pattern_table: Optional[PatternEmbeddingTable],
 ):
-    """Construct one of the three trainable models from a config."""
+    """Construct one of the three trainable models from a config; the
+    baselines take no pattern table, so theirs may be None."""
     if kind == MODEL_POSHAN:
         if pattern_table is None:
             raise ValueError("the hierarchical model requires a pattern table")
@@ -220,16 +221,13 @@ def build_model(
 def make_batches(
     units: Sequence[PaddedRecord],
     batch_size: int,
-    seed: Optional[int] = None,
+    seed: int,
 ) -> list[list[PaddedRecord]]:
-    """Group padded units into batches.
-
-    With a seed the unit order is shuffled reproducibly first; without
-    one the input order is kept.  The final batch may be short: 300
-    units at batch size 128 yield batches of 128, 128, and 44.
+    """Shuffle padded units by a seeded permutation, then group them into
+    batches.  The final batch may be short: 300 units at batch size 128
+    yield batches of 128, 128, and 44.
     """
-    if seed is not None:
-        units = [units[int(i)] for i in np.random.default_rng(seed).permutation(len(units))]
+    units = [units[int(i)] for i in np.random.default_rng(seed).permutation(len(units))]
     return [units[i : i + batch_size] for i in range(0, len(units), batch_size)]
 
 
@@ -261,8 +259,15 @@ def clip_global_norm(params: Sequence[Parameter], threshold: float) -> float:
     return norm
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class Adam:
-    """Adam with bias correction over the trainable parameters, in place.
+    """Adam with bias correction over the trainable parameters, in place,
+    with the decay rates ``ADAM_BETA1``, ``ADAM_BETA2`` and the guard
+    ``ADAM_EPSILON``.
 
     An embedding table is updated only in its active rows, the rows that
     have had a gradient (``grad.Parameter.active``).  That is exact: a row
@@ -271,19 +276,9 @@ class Adam:
     two scratch buffers kept between steps.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Parameter], learning_rate: float):
         self.params = [p for p in params if p.requires_grad]
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         # np.zeros, unlike zeros_like, leaves pages unwritten until a row is
         # first updated, so a table's never-active rows cost no memory
@@ -308,7 +303,7 @@ class Adam:
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
         ``data - lr*m_hat / (sqrt(v_hat) + eps)``; ``s`` and ``r`` are
         scratch of ``g``'s shape."""
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=s)
         np.add(m, s, out=m)
@@ -320,7 +315,7 @@ class Adam:
         np.multiply(s, self.learning_rate, out=s)
         np.divide(v, 1.0 - b2**self.t, out=r)
         np.sqrt(r, out=r)
-        np.add(r, self.epsilon, out=r)
+        np.add(r, ADAM_EPSILON, out=r)
         np.divide(s, r, out=s)
         np.subtract(data, s, out=data)
 
@@ -504,7 +499,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for entry in header["params"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         end = offset + count * 8
         if end > len(raw):
             raise DataError(f"{path}: truncated parameter data for {entry['name']!r}")
@@ -576,18 +571,16 @@ def _split_key(record_id: str, seed: int) -> str:
 
 
 def stratified_split(
-    records: Sequence[DatasetRecord],
-    seed: int,
-    fractions: tuple[float, float, float] = SPLIT_FRACTIONS,
+    records: Sequence[DatasetRecord], seed: int
 ) -> tuple[list[DatasetRecord], list[DatasetRecord], list[DatasetRecord]]:
-    """Split records into train/val/test, stratified by label.
+    """Split records into train/val/test by ``SPLIT_FRACTIONS``,
+    stratified by label.
 
     Within each label the order is fixed by a seeded hash of the record
     id, so membership depends only on (ids, labels, seed) and not on the
-    input order.
+    input order.  Each label's train and val shares are rounded down;
+    test takes the rest.
     """
-    if not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
-        raise ValueError(f"split fractions must sum to 1, got {fractions}")
     train: list[DatasetRecord] = []
     val: list[DatasetRecord] = []
     test: list[DatasetRecord] = []
@@ -597,8 +590,8 @@ def stratified_split(
     for label in sorted(by_label):
         bucket = sorted(by_label[label], key=lambda r: _split_key(r.id, seed))
         n = len(bucket)
-        n_train = int(n * fractions[0])
-        n_val = int(n * fractions[1])
+        n_train = int(n * SPLIT_FRACTIONS[0])
+        n_val = int(n * SPLIT_FRACTIONS[1])
         train.extend(bucket[:n_train])
         val.extend(bucket[n_train : n_train + n_val])
         test.extend(bucket[n_train + n_val :])

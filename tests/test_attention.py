@@ -26,7 +26,7 @@ from poshan.attention import (
     score,
 )
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
-from poshan.encoder import SequenceEncoder
+from poshan.encoder import CELL_LSTM_BI, SequenceEncoder
 from poshan.grad import (
     EmptyAttentionError,
     ShapeError,
@@ -308,9 +308,9 @@ class Setup:
                                                          dim=pattern_dim,
                                                          seed=seed)
         self.word_encoder = SequenceEncoder("word_enc", in_dim=word_dim,
-                                            hidden=hidden, rng=rng)
+                                            hidden=hidden, cell=CELL_LSTM_BI, rng=rng)
         self.sentence_encoder = SequenceEncoder("sent_enc", in_dim=2 * hidden,
-                                                hidden=hidden, rng=rng)
+                                                hidden=hidden, cell=CELL_LSTM_BI, rng=rng)
         self.attention = HierarchicalAttention(
             "att", word_hs_dim=2 * hidden, sent_hs_dim=2 * hidden,
             word_dim=word_dim, pattern_dim=pattern_dim, att_dim=att_dim,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from poshan.attention import pad_record
 from poshan.baselines import (
-    DEFAULT_HIDDEN,
     OTHER_CATEGORY,
     POS_CATEGORIES,
     LstmConcatModel,
@@ -17,6 +16,7 @@ from poshan.baselines import (
     pos_category_index,
 )
 from poshan.embeddings import build_vocab
+from poshan.encoder import CELL_LSTM_BI
 from poshan.grad import ShapeError, finite_difference_check
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize
 
@@ -27,10 +27,10 @@ def make_record(headline="Loan hits 1 million",
                                label=label), RuleTagger())
 
 
-def make_pair(cls=LstmConcatModel, seed=0, **kwargs):
+def make_pair(cls=LstmConcatModel, seed=0):
     rec = make_record()
     table = build_vocab([rec], min_count=1, dim=3, seed=0)
-    model = cls(table, hidden_size=2, seed=seed, **kwargs)
+    model = cls(table, hidden_size=2, cell=CELL_LSTM_BI, seed=seed)
     return model, pad_record(rec, 45, 35)
 
 
@@ -70,9 +70,6 @@ class TestFlattenRecord:
 
 
 class TestLstmConcat:
-    def test_reference_dims(self):
-        assert DEFAULT_HIDDEN == 200
-
     def test_zero_weights_give_even_split(self):
         model, padded = make_pair()
         for p in model.parameters():
@@ -104,7 +101,7 @@ class TestLstmConcat:
     def test_gradients_four_token_toy(self):
         rec = make_record(headline="Won 1", body="Big win")
         table = build_vocab([rec], min_count=1, dim=2, seed=0)
-        model = LstmConcatModel(table, hidden_size=2, seed=1)
+        model = LstmConcatModel(table, hidden_size=2, cell=CELL_LSTM_BI, seed=1)
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),
@@ -144,7 +141,7 @@ class TestPosAt:
     def test_gradients_four_token_toy(self):
         rec = make_record(headline="Won 1", body="Big win")
         table = build_vocab([rec], min_count=1, dim=2, seed=0)
-        model = PosAtModel(table, hidden_size=2, seed=2)
+        model = PosAtModel(table, hidden_size=2, cell=CELL_LSTM_BI, seed=2)
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),

@@ -231,11 +231,12 @@ _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-d
     ("learning-rate=inf\n", False, "learning-rate must be positive and finite, got inf"),
     ("grad-clip=nan\n", False, "grad-clip must be positive and finite, got nan"),
     ("grad-clip=inf\n", False, "grad-clip must be positive and finite, got inf"),
+    ("seed=-1\n", False, "seed must be at least 0, got -1"),
     ("disable-pattern-att=true\ndisable-phrase-att=true\nreplace-headline-att=true\n",
      False, "no attention query type"),
     ("", True, "has no cardinal pattern"),
 ], ids=["zero-learning-rate", "nan-learning-rate", "inf-learning-rate", "nan-grad-clip",
-        "inf-grad-clip", "no-query-type", "record-without-cardinal"])
+        "inf-grad-clip", "negative-seed", "no-query-type", "record-without-cardinal"])
 def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config, add_record,
                                              message):
     cfg = tmp_path / "run.cfg"
@@ -409,6 +410,14 @@ def _nan_val_loss(header):
     header["val-losses"][0] = float("nan")
 
 
+def _negative_seed(header):
+    header["config"]["seed"] = -1
+
+
+def _shape_product_past_int64(header):
+    header["params"][0]["shape"] = [2 ** 32, 2 ** 32]
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_config, "missing keys"),
     (_extra_config_key, "unknown keys"),
@@ -418,6 +427,8 @@ def _nan_val_loss(header):
     (_nan_learning_rate, "learning-rate must be positive and finite, got nan"),
     (_infinite_grad_clip, "grad-clip must be positive and finite, got inf"),
     (_nan_val_loss, "val-losses are not all finite"),
+    (_negative_seed, "seed must be at least 0, got -1"),
+    (_shape_product_past_int64, "truncated parameter data"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -426,8 +437,9 @@ def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, cap
     rc = main(["eval", "--ckpt", str(bad),
                "--test", str(workspace / "splits" / "test.jsonl"),
                "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
     assert rc == EXIT_DATA
-    assert message in capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1, err
 
 
 def _sentences_not_a_list(rows):
@@ -587,6 +599,12 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_negative_gradcheck_seed_is_usage_error(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative, got -1" in err and len(err.splitlines()) == 1, err
 
 
 def test_missing_required_flag_is_usage_error(capsys):

@@ -279,7 +279,7 @@ class TestExports:
     def test_pattern_embedding_tsv(self, tmp_path):
         table = pattern_table({"NN:CD:CD": [0.25, -0.5]}, dim=2)
         out = tmp_path / "patterns.tsv"
-        export_pattern_embeddings(table, out)
+        export_pattern_embeddings(table.patterns, table.matrix.data, out)
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2
         first = lines[0].split("\t")

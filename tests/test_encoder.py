@@ -141,7 +141,7 @@ def make_inputs(rng, n, dim):
 
 class TestSequenceEncoder:
     def test_output_shape_and_length(self):
-        enc = SequenceEncoder("e", in_dim=3, hidden=4,
+        enc = SequenceEncoder("e", in_dim=3, hidden=4, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         xs = make_inputs(np.random.default_rng(1), 5, 3)
         out = enc.encode(xs, [True] * 5)
@@ -149,7 +149,7 @@ class TestSequenceEncoder:
         assert enc.out_dim == 8
 
     def test_single_position_is_concat_of_single_steps(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=3,
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(2))
         x = constant(np.array([[0.3, -0.6]]))
         out = enc.encode(x, [True])
@@ -158,7 +158,7 @@ class TestSequenceEncoder:
         assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data], axis=1))
 
     def test_zero_params_give_zero_states(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         zero_params(enc.fwd)
         zero_params(enc.bwd)
@@ -167,7 +167,7 @@ class TestSequenceEncoder:
         assert np.array_equal(out.data, np.zeros((4, 4)))
 
     def test_palindrome_with_tied_directions(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=3,
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(4))
         for pf, pb in zip(enc.fwd.parameters(), enc.bwd.parameters()):
             pb.data[...] = pf.data
@@ -182,7 +182,7 @@ class TestSequenceEncoder:
             assert np.array_equal(fwd_t, bwd_mirror)
 
     def test_masked_positions_are_zero_and_constant(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(5))
         xs = Parameter("x", np.random.default_rng(6).normal(size=(4, 2)))
         out = enc.encode(xs, [True, True, False, False])
@@ -193,7 +193,7 @@ class TestSequenceEncoder:
         assert np.all(xs.grad[:2] != 0.0)
 
     def test_padding_isolation(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(7))
         rng = np.random.default_rng(8)
         real = rng.normal(size=(2, 2))
@@ -221,35 +221,36 @@ class TestSequenceEncoder:
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(ValueError, match="cell"):
-            SequenceEncoder("e", in_dim=2, hidden=2, cell="transformer")
+            SequenceEncoder("e", in_dim=2, hidden=2, cell="transformer",
+                            rng=np.random.default_rng(0))
 
     def test_parameter_names_unique(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         names = [p.name for p in enc.parameters()]
         assert len(names) == len(set(names)) == 24
 
     def test_empty_sequence_rejected(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode(constant(np.zeros((0, 2))), [])
 
     def test_all_masked_rejected(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode(make_inputs(np.random.default_rng(0), 2, 2),
                        [False, False])
 
     def test_length_mismatch_rejected(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode(make_inputs(np.random.default_rng(0), 2, 2), [True])
 
     def test_non_prefix_mask_rejected(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         with pytest.raises(ShapeError, match="prefix"):
             enc.encode(make_inputs(np.random.default_rng(0), 3, 2),
@@ -295,7 +296,7 @@ class TestBlockEncoding:
         assert report.passed, report.to_tsv()
 
     def test_mask_rows_must_be_prefixes(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(0))
         xs = constant(np.zeros((2, 3, 2)))
         with pytest.raises(ShapeError, match="prefix"):
@@ -304,11 +305,11 @@ class TestBlockEncoding:
             enc.encode(xs, [True, True, True, False, False, False])
 
     def test_final_state_joins_both_ends(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=3,
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(24))
         xs = make_inputs(np.random.default_rng(25), 4, 2)
         states = enc.encode(xs, [True] * 4).data
-        final = enc.final_state(xs, [True] * 4).data
+        final = enc.final_state(xs).data
         assert np.array_equal(final, np.concatenate([states[3, :3], states[0, 3:]]))
 
 
@@ -322,7 +323,7 @@ class TestEncoderGradients:
         return dot(sum_axis(out), ones_const(enc.out_dim))
 
     def test_three_token_bilstm_all_params(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=3,
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(11))
         xs = make_inputs(np.random.default_rng(12), 3, 2)
 
@@ -341,7 +342,7 @@ class TestEncoderGradients:
         assert report.passed, report.to_tsv()
 
     def test_masked_encoding_gradients(self):
-        enc = SequenceEncoder("e", in_dim=2, hidden=2,
+        enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
                               rng=np.random.default_rng(15))
         xs = make_inputs(np.random.default_rng(16), 4, 2)
 

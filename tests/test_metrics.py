@@ -10,6 +10,7 @@ import pytest
 
 from oracles import oracle_macro_f1, oracle_roc_auc, rank_auc
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
+from poshan.encoder import CELL_LSTM_BI
 from poshan.metrics import (
     EVAL_REPORT_SCHEMA,
     EvalReport,
@@ -127,14 +128,20 @@ def tiny_model_and_records():
     word_table = build_vocab(records, min_count=1, dim=3, seed=0)
     pattern_table = PatternEmbeddingTable.build(records, dim=4, seed=0)
     model = PoshanModel(word_table, pattern_table, hidden_size=2,
-                        attention_size=2, seed=0)
+                        attention_size=2, cell=CELL_LSTM_BI,
+                        disable_pattern_att=False, disable_phrase_att=False,
+                        replace_headline_att=False, seed=0)
     return model, records
+
+
+# the padding caps of a default TrainConfig
+CAPS = dict(max_words=45, max_sentences=35)
 
 
 class TestEvaluateModel:
     def test_report_invariants(self):
         model, records = tiny_model_and_records()
-        report = evaluate_model(model, records)
+        report = evaluate_model(model, records, **CAPS)
         assert report.tp + report.fp + report.tn + report.fn == len(records)
         assert 0.0 <= report.macro_f1 <= 1.0
         assert report.auc is None or 0.0 <= report.auc <= 1.0
@@ -145,13 +152,13 @@ class TestEvaluateModel:
 
     def test_report_deterministic(self):
         model, records = tiny_model_and_records()
-        a = evaluate_model(model, records).to_json()
-        b = evaluate_model(model, records).to_json()
+        a = evaluate_model(model, records, **CAPS).to_json()
+        b = evaluate_model(model, records, **CAPS).to_json()
         assert a == b
 
     def test_report_json_schema(self):
         model, records = tiny_model_and_records()
-        obj = json.loads(json.dumps(evaluate_model(model, records).to_json()))
+        obj = json.loads(json.dumps(evaluate_model(model, records, **CAPS).to_json()))
         jsonschema.validate(obj, EVAL_REPORT_SCHEMA)
 
     def test_single_class_labels_drop_auc(self):
@@ -159,13 +166,13 @@ class TestEvaluateModel:
         for rec in records:
             rec.label = C
         with pytest.warns(RuntimeWarning, match="single-class"):
-            report = evaluate_model(model, records)
+            report = evaluate_model(model, records, **CAPS)
         assert report.auc is None
 
     def test_empty_records_rejected(self):
         model, _ = tiny_model_and_records()
         with pytest.raises(DataError):
-            evaluate_model(model, [])
+            evaluate_model(model, [], **CAPS)
 
     def test_schema_rejects_bad_report(self):
         bad = EvalReport(macro_f1=1.5, auc=None, tp=0, fp=0, tn=0,

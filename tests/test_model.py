@@ -6,7 +6,7 @@ import pytest
 
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
-from poshan.encoder import CELL_GRU_BI, CELL_LSTM_UNI
+from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI
 from poshan.grad import (
     Tensor,
     backward,
@@ -16,7 +16,7 @@ from poshan.grad import (
 )
 from poshan.model import ClassifierHead, PoshanModel
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize, replicate_for_training
-from poshan.train import Adam
+from poshan.train import Adam, TrainConfig, build_model, build_tables
 
 
 def make_records():
@@ -32,11 +32,13 @@ def make_records():
 
 def make_model(records=None, **kwargs):
     records = records if records is not None else make_records()
-    kwargs.setdefault("hidden_size", 2)
-    kwargs.setdefault("attention_size", 2)
+    settings = dict(hidden_size=2, attention_size=2, cell=CELL_LSTM_BI,
+                    disable_pattern_att=False, disable_phrase_att=False,
+                    replace_headline_att=False, seed=0)
+    settings.update(kwargs)
     word_table = build_vocab(records, min_count=1, dim=3, seed=0)
     pattern_table = PatternEmbeddingTable.build(records, dim=4, seed=0)
-    return PoshanModel(word_table, pattern_table, **kwargs), records
+    return PoshanModel(word_table, pattern_table, **settings), records
 
 
 def classify(d, head):
@@ -192,9 +194,8 @@ class TestGraphSize:
         body = " ".join(f"{words} 3 more." for _ in range(36))
         records = [featurize(RawRecord(id="cap", headline="Loan hits 1 million",
                                        body=body, label="congruent"), RuleTagger())]
-        word_table = build_vocab(records, min_count=1, dim=64, seed=0)
-        pattern_table = PatternEmbeddingTable.build(records, dim=100, seed=0)
-        model = PoshanModel(word_table, pattern_table, hidden_size=16)
+        config = TrainConfig()
+        model = build_model("poshan", config, *build_tables(records, config))
         units = replicate_for_training(records[0])
         assert len(units) == 2
         init = grad.Tensor.__init__

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poshan.attention import pad_record
+from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, QUERY_TYPES, pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
 from poshan.embeddings import MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE
+from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import NonFiniteError, Parameter, backward, constant, zero_gradients
 from poshan.model import PoshanModel
 from poshan import train as train_module
@@ -286,14 +287,8 @@ def padded_units(records):
 
 def test_make_batches_300_records():
     units = padded_units(toy_corpus(6)) * 50
-    batches = make_batches(units, TrainConfig().batch_size, seed=None)
+    batches = make_batches(units, TrainConfig().batch_size, seed=0)
     assert [len(b) for b in batches] == [128, 128, 44]
-
-
-def test_make_batches_preserves_order_without_seed():
-    units = padded_units(toy_corpus(10))
-    batches = make_batches(units, 4, seed=None)
-    assert [p for b in batches for p in b] == units
 
 
 def test_make_batches_shuffle_is_seeded_permutation():
@@ -316,8 +311,89 @@ def test_build_model_kinds():
     config = tiny_config()
     word_table, pattern_table = build_tables(records, config)
     assert isinstance(build_model(MODEL_POSHAN, config, word_table, pattern_table), PoshanModel)
-    assert isinstance(build_model(MODEL_LSTM, config, word_table), LstmConcatModel)
-    assert isinstance(build_model(MODEL_POSAT, config, word_table), PosAtModel)
+    assert isinstance(build_model(MODEL_LSTM, config, word_table, None), LstmConcatModel)
+    assert isinstance(build_model(MODEL_POSAT, config, word_table, None), PosAtModel)
+
+
+# pairwise distinct sizes, also against a bidirectional encoder's width 2 *
+# hidden-size, so that any two swapped size arguments change some shape
+WIRING = dict(word_dim=7, hidden_size=3, attention_size=5, pattern_dim=4)
+GATES = {CELL_LSTM_BI: "ifog", CELL_GRU_BI: "zrn", CELL_LSTM_UNI: "ifog"}
+ABLATIONS = {"disable_pattern_att": QUERY_PATTERN, "disable_phrase_att": QUERY_PHRASE,
+             "replace_headline_att": QUERY_HEADLINE}
+
+
+def wired_model(kind, **overrides):
+    config = tiny_config(**{**WIRING, **overrides})
+    word_table, pattern_table = build_tables(toy_corpus(8), config)
+    return build_model(kind, config, word_table, pattern_table), config
+
+
+def expected_encoder_shapes(name, in_dim, hidden, cell):
+    directions = ("fwd",) if cell == CELL_LSTM_UNI else ("fwd", "bwd")
+    return {f"{name}.{d}.{kind}_{gate}": shape
+            for d in directions for gate in GATES[cell]
+            for kind, shape in (("w", (hidden, in_dim)), ("u", (hidden, hidden)),
+                                ("b", (hidden,)))}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_build_model_wires_sizes_and_cell(kind, cell):
+    model, config = wired_model(kind, cell=cell)
+    shapes = {p.name: p.data.shape for p in model.parameters()}
+    h, d, a, q = config.hidden_size, config.word_dim, config.attention_size, config.pattern_dim
+    width = h if cell == CELL_LSTM_UNI else 2 * h
+    assert shapes.pop("word_embeddings")[1] == d
+    assert shapes.pop("classifier.w") == (2, width)
+    assert shapes.pop("classifier.b") == (2,)
+    if kind == MODEL_POSHAN:
+        assert model.query_types == QUERY_TYPES
+        assert shapes.pop("pattern_embeddings")[1] == q
+        expected = {**expected_encoder_shapes("word_enc", d, h, cell),
+                    **expected_encoder_shapes("sent_enc", width, h, cell)}
+        query_dims = {QUERY_PATTERN: q, QUERY_PHRASE: d, QUERY_HEADLINE: d}
+        for level in ("word", "sentence"):
+            for query, query_dim in query_dims.items():
+                prefix = f"att.{level}.{query}"
+                expected.update({f"{prefix}.v": (a,), f"{prefix}.w_h": (a, width),
+                                 f"{prefix}.w_q": (a, query_dim), f"{prefix}.b": (a,)})
+    else:
+        expected = expected_encoder_shapes("concat_enc", d, h, cell)
+        if kind == MODEL_POSAT:
+            expected.update({"posat.theta_w": (1, 7), "posat.theta_b": (1,)})
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_build_model_attention_size_none_is_word_encoder_width(cell):
+    model, _ = wired_model(MODEL_POSHAN, cell=cell, attention_size=None)
+    width = model.word_encoder.out_dim
+    assert width == (3 if cell == CELL_LSTM_UNI else 6)
+    assert {p.data.shape[0] for p in model.attention.parameters()} == {width}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_build_model_wires_seed(kind, cell):
+    """Another seed redraws every parameter that is not zero-initialized."""
+    first, _ = wired_model(kind, cell=cell, seed=1)
+    second, _ = wired_model(kind, cell=cell, seed=2)
+    unchanged = [a.name for a, b in zip(first.parameters(), second.parameters())
+                 if np.array_equal(a.data, b.data)]
+    assert unchanged == [p.name for p in first.parameters() if not p.data.any()]
+    assert len(unchanged) < len(first.parameters())
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("flag", sorted(ABLATIONS))
+def test_build_model_wires_each_ablation_flag(flag, cell):
+    model, _ = wired_model(MODEL_POSHAN, cell=cell, **{flag: True})
+    assert model.query_types == tuple(q for q in QUERY_TYPES if q != ABLATIONS[flag])
+    width = model.sentence_encoder.out_dim
+    if flag == "replace_headline_att":
+        width += model.word_encoder.out_dim
+    assert model.head.weight.data.shape == (2, width)
 
 
 def test_build_model_poshan_needs_pattern_table():
@@ -367,11 +443,6 @@ def test_stratified_split_depends_on_seed():
     a = stratified_split(records, seed=1)
     b = stratified_split(records, seed=2)
     assert {r.id for r in a[0]} != {r.id for r in b[0]}
-
-
-def test_stratified_split_bad_fractions():
-    with pytest.raises(ValueError, match="sum to 1"):
-        stratified_split(toy_corpus(4), seed=0, fractions=(0.5, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
