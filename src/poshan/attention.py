@@ -26,7 +26,7 @@ from .embeddings import (
     phrase_query,
 )
 from .grad import (
-    Parameter,
+    ParameterList,
     ShapeError,
     Tensor,
     additive_scores,
@@ -50,18 +50,12 @@ class AttentionParams:
     """Scorer parameters for one (level, query type) pair."""
 
     def __init__(self, prefix: str, hs_dim: int, query_dim: int, att_dim: int,
-                 rng: np.random.Generator):
+                 params: ParameterList):
         bound = 1.0 / math.sqrt(att_dim)
-        self.score_vec = Parameter(f"{prefix}.v",
-                                   rng.uniform(-bound, bound, att_dim))
-        self.state_proj = Parameter(f"{prefix}.w_h",
-                                    rng.uniform(-bound, bound, (att_dim, hs_dim)))
-        self.query_proj = Parameter(f"{prefix}.w_q",
-                                    rng.uniform(-bound, bound, (att_dim, query_dim)))
-        self.bias = Parameter(f"{prefix}.b", np.zeros(att_dim))
-
-    def parameters(self) -> list:
-        return [self.score_vec, self.state_proj, self.query_proj, self.bias]
+        self.score_vec = params.uniform(f"{prefix}.v", bound, att_dim)
+        self.state_proj = params.uniform(f"{prefix}.w_h", bound, (att_dim, hs_dim))
+        self.query_proj = params.uniform(f"{prefix}.w_q", bound, (att_dim, query_dim))
+        self.bias = params.add(f"{prefix}.b", np.zeros(att_dim))
 
 
 def score(states: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
@@ -139,24 +133,17 @@ class HierarchicalAttention:
 
     def __init__(self, name: str, word_hs_dim: int, sent_hs_dim: int,
                  word_dim: int, pattern_dim: int, att_dim: int,
-                 rng: np.random.Generator):
+                 params: ParameterList):
         query_dims = {QUERY_PATTERN: pattern_dim, QUERY_PHRASE: word_dim,
                       QUERY_HEADLINE: word_dim}
         self.word = {
             q: AttentionParams(f"{name}.word.{q}", word_hs_dim, query_dims[q],
-                               att_dim, rng)
+                               att_dim, params)
             for q in QUERY_TYPES}
         self.sentence = {
             q: AttentionParams(f"{name}.sentence.{q}", sent_hs_dim,
-                               query_dims[q], att_dim, rng)
+                               query_dims[q], att_dim, params)
             for q in QUERY_TYPES}
-
-    def parameters(self) -> list:
-        params = []
-        for level in (self.word, self.sentence):
-            for q in QUERY_TYPES:
-                params.extend(level[q].parameters())
-        return params
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from .attention import PaddedRecord
 from .embeddings import WordEmbeddingTable
 from .encoder import SequenceEncoder
 from .grad import (
-    Parameter,
     Tensor,
     affine,
     constant,
@@ -58,15 +57,11 @@ class LstmConcatModel(Classifier):
 
     def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
                  cell: str, seed: int):
-        rng = np.random.default_rng(seed)
+        super().__init__(seed, word_table)
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
-                                       hidden=hidden_size, cell=cell, rng=rng)
-        self.head = ClassifierHead("classifier", self.encoder.out_dim, rng)
-        self._init_inputs(rng)
-
-    def _init_inputs(self, rng: np.random.Generator) -> None:
-        """Draw the input layer's own parameters: none beyond the table."""
+                                       hidden=hidden_size, cell=cell, params=self.params)
+        self.head = ClassifierHead("classifier", self.encoder.out_dim, self.params)
 
     def inputs(self, tagged) -> Tensor:
         """Encoder inputs (L, D): the word embeddings of the tagged tokens."""
@@ -76,10 +71,6 @@ class LstmConcatModel(Classifier):
         final = self.encoder.final_state(self.inputs(flatten_record(padded)))
         return self.head.logits(final)
 
-    def parameters(self) -> list:
-        return [self.word_table.matrix, *self.encoder.parameters(),
-                *self.head.parameters()]
-
 
 class PosAtModel(LstmConcatModel):
     """Concat encoder whose word embeddings are scaled by a learned
@@ -87,13 +78,15 @@ class PosAtModel(LstmConcatModel):
 
     Each category weight is a one-unit rectified-linear dense over the
     one-hot category vector, initialized near zero: weights are drawn
-    from [0, 0.01].
+    from [0, 0.01], after the encoder and the head.
     """
 
-    def _init_inputs(self, rng: np.random.Generator) -> None:
-        self.theta_weight = Parameter(
-            "posat.theta_w", rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
-        self.theta_bias = Parameter("posat.theta_b", np.zeros(1))
+    def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
+                 cell: str, seed: int):
+        super().__init__(word_table, hidden_size, cell, seed)
+        self.theta_weight = self.params.add(
+            "posat.theta_w", self.params.rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
+        self.theta_bias = self.params.add("posat.theta_b", np.zeros(1))
 
     def inputs(self, tagged) -> Tensor:
         """Word embeddings (L, D), each row scaled by its category's
@@ -105,6 +98,3 @@ class PosAtModel(LstmConcatModel):
 
     # in the class's own namespace, where the benchmark's tracing wraps it
     forward = LstmConcatModel.forward
-
-    def parameters(self) -> list:
-        return [*super().parameters(), self.theta_weight, self.theta_bias]

@@ -187,8 +187,8 @@ def _cmd_dump_patterns(args) -> int:
     if checkpoint.patterns is None:
         raise DataError(
             f"checkpoint for {checkpoint.model_kind!r} has no pattern table")
-    export_pattern_embeddings(checkpoint.patterns, checkpoint.params["pattern_embeddings"],
-                              args.out)
+    model = model_from_checkpoint(checkpoint)
+    export_pattern_embeddings(checkpoint.patterns, model.pattern_table.matrix.data, args.out)
     if args.majority_out:
         counts = checkpoint.pattern_label_counts or {}
         export_pattern_majority(counts, args.majority_out)
@@ -231,7 +231,7 @@ def run_gradcheck(kind: str, seed: int) -> GradCheckReport:
             total = add(total, model.loss(p))
         return total
 
-    return finite_difference_check(forward, model.parameters(), seed=seed)
+    return finite_difference_check(forward, model.parameters())
 
 
 def _cmd_gradcheck(args) -> int:
@@ -276,6 +276,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (DataError, TaggingError, NonFiniteError) as exc:
         print(f"poshan: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"poshan: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DATA
     finally:
         warnings.showwarning = saved

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .grad import Parameter, ShapeError, Tensor, recurrent
+from .grad import ParameterList, ShapeError, Tensor, recurrent
 
 CELL_LSTM_BI = "lstm-bi"
 CELL_GRU_BI = "gru-bi"
@@ -28,33 +28,28 @@ FORGET_BIAS = 1.0
 class _Cell:
     """Parameters of one recurrent direction: an input weight ``w_<gate>``
     (H, D), a recurrent weight ``u_<gate>`` (H, H) and a bias ``b_<gate>``
-    (H,) per gate, drawn uniformly from +-1/sqrt(H)."""
+    (H,) per gate, drawn uniformly from +-1/sqrt(H) and added to ``params``."""
 
     gates: tuple = ()
     bias_offsets: dict = {}
     cell: str = ""  # the recurrence, as poshan.grad.recurrent names it
 
     def __init__(self, prefix: str, in_dim: int, hidden: int,
-                 rng: np.random.Generator):
+                 params: ParameterList):
         self.hidden = hidden
         bound = 1.0 / math.sqrt(hidden)
-        self.params = []
         for gate in self.gates:
             for kind, shape in (("w", (hidden, in_dim)), ("u", (hidden, hidden)),
                                 ("b", hidden)):
                 offset = self.bias_offsets.get(gate, 0.0) if kind == "b" else 0.0
-                p = Parameter(f"{prefix}.{kind}_{gate}",
-                              rng.uniform(-bound, bound, shape) + offset)
-                setattr(self, f"{kind}_{gate}", p)
-                self.params.append(p)
+                setattr(self, f"{kind}_{gate}", params.add(
+                    f"{prefix}.{kind}_{gate}",
+                    params.rng.uniform(-bound, bound, shape) + offset))
 
     def direction(self, reverse: bool = False) -> tuple:
         """This direction as :func:`poshan.grad.recurrent` takes it."""
         return tuple([getattr(self, f"{kind}_{gate}") for gate in self.gates]
                      for kind in "wub") + (reverse,)
-
-    def parameters(self) -> list:
-        return list(self.params)
 
 
 class LstmCell(_Cell):
@@ -76,11 +71,11 @@ class GruCell(_Cell):
 
 
 def _make_cell(kind: str, prefix: str, in_dim: int, hidden: int,
-               rng: np.random.Generator):
+               params: ParameterList):
     if kind in (CELL_LSTM_BI, CELL_LSTM_UNI):
-        return LstmCell(prefix, in_dim, hidden, rng)
+        return LstmCell(prefix, in_dim, hidden, params)
     if kind == CELL_GRU_BI:
-        return GruCell(prefix, in_dim, hidden, rng)
+        return GruCell(prefix, in_dim, hidden, params)
     raise ValueError(f"unknown cell kind {kind!r}, expected one of {CELLS}")
 
 
@@ -89,24 +84,18 @@ class SequenceEncoder:
     forward and backward states position by position."""
 
     def __init__(self, name: str, in_dim: int, hidden: int, cell: str,
-                 rng: np.random.Generator):
+                 params: ParameterList):
         self.name = name
         self.hidden = hidden
         self.cell_kind = cell
         self.bidirectional = cell != CELL_LSTM_UNI
-        self.fwd = _make_cell(cell, f"{name}.fwd", in_dim, hidden, rng)
-        self.bwd = (_make_cell(cell, f"{name}.bwd", in_dim, hidden, rng)
+        self.fwd = _make_cell(cell, f"{name}.fwd", in_dim, hidden, params)
+        self.bwd = (_make_cell(cell, f"{name}.bwd", in_dim, hidden, params)
                     if self.bidirectional else None)
 
     @property
     def out_dim(self) -> int:
         return self.hidden * (2 if self.bidirectional else 1)
-
-    def parameters(self) -> list:
-        params = self.fwd.parameters()
-        if self.bwd is not None:
-            params += self.bwd.parameters()
-        return params
 
     def _directions(self) -> list:
         if self.bwd is None:

@@ -718,6 +718,30 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class ParameterList(list):
+    """A model's parameters in the order they are added, with ``rng``, the
+    generator that draws their initial values.
+
+    The order is the model's parameter order: the gradient clip sums in
+    it and the gradient check reports in it, so a model that adds its
+    parameters as it creates them lists them once, in creation order.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.rng = np.random.default_rng(seed)
+
+    def add(self, name: str, data) -> Parameter:
+        """A new trainable parameter holding ``data``, appended."""
+        p = Parameter(name, data)
+        self.append(p)
+        return p
+
+    def uniform(self, name: str, bound: float, shape) -> Parameter:
+        """A new parameter drawn uniformly from [-bound, bound)."""
+        return self.add(name, self.rng.uniform(-bound, bound, shape))
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Iterative postorder over the requires-grad op nodes under ``root``;
     leaves (parameters) have nothing to propagate and are left out."""
@@ -761,12 +785,10 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_gradients(params: Iterable[Parameter]) -> None:
-    """Zero each trainable parameter's gradient buffer in place, allocating
-    it on first use, so a parameter off the path to the loss still has a
+    """Zero each parameter's gradient buffer in place, allocating it on
+    first use, so a parameter off the path to the loss still has a
     gradient.  A table zeroes only its active rows: the others are zero."""
     for p in params:
-        if not p.requires_grad:
-            continue
         if p.grad is None:
             p.grad = np.zeros(p.data.shape)
         else:
@@ -804,27 +826,20 @@ class GradCheckReport:
 # near-zero gradients
 _REL_FLOOR = 1e-5
 
-# exhaustive check up to this many entries per tensor; sample beyond it
-SAMPLE_LIMIT = 4096
-SAMPLE_SIZE = 256
+# the central difference's step, and the largest relative error that passes
+FD_STEP = 1e-5
+FD_TOLERANCE = 1e-4
 
 
 def finite_difference_check(forward: Callable[[], Tensor],
-                            params: Sequence[Parameter],
-                            epsilon: float = 1e-5,
-                            tolerance: float = 1e-4,
-                            seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+                            params: Sequence[Parameter]) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences,
+    every entry of every trainable parameter, in parameter order.
 
     ``forward`` must rebuild the graph and return the scalar loss tensor on
     every call, and must be deterministic; the check evaluates it twice up
-    front and raises :class:`DeterminismError` if the values differ.  For
-    tensors with more than ``SAMPLE_LIMIT`` entries, a seeded uniform sample
-    of ``SAMPLE_SIZE`` entries is checked instead of every entry.
+    front and raises :class:`DeterminismError` if the values differ.
     """
-    if not (1e-8 < epsilon < 1e-2):
-        raise ValueError(f"epsilon {epsilon} outside (1e-8, 1e-2)")
-
     first = forward().item()
     second = forward().item()
     if first != second:
@@ -835,29 +850,23 @@ def finite_difference_check(forward: Callable[[], Tensor],
     zero_gradients(trainable)
     backward(forward())
 
-    rng = np.random.default_rng(seed)
     report = GradCheckReport()
     for p in trainable:
         flat = p.data.reshape(-1)
-        n = flat.size
-        if n > SAMPLE_LIMIT:
-            indices = np.sort(rng.choice(n, size=SAMPLE_SIZE, replace=False))
-        else:
-            indices = np.arange(n)
         a_flat = p.grad.reshape(-1)
         worst = 0.0
-        for i in indices:
+        for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + epsilon
+            flat[i] = orig + FD_STEP
             f_plus = forward().item()
-            flat[i] = orig - epsilon
+            flat[i] = orig - FD_STEP
             f_minus = forward().item()
             flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = a_flat[i]
             rel = abs(a - fd) / max(abs(a), abs(fd), _REL_FLOOR)
             if rel > worst:
                 worst = rel
         report.entries.append(GradCheckEntry(
-            name=p.name, max_rel_error=worst, passed=worst <= tolerance))
+            name=p.name, max_rel_error=worst, passed=worst <= FD_TOLERANCE))
     return report

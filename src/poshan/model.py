@@ -20,7 +20,7 @@ from .attention import (
 from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
 from .encoder import SequenceEncoder
 from .grad import (
-    Parameter,
+    ParameterList,
     Tensor,
     affine,
     concat,
@@ -34,24 +34,31 @@ from .text import label_index
 class ClassifierHead:
     """Linear map from a document vector to the two class logits."""
 
-    def __init__(self, name: str, in_dim: int, rng: np.random.Generator):
+    def __init__(self, name: str, in_dim: int, params: ParameterList):
         bound = 1.0 / math.sqrt(in_dim)
-        self.weight = Parameter(f"{name}.w",
-                                rng.uniform(-bound, bound, (2, in_dim)))
-        self.bias = Parameter(f"{name}.b", np.zeros(2))
+        self.weight = params.uniform(f"{name}.w", bound, (2, in_dim))
+        self.bias = params.add(f"{name}.b", np.zeros(2))
 
     def logits(self, d: Tensor) -> Tensor:
         return affine(d, self.weight, self.bias)
 
-    def parameters(self) -> list:
-        return [self.weight, self.bias]
-
 
 class Classifier:
-    """The interface the three models share: a subclass defines
-    ``forward(padded)``, returning the two class logits, and
-    ``parameters()``; the loss and the probabilities are built on
-    ``forward``.  Prediction records no graph."""
+    """The interface the three models share.
+
+    A subclass calls ``__init__`` with its seed and embedding tables
+    first, then creates its parts on ``self.params``, and defines
+    ``forward(padded)``, returning the two class logits; the loss and the
+    probabilities are built on ``forward``.  Prediction records no graph.
+    """
+
+    def __init__(self, seed: int, *tables):
+        self.params = ParameterList(seed)
+        self.params.extend(table.matrix for table in tables)
+
+    def parameters(self) -> list:
+        """Every parameter, tables first, in the order it was created."""
+        return self.params
 
     def loss(self, padded: PaddedRecord) -> Tensor:
         return softmax_cross_entropy_with_logits(
@@ -75,7 +82,7 @@ class PoshanModel(Classifier):
                  attention_size: Optional[int], cell: str,
                  disable_pattern_att: bool, disable_phrase_att: bool,
                  replace_headline_att: bool, seed: int):
-        rng = np.random.default_rng(seed)
+        super().__init__(seed, word_table, pattern_table)
         self.word_table = word_table
         self.pattern_table = pattern_table
         disabled = (disable_pattern_att, disable_phrase_att, replace_headline_att)
@@ -83,21 +90,21 @@ class PoshanModel(Classifier):
 
         self.word_encoder = SequenceEncoder("word_enc", in_dim=word_table.dim,
                                             hidden=hidden_size, cell=cell,
-                                            rng=rng)
+                                            params=self.params)
         self.sentence_encoder = SequenceEncoder(
             "sent_enc", in_dim=self.word_encoder.out_dim, hidden=hidden_size,
-            cell=cell, rng=rng)
+            cell=cell, params=self.params)
         att_dim = (attention_size if attention_size is not None
                    else self.word_encoder.out_dim)
         self.attention = HierarchicalAttention(
             "att", word_hs_dim=self.word_encoder.out_dim,
             sent_hs_dim=self.sentence_encoder.out_dim,
             word_dim=word_table.dim, pattern_dim=pattern_table.dim,
-            att_dim=att_dim, rng=rng)
+            att_dim=att_dim, params=self.params)
         head_in = self.sentence_encoder.out_dim
         if replace_headline_att:
             head_in += self.word_encoder.out_dim
-        self.head = ClassifierHead("classifier", head_in, rng)
+        self.head = ClassifierHead("classifier", head_in, self.params)
 
     def _document(self, padded: PaddedRecord) -> tuple:
         return document_forward(
@@ -120,9 +127,3 @@ class PoshanModel(Classifier):
 
     # in the class's own namespace, where the benchmark's tracing wraps it
     loss = Classifier.loss
-
-    def parameters(self) -> list:
-        return [self.word_table.matrix, self.pattern_table.matrix,
-                *self.word_encoder.parameters(),
-                *self.sentence_encoder.parameters(),
-                *self.attention.parameters(), *self.head.parameters()]

@@ -59,6 +59,12 @@ CHECKPOINT_MAGIC = b"POSHAN-CKPT-1\n"
 
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 
+# Largest layer size a config may set.  With it every parameter array's
+# byte count fits numpy's index type, so building a model can fail only
+# with MemoryError.
+MAX_SIZE = 2**20
+_SIZES = frozenset({"word_dim", "hidden_size", "pattern_dim", "attention_size"})
+
 
 @dataclass
 class TrainConfig:
@@ -102,13 +108,16 @@ class TrainConfig:
             "hidden_size",
             "pattern_dim",
             "min_count",
+            "attention_size",
         ):
             value = getattr(self, name)
+            if value is None:  # attention_size: the word encoder's width
+                continue
+            key = name.replace("_", "-")
             if value < 1:
-                key = name.replace("_", "-")
                 raise ValueError(f"{key} must be at least 1, got {value}")
-        if self.attention_size is not None and self.attention_size < 1:
-            raise ValueError(f"attention-size must be at least 1, got {self.attention_size}")
+            if name in _SIZES and value > MAX_SIZE:
+                raise ValueError(f"{key} must be at most {MAX_SIZE}, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.cell not in CELLS:
@@ -417,8 +426,9 @@ def _config_from_header(raw, where: str) -> TrainConfig:
     return config
 
 
-def _check_header(header, where: str) -> None:
-    """Reject a header a checkpoint writer could not have produced."""
+def _check_header(header, where: str) -> TrainConfig:
+    """Reject a header a checkpoint writer could not have produced, or
+    whose tables are not as wide as its config says; return the config."""
     if not isinstance(header, dict):
         raise DataError(f"{where}: header is not an object")
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -454,22 +464,28 @@ def _check_header(header, where: str) -> None:
             raise DataError(f"{where}: duplicate parameter {entry['name']!r}")
         names.add(entry["name"])
     shapes = {entry["name"]: entry["shape"] for entry in entries}
+    config = _config_from_header(header["config"], where)
     # vocabulary rows start after the pad and unknown rows, pattern rows
     # after the unknown-pattern row
-    for key, table, first in (("vocab", "word_embeddings", 2),
-                              ("patterns", "pattern_embeddings", 1)):
+    for key, table, first, dim, width in (
+            ("vocab", "word_embeddings", 2, "word-dim", config.word_dim),
+            ("patterns", "pattern_embeddings", 1, "pattern-dim", config.pattern_dim)):
         if header[key] is None:
             continue
         if len(shapes.get(table, ())) != 2:
             raise DataError(f"{where}: no {table} matrix among the parameters")
-        rows = shapes[table][0]
+        rows, columns = shapes[table]
+        if columns != width:
+            raise DataError(f"{where}: {table} is {columns} wide, but {dim} is {width}")
         if not all(_is_int(i) and first <= i < rows for i in header[key].values()):
             raise DataError(f"{where}: a {key} index lies outside rows {first}..{rows - 1}")
+    return config
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a malformed header, truncated data or bytes past
-    the last parameter raise DataError.
+    """Read a checkpoint; a malformed header, a table whose width is not
+    the config's, truncated data or bytes past the last parameter raise
+    DataError.
 
     The parameter arrays are read-only views of the file's bytes, not
     copies; ``model_from_checkpoint`` copies each one once, into its
@@ -487,8 +503,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
     where = f"{path}: checkpoint"
-    _check_header(header, where)
-    config = _config_from_header(header["config"], where)
+    config = _check_header(header, where)
     try:
         val_losses = [float(v) for v in header["val-losses"]]
     except (TypeError, ValueError):
@@ -521,21 +536,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def _apply_params(model, stored: dict[str, np.ndarray]) -> None:
-    for p in model.parameters():
-        if p.name not in stored:
-            raise DataError(f"checkpoint is missing parameter {p.name!r}")
-        value = stored[p.name]
-        if value.shape != p.data.shape:
-            raise DataError(
-                f"checkpoint parameter {p.name!r} has shape {value.shape}, expected {p.data.shape}"
-            )
-        p.data[...] = value
-
-
 def model_from_checkpoint(checkpoint: Checkpoint):
     """Rebuild the trained model with its stored parameter values, copying
-    each stored array once, into its parameter."""
+    each stored array once, into its parameter.  The stored names and
+    shapes must be exactly the rebuilt model's, or DataError names what
+    differs."""
     config = checkpoint.config
     stored = checkpoint.params
     word_param = Parameter("word_embeddings", np.empty(stored["word_embeddings"].shape),
@@ -546,7 +551,15 @@ def model_from_checkpoint(checkpoint: Checkpoint):
         pattern_param = Parameter("pattern_embeddings", np.empty(stored["pattern_embeddings"].shape))
         pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
     model = build_model(checkpoint.model_kind, config, word_table, pattern_table)
-    _apply_params(model, stored)
+    expected = {p.name: p.shape for p in model.parameters()}
+    found = {name: value.shape for name, value in stored.items()}
+    if found != expected:
+        raise DataError(f"checkpoint parameters (name, shape) differ from the "
+                        f"{checkpoint.model_kind!r} model's: stored "
+                        f"{sorted(found.items() - expected.items())}, expected "
+                        f"{sorted(expected.items() - found.items())}")
+    for p in model.parameters():
+        p.data[...] = stored[p.name]
     return model
 
 

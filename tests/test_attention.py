@@ -29,6 +29,7 @@ from poshan.embeddings import PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_LSTM_BI, SequenceEncoder
 from poshan.grad import (
     EmptyAttentionError,
+    ParameterList,
     ShapeError,
     Tensor,
     constant,
@@ -42,7 +43,7 @@ from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_f
 
 def scalar_params():
     p = AttentionParams("t", hs_dim=1, query_dim=1, att_dim=1,
-                        rng=np.random.default_rng(0))
+                        params=ParameterList(0))
     p.score_vec.data[...] = 1.0
     p.state_proj.data[...] = 1.0
     p.query_proj.data[...] = 1.0
@@ -57,7 +58,7 @@ def scalar_params():
 class TestScore:
     def test_zero_score_vec_gives_zero(self):
         p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
-                            rng=np.random.default_rng(1))
+                            params=ParameterList(1))
         p.score_vec.data[...] = 0.0
         s = score(constant(np.random.default_rng(2).normal(size=(4, 3))),
                   constant(np.random.default_rng(3).normal(size=2)), p)
@@ -71,17 +72,17 @@ class TestScore:
 
     def test_shape_mismatch_rejected(self):
         p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
-                            rng=np.random.default_rng(1))
+                            params=ParameterList(1))
         with pytest.raises(ShapeError):
             score(constant(np.zeros((1, 5))), constant(np.zeros(2)), p)
 
     def test_gradients(self):
+        params = ParameterList(4)
         p = AttentionParams("t", hs_dim=2, query_dim=3, att_dim=2,
-                            rng=np.random.default_rng(4))
+                            params=params)
         hs = constant(np.random.default_rng(5).normal(size=(1, 2)))
         q = constant(np.random.default_rng(6).normal(size=3))
-        report = finite_difference_check(lambda: gather(score(hs, q, p), 0),
-                                         p.parameters())
+        report = finite_difference_check(lambda: gather(score(hs, q, p), 0), params)
         assert report.passed, report.to_tsv()
 
 
@@ -92,7 +93,7 @@ class TestScore:
 class TestAttend:
     def test_identical_states_uniform(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            rng=np.random.default_rng(7))
+                            params=ParameterList(7))
         state = np.array([0.4, -0.9])
         states = constant(np.tile(state, (3, 1)))
         weights = attend(states, [True] * 3, constant(np.ones(2)), p)
@@ -104,7 +105,7 @@ class TestAttend:
 
     def test_zero_score_vec_uniform(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            rng=np.random.default_rng(8))
+                            params=ParameterList(8))
         p.score_vec.data[...] = 0.0
         rng = np.random.default_rng(9)
         states = constant(rng.normal(size=(4, 2)))
@@ -125,7 +126,7 @@ class TestAttend:
 
     def test_masked_positions_get_zero_weight(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            rng=np.random.default_rng(10))
+                            params=ParameterList(10))
         rng = np.random.default_rng(11)
         states = constant(rng.normal(size=(3, 2)))
         w = attend(states, [True, True, False], constant(np.ones(2)), p).data
@@ -134,13 +135,14 @@ class TestAttend:
 
     def test_all_masked_rejected(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            rng=np.random.default_rng(12))
+                            params=ParameterList(12))
         with pytest.raises(EmptyAttentionError):
             attend(constant(np.zeros((1, 2))), [False], constant(np.ones(2)), p)
 
     def test_gradients_through_attend(self):
+        params = ParameterList(13)
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            rng=np.random.default_rng(13))
+                            params=params)
         rng = np.random.default_rng(14)
         states = constant(rng.normal(size=(3, 2)))
         q = constant(rng.normal(size=2))
@@ -149,12 +151,12 @@ class TestAttend:
             weights = attend(states, [True, True, True], q, p)
             return dot(weighted_sum(weights, states), constant(np.ones(2)))
 
-        report = finite_difference_check(forward, p.parameters())
+        report = finite_difference_check(forward, params)
         assert report.passed, report.to_tsv()
 
     def test_block_rows_match_single_sequences(self):
         p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            rng=np.random.default_rng(15))
+                            params=ParameterList(15))
         rng = np.random.default_rng(16)
         states = rng.normal(size=(3, 4, 2))
         mask = np.array([[True] * 4, [True, False, False, False],
@@ -300,7 +302,7 @@ class Setup:
     def __init__(self, seed=0, word_dim=3, hidden=2, att_dim=2,
                  pattern_dim=4, headline="Loan hits 1 million",
                  body="He won 2 big. No."):
-        rng = np.random.default_rng(seed)
+        self.params = ParameterList(seed)
         self.record = make_record(headline=headline, body=body)
         self.word_table = build_vocab([self.record], min_count=1,
                                       dim=word_dim, seed=seed)
@@ -308,13 +310,15 @@ class Setup:
                                                          dim=pattern_dim,
                                                          seed=seed)
         self.word_encoder = SequenceEncoder("word_enc", in_dim=word_dim,
-                                            hidden=hidden, cell=CELL_LSTM_BI, rng=rng)
+                                            hidden=hidden, cell=CELL_LSTM_BI,
+                                            params=self.params)
         self.sentence_encoder = SequenceEncoder("sent_enc", in_dim=2 * hidden,
-                                                hidden=hidden, cell=CELL_LSTM_BI, rng=rng)
+                                                hidden=hidden, cell=CELL_LSTM_BI,
+                                                params=self.params)
         self.attention = HierarchicalAttention(
             "att", word_hs_dim=2 * hidden, sent_hs_dim=2 * hidden,
             word_dim=word_dim, pattern_dim=pattern_dim, att_dim=att_dim,
-            rng=rng)
+            params=self.params)
         self.padded = pad_record(self.record, max_words=45, max_sentences=35)
 
     def forward(self, types=QUERY_TYPES):
@@ -323,12 +327,6 @@ class Setup:
                                         self.sentence_encoder, self.attention,
                                         types)
         return doc, document_trace(self.padded, weights)
-
-    def parameters(self):
-        return (self.word_encoder.parameters()
-                + self.sentence_encoder.parameters()
-                + self.attention.parameters()
-                + [self.word_table.matrix, self.pattern_table.matrix])
 
 
 class TestDocumentForward:
@@ -438,7 +436,7 @@ class TestDocumentForward:
     def test_gradients_attention_and_tables(self):
         s = Setup(word_dim=2, hidden=2, att_dim=2, pattern_dim=3,
                   body="He won 2. No.")
-        params = (s.attention.parameters()
+        params = ([p for p in s.params if p.name.startswith("att.")]
                   + [s.word_table.matrix, s.pattern_table.matrix])
 
         def forward():

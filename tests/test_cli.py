@@ -1,13 +1,16 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import struct
 
 import jsonschema
+import numpy as np
 import pytest
 
 from poshan.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_gradcheck
 from poshan.metrics import EVAL_REPORT_SCHEMA
 from poshan.text import read_derived, tokenize
+from poshan.train import CHECKPOINT_MAGIC
 
 
 def write_corpus(path, records):
@@ -166,9 +169,13 @@ _TAGS = dict(id="a", headline_tags=["NN", "VBZ", "CD", "CD"],
     ([dict(_ROW, id=1), dict(_ROW, id="1")], None, "corpus.jsonl:1: id 1 is not a string"),
     ([_ROW], [dict(_TAGS, body_tags=_TAGS["body_tags"] + [["NN"], ["NN"]])],
      "record 'a': sidecar has 3 sentence tag lists for 1 sentences"),
+    ([_ROW], [dict(_TAGS, body_tags=[["PRP", "VBD", "CD"]])],
+     "record 'a': sidecar sentence 0 has 3 tags for 5 tokens"),
+    ([_ROW, ["a", "b"]], None, "corpus.jsonl:2: expected a JSON object"),
 ], ids=["headline-number", "headline-null", "body-list", "raw-id-twice", "sidecar-id-twice",
         "headline-tags-number", "sidecar-id-list", "headline-tags-string", "body-tag-number",
-        "raw-id-null", "raw-id-number", "sidecar-extra-sentence-tags"])
+        "raw-id-null", "raw-id-number", "sidecar-extra-sentence-tags",
+        "sidecar-sentence-tag-count", "raw-line-not-an-object"])
 def test_derive_malformed_input_is_one_line_data_error(tmp_path, capsys, rows, tags, message):
     write_corpus(tmp_path / "corpus.jsonl", rows)
     source = ["--fallback-tagger"]
@@ -235,8 +242,14 @@ _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-d
     ("disable-pattern-att=true\ndisable-phrase-att=true\nreplace-headline-att=true\n",
      False, "no attention query type"),
     ("", True, "has no cardinal pattern"),
+    (f"word-dim={10**20}\n", False, f"word-dim must be at most 1048576, got {10**20}"),
+    (f"hidden-size={10**20}\n", False, f"hidden-size must be at most 1048576, got {10**20}"),
+    (f"pattern-dim={10**20}\n", False, f"pattern-dim must be at most 1048576, got {10**20}"),
+    (f"attention-size={10**20}\n", False,
+     f"attention-size must be at most 1048576, got {10**20}"),
 ], ids=["zero-learning-rate", "nan-learning-rate", "inf-learning-rate", "nan-grad-clip",
-        "inf-grad-clip", "negative-seed", "no-query-type", "record-without-cardinal"])
+        "inf-grad-clip", "negative-seed", "no-query-type", "record-without-cardinal",
+        "huge-word-dim", "huge-hidden-size", "huge-pattern-dim", "huge-attention-size"])
 def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config, add_record,
                                              message):
     cfg = tmp_path / "run.cfg"
@@ -365,17 +378,16 @@ def test_eval_checkpoint_with_trailing_bytes(workspace, tmp_path, capsys):
 
 
 def rewrite_header(src, dst, edit):
-    """Copy a checkpoint with its JSON header passed through ``edit``."""
-    import struct
-
+    """Copy a checkpoint with its JSON header passed through ``edit``; bytes
+    that ``edit`` returns are appended after the parameter data."""
     raw = src.read_bytes()
     magic = raw.index(b"\n") + 1
     (length,) = struct.unpack_from("<I", raw, magic)
     header = json.loads(raw[magic + 4:magic + 4 + length])
-    edit(header)
+    tail = edit(header) or b""
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dst.write_bytes(raw[:magic] + struct.pack("<I", len(body)) + body
-                    + raw[magic + 4 + length:])
+                    + raw[magic + 4 + length:] + tail)
 
 
 def _drop_config(header):
@@ -418,6 +430,79 @@ def _shape_product_past_int64(header):
     header["params"][0]["shape"] = [2 ** 32, 2 ** 32]
 
 
+def _huge_word_dim(header):
+    header["config"]["word_dim"] = 10 ** 20
+
+
+def _huge_hidden_size(header):
+    header["config"]["hidden_size"] = 10 ** 20
+
+
+def _huge_pattern_dim(header):
+    header["config"]["pattern_dim"] = 10 ** 20
+
+
+def _huge_attention_size(header):
+    header["config"]["attention_size"] = 10 ** 20
+
+
+def _word_dim_past_table(header):
+    header["config"]["word_dim"] = 7
+
+
+def _pattern_dim_past_table(header):
+    header["config"]["pattern_dim"] = 99
+
+
+def _extra_parameter(header):
+    header["params"].append({"name": "classifier.extra", "shape": [2]})
+    return np.zeros(2).tobytes()
+
+
+def _unknown_model_kind(header):
+    header["model-kind"] = "cnn"
+
+
+def _unknown_word_mode(header):
+    header["word-mode"] = "frozen"
+
+
+def _vocab_not_an_object(header):
+    header["vocab"] = sorted(header["vocab"])
+
+
+def _params_not_a_list(header):
+    header["params"] = {}
+
+
+def _config_not_an_object(header):
+    header["config"] = []
+
+
+def _bad_parameter_entry(header):
+    header["params"][0]["shape"] = [-1]
+
+
+def _duplicate_parameter(header):
+    header["params"].append(dict(header["params"][0]))
+
+
+def _no_word_table(header):
+    header["params"] = [e for e in header["params"] if e["name"] != "word_embeddings"]
+
+
+def _config_value_of_wrong_type(header):
+    header["config"]["batch_size"] = "8"
+
+
+def _non_numeric_val_loss(header):
+    header["val-losses"][0] = "abc"
+
+
+def _fractional_best_epoch(header):
+    header["best-epoch"] = 1.5
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_config, "missing keys"),
     (_extra_config_key, "unknown keys"),
@@ -429,6 +514,24 @@ def _shape_product_past_int64(header):
     (_nan_val_loss, "val-losses are not all finite"),
     (_negative_seed, "seed must be at least 0, got -1"),
     (_shape_product_past_int64, "truncated parameter data"),
+    (_huge_word_dim, f"word-dim must be at most 1048576, got {10 ** 20}"),
+    (_huge_hidden_size, f"hidden-size must be at most 1048576, got {10 ** 20}"),
+    (_huge_pattern_dim, f"pattern-dim must be at most 1048576, got {10 ** 20}"),
+    (_huge_attention_size, f"attention-size must be at most 1048576, got {10 ** 20}"),
+    (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
+    (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
+    (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
+    (_unknown_model_kind, "unknown model kind 'cnn'"),
+    (_unknown_word_mode, "unknown word mode 'frozen'"),
+    (_vocab_not_an_object, "vocab is not an object"),
+    (_params_not_a_list, "params is not a list"),
+    (_config_not_an_object, "config is not an object"),
+    (_bad_parameter_entry, "bad parameter entry"),
+    (_duplicate_parameter, "duplicate parameter"),
+    (_no_word_table, "no word_embeddings matrix among the parameters"),
+    (_config_value_of_wrong_type, "config value batch_size='8' has the wrong type"),
+    (_non_numeric_val_loss, "val-losses are not numbers"),
+    (_fractional_best_epoch, "bad best-epoch or val-losses"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -440,6 +543,73 @@ def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert message in err and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("header_bytes,message", [
+    (b"\x05\x00", "truncated checkpoint header"),
+    (struct.pack("<I", 5) + b"{nope", "corrupt checkpoint header"),
+    (struct.pack("<I", 3) + b"[1]", "header is not an object"),
+], ids=["truncated-length", "not-json", "not-an-object"])
+def test_eval_checkpoint_header_bytes_are_checked(workspace, tmp_path, capsys, header_bytes,
+                                                  message):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CHECKPOINT_MAGIC + header_bytes)
+    rc = main(["eval", "--ckpt", str(bad),
+               "--test", str(workspace / "splits" / "test.jsonl"),
+               "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert message in err and len(err.splitlines()) == 1, err
+
+
+def _reader_args(command, ckpt, workspace, tmp_path):
+    test = workspace / "splits" / "test.jsonl"
+    rest = {"eval": ["--test", str(test), "--report", str(tmp_path / "report.json")],
+            "dump-attention": ["--input", str(test), "--record-id", read_derived(test)[0].id,
+                               "--out", str(tmp_path / "trace.json")],
+            "dump-patterns": ["--out", str(tmp_path / "patterns.tsv")]}[command]
+    return [command, "--ckpt", str(ckpt), *rest]
+
+
+@pytest.mark.parametrize("command", ["dump-attention", "dump-patterns"])
+@pytest.mark.parametrize("edit,message", [
+    (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
+    (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
+    (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
+], ids=["word-dim", "pattern-dim", "extra-parameter"])
+def test_dump_commands_reject_a_checkpoint_that_does_not_fit_its_model(
+        workspace, tmp_path, capsys, command, edit, message):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(workspace / "model.ckpt", bad, edit)
+    rc = main(_reader_args(command, bad, workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err.startswith("poshan: ") and message in err and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 64.0 GiB for an array with shape (4194304, 2097152) "
+     "and data type float64", None),
+    ("", "an allocation failed"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_line_data_error(workspace, tmp_path, capsys, monkeypatch,
+                                              command, message, shown):
+    import poshan.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(poshan.cli, "train" if command == "train" else "predict", exhausted)
+    splits = workspace / "splits"
+    args = (["train", "--config", str(workspace / "run.cfg"),
+             "--train", str(splits / "train.jsonl"), "--val", str(splits / "val.jsonl"),
+             "--out", str(tmp_path / "model.ckpt")] if command == "train"
+            else _reader_args("eval", workspace / "model.ckpt", workspace, tmp_path))
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err == f"poshan: out of memory: {shown or message}\n"
 
 
 def _sentences_not_a_list(rows):
@@ -522,18 +692,32 @@ def test_dump_attention_unknown_record(workspace, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-def test_dump_attention_rejects_baseline_checkpoint(workspace, tmp_path, capsys):
-    ckpt = tmp_path / "lstm.ckpt"
+@pytest.fixture(scope="module")
+def baseline_ckpt(workspace):
+    ckpt = workspace / "lstm.ckpt"
     assert main(["train", "--config", str(workspace / "run.cfg"), "--model", "lstm",
                  "--train", str(workspace / "splits" / "train.jsonl"),
                  "--val", str(workspace / "splits" / "val.jsonl"),
                  "--out", str(ckpt)]) == EXIT_OK
+    return ckpt
+
+
+def test_dump_attention_rejects_baseline_checkpoint(workspace, baseline_ckpt, tmp_path, capsys):
     capsys.readouterr()
-    rc = main(["dump-attention", "--ckpt", str(ckpt),
+    rc = main(["dump-attention", "--ckpt", str(baseline_ckpt),
                "--input", str(workspace / "splits" / "test.jsonl"),
                "--record-id", "r0", "--out", str(tmp_path / "trace.json")])
     assert rc == EXIT_DATA
     assert "hierarchical" in capsys.readouterr().err
+
+
+def test_dump_patterns_rejects_baseline_checkpoint(baseline_ckpt, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "patterns.tsv"
+    rc = main(["dump-patterns", "--ckpt", str(baseline_ckpt), "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "poshan: checkpoint for 'lstm' has no pattern table\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("counts", [5, [1, 2, 3], "ab", [1, -1], [1, 2.0], [True, 0]],
@@ -580,6 +764,31 @@ def test_gradcheck_cli_passes_for_lstm(capsys):
     out = capsys.readouterr().out
     assert out.startswith("parameter\tmax_rel_error\tstatus")
     assert "fail" not in out
+
+
+def test_gradcheck_with_a_wrong_backward_fails(monkeypatch, capsys):
+    import poshan.model
+    from poshan import grad
+
+    def affine_with_wrong_bias_gradient(x, w, b):
+        out = grad.affine(x, w, b)
+        right = out._backward
+
+        def back():
+            right()
+            grad.accumulate_grad(b, np.ones(b.shape))
+
+        out._backward = back
+        return out
+
+    # the classifier head's affine map, shared by all three models
+    monkeypatch.setattr(poshan.model, "affine", affine_with_wrong_bias_gradient)
+    rc = main(["gradcheck", "--model", "lstm"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CHECK
+    assert captured.err == "gradcheck failed for model 'lstm'\n"
+    failed = [line.split("\t")[0] for line in captured.out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["classifier.b"]
 
 
 def test_run_gradcheck_posat_seed7():

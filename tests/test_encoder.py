@@ -18,6 +18,7 @@ from poshan.encoder import (
 )
 from poshan.grad import (
     Parameter,
+    ParameterList,
     ShapeError,
     backward,
     constant,
@@ -30,8 +31,8 @@ from poshan.grad import (
 from toy_ops import dot
 
 
-def zero_params(cell) -> None:
-    for p in cell.parameters():
+def zero_params(params) -> None:
+    for p in params:
         p.data[...] = 0.0
 
 
@@ -60,23 +61,26 @@ def readout(t, seed=0):
 
 class TestLstmStep:
     def test_zero_params_give_zero_state(self):
-        cell = LstmCell("c", in_dim=3, hidden=2, rng=np.random.default_rng(0))
-        zero_params(cell)
+        params = ParameterList(0)
+        cell = LstmCell("c", in_dim=3, hidden=2, params=params)
+        zero_params(params)
         h = run_cell(cell, [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
         # i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0, so c = h = 0 at
         # every step
         assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_bias_alone_keeps_zero_state(self):
-        cell = LstmCell("c", in_dim=2, hidden=2, rng=np.random.default_rng(0))
-        zero_params(cell)
+        params = ParameterList(0)
+        cell = LstmCell("c", in_dim=2, hidden=2, params=params)
+        zero_params(params)
         cell.b_f.data[...] = 10.0
         h = run_cell(cell, np.zeros((2, 2)))
         assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_gate_carries_cell_state(self):
-        cell = LstmCell("c", in_dim=1, hidden=1, rng=np.random.default_rng(0))
-        zero_params(cell)
+        params = ParameterList(0)
+        cell = LstmCell("c", in_dim=1, hidden=1, params=params)
+        zero_params(params)
         cell.b_i.data[...] = 30.0  # i saturates to 1
         cell.b_f.data[...] = 30.0  # f saturates to 1
         cell.w_g.data[...] = math.atanh(0.8)
@@ -87,47 +91,50 @@ class TestLstmStep:
         assert h.data[1, 0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
 
     def test_default_init_has_forget_bias_offset(self):
-        rng = np.random.default_rng(0)
-        cell = LstmCell("c", in_dim=2, hidden=8, rng=rng)
+        cell = LstmCell("c", in_dim=2, hidden=8, params=ParameterList(0))
         bound = 1.0 / math.sqrt(8)
         assert np.all(cell.b_f.data >= 1.0 - bound)
         assert np.all(cell.b_f.data <= 1.0 + bound)
         assert np.all(np.abs(cell.b_i.data) <= bound)
 
     def test_two_step_scalar_gradients(self):
-        cell = LstmCell("c", in_dim=1, hidden=1, rng=np.random.default_rng(7))
+        params = ParameterList(7)
+        cell = LstmCell("c", in_dim=1, hidden=1, params=params)
 
         def forward():
             h = run_cell(cell, [[0.7], [-0.3]])
             return dot(gather(h, 1), ones_const(1))
 
-        report = finite_difference_check(forward, cell.parameters())
+        report = finite_difference_check(forward, params)
         assert report.passed, report.to_tsv()
 
 
 class TestGruCell:
     def test_zero_params_give_zero_state(self):
-        cell = GruCell("g", in_dim=2, hidden=3, rng=np.random.default_rng(0))
-        zero_params(cell)
+        params = ParameterList(0)
+        cell = GruCell("g", in_dim=2, hidden=3, params=params)
+        zero_params(params)
         h = run_cell(cell, [np.ones(2)])
         assert np.array_equal(h.data, np.zeros((1, 3)))
 
     def test_scalar_hand_value(self):
-        cell = GruCell("g", in_dim=1, hidden=1, rng=np.random.default_rng(0))
-        zero_params(cell)
+        params = ParameterList(0)
+        cell = GruCell("g", in_dim=1, hidden=1, params=params)
+        zero_params(params)
         cell.w_n.data[...] = 1.0
         h = run_cell(cell, [[1.0]])
         # z = 0.5, h_prev = 0, n = tanh(1): h = (1 - z) * n
         assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-12)
 
     def test_two_step_scalar_gradients(self):
-        cell = GruCell("g", in_dim=1, hidden=1, rng=np.random.default_rng(3))
+        params = ParameterList(3)
+        cell = GruCell("g", in_dim=1, hidden=1, params=params)
 
         def forward():
             h = run_cell(cell, [[0.4], [0.9]])
             return dot(gather(h, 1), ones_const(1))
 
-        report = finite_difference_check(forward, cell.parameters())
+        report = finite_difference_check(forward, params)
         assert report.passed, report.to_tsv()
 
 
@@ -142,7 +149,7 @@ def make_inputs(rng, n, dim):
 class TestSequenceEncoder:
     def test_output_shape_and_length(self):
         enc = SequenceEncoder("e", in_dim=3, hidden=4, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         xs = make_inputs(np.random.default_rng(1), 5, 3)
         out = enc.encode(xs, [True] * 5)
         assert out.shape == (5, 8)
@@ -150,7 +157,7 @@ class TestSequenceEncoder:
 
     def test_single_position_is_concat_of_single_steps(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(2))
+                              params=ParameterList(2))
         x = constant(np.array([[0.3, -0.6]]))
         out = enc.encode(x, [True])
         fwd = recurrent(enc.fwd.cell, x, [1], [enc.fwd.direction()])
@@ -158,18 +165,20 @@ class TestSequenceEncoder:
         assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data], axis=1))
 
     def test_zero_params_give_zero_states(self):
+        params = ParameterList(0)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
-        zero_params(enc.fwd)
-        zero_params(enc.bwd)
+                              params=params)
+        zero_params(params)
         out = enc.encode(make_inputs(np.random.default_rng(3), 4, 2),
                          [True] * 4)
         assert np.array_equal(out.data, np.zeros((4, 4)))
 
     def test_palindrome_with_tied_directions(self):
+        params = ParameterList(4)
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(4))
-        for pf, pb in zip(enc.fwd.parameters(), enc.bwd.parameters()):
+                              params=params)
+        half = len(params) // 2  # the forward cell's, then the backward cell's
+        for pf, pb in zip(params[:half], params[half:]):
             pb.data[...] = pf.data
         v0 = np.array([0.5, -0.2])
         v1 = np.array([-0.8, 0.1])
@@ -183,7 +192,7 @@ class TestSequenceEncoder:
 
     def test_masked_positions_are_zero_and_constant(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(5))
+                              params=ParameterList(5))
         xs = Parameter("x", np.random.default_rng(6).normal(size=(4, 2)))
         out = enc.encode(xs, [True, True, False, False])
         assert np.array_equal(out.data[2:], np.zeros((2, 4)))
@@ -194,7 +203,7 @@ class TestSequenceEncoder:
 
     def test_padding_isolation(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(7))
+                              params=ParameterList(7))
         rng = np.random.default_rng(8)
         real = rng.normal(size=(2, 2))
         pad_a = rng.normal(size=(1, 2))
@@ -206,7 +215,7 @@ class TestSequenceEncoder:
 
     def test_unidirectional_output_dim(self):
         enc = SequenceEncoder("e", in_dim=3, hidden=4, cell=CELL_LSTM_UNI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         assert enc.out_dim == 4
         assert enc.bwd is None
         out = enc.encode(make_inputs(np.random.default_rng(1), 2, 3),
@@ -215,43 +224,44 @@ class TestSequenceEncoder:
 
     def test_gru_cell_selection(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_GRU_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         assert isinstance(enc.fwd, GruCell)
         assert enc.out_dim == 6
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(ValueError, match="cell"):
             SequenceEncoder("e", in_dim=2, hidden=2, cell="transformer",
-                            rng=np.random.default_rng(0))
+                            params=ParameterList(0))
 
     def test_parameter_names_unique(self):
+        params = ParameterList(0)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
-        names = [p.name for p in enc.parameters()]
+                              params=params)
+        names = [p.name for p in params]
         assert len(names) == len(set(names)) == 24
 
     def test_empty_sequence_rejected(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         with pytest.raises(ShapeError):
             enc.encode(constant(np.zeros((0, 2))), [])
 
     def test_all_masked_rejected(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         with pytest.raises(ShapeError):
             enc.encode(make_inputs(np.random.default_rng(0), 2, 2),
                        [False, False])
 
     def test_length_mismatch_rejected(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         with pytest.raises(ShapeError):
             enc.encode(make_inputs(np.random.default_rng(0), 2, 2), [True])
 
     def test_non_prefix_mask_rejected(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         with pytest.raises(ShapeError, match="prefix"):
             enc.encode(make_inputs(np.random.default_rng(0), 3, 2),
                        [True, False, True])
@@ -272,7 +282,7 @@ class TestBlockEncoding:
     @pytest.mark.parametrize("cell", CELLS)
     def test_block_matches_sequences_encoded_alone(self, cell):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=cell,
-                              rng=np.random.default_rng(20))
+                              params=ParameterList(20))
         xs = np.random.default_rng(21).normal(size=(3, 4, 2))
         block = enc.encode(constant(xs), flat(BLOCK_MASK))
         assert block.shape == (3, 4, enc.out_dim)
@@ -286,18 +296,19 @@ class TestBlockEncoding:
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_ragged_block_gradients(self, cell):
+        params = ParameterList(22)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=cell,
-                              rng=np.random.default_rng(22))
+                              params=params)
         xs = Parameter("x", np.random.default_rng(23).normal(size=(3, 4, 2)))
 
         report = finite_difference_check(
             lambda: readout(enc.encode(xs, flat(BLOCK_MASK))),
-            [xs, *enc.parameters()])
+            [xs, *params])
         assert report.passed, report.to_tsv()
 
     def test_mask_rows_must_be_prefixes(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(0))
+                              params=ParameterList(0))
         xs = constant(np.zeros((2, 3, 2)))
         with pytest.raises(ShapeError, match="prefix"):
             enc.encode(xs, [True, True, True, False, True, False])
@@ -306,7 +317,7 @@ class TestBlockEncoding:
 
     def test_final_state_joins_both_ends(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(24))
+                              params=ParameterList(24))
         xs = make_inputs(np.random.default_rng(25), 4, 2)
         states = enc.encode(xs, [True] * 4).data
         final = enc.final_state(xs).data
@@ -323,30 +334,33 @@ class TestEncoderGradients:
         return dot(sum_axis(out), ones_const(enc.out_dim))
 
     def test_three_token_bilstm_all_params(self):
+        params = ParameterList(11)
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(11))
+                              params=params)
         xs = make_inputs(np.random.default_rng(12), 3, 2)
 
         report = finite_difference_check(
-            lambda: self.encode_loss(enc, xs, [True] * 3), enc.parameters())
+            lambda: self.encode_loss(enc, xs, [True] * 3), params)
         assert report.passed, report.to_tsv()
         assert len(report.entries) == 24
 
     def test_three_token_bigru_all_params(self):
+        params = ParameterList(13)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_GRU_BI,
-                              rng=np.random.default_rng(13))
+                              params=params)
         xs = make_inputs(np.random.default_rng(14), 3, 2)
 
         report = finite_difference_check(
-            lambda: self.encode_loss(enc, xs, [True] * 3), enc.parameters())
+            lambda: self.encode_loss(enc, xs, [True] * 3), params)
         assert report.passed, report.to_tsv()
 
     def test_masked_encoding_gradients(self):
+        params = ParameterList(15)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,
-                              rng=np.random.default_rng(15))
+                              params=params)
         xs = make_inputs(np.random.default_rng(16), 4, 2)
 
         report = finite_difference_check(
             lambda: self.encode_loss(enc, xs, [True, True, False, False]),
-            enc.parameters())
+            params)
         assert report.passed, report.to_tsv()

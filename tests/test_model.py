@@ -1,13 +1,17 @@
 """Model assembly tests: classifier head arithmetic, parameter wiring,
 variant configurations, and the end-to-end gradient check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
-from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI
+from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import (
+    Parameter,
+    ParameterList,
     Tensor,
     backward,
     constant,
@@ -16,7 +20,7 @@ from poshan.grad import (
 )
 from poshan.model import ClassifierHead, PoshanModel
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize, replicate_for_training
-from poshan.train import Adam, TrainConfig, build_model, build_tables
+from poshan.train import MODEL_KINDS, Adam, TrainConfig, build_model, build_tables
 
 
 def make_records():
@@ -49,13 +53,13 @@ def classify(d, head):
 
 class TestClassify:
     def test_zero_head_gives_even_split(self):
-        head = ClassifierHead("h", in_dim=3, rng=np.random.default_rng(0))
+        head = ClassifierHead("h", in_dim=3, params=ParameterList(0))
         head.weight.data[...] = 0.0
         probs = classify(constant(np.array([1.0, -2.0, 3.0])), head)
         assert np.array_equal(probs, [0.5, 0.5])
 
     def test_bias_dominated_probabilities(self):
-        head = ClassifierHead("h", in_dim=2, rng=np.random.default_rng(0))
+        head = ClassifierHead("h", in_dim=2, params=ParameterList(0))
         head.weight.data[...] = 0.0
         head.bias.data[...] = [10.0, -10.0]
         probs = classify(constant(np.zeros(2)), head)
@@ -63,7 +67,7 @@ class TestClassify:
         assert probs[1] == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_probabilities_sum_to_one(self):
-        head = ClassifierHead("h", in_dim=4, rng=np.random.default_rng(1))
+        head = ClassifierHead("h", in_dim=4, params=ParameterList(1))
         rng = np.random.default_rng(2)
         for _ in range(20):
             probs = classify(constant(rng.normal(size=4)), head)
@@ -78,6 +82,30 @@ class TestModelAssembly:
         assert len(names) == len(set(names))
         # 2 tables + 2 encoders x 24 + 6 attention sets x 4 + head w/b
         assert len(names) == 2 + 48 + 24 + 2
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("flags", [f for f in itertools.product((False, True), repeat=3)
+                                       if not all(f)])
+    def test_parameters_are_listed_in_creation_order(self, kind, cell, flags, monkeypatch):
+        # the clip's sum of squares and the gradient check run in this
+        # order, and a parameter missing from it is never trained or saved
+        records = make_records()
+        config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4,
+                             cell=cell, disable_pattern_att=flags[0],
+                             disable_phrase_att=flags[1], replace_headline_att=flags[2])
+        word_table, pattern_table = build_tables(records, config)
+        created = []
+        init = Parameter.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Parameter, "__init__", recording_init)
+        model = build_model(kind, config, word_table, pattern_table)
+        tables = [word_table.matrix] + ([pattern_table.matrix] if kind == "poshan" else [])
+        assert model.parameters() == tables + created  # the same objects, in order
 
     def test_head_dimension_matches_sentence_encoder(self):
         model, _ = make_model()
@@ -152,6 +180,21 @@ class TestVariants:
         padded = pad_record(records[0], 45, 35)
         loss = model.loss(padded)
         assert np.isfinite(loss.data)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_prediction_equals_the_recorded_forward(self, kind, cell):
+        # prediction runs each recurrence without keeping its states for a
+        # backward pass; the values must still be the recorded forward's
+        records = make_records()
+        config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4,
+                             cell=cell)
+        model = build_model(kind, config, *build_tables(records, config))
+        for record in records:
+            padded = pad_record(record, 45, 35)
+            logits = model.forward(padded)
+            assert logits.requires_grad
+            assert np.array_equal(model.predict_probs(padded), softmax_probs(logits))
 
     def test_same_seed_same_init(self):
         m1, _ = make_model(seed=9)

@@ -363,6 +363,8 @@ def test_build_model_wires_sizes_and_cell(kind, cell):
         if kind == MODEL_POSAT:
             expected.update({"posat.theta_w": (1, 7), "posat.theta_b": (1,)})
     assert shapes == expected
+    # and in this order, which the clip's sum of squares follows
+    assert list(shapes) == list(expected)
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -370,7 +372,7 @@ def test_build_model_attention_size_none_is_word_encoder_width(cell):
     model, _ = wired_model(MODEL_POSHAN, cell=cell, attention_size=None)
     width = model.word_encoder.out_dim
     assert width == (3 if cell == CELL_LSTM_UNI else 6)
-    assert {p.data.shape[0] for p in model.attention.parameters()} == {width}
+    assert {p.data.shape[0] for p in model.parameters() if p.name.startswith("att.")} == {width}
 
 
 @pytest.mark.parametrize("cell", CELLS)
