@@ -150,38 +150,6 @@ class HierarchicalAttention:
 # Document forward
 
 
-@dataclass
-class SentenceTrace:
-    tokens: list
-    mask: list
-    alpha: dict
-    alpha_fused: np.ndarray
-
-
-@dataclass
-class DocumentTrace:
-    record_id: str
-    query_types: list
-    sentences: list
-    beta: dict
-    beta_fused: np.ndarray
-
-    def to_json(self) -> dict:
-        def row(level, per_type, fused, i):
-            weights = {f"{level}_{q}": float(per_type[q][i]) if q in per_type else None
-                       for q in QUERY_TYPES}
-            return {**weights, f"{level}_fused": float(fused[i])}
-
-        sentences = [[{"token": tok, **row("alpha", st.alpha, st.alpha_fused, i)}
-                      for i, tok in enumerate(st.tokens) if st.mask[i]]
-                     for st in self.sentences]
-        betas = [row("beta", self.beta, self.beta_fused, j)
-                 for j in range(len(self.sentences))]
-        return {"record_id": self.record_id,
-                "query_types": list(self.query_types),
-                "sentences": sentences, "betas": betas}
-
-
 def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
                   pattern_table: PatternEmbeddingTable, types: tuple) -> dict:
     """Query vectors of the given types, in their order.
@@ -236,17 +204,3 @@ def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
         sent_states, sent_mask, queries, attention.sentence)
     return document, {"alpha": alpha, "alpha_fused": alpha_fused,
                       "beta": beta, "beta_fused": beta_fused}
-
-
-def document_trace(padded: PaddedRecord, weights: dict) -> DocumentTrace:
-    """The attention trace of one record from its ``document_forward``
-    weights."""
-    alpha, alpha_fused = weights["alpha"], weights["alpha_fused"].data
-    sentences = [SentenceTrace(tokens=sent.tokens, mask=sent.mask,
-                               alpha={q: w.data[i] for q, w in alpha.items()},
-                               alpha_fused=alpha_fused[i])
-                 for i, sent in enumerate(padded.sentences)]
-    return DocumentTrace(record_id=padded.record.id, query_types=list(alpha),
-                         sentences=sentences,
-                         beta={q: w.data for q, w in weights["beta"].items()},
-                         beta_fused=weights["beta_fused"].data)

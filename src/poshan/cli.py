@@ -19,7 +19,6 @@ from .text import (
     RawRecord,
     RuleTagger,
     SidecarTags,
-    TaggingError,
     derive_dataset,
     featurize,
     read_corpus,
@@ -175,10 +174,10 @@ def _cmd_dump_attention(args) -> int:
     padded = pad_record(record, max_words=config.max_words_per_sentence,
                         max_sentences=config.max_sentences)
     trace = model.attention_trace(padded)
-    Path(args.out).write_text(json.dumps(trace.to_json(), indent=2, sort_keys=True) + "\n",
+    Path(args.out).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(f"record\t{args.record_id}")
-    print(f"sentences\t{len(trace.sentences)}")
+    print(f"sentences\t{len(trace['sentences'])}")
     return EXIT_OK
 
 
@@ -240,7 +239,7 @@ def _cmd_gradcheck(args) -> int:
     report = run_gradcheck(args.model, seed=args.seed)
     print(report.to_tsv(), end="")
     if not report.passed:
-        print(f"gradcheck failed for model {args.model!r}", file=sys.stderr)
+        print(f"poshan: gradcheck failed for model {args.model!r}", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
 
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"poshan: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DataError, TaggingError, NonFiniteError) as exc:
+    except (DataError, NonFiniteError) as exc:
         print(f"poshan: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:

@@ -1,6 +1,6 @@
-"""Recurrent sequence encoders: the parameters of LSTM and GRU directions,
-and a masked encoder that runs all of its directions over a padded block
-of sequences in one :func:`poshan.grad.recurrent` op.
+"""Masked recurrent sequence encoders that run all of their LSTM or GRU
+directions over a padded block of sequences in one
+:func:`poshan.grad.recurrent` op.
 
 One encoder instance is used at the word level, where it runs every
 sentence of a record as one (N, T, D) block, and another at the sentence
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .grad import ParameterList, ShapeError, Tensor, recurrent
+from .grad import GATES, ParameterList, ShapeError, Tensor, recurrent
 
 CELL_LSTM_BI = "lstm-bi"
 CELL_GRU_BI = "gru-bi"
@@ -25,82 +25,42 @@ CELLS = (CELL_LSTM_BI, CELL_GRU_BI, CELL_LSTM_UNI)
 FORGET_BIAS = 1.0
 
 
-class _Cell:
-    """Parameters of one recurrent direction: an input weight ``w_<gate>``
-    (H, D), a recurrent weight ``u_<gate>`` (H, H) and a bias ``b_<gate>``
-    (H,) per gate, drawn uniformly from +-1/sqrt(H) and added to ``params``."""
-
-    gates: tuple = ()
-    bias_offsets: dict = {}
-    cell: str = ""  # the recurrence, as poshan.grad.recurrent names it
-
-    def __init__(self, prefix: str, in_dim: int, hidden: int,
-                 params: ParameterList):
-        self.hidden = hidden
-        bound = 1.0 / math.sqrt(hidden)
-        for gate in self.gates:
-            for kind, shape in (("w", (hidden, in_dim)), ("u", (hidden, hidden)),
-                                ("b", hidden)):
-                offset = self.bias_offsets.get(gate, 0.0) if kind == "b" else 0.0
-                setattr(self, f"{kind}_{gate}", params.add(
-                    f"{prefix}.{kind}_{gate}",
-                    params.rng.uniform(-bound, bound, shape) + offset))
-
-    def direction(self, reverse: bool = False) -> tuple:
-        """This direction as :func:`poshan.grad.recurrent` takes it."""
-        return tuple([getattr(self, f"{kind}_{gate}") for gate in self.gates]
-                     for kind in "wub") + (reverse,)
-
-
-class LstmCell(_Cell):
-    """One direction of an LSTM; the forget-gate bias starts near 1."""
-
-    gates = ("i", "f", "o", "g")
-    bias_offsets = {"f": FORGET_BIAS}
-    cell = "lstm"
-
-
-class GruCell(_Cell):
-    """One direction of a GRU.
-
-    Update convention: h = (1 - z) * n + z * h_prev.
-    """
-
-    gates = ("z", "r", "n")
-    cell = "gru"
-
-
-def _make_cell(kind: str, prefix: str, in_dim: int, hidden: int,
-               params: ParameterList):
-    if kind in (CELL_LSTM_BI, CELL_LSTM_UNI):
-        return LstmCell(prefix, in_dim, hidden, params)
-    if kind == CELL_GRU_BI:
-        return GruCell(prefix, in_dim, hidden, params)
-    raise ValueError(f"unknown cell kind {kind!r}, expected one of {CELLS}")
-
-
 class SequenceEncoder:
     """Masked sequence encoder; bidirectional outputs concatenate the
-    forward and backward states position by position."""
+    forward and backward states position by position.
+
+    ``directions`` holds the forward direction, then for a bidirectional
+    cell the backward one, each as the ``(w, u, b, reverse)`` tuple that
+    :func:`poshan.grad.recurrent` takes.  Per gate of ``GATES[cell]`` a
+    direction has an input weight ``{name}.{fwd|bwd}.w_<gate>`` (H, D), a
+    recurrent weight ``u_<gate>`` (H, H) and a bias ``b_<gate>`` (H,),
+    drawn uniformly from +-1/sqrt(H); the LSTM forget-gate bias starts
+    near 1.  The GRU's update is h = (1 - z) * n + z * h_prev.
+    """
 
     def __init__(self, name: str, in_dim: int, hidden: int, cell: str,
                  params: ParameterList):
+        if cell not in CELLS:
+            raise ValueError(f"unknown cell kind {cell!r}, expected one of {CELLS}")
         self.name = name
         self.hidden = hidden
-        self.cell_kind = cell
-        self.bidirectional = cell != CELL_LSTM_UNI
-        self.fwd = _make_cell(cell, f"{name}.fwd", in_dim, hidden, params)
-        self.bwd = (_make_cell(cell, f"{name}.bwd", in_dim, hidden, params)
-                    if self.bidirectional else None)
+        self.cell = "gru" if cell == CELL_GRU_BI else "lstm"
+        bound = 1.0 / math.sqrt(hidden)
+        shapes = {"w": (hidden, in_dim), "u": (hidden, hidden), "b": hidden}
+        self.directions = []
+        for side in ("fwd",) if cell == CELL_LSTM_UNI else ("fwd", "bwd"):
+            weights = {kind: [] for kind in shapes}
+            for gate in GATES[self.cell]:
+                for kind, shape in shapes.items():
+                    offset = FORGET_BIAS if (kind, gate) == ("b", "f") else 0.0
+                    weights[kind].append(params.add(
+                        f"{name}.{side}.{kind}_{gate}",
+                        params.rng.uniform(-bound, bound, shape) + offset))
+            self.directions.append((*weights.values(), side == "bwd"))
 
     @property
     def out_dim(self) -> int:
-        return self.hidden * (2 if self.bidirectional else 1)
-
-    def _directions(self) -> list:
-        if self.bwd is None:
-            return [self.fwd.direction()]
-        return [self.fwd.direction(), self.bwd.direction(reverse=True)]
+        return self.hidden * len(self.directions)
 
     def _lengths(self, inputs: Tensor, mask) -> np.ndarray:
         """Real length of each sequence, from a flat row-major mask."""
@@ -128,8 +88,7 @@ class SequenceEncoder:
         row-major order, one truthy entry per real position.  The result
         has the inputs' leading shape and ``out_dim`` columns.
         """
-        return recurrent(self.fwd.cell, inputs, self._lengths(inputs, mask),
-                         self._directions())
+        return recurrent(self.cell, inputs, self._lengths(inputs, mask), self.directions)
 
     def final_state(self, inputs: Tensor) -> Tensor:
         """Summary state of one sequence (T, D) whose T positions are all
@@ -137,5 +96,4 @@ class SequenceEncoder:
         that has consumed the whole sequence."""
         if inputs.data.ndim != 2:
             raise ShapeError(f"{self.name}: final_state takes one sequence, got {inputs.shape}")
-        return recurrent(self.fwd.cell, inputs, [len(inputs.data)], self._directions(),
-                         final=True)
+        return recurrent(self.cell, inputs, [len(inputs.data)], self.directions, final=True)

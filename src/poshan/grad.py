@@ -320,8 +320,9 @@ def gather(matrix: Tensor, idx, pad: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # Recurrent layers: every direction of an encoder in one time loop
 
-# gates per cell, and how many of them (the leading ones) are sigmoids
-_CELL_GATES = {"lstm": (4, 3), "gru": (3, 2)}
+# the gates of each recurrence, in the order their weights are stacked;
+# every gate but the last is a sigmoid
+GATES = {"lstm": "ifog", "gru": "zrn"}
 
 
 def _lstm_steps(a: np.ndarray, rec: np.ndarray, half: np.ndarray, keep: bool):
@@ -471,14 +472,13 @@ def recurrent(cell: str, x: Tensor, lengths, directions: Sequence[tuple],
     """Every direction of a recurrent encoder over a padded block, run in
     one time loop.
 
-    ``cell`` is ``"lstm"``, with gates in i, f, o, g order, or ``"gru"``,
-    with gates in z, r, n order.  ``x`` is (N, T, D), N sequences padded to
-    T steps, or one sequence (T, D); ``lengths`` holds each sequence's real
-    length.  Each of the K ``directions`` is ``(w, u, b, reverse)``: the
-    input weights (H, D), recurrent weights (H, H) and biases (H,) of its
-    gates, and whether it reads each sequence's real prefix last to first,
-    so that its state at position t is the one that has consumed
-    t..length-1.
+    ``cell`` is ``"lstm"`` or ``"gru"``.  ``x`` is (N, T, D), N sequences
+    padded to T steps, or one sequence (T, D); ``lengths`` holds each
+    sequence's real length.  Each of the K ``directions`` is
+    ``(w, u, b, reverse)``: the input weights (H, D), recurrent weights
+    (H, H) and biases (H,) of its gates, in ``GATES[cell]`` order, and
+    whether it reads each sequence's real prefix last to first, so that
+    its state at position t is the one that has consumed t..length-1.
 
     The states have x's leading shape and K * H columns, direction by
     direction; positions past a sequence's length are zero.  With
@@ -494,7 +494,7 @@ def recurrent(cell: str, x: Tensor, lengths, directions: Sequence[tuple],
     result equals ``(1 + tanh(x / 2)) / 2`` of the unhalved sum.
     """
     op = f"recurrent[{cell}]"
-    gates, sigmoids = _CELL_GATES[cell]
+    gates = len(GATES[cell])
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"{op}: input must be (N, T, D) or (T, D), got shape {x.shape}")
     xs = x.data if x.data.ndim == 3 else x.data[None]
@@ -504,7 +504,7 @@ def recurrent(cell: str, x: Tensor, lengths, directions: Sequence[tuple],
         raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit input shape {x.shape}")
     hid = directions[0][1][0].shape[0]
     k = len(directions)
-    halves = np.repeat([0.5] * sigmoids + [1.0] * (gates - sigmoids), hid)
+    halves = np.repeat([0.5] * (gates - 1) + [1.0], hid)
 
     times = np.arange(steps)
     real = times < lengths[:, None]                       # (N, T)

@@ -11,11 +11,9 @@ import numpy as np
 from .attention import (
     QUERY_HEADLINE,
     QUERY_TYPES,
-    DocumentTrace,
     HierarchicalAttention,
     PaddedRecord,
     document_forward,
-    document_trace,
 )
 from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
 from .encoder import SequenceEncoder
@@ -29,6 +27,17 @@ from .grad import (
     softmax_probs,
 )
 from .text import label_index
+
+
+def _weights_at(level: str, weights: dict, position) -> dict:
+    """One position's ``alpha`` or ``beta`` weights from the weights that
+    ``document_forward`` returns: ``<level>_<type>`` for every query type,
+    None for a type not in use, and ``<level>_fused``."""
+    used = weights[level]
+    row = {f"{level}_{q}": float(used[q].data[position]) if q in used else None
+           for q in QUERY_TYPES}
+    row[f"{level}_fused"] = float(weights[f"{level}_fused"].data[position])
+    return row
 
 
 class ClassifierHead:
@@ -119,11 +128,18 @@ class PoshanModel(Classifier):
                 [t.text for t in padded.record.headline])))
         return self.head.logits(d)
 
-    def attention_trace(self, padded: PaddedRecord) -> DocumentTrace:
-        """Word and sentence attention weights of one padded record."""
+    def attention_trace(self, padded: PaddedRecord) -> dict:
+        """The word and sentence attention weights of one padded record, as
+        ``dump-attention`` writes them: the query types in use, per
+        sentence one entry per real token, and one entry per sentence."""
         with no_grad():
             _, weights = self._document(padded)
-            return document_trace(padded, weights)
+        sentences = [[{"token": token, **_weights_at("alpha", weights, (i, t))}
+                      for t, token in enumerate(sent.tokens) if sent.mask[t]]
+                     for i, sent in enumerate(padded.sentences)]
+        return {"record_id": padded.record.id, "query_types": list(weights["alpha"]),
+                "sentences": sentences,
+                "betas": [_weights_at("beta", weights, i) for i in range(len(sentences))]}
 
     # in the class's own namespace, where the benchmark's tracing wraps it
     loss = Classifier.loss

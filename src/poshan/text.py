@@ -34,7 +34,7 @@ class DataError(ValueError):
     """Malformed input data; messages carry file/line context."""
 
 
-class TaggingError(ValueError):
+class TaggingError(DataError):
     """Sidecar tags missing or inconsistent for a record."""
 
 
@@ -372,17 +372,20 @@ def _read_jsonl(path: str | Path):
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _note_id(lines: dict[str, int], record_id: str, path, lineno: int) -> None:

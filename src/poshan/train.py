@@ -157,17 +157,21 @@ def parse_config(path: str | Path) -> TrainConfig:
     known = {f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
     overrides: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise DataError(f"config line {line_no}: expected key=value, got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise DataError(f"config line {line_no}: unknown key {key!r}")
-            overrides[key.replace("-", "_")] = _parse_value(key, raw, line_no)
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise DataError(f"config line {line_no}: expected key=value, got {text!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise DataError(f"config line {line_no}: unknown key {key!r}")
+        overrides[key.replace("-", "_")] = _parse_value(key, raw, line_no)
     config = TrainConfig(**overrides)
     try:
         config.validate()

@@ -14,6 +14,7 @@ exactly its bits, direction by direction.
 import re
 import string
 from functools import reduce
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -120,14 +121,28 @@ def _gru_direction(cell, xs):
     return outs
 
 
+# each recurrence's gates, in the order a direction lists their weights
+_GATES = {"lstm": "ifog", "gru": "zrn"}
+
+
+def _cell(encoder, weights):
+    """One direction's ``(w, u, b, reverse)`` as named parameters
+    ``w_<gate>``, ``u_<gate>`` and ``b_<gate>``, with its ``hidden`` size."""
+    named = {f"{kind}_{gate}": p
+             for kind, params in zip("wub", weights[:3])
+             for gate, p in zip(_GATES[encoder.cell], params, strict=True)}
+    return SimpleNamespace(hidden=encoder.hidden, **named)
+
+
 def _encode(encoder, xs, mask):
     """Per-position states of one sequence, zero past its real prefix;
     the backward direction reads the real prefix last to first."""
-    direction = _gru_direction if encoder.cell_kind == "gru-bi" else _lstm_direction
+    direction = _gru_direction if encoder.cell == "gru" else _lstm_direction
     real = sum(1 for m in mask if m)
-    states = direction(encoder.fwd, xs[:real])
-    if encoder.bwd is not None:
-        bwd = list(reversed(direction(encoder.bwd, list(reversed(xs[:real])))))
+    fwd, *bwd = [_cell(encoder, weights) for weights in encoder.directions]
+    states = direction(fwd, xs[:real])
+    if bwd:
+        bwd = list(reversed(direction(bwd[0], list(reversed(xs[:real])))))
         states = [np.concatenate([f, b]) for f, b in zip(states, bwd)]
     width = states[0].shape[0]
     return states + [np.zeros(width)] * (len(xs) - real)

@@ -22,6 +22,7 @@ from oracles import oracle_macro_f1, oracle_roc_auc, straight_line_poshan_forwar
 from synthetic import make_matching_task
 from poshan.attention import document_forward, pad_record
 from poshan.cli import main, run_gradcheck
+from poshan.grad import no_grad
 from poshan.metrics import build_report, roc_auc
 from poshan.text import (
     LABELS,
@@ -118,21 +119,25 @@ def test_attention_invariants_over_1000_randomized_forwards():
         model = build_model("poshan", config, word_table, pattern_table)
         for record in records:
             padded = pad_record(record, max_words=6, max_sentences=3)
-            trace = model.attention_trace(padded)
-            types = trace.query_types
+            with no_grad():
+                _, weights = document_forward(
+                    padded, model.word_table, model.pattern_table, model.word_encoder,
+                    model.sentence_encoder, model.attention, model.query_types)
+            types = list(weights["alpha"])
             assert len(types) == 3
-            for st in trace.sentences:
-                mask = np.asarray(st.mask)
-                per_type = [np.asarray(st.alpha[t]) for t in types]
+            for n, sent in enumerate(padded.sentences):
+                mask = np.asarray(sent.mask)
+                per_type = [weights["alpha"][t].data[n] for t in types]
                 for alpha in per_type:
                     _assert_simplex(alpha, mask)
-                _assert_simplex(st.alpha_fused, mask)
-                np.testing.assert_array_equal(st.alpha_fused, _left_fold_mean(per_type))
-            per_type = [np.asarray(trace.beta[t]) for t in types]
+                _assert_simplex(weights["alpha_fused"].data[n], mask)
+                np.testing.assert_array_equal(weights["alpha_fused"].data[n],
+                                              _left_fold_mean(per_type))
+            per_type = [weights["beta"][t].data for t in types]
             for beta in per_type:
                 _assert_simplex(beta, None)
-            _assert_simplex(trace.beta_fused, None)
-            np.testing.assert_array_equal(trace.beta_fused, _left_fold_mean(per_type))
+            _assert_simplex(weights["beta_fused"].data, None)
+            np.testing.assert_array_equal(weights["beta_fused"].data, _left_fold_mean(per_type))
             checked += 1
     assert checked == 1000
 

@@ -20,7 +20,6 @@ from poshan.attention import (
     attend,
     build_queries,
     document_forward,
-    document_trace,
     fuse_weights,
     pad_record,
     score,
@@ -38,6 +37,7 @@ from poshan.grad import (
     weighted_sum,
 )
 from toy_ops import dot
+from poshan.model import PoshanModel
 from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
 
 
@@ -322,23 +322,20 @@ class Setup:
         self.padded = pad_record(self.record, max_words=45, max_sentences=35)
 
     def forward(self, types=QUERY_TYPES):
-        doc, weights = document_forward(self.padded, self.word_table,
-                                        self.pattern_table, self.word_encoder,
-                                        self.sentence_encoder, self.attention,
-                                        types)
-        return doc, document_trace(self.padded, weights)
+        return document_forward(self.padded, self.word_table, self.pattern_table,
+                                self.word_encoder, self.sentence_encoder, self.attention,
+                                types)
 
 
 class TestDocumentForward:
     def test_singleton_document_weights_forced_to_one(self):
         s = Setup(body="Won")
-        doc, trace = s.forward()
-        assert len(trace.sentences) == 1
-        st0 = trace.sentences[0]
-        for q, alpha in st0.alpha.items():
-            assert np.array_equal(alpha, [1.0])
-        assert np.array_equal(st0.alpha_fused, [1.0])
-        assert np.array_equal(trace.beta_fused, [1.0])
+        doc, weights = s.forward()
+        assert len(s.padded.sentences) == 1
+        for q, alpha in weights["alpha"].items():
+            assert np.array_equal(alpha.data[0], [1.0])
+        assert np.array_equal(weights["alpha_fused"].data[0], [1.0])
+        assert np.array_equal(weights["beta_fused"].data, [1.0])
         # D equals the single sentence-level hidden state exactly
         embedded = s.word_table.lookup(s.padded.sentences[0].tokens)
         word_states = s.word_encoder.encode(embedded,
@@ -348,51 +345,54 @@ class TestDocumentForward:
 
     def test_trace_simplex_invariants(self):
         s = Setup()
-        _, trace = s.forward()
-        assert len(trace.sentences) == 2
-        for st_ in trace.sentences:
-            vectors = list(st_.alpha.values()) + [st_.alpha_fused]
-            for w in vectors:
+        _, weights = s.forward()
+        assert len(s.padded.sentences) == 2
+        for n, sent in enumerate(s.padded.sentences):
+            vectors = [w.data[n] for w in weights["alpha"].values()]
+            for w in vectors + [weights["alpha_fused"].data[n]]:
                 assert np.all(w >= 0.0)
                 assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-6)
-                for i, m in enumerate(st_.mask):
+                for i, m in enumerate(sent.mask):
                     if not m:
                         assert w[i] == 0.0
-        for w in list(trace.beta.values()) + [trace.beta_fused]:
+        for w in [w.data for w in weights["beta"].values()] + [weights["beta_fused"].data]:
             assert np.all(w >= 0.0)
             assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-6)
 
     def test_fused_equals_mean_of_components(self):
         s = Setup()
-        _, trace = s.forward()
-        for st_ in trace.sentences:
-            stack = np.array([st_.alpha[q] for q in trace.query_types])
-            assert np.array_equal(st_.alpha_fused, stack.sum(axis=0) / 3.0)
-        stack = np.array([trace.beta[q] for q in trace.query_types])
-        assert np.array_equal(trace.beta_fused, stack.sum(axis=0) / 3.0)
+        _, weights = s.forward()
+        alpha, beta = weights["alpha"], weights["beta"]
+        for n in range(len(s.padded.sentences)):
+            stack = np.array([alpha[q].data[n] for q in alpha])
+            assert np.array_equal(weights["alpha_fused"].data[n], stack.sum(axis=0) / 3.0)
+        stack = np.array([beta[q].data for q in beta])
+        assert np.array_equal(weights["beta_fused"].data, stack.sum(axis=0) / 3.0)
 
     def test_headline_only_ablation_reduces_to_headline_weights(self):
         s = Setup()
-        _, trace = s.forward((QUERY_HEADLINE,))
-        assert trace.query_types == [QUERY_HEADLINE]
-        for st_ in trace.sentences:
-            assert np.array_equal(st_.alpha_fused, st_.alpha[QUERY_HEADLINE])
-        assert np.array_equal(trace.beta_fused, trace.beta[QUERY_HEADLINE])
+        _, weights = s.forward((QUERY_HEADLINE,))
+        assert list(weights["alpha"]) == [QUERY_HEADLINE]
+        assert np.array_equal(weights["alpha_fused"].data,
+                              weights["alpha"][QUERY_HEADLINE].data)
+        assert np.array_equal(weights["beta_fused"].data,
+                              weights["beta"][QUERY_HEADLINE].data)
 
     def test_disable_single_type_fuses_remaining_two(self):
         s = Setup()
-        _, trace = s.forward((QUERY_PATTERN, QUERY_HEADLINE))
-        assert trace.query_types == [QUERY_PATTERN, QUERY_HEADLINE]
-        for st_ in trace.sentences:
-            expected = (st_.alpha[QUERY_PATTERN]
-                        + st_.alpha[QUERY_HEADLINE]) / 2.0
-            assert np.array_equal(st_.alpha_fused, expected)
+        _, weights = s.forward((QUERY_PATTERN, QUERY_HEADLINE))
+        alpha = weights["alpha"]
+        assert list(alpha) == [QUERY_PATTERN, QUERY_HEADLINE]
+        for n in range(len(s.padded.sentences)):
+            expected = (alpha[QUERY_PATTERN].data[n]
+                        + alpha[QUERY_HEADLINE].data[n]) / 2.0
+            assert np.array_equal(weights["alpha_fused"].data[n], expected)
 
     def test_record_without_cardinals_degrades_with_warning(self):
         s = Setup(headline="Dog bites man")
         with pytest.warns(RuntimeWarning, match="no cardinal"):
-            _, trace = s.forward()
-        assert trace.query_types == [QUERY_HEADLINE]
+            _, weights = s.forward()
+        assert list(weights["alpha"]) == [QUERY_HEADLINE]
 
     def test_all_types_disabled_rejected(self):
         s = Setup()
@@ -419,19 +419,21 @@ class TestDocumentForward:
 
     def test_trace_json_export(self):
         s = Setup()
-        _, trace = s.forward((QUERY_PATTERN, QUERY_HEADLINE))
-        obj = trace.to_json()
+        model = PoshanModel(s.word_table, s.pattern_table, hidden_size=2, attention_size=2,
+                            cell=CELL_LSTM_BI, disable_pattern_att=False,
+                            disable_phrase_att=True, replace_headline_att=False, seed=0)
+        obj = model.attention_trace(s.padded)
         assert obj["record_id"] == "r0"
         assert obj["query_types"] == [QUERY_PATTERN, QUERY_HEADLINE]
         first_sentence = obj["sentences"][0]
         # padded positions are omitted; real tokens carry all four weights
-        assert len(first_sentence) == sum(trace.sentences[0].mask)
+        assert len(first_sentence) == sum(s.padded.sentences[0].mask)
         entry = first_sentence[0]
         assert set(entry) == {"token", "alpha_pattern", "alpha_phrase",
                               "alpha_headline", "alpha_fused"}
         assert entry["alpha_phrase"] is None
         assert isinstance(entry["alpha_fused"], float)
-        assert len(obj["betas"]) == len(trace.sentences)
+        assert len(obj["betas"]) == len(s.padded.sentences)
 
     def test_gradients_attention_and_tables(self):
         s = Setup(word_dim=2, hidden=2, att_dim=2, pattern_dim=3,

@@ -17,6 +17,19 @@ def write_corpus(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
 
 
+# a UTF-16 file with its byte-order mark, which no UTF-8 decoder accepts
+NOT_UTF8 = b"\xff\xfe" + '{"id": "a"}\n'.encode("utf-16-le")
+NOT_UTF8_ERROR = "not UTF-8 text (invalid start byte)"
+
+
+def write_rows(path, rows):
+    """Rows as JSON Lines, or bytes as they are."""
+    if isinstance(rows, bytes):
+        path.write_bytes(rows)
+    else:
+        write_corpus(path, rows)
+
+
 def toy_rows(n=24):
     rows = []
     for i in range(n):
@@ -172,15 +185,18 @@ _TAGS = dict(id="a", headline_tags=["NN", "VBZ", "CD", "CD"],
     ([_ROW], [dict(_TAGS, body_tags=[["PRP", "VBD", "CD"]])],
      "record 'a': sidecar sentence 0 has 3 tags for 5 tokens"),
     ([_ROW, ["a", "b"]], None, "corpus.jsonl:2: expected a JSON object"),
+    (NOT_UTF8, None, f"corpus.jsonl: {NOT_UTF8_ERROR}"),
+    ([_ROW], NOT_UTF8, f"tags.jsonl: {NOT_UTF8_ERROR}"),
 ], ids=["headline-number", "headline-null", "body-list", "raw-id-twice", "sidecar-id-twice",
         "headline-tags-number", "sidecar-id-list", "headline-tags-string", "body-tag-number",
         "raw-id-null", "raw-id-number", "sidecar-extra-sentence-tags",
-        "sidecar-sentence-tag-count", "raw-line-not-an-object"])
+        "sidecar-sentence-tag-count", "raw-line-not-an-object", "raw-not-utf8",
+        "sidecar-not-utf8"])
 def test_derive_malformed_input_is_one_line_data_error(tmp_path, capsys, rows, tags, message):
-    write_corpus(tmp_path / "corpus.jsonl", rows)
+    write_rows(tmp_path / "corpus.jsonl", rows)
     source = ["--fallback-tagger"]
     if tags is not None:
-        write_corpus(tmp_path / "tags.jsonl", tags)
+        write_rows(tmp_path / "tags.jsonl", tags)
         source = ["--tags", str(tmp_path / "tags.jsonl")]
     rc = main(["derive", "--input", str(tmp_path / "corpus.jsonl"), *source,
                "--output", str(tmp_path / "derived.jsonl")])
@@ -210,6 +226,15 @@ def test_split_missing_input(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == EXIT_DATA
     assert "no such file" in capsys.readouterr().err
+
+
+def test_split_non_utf8_input_is_one_line_data_error(tmp_path, capsys):
+    (tmp_path / "derived.jsonl").write_bytes(NOT_UTF8)
+    rc = main(["split", "--input", str(tmp_path / "derived.jsonl"), "--seed", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"poshan: {tmp_path / 'derived.jsonl'}: {NOT_UTF8_ERROR}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +272,18 @@ _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-d
     (f"pattern-dim={10**20}\n", False, f"pattern-dim must be at most 1048576, got {10**20}"),
     (f"attention-size={10**20}\n", False,
      f"attention-size must be at most 1048576, got {10**20}"),
+    (NOT_UTF8, False, f"run.cfg: {NOT_UTF8_ERROR}"),
 ], ids=["zero-learning-rate", "nan-learning-rate", "inf-learning-rate", "nan-grad-clip",
         "inf-grad-clip", "negative-seed", "no-query-type", "record-without-cardinal",
-        "huge-word-dim", "huge-hidden-size", "huge-pattern-dim", "huge-attention-size"])
+        "huge-word-dim", "huge-hidden-size", "huge-pattern-dim", "huge-attention-size",
+        "config-not-utf8"])
 def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config, add_record,
                                              message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(_BASE_CONFIG + config)
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(_BASE_CONFIG + config)
     train_path = workspace / "splits" / "train.jsonl"
     if add_record:
         rows = [json.loads(line) for line in train_path.read_text().splitlines()]
@@ -662,6 +692,11 @@ def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_p
         err = capsys.readouterr().err
         assert rc == EXIT_DATA, (edit.__name__, err)
         assert ":1:" in err and len(err.splitlines()) == 1, (edit.__name__, err)
+    bad.write_bytes(NOT_UTF8)
+    rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(bad),
+               "--report", str(tmp_path / "report.json")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"poshan: {bad}: {NOT_UTF8_ERROR}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +821,7 @@ def test_gradcheck_with_a_wrong_backward_fails(monkeypatch, capsys):
     rc = main(["gradcheck", "--model", "lstm"])
     captured = capsys.readouterr()
     assert rc == EXIT_CHECK
-    assert captured.err == "gradcheck failed for model 'lstm'\n"
+    assert captured.err == "poshan: gradcheck failed for model 'lstm'\n"
     failed = [line.split("\t")[0] for line in captured.out.splitlines() if line.endswith("FAIL")]
     assert failed == ["classifier.b"]
 

@@ -12,8 +12,6 @@ from poshan.encoder import (
     CELL_LSTM_BI,
     CELL_LSTM_UNI,
     CELLS,
-    GruCell,
-    LstmCell,
     SequenceEncoder,
 )
 from poshan.grad import (
@@ -40,10 +38,24 @@ def ones_const(n):
     return constant(np.ones(n))
 
 
-def run_cell(cell, xs):
-    """States (T, H) of one direction over one full-length sequence."""
+def make_cell(cell, in_dim, hidden, params):
+    """An encoder whose forward direction, the first parameters in
+    ``params``, :func:`run_cell` runs alone."""
+    return SequenceEncoder("c", in_dim=in_dim, hidden=hidden, cell=cell, params=params)
+
+
+def run_cell(enc, xs):
+    """States (T, H) of the forward direction over one full-length sequence."""
     x = constant(np.asarray(xs, dtype=np.float64))
-    return recurrent(cell.cell, x, [x.shape[0]], [cell.direction()])
+    return recurrent(enc.cell, x, [x.shape[0]], enc.directions[:1])
+
+
+def forward_params(enc, params):
+    return params[:len(params) // len(enc.directions)]
+
+
+def named(params, name):
+    return next(p for p in params if p.name == name)
 
 
 def readout(t, seed=0):
@@ -62,7 +74,7 @@ def readout(t, seed=0):
 class TestLstmStep:
     def test_zero_params_give_zero_state(self):
         params = ParameterList(0)
-        cell = LstmCell("c", in_dim=3, hidden=2, params=params)
+        cell = make_cell(CELL_LSTM_UNI, in_dim=3, hidden=2, params=params)
         zero_params(params)
         h = run_cell(cell, [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
         # i = f = o = sigmoid(0) = 0.5 and g = tanh(0) = 0, so c = h = 0 at
@@ -71,19 +83,19 @@ class TestLstmStep:
 
     def test_forget_bias_alone_keeps_zero_state(self):
         params = ParameterList(0)
-        cell = LstmCell("c", in_dim=2, hidden=2, params=params)
+        cell = make_cell(CELL_LSTM_UNI, in_dim=2, hidden=2, params=params)
         zero_params(params)
-        cell.b_f.data[...] = 10.0
+        named(params, "c.fwd.b_f").data[...] = 10.0
         h = run_cell(cell, np.zeros((2, 2)))
         assert np.array_equal(h.data, np.zeros((2, 2)))
 
     def test_forget_gate_carries_cell_state(self):
         params = ParameterList(0)
-        cell = LstmCell("c", in_dim=1, hidden=1, params=params)
+        cell = make_cell(CELL_LSTM_UNI, in_dim=1, hidden=1, params=params)
         zero_params(params)
-        cell.b_i.data[...] = 30.0  # i saturates to 1
-        cell.b_f.data[...] = 30.0  # f saturates to 1
-        cell.w_g.data[...] = math.atanh(0.8)
+        named(params, "c.fwd.b_i").data[...] = 30.0  # i saturates to 1
+        named(params, "c.fwd.b_f").data[...] = 30.0  # f saturates to 1
+        named(params, "c.fwd.w_g").data[...] = math.atanh(0.8)
         # step 0 writes c = tanh(atanh(0.8)) = 0.8; step 1 adds g = tanh(0)
         # and keeps c, so h = sigmoid(0) * tanh(c) at both steps
         h = run_cell(cell, [[1.0], [0.0]])
@@ -91,50 +103,52 @@ class TestLstmStep:
         assert h.data[1, 0] == pytest.approx(0.5 * math.tanh(0.8), abs=1e-12)
 
     def test_default_init_has_forget_bias_offset(self):
-        cell = LstmCell("c", in_dim=2, hidden=8, params=ParameterList(0))
+        params = ParameterList(0)
+        make_cell(CELL_LSTM_UNI, in_dim=2, hidden=8, params=params)
+        b_f, b_i = named(params, "c.fwd.b_f"), named(params, "c.fwd.b_i")
         bound = 1.0 / math.sqrt(8)
-        assert np.all(cell.b_f.data >= 1.0 - bound)
-        assert np.all(cell.b_f.data <= 1.0 + bound)
-        assert np.all(np.abs(cell.b_i.data) <= bound)
+        assert np.all(b_f.data >= 1.0 - bound)
+        assert np.all(b_f.data <= 1.0 + bound)
+        assert np.all(np.abs(b_i.data) <= bound)
 
     def test_two_step_scalar_gradients(self):
         params = ParameterList(7)
-        cell = LstmCell("c", in_dim=1, hidden=1, params=params)
+        cell = make_cell(CELL_LSTM_UNI, in_dim=1, hidden=1, params=params)
 
         def forward():
             h = run_cell(cell, [[0.7], [-0.3]])
             return dot(gather(h, 1), ones_const(1))
 
-        report = finite_difference_check(forward, params)
+        report = finite_difference_check(forward, forward_params(cell, params))
         assert report.passed, report.to_tsv()
 
 
 class TestGruCell:
     def test_zero_params_give_zero_state(self):
         params = ParameterList(0)
-        cell = GruCell("g", in_dim=2, hidden=3, params=params)
+        cell = make_cell(CELL_GRU_BI, in_dim=2, hidden=3, params=params)
         zero_params(params)
         h = run_cell(cell, [np.ones(2)])
         assert np.array_equal(h.data, np.zeros((1, 3)))
 
     def test_scalar_hand_value(self):
         params = ParameterList(0)
-        cell = GruCell("g", in_dim=1, hidden=1, params=params)
+        cell = make_cell(CELL_GRU_BI, in_dim=1, hidden=1, params=params)
         zero_params(params)
-        cell.w_n.data[...] = 1.0
+        named(params, "c.fwd.w_n").data[...] = 1.0
         h = run_cell(cell, [[1.0]])
         # z = 0.5, h_prev = 0, n = tanh(1): h = (1 - z) * n
         assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(1.0), abs=1e-12)
 
     def test_two_step_scalar_gradients(self):
         params = ParameterList(3)
-        cell = GruCell("g", in_dim=1, hidden=1, params=params)
+        cell = make_cell(CELL_GRU_BI, in_dim=1, hidden=1, params=params)
 
         def forward():
             h = run_cell(cell, [[0.4], [0.9]])
             return dot(gather(h, 1), ones_const(1))
 
-        report = finite_difference_check(forward, params)
+        report = finite_difference_check(forward, forward_params(cell, params))
         assert report.passed, report.to_tsv()
 
 
@@ -160,8 +174,8 @@ class TestSequenceEncoder:
                               params=ParameterList(2))
         x = constant(np.array([[0.3, -0.6]]))
         out = enc.encode(x, [True])
-        fwd = recurrent(enc.fwd.cell, x, [1], [enc.fwd.direction()])
-        bwd = recurrent(enc.bwd.cell, x, [1], [enc.bwd.direction(reverse=True)])
+        fwd = recurrent(enc.cell, x, [1], enc.directions[:1])
+        bwd = recurrent(enc.cell, x, [1], enc.directions[1:])
         assert np.array_equal(out.data, np.concatenate([fwd.data, bwd.data], axis=1))
 
     def test_zero_params_give_zero_states(self):
@@ -217,7 +231,7 @@ class TestSequenceEncoder:
         enc = SequenceEncoder("e", in_dim=3, hidden=4, cell=CELL_LSTM_UNI,
                               params=ParameterList(0))
         assert enc.out_dim == 4
-        assert enc.bwd is None
+        assert len(enc.directions) == 1
         out = enc.encode(make_inputs(np.random.default_rng(1), 2, 3),
                          [True] * 2)
         assert out.shape == (2, 4)
@@ -225,8 +239,24 @@ class TestSequenceEncoder:
     def test_gru_cell_selection(self):
         enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=CELL_GRU_BI,
                               params=ParameterList(0))
-        assert isinstance(enc.fwd, GruCell)
+        assert enc.cell == "gru"
         assert enc.out_dim == 6
+
+    @pytest.mark.parametrize("cell,gates,sides", [
+        (CELL_LSTM_BI, "ifog", ("fwd", "bwd")),
+        (CELL_GRU_BI, "zrn", ("fwd", "bwd")),
+        (CELL_LSTM_UNI, "ifog", ("fwd",)),
+    ], ids=CELLS)
+    def test_directions_are_built_once_in_gate_order(self, cell, gates, sides):
+        params = ParameterList(0)
+        enc = SequenceEncoder("e", in_dim=2, hidden=3, cell=cell, params=params)
+        assert [[[p.name for p in group] for group in d[:3]] + [d[3]]
+                for d in enc.directions] == [
+            [[f"e.{side}.{kind}_{gate}" for gate in gates] for kind in "wub"] + [side == "bwd"]
+            for side in sides]
+        # created gate by gate, w, u and b each, forward first
+        assert [p.name for p in params] == [f"e.{side}.{kind}_{gate}" for side in sides
+                                            for gate in gates for kind in "wub"]
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(ValueError, match="cell"):

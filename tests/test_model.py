@@ -2,6 +2,7 @@
 variant configurations, and the end-to-end gradient check."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from poshan.grad import (
     backward,
     constant,
     finite_difference_check,
+    no_grad,
     softmax_probs,
 )
 from poshan.model import ClassifierHead, PoshanModel
@@ -117,8 +119,8 @@ class TestModelAssembly:
         logits = model.forward(padded)
         trace = model.attention_trace(padded)
         assert logits.shape == (2,)
-        assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE,
-                                     QUERY_HEADLINE]
+        assert trace["query_types"] == [QUERY_PATTERN, QUERY_PHRASE,
+                                        QUERY_HEADLINE]
 
     def test_loss_is_finite_scalar(self):
         model, records = make_model()
@@ -160,13 +162,13 @@ class TestVariants:
         padded = pad_record(records[0], 45, 35)
         assert model.forward(padded).shape == (2,)
         trace = model.attention_trace(padded)
-        assert trace.query_types == [QUERY_PATTERN, QUERY_PHRASE]
+        assert trace["query_types"] == [QUERY_PATTERN, QUERY_PHRASE]
 
     def test_pattern_ablation_drops_query_type(self):
         model, records = make_model(disable_pattern_att=True)
         padded = pad_record(records[0], 45, 35)
         trace = model.attention_trace(padded)
-        assert trace.query_types == [QUERY_PHRASE, QUERY_HEADLINE]
+        assert trace["query_types"] == [QUERY_PHRASE, QUERY_HEADLINE]
 
     def test_gru_cell_variant(self):
         model, records = make_model(cell=CELL_GRU_BI)
@@ -260,14 +262,13 @@ class TestGraphSize:
 
 class TestTraceOnRequest:
     def test_loss_prediction_and_validation_build_no_trace(self, monkeypatch):
-        from poshan import attention
+        from poshan import model as model_module
         from poshan.train import _mean_val_loss
 
         def refuse(*args, **kwargs):
             raise AssertionError("an attention trace was built")
 
-        monkeypatch.setattr(attention, "SentenceTrace", refuse)
-        monkeypatch.setattr(attention, "DocumentTrace", refuse)
+        monkeypatch.setattr(model_module, "_weights_at", refuse)
         model, records = make_model()
         padded = [pad_record(r, 45, 35) for r in records]
         backward(model.loss(padded[0]))
@@ -275,6 +276,28 @@ class TestTraceOnRequest:
         _mean_val_loss(model, padded)
         with pytest.raises(AssertionError, match="trace was built"):
             model.attention_trace(padded[0])
+
+    def test_trace_holds_the_document_weights_of_real_tokens(self):
+        model, records = make_model(disable_phrase_att=True)
+        padded = pad_record(records[0], 45, 35)
+        trace = model.attention_trace(padded)
+        with no_grad():
+            _, weights = model._document(padded)
+        alpha, beta = weights["alpha"], weights["beta"]
+        assert trace["record_id"] == "r0"
+        assert trace["query_types"] == [QUERY_PATTERN, QUERY_HEADLINE]
+        assert trace["sentences"] == [
+            [{"token": token, "alpha_pattern": alpha[QUERY_PATTERN].data[n, t],
+              "alpha_phrase": None, "alpha_headline": alpha[QUERY_HEADLINE].data[n, t],
+              "alpha_fused": weights["alpha_fused"].data[n, t]}
+             for t, token in enumerate(sent.tokens) if sent.mask[t]]
+            for n, sent in enumerate(padded.sentences)]
+        assert trace["betas"] == [
+            {"beta_pattern": beta[QUERY_PATTERN].data[n], "beta_phrase": None,
+             "beta_headline": beta[QUERY_HEADLINE].data[n],
+             "beta_fused": weights["beta_fused"].data[n]}
+            for n in range(len(padded.sentences))]
+        assert json.loads(json.dumps(trace)) == trace
 
 
 class TestGraphLifetime:

@@ -7,6 +7,11 @@ The search is by whole word, comments and strings included, and runs to a
 fixed point: a definition named only inside definitions that are
 themselves unnamed is unnamed too.  Names of the form ``__name__`` are
 exempt, because the interpreter calls them by protocol, not by name.
+
+Likewise every attribute that ``src/poshan`` sets on ``self`` must be read
+by the program: loaded as an attribute, or named inside a string other
+than a docstring, as ``getattr`` and the harness's hooks name attributes.
+State that only tests read is state the system never uses.
 """
 
 import ast
@@ -63,3 +68,36 @@ def unnamed_definitions() -> list:
 def test_every_definition_is_named_outside_its_definition():
     unnamed = unnamed_definitions()
     assert not unnamed, f"defined in src/poshan but named only by tests: {unnamed}"
+
+
+def _attributes_set_on_self(path: Path) -> list:
+    """(name, line) of every ``self.<name> = ...`` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def _names_read(path: Path) -> set:
+    """Attribute names a module loads, and the words of its strings other
+    than docstrings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_attribute_set_on_self_is_read_by_the_program():
+    read = set().union(*(_names_read(path) for path in _program_sources()))
+    unread = [f"{path.name}:{line} self.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name, line in _attributes_set_on_self(path) if name not in read]
+    assert not unread, f"set in src/poshan but read only by tests: {unread}"
