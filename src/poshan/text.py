@@ -17,7 +17,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 CONGRUENT = "congruent"
 INCONGRUENT = "incongruent"
@@ -58,8 +58,10 @@ class RawRecord:
     label: str
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
+    """A token and its POS tag.  Derivation and reading share one object
+    per distinct pair (``_SharedTokens``), so treat it as a value."""
+
     text: str
     pos: str
 
@@ -99,7 +101,6 @@ class DatasetRecord:
 # Tokenization and sentence splitting
 
 
-_PUNCT = frozenset(string.punctuation)
 # one punctuation character, or a run of non-space characters that starts
 # and ends with a non-punctuation character
 _TOKEN_RE = re.compile(r"[{0}]|[^\s{0}](?:\S*[^\s{0}])?".format(re.escape(string.punctuation)))
@@ -161,35 +162,37 @@ fourteen fifteen sixteen seventeen eighteen nineteen twenty thirty forty
 fifty sixty seventy eighty ninety hundred thousand million billion
 """.split())
 
-# digits with optional comma grouping and optional decimal part
-_NUMBER_RE = re.compile(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
-
-_WORD_TAGS: dict[str, str] = {}
+# tokens with a fixed tag: number words, common function words, and the
+# punctuation with a tag of its own
+_LEXICON: dict[str, str] = dict.fromkeys(NUMBER_WORDS, CD_TAG)
 for _w in ("the", "a", "an", "this", "that", "these", "those"):
-    _WORD_TAGS[_w] = "DT"
+    _LEXICON[_w] = "DT"
 for _w in ("i", "he", "she", "it", "we", "they", "you", "him", "her", "them", "us"):
-    _WORD_TAGS[_w] = "PRP"
+    _LEXICON[_w] = "PRP"
 for _w in ("who", "whom", "what"):
-    _WORD_TAGS[_w] = "WP"
+    _LEXICON[_w] = "WP"
 for _w in ("when", "where", "why", "how"):
-    _WORD_TAGS[_w] = "WRB"
+    _LEXICON[_w] = "WRB"
 for _w in ("of", "in", "on", "at", "by", "for", "with", "from", "about",
            "into", "over", "after", "before", "against", "between", "during",
            "under", "than", "as"):
-    _WORD_TAGS[_w] = "IN"
+    _LEXICON[_w] = "IN"
 for _w in ("and", "or", "but", "nor"):
-    _WORD_TAGS[_w] = "CC"
+    _LEXICON[_w] = "CC"
 for _w in ("will", "would", "can", "could", "shall", "should", "may",
            "might", "must"):
-    _WORD_TAGS[_w] = "MD"
+    _LEXICON[_w] = "MD"
 for _w in ("not", "n't", "very", "also", "now", "just", "here", "there"):
-    _WORD_TAGS[_w] = "RB"
-_WORD_TAGS.update({
+    _LEXICON[_w] = "RB"
+_LEXICON.update({
     "to": "TO", "is": "VBZ", "was": "VBD", "has": "VBZ", "does": "VBZ",
     "are": "VBP", "were": "VBD", "am": "VBP", "do": "VBP", "have": "VBP",
     "had": "VBD", "did": "VBD", "be": "VB", "been": "VBN", "being": "VBG",
+    ".": ".", "!": ".", "?": ".", ",": ",", "$": "$", "#": "#",
+    "(": "(", ")": ")", "'": "''", '"': "''",
 })
 
+# (suffix, tag, minimum token length), first match wins
 _SUFFIX_TAGS = (
     ("ing", "VBG", 5),
     ("ed", "VBD", 4),
@@ -209,32 +212,41 @@ _SUFFIX_TAGS = (
     ("s", "NNS", 4),
 )
 
-_PUNCT_TAGS = {".": ".", "!": ".", "?": ".", ",": ",", "$": "$", "#": "#",
-               "(": "(", ")": ")", "'": "''", '"': "''"}
+# The rules below the lexicon as one alternation of whole-token patterns,
+# one group each: a number (digits with optional comma grouping and
+# optional decimal part), then a token of punctuation only (the empty one
+# included), then each suffix at its minimum length; a plural must not end
+# in "ss".  The first group that matches the whole token gives its tag.
+_RULES = ((CD_TAG, r"\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?"),
+          (":", "[{}]*".format(re.escape(string.punctuation))),
+          *((tag, ".{%d,}%s%s" % (min_len - len(suffix), "(?<!s)" if suffix == "s" else "", suffix))
+            for suffix, tag, min_len in _SUFFIX_TAGS))
+_RULE_RE = re.compile("|".join(f"({pattern})" for _, pattern in _RULES), re.DOTALL)
+_RULE_TAGS = (None, *(tag for tag, _ in _RULES))  # by group number, from 1
 
 
-class RuleTagger:
+class RuleTagger(dict):
     """Deterministic fallback tagger: numbers and number words are CD,
-    a small lexicon and suffix table cover the rest, default NN."""
+    a small lexicon and suffix table cover the rest, default NN.
+
+    A tagger is a dict from token to tag that fills itself: it tags each
+    distinct token once, on its first lookup, and remembers the tag."""
+
+    def __missing__(self, token: str) -> str:
+        tag = self[token] = self.tag_token(token)
+        return tag
 
     def tag_token(self, token: str) -> str:
-        if _NUMBER_RE.fullmatch(token) or token in NUMBER_WORDS:
-            return CD_TAG
-        if token in _WORD_TAGS:
-            return _WORD_TAGS[token]
-        if all(c in _PUNCT for c in token):
-            return _PUNCT_TAGS.get(token, ":")
-        for suffix, tag, min_len in _SUFFIX_TAGS:
-            if len(token) >= min_len and token.endswith(suffix):
-                if suffix == "s" and token.endswith("ss"):
-                    continue
-                return tag
-        return "NN"
+        tag = _LEXICON.get(token)
+        if tag is None:
+            match = _RULE_RE.fullmatch(token)
+            tag = _RULE_TAGS[match.lastindex] if match else "NN"
+        return tag
 
     def tags(self, record_id: str, headline: Sequence[str],
              sentences: Sequence[Sequence[str]]) -> tuple[list[str], list[list[str]]]:
-        return [self.tag_token(t) for t in headline], [
-            [self.tag_token(t) for t in sentence] for sentence in sentences]
+        lookup = self.__getitem__
+        return list(map(lookup, headline)), [list(map(lookup, s)) for s in sentences]
 
 
 class SidecarTags:
@@ -312,19 +324,35 @@ def extract_cardinal_features(
     return patterns, phrases
 
 
-def _tagged(tokens: Sequence[str], tags: Sequence[str]) -> list[TaggedToken]:
-    return [TaggedToken(text=t, pos=p) for t, p in zip(tokens, tags)]
+class _SharedTokens(dict):
+    """One TaggedToken per distinct (text, tag) pair, filled on lookup.
+
+    It maps each pair to its token, and a token equals its pair, so the
+    token is its own key.  One lives for one ``derive_dataset`` or
+    ``read_derived`` call, so that equal tokens of its records are one
+    object."""
+
+    def __missing__(self, pair: tuple[str, str]) -> TaggedToken:
+        token = TaggedToken._make(pair)
+        self[token] = token
+        return token
+
+    def tagged(self, tokens: Iterable[str], tags: Iterable[str]) -> list[TaggedToken]:
+        return list(map(self.__getitem__, zip(tokens, tags)))
 
 
-def featurize(raw: RawRecord, provider) -> DatasetRecord:
-    """Tokenize, tag and extract cardinal features for one record."""
+def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> DatasetRecord:
+    """Tokenize, tag and extract cardinal features for one record; equal
+    tokens are one object across the records featurized with one
+    ``shared``."""
+    shared = _SharedTokens() if shared is None else shared
     headline = tokenize(raw.headline)
-    sentences = [tokenize(sentence) for sentence in split_sentences(raw.body)]
+    sentences = list(map(tokenize, split_sentences(raw.body)))
     head_tags, body_tags = provider.tags(raw.id, headline, sentences)
-    tagged = _tagged(headline, head_tags)
+    tagged = shared.tagged(headline, head_tags)
     patterns, phrases = extract_cardinal_features(tagged)
     return DatasetRecord(id=raw.id, headline=tagged,
-                         sentences=[_tagged(toks, tags) for toks, tags in zip(sentences, body_tags)],
+                         sentences=list(map(shared.tagged, sentences, body_tags)),
                          label=raw.label, patterns=patterns, phrases=phrases)
 
 
@@ -333,12 +361,14 @@ def derive_dataset(records: Iterable[RawRecord],
     """Keep exactly the records whose tagged headline contains a CD token.
 
     Returns the kept records in input order plus a count of records per
-    ``(label, kept)`` pair.
+    ``(label, kept)`` pair.  Equal tokens of the kept records are one
+    object.
     """
     kept: list[DatasetRecord] = []
     counts: Counter = Counter()
+    shared = _SharedTokens()
     for raw in records:
-        rec = featurize(raw, provider)
+        rec = featurize(raw, provider, shared)
         if rec.patterns:
             kept.append(rec)
         counts[raw.label, bool(rec.patterns)] += 1
@@ -423,12 +453,12 @@ def _tagged_to_json(tokens: Sequence[TaggedToken]) -> list[list[str]]:
     return [[t.text, t.pos] for t in tokens]
 
 
-def _tagged_from_json(pairs, field: str) -> list[TaggedToken]:
+def _tagged_from_json(pairs, field: str, shared: _SharedTokens) -> list[TaggedToken]:
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
             for p in pairs):
         raise DataError(f"{field} must be a list of [token, tag] pairs")
-    return [TaggedToken(text=p[0], pos=p[1]) for p in pairs]
+    return list(map(shared.__getitem__, map(tuple, pairs)))
 
 
 def record_to_json(rec: DatasetRecord) -> dict:
@@ -444,12 +474,14 @@ def record_to_json(rec: DatasetRecord) -> dict:
     }
 
 
-def record_from_json(obj: dict) -> DatasetRecord:
+def record_from_json(obj: dict, shared: _SharedTokens | None = None) -> DatasetRecord:
     """A derived record from its JSON object.  Patterns and phrases are
     derived from the tagged headline; stored ones that differ raise
     DataError, as do a field of the wrong type (a non-string id included),
     a label outside LABELS, an empty headline or sentence or an active
-    cardinal index out of range."""
+    cardinal index out of range.  Equal tokens are one object across the
+    records read with one ``shared``."""
+    shared = _SharedTokens() if shared is None else shared
     if not isinstance(obj, dict):
         raise DataError("record must be a JSON object")
     if not isinstance(obj["id"], str):
@@ -458,10 +490,10 @@ def record_from_json(obj: dict) -> DatasetRecord:
         raise DataError(f"label {obj['label']!r} not one of {LABELS}")
     if not isinstance(obj["sentences"], list):
         raise DataError("sentences must be a list of sentences")
-    sentences = [_tagged_from_json(s, "sentence") for s in obj["sentences"]]
+    sentences = [_tagged_from_json(s, "sentence", shared) for s in obj["sentences"]]
     if not all(sentences):
         raise DataError("a sentence has no tokens")
-    headline = _tagged_from_json(obj["headline"], "headline")
+    headline = _tagged_from_json(obj["headline"], "headline", shared)
     if not headline:
         raise DataError("headline has no tokens")
     patterns, phrases = extract_cardinal_features(headline)
@@ -485,13 +517,15 @@ def write_derived(records: Iterable[DatasetRecord], path: str | Path) -> None:
 
 
 def read_derived(path: str | Path) -> list[DatasetRecord]:
-    """Derived records in file order; a malformed record or an id that
-    appears twice raises DataError naming the line(s)."""
+    """Derived records in file order, equal tokens one object; a malformed
+    record or an id that appears twice raises DataError naming the
+    line(s)."""
     records = []
     lines: dict[str, int] = {}
+    shared = _SharedTokens()
     for lineno, obj in _read_jsonl(path):
         try:
-            record = record_from_json(obj)
+            record = record_from_json(obj, shared)
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad derived record ({exc})") from None
         _note_id(lines, record.id, path, lineno)

@@ -126,8 +126,9 @@ class TrainConfig:
             raise ValueError("the three attention flags leave no attention query type")
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    """Convert one config-file value string to the field's annotated type."""
+def _parse_value(key: str, raw: str, where: str):
+    """Convert one config-file value string to the field's annotated type;
+    ``where`` is ``path:line`` for the error message."""
     kind = get_type_hints(TrainConfig)[key.replace("-", "_")]
     text = raw.strip()
     try:
@@ -144,15 +145,15 @@ def _parse_value(key: str, raw: str, line_no: int):
             return None
         return int(text)
     except ValueError:
-        raise DataError(f"config line {line_no}: bad value {text!r} for key {key!r}") from None
+        raise DataError(f"{where}: bad value {text!r} for key {key!r}") from None
 
 
 def parse_config(path: str | Path) -> TrainConfig:
     """Read a flat ``key=value`` config file into a TrainConfig.
 
     Keys are kebab-case field names; blank lines and ``#`` comments are
-    ignored.  Unknown keys and unparsable values raise DataError with the
-    line number, values ``TrainConfig.validate`` rejects with the path.
+    ignored.  Unknown keys and unparsable values raise DataError naming
+    ``path:line``, values ``TrainConfig.validate`` rejects naming the path.
     """
     known = {f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
     overrides: dict[str, object] = {}
@@ -165,13 +166,14 @@ def parse_config(path: str | Path) -> TrainConfig:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
+        where = f"{path}:{line_no}"
         if "=" not in text:
-            raise DataError(f"config line {line_no}: expected key=value, got {text!r}")
+            raise DataError(f"{where}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip()
         if key not in known:
-            raise DataError(f"config line {line_no}: unknown key {key!r}")
-        overrides[key.replace("-", "_")] = _parse_value(key, raw, line_no)
+            raise DataError(f"{where}: unknown key {key!r}")
+        overrides[key.replace("-", "_")] = _parse_value(key, raw, where)
     config = TrainConfig(**overrides)
     try:
         config.validate()

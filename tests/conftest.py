@@ -1,0 +1,11 @@
+"""Hypothesis profiles.  ``HYPOTHESIS_PROFILE=ci`` derandomizes every
+property test and prints the blob that reproduces a failure, so a
+failure in CI reproduces locally with the same setting; without it the
+default profile applies."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

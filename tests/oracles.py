@@ -1,7 +1,8 @@
 """Independent reference computations the test suite checks the package
 against: brute-force metric oracles, a straight-line transcription of
 the full document forward, character-loop references for the tokenizer
-and the sentence splitter, and a per-direction recurrent kernel.
+and the sentence splitter, the rule tagger's earlier rule chain, and a
+per-direction recurrent kernel.
 
 Everything here but the last reads parameter data as plain numpy arrays
 and recomputes results from first principles, without calling the
@@ -282,6 +283,83 @@ def oracle_split_sentences(body: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+# ---------------------------------------------------------------------------
+# Rule tagger, one rule at a time (the earlier rule chain, kept verbatim)
+
+
+ORACLE_NUMBER_WORDS = frozenset("""
+one two three four five six seven eight nine ten eleven twelve thirteen
+fourteen fifteen sixteen seventeen eighteen nineteen twenty thirty forty
+fifty sixty seventy eighty ninety hundred thousand million billion
+""".split())
+
+ORACLE_WORD_TAGS: dict[str, str] = {}
+for _w in ("the", "a", "an", "this", "that", "these", "those"):
+    ORACLE_WORD_TAGS[_w] = "DT"
+for _w in ("i", "he", "she", "it", "we", "they", "you", "him", "her", "them", "us"):
+    ORACLE_WORD_TAGS[_w] = "PRP"
+for _w in ("who", "whom", "what"):
+    ORACLE_WORD_TAGS[_w] = "WP"
+for _w in ("when", "where", "why", "how"):
+    ORACLE_WORD_TAGS[_w] = "WRB"
+for _w in ("of", "in", "on", "at", "by", "for", "with", "from", "about",
+           "into", "over", "after", "before", "against", "between", "during",
+           "under", "than", "as"):
+    ORACLE_WORD_TAGS[_w] = "IN"
+for _w in ("and", "or", "but", "nor"):
+    ORACLE_WORD_TAGS[_w] = "CC"
+for _w in ("will", "would", "can", "could", "shall", "should", "may",
+           "might", "must"):
+    ORACLE_WORD_TAGS[_w] = "MD"
+for _w in ("not", "n't", "very", "also", "now", "just", "here", "there"):
+    ORACLE_WORD_TAGS[_w] = "RB"
+ORACLE_WORD_TAGS.update({
+    "to": "TO", "is": "VBZ", "was": "VBD", "has": "VBZ", "does": "VBZ",
+    "are": "VBP", "were": "VBD", "am": "VBP", "do": "VBP", "have": "VBP",
+    "had": "VBD", "did": "VBD", "be": "VB", "been": "VBN", "being": "VBG",
+})
+
+ORACLE_SUFFIX_TAGS = (
+    ("ing", "VBG", 5),
+    ("ed", "VBD", 4),
+    ("ly", "RB", 4),
+    ("est", "JJS", 5),
+    ("ous", "JJ", 5),
+    ("ful", "JJ", 5),
+    ("ive", "JJ", 5),
+    ("ble", "JJ", 5),
+    ("ic", "JJ", 5),
+    ("tion", "NN", 6),
+    ("ment", "NN", 6),
+    ("ness", "NN", 6),
+    ("ity", "NN", 5),
+    ("ship", "NN", 6),
+    ("er", "NN", 5),
+    ("s", "NNS", 4),
+)
+
+ORACLE_PUNCT_TAGS = {".": ".", "!": ".", "?": ".", ",": ",", "$": "$", "#": "#",
+                     "(": "(", ")": ")", "'": "''", '"': "''"}
+
+
+def oracle_tag_token(token: str) -> str:
+    """Numbers and number words are CD, then the lexicon, then tokens of
+    punctuation only, then the first suffix rule the token is long enough
+    for, then NN."""
+    if _NUMBER_RE.fullmatch(token) or token in ORACLE_NUMBER_WORDS:
+        return "CD"
+    if token in ORACLE_WORD_TAGS:
+        return ORACLE_WORD_TAGS[token]
+    if all(c in _PUNCT for c in token):
+        return ORACLE_PUNCT_TAGS.get(token, ":")
+    for suffix, tag, min_len in ORACLE_SUFFIX_TAGS:
+        if len(token) >= min_len and token.endswith(suffix):
+            if suffix == "s" and token.endswith("ss"):
+                continue
+            return tag
+    return "NN"
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,22 @@ def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config
         assert str(cfg) in err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("bogus=1", "unknown key 'bogus'"),
+    ("hidden-size=abc", "bad value 'abc' for key 'hidden-size'"),
+    ("hidden-size", "expected key=value, got 'hidden-size'"),
+], ids=["unknown-key", "bad-value", "no-equals-sign"])
+def test_bad_config_line_names_file_and_line(workspace, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASE_CONFIG + "# a comment\n\n" + line + "\n")
+    splits = workspace / "splits"
+    rc = main(["train", "--config", str(cfg), "--train", str(splits / "train.jsonl"),
+               "--val", str(splits / "val.jsonl"), "--out", str(tmp_path / "model.ckpt")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"poshan: {cfg}:8: {message}\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_diverging_training_run_is_one_line_data_error(workspace, tmp_path, capsys):
     """A learning rate near the largest double drives the parameters past
     it: the run stops at the first overflow, before fusion sees NaN."""

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_split_sentences, oracle_tokenize
+from oracles import (
+    ORACLE_NUMBER_WORDS,
+    ORACLE_PUNCT_TAGS,
+    ORACLE_SUFFIX_TAGS,
+    ORACLE_WORD_TAGS,
+    oracle_split_sentences,
+    oracle_tag_token,
+    oracle_tokenize,
+)
 from poshan.text import (
     ABBREVIATIONS,
     BOS_TAG,
@@ -52,6 +60,19 @@ _WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
 _ALPHABET = st.sampled_from(
     list(string.punctuation) + list(string.digits) + list("aBzİßﬁé") + _WHITESPACE)
 _ABBREVIATION = st.sampled_from(sorted(ABBREVIATIONS | {a.upper() for a in ABBREVIATIONS}))
+
+
+# letters, digits, all punctuation and whitespace, the suffixes of the rule
+# tagger and some lexicon words; a token may end in "s" or "ss"
+_TAGGER_PIECES = st.one_of(
+    st.sampled_from(list(string.ascii_lowercase) + list("AZéß") + list(string.digits)
+                    + list(",.") + list(string.punctuation) + _WHITESPACE),
+    st.sampled_from([suffix for suffix, _, _ in ORACLE_SUFFIX_TAGS]),
+    st.sampled_from(sorted(ORACLE_WORD_TAGS.keys() | ORACLE_NUMBER_WORDS)),
+)
+_TAGGER_TOKEN = st.tuples(st.lists(_TAGGER_PIECES, max_size=6),
+                          st.sampled_from(["", "s", "ss"])).map(
+    lambda parts: "".join(parts[0]) + parts[1])
 
 
 class TestTokenize:
@@ -198,6 +219,49 @@ class TestRuleTagger:
 
     def test_default_is_noun(self):
         assert self.tags(["xylophone"]) == ["NN"]
+
+    @given(_TAGGER_TOKEN)
+    @example("")
+    @example("ss")
+    @example("boss")
+    @example("1,000.5")
+    @example("1,00")
+    @example("n't")
+    @settings(max_examples=400)
+    def test_matches_rule_chain_oracle(self, token):
+        assert self.tagger.tag_token(token) == oracle_tag_token(token)
+        assert self.tagger[token] == oracle_tag_token(token)
+
+    def test_every_lexicon_entry_matches_oracle(self):
+        for word in ORACLE_NUMBER_WORDS | ORACLE_WORD_TAGS.keys() | ORACLE_PUNCT_TAGS.keys():
+            assert self.tagger.tag_token(word) == oracle_tag_token(word), word
+
+    @pytest.mark.parametrize("suffix,min_len", [(s, n) for s, _, n in ORACLE_SUFFIX_TAGS])
+    def test_every_suffix_at_its_minimum_length(self, suffix, min_len):
+        # an "s" stem also puts every suffix after an "s"
+        for stem in ("x", "s"):
+            for length in (min_len - 1, min_len):
+                token = stem * (length - len(suffix)) + suffix
+                assert len(token) == length
+                assert self.tagger.tag_token(token) == oracle_tag_token(token), token
+
+    @given(st.lists(_TAGGER_TOKEN, max_size=30), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_tags_do_not_depend_on_cache_or_arrival_order(self, tokens, rng):
+        expected = [oracle_tag_token(t) for t in tokens]
+        first, _ = self.tagger.tags("r0", tokens, [])
+        again, _ = self.tagger.tags("r0", tokens, [])
+        assert first == again == expected
+        shuffled = list(tokens)
+        rng.shuffle(shuffled)
+        other = RuleTagger()
+        _, body = other.tags("r1", [], [shuffled, tokens])
+        assert body[1] == expected
+
+    def test_each_tagger_starts_empty(self):
+        self.tagger.tags("r0", ["loan", "hits", "1", "million"], [["a", "b"]])
+        assert len(self.tagger) == 6
+        assert len(RuleTagger()) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -144,21 +144,21 @@ def test_config_file_none_attention_size(tmp_path):
 def test_config_file_unknown_key_names_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("batch-size=4\nmomentum=0.9\n")
-    with pytest.raises(DataError, match="line 2.*momentum"):
+    with pytest.raises(DataError, match=r"run\.cfg:2: unknown key 'momentum'"):
         parse_config(path)
 
 
 def test_config_file_bad_value_names_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("batch-size=soon\n")
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(DataError, match=r"run\.cfg:1: bad value 'soon'"):
         parse_config(path)
 
 
 def test_config_file_missing_equals(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("batch-size 4\n")
-    with pytest.raises(DataError, match="key=value"):
+    with pytest.raises(DataError, match=r"run\.cfg:1: expected key=value"):
         parse_config(path)
 
 
@@ -169,7 +169,7 @@ def test_config_file_parses_booleans(tmp_path):
     assert config.disable_pattern_att is True
     assert config.replace_headline_att is False
     path.write_text("disable-pattern-att=1\n")
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(DataError, match=r"run\.cfg:1: bad value '1'"):
         parse_config(path)
 
 
