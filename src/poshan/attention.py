@@ -46,31 +46,25 @@ class MaskMismatchError(ValueError):
     """Weight vectors being fused disagree about the mask."""
 
 
-class AttentionParams:
-    """Scorer parameters for one (level, query type) pair."""
-
-    def __init__(self, prefix: str, hs_dim: int, query_dim: int, att_dim: int,
-                 params: ParameterList):
-        bound = 1.0 / math.sqrt(att_dim)
-        self.score_vec = params.uniform(f"{prefix}.v", bound, att_dim)
-        self.state_proj = params.uniform(f"{prefix}.w_h", bound, (att_dim, hs_dim))
-        self.query_proj = params.uniform(f"{prefix}.w_q", bound, (att_dim, query_dim))
-        self.bias = params.add(f"{prefix}.b", np.zeros(att_dim))
-
-
-def score(states: Tensor, query: Tensor, params: AttentionParams) -> Tensor:
-    """Additive scores v . tanh(W_h s + W_q query + b) of every state row
-    s: states (..., T, S) give scores (..., T)."""
-    return additive_scores(states, query, params.score_vec, params.state_proj,
-                           params.query_proj, params.bias)
+def scorer(prefix: str, hs_dim: int, query_dim: int, att_dim: int,
+           params: ParameterList) -> tuple:
+    """Scorer parameters for one (level, query type) pair, as the
+    ``(v, w_h, w_q, b)`` tuple that :func:`additive_scores` takes:
+    ``{prefix}.v`` (A,), ``.w_h`` (A, S) and ``.w_q`` (A, Q) drawn
+    uniformly from +-1/sqrt(A) in that order, and a zero bias ``.b``."""
+    bound = 1.0 / math.sqrt(att_dim)
+    return (params.uniform(f"{prefix}.v", bound, att_dim),
+            params.uniform(f"{prefix}.w_h", bound, (att_dim, hs_dim)),
+            params.uniform(f"{prefix}.w_q", bound, (att_dim, query_dim)),
+            params.add(f"{prefix}.b", np.zeros(att_dim)))
 
 
-def attend(states: Tensor, mask, query: Tensor,
-           params: AttentionParams) -> Tensor:
-    """Attention weights: the masked softmax of the scores along the last
-    axis, for one sequence (T, S) or a block of sequences (N, T, S) with
-    a mask of the same leading shape."""
-    return masked_softmax(score(states, query, params), mask)
+def attend(states: Tensor, mask, query: Tensor, scorer: tuple) -> Tensor:
+    """Attention weights: the masked softmax along the last axis of the
+    additive scores v . tanh(W_h s + W_q query + b) of every state row s,
+    for one sequence (T, S) or a block of sequences (N, T, S) with a mask
+    of the same leading shape."""
+    return masked_softmax(additive_scores(states, query, *scorer), mask)
 
 
 def fuse_weights(*weight_vectors: Tensor, mask) -> Tensor:
@@ -125,28 +119,6 @@ def pad_record(record: DatasetRecord, max_words: int,
 
 
 # ---------------------------------------------------------------------------
-# Hierarchical attention parameters
-
-
-class HierarchicalAttention:
-    """The six scorer parameter sets: two levels by three query types."""
-
-    def __init__(self, name: str, word_hs_dim: int, sent_hs_dim: int,
-                 word_dim: int, pattern_dim: int, att_dim: int,
-                 params: ParameterList):
-        query_dims = {QUERY_PATTERN: pattern_dim, QUERY_PHRASE: word_dim,
-                      QUERY_HEADLINE: word_dim}
-        self.word = {
-            q: AttentionParams(f"{name}.word.{q}", word_hs_dim, query_dims[q],
-                               att_dim, params)
-            for q in QUERY_TYPES}
-        self.sentence = {
-            q: AttentionParams(f"{name}.sentence.{q}", sent_hs_dim,
-                               query_dims[q], att_dim, params)
-            for q in QUERY_TYPES}
-
-
-# ---------------------------------------------------------------------------
 # Document forward
 
 
@@ -174,33 +146,37 @@ def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
     return {q: build[q]() for q in kept}
 
 
-def _attention_level(states: Tensor, mask, queries: dict, params: dict) -> tuple:
+def _attention_level(states: Tensor, mask, queries: dict, scorers: dict) -> tuple:
     """One attention level: the weights of each query type, their fusion,
     and the fused weighted sum of the states."""
-    weights = {q: attend(states, mask, query, params[q])
+    weights = {q: attend(states, mask, query, scorers[q])
                for q, query in queries.items()}
     fused = fuse_weights(*weights.values(), mask=mask)
     return weighted_sum(fused, states), weights, fused
 
 
-def document_forward(padded: PaddedRecord, word_table: WordEmbeddingTable,
-                     pattern_table: PatternEmbeddingTable, word_encoder,
-                     sentence_encoder, attention: HierarchicalAttention,
-                     types: tuple) -> tuple:
+def document_forward(model, padded: PaddedRecord) -> tuple:
     """Word encoding and word-level attention over all sentences as one
     block, fusion, sentence encoding, sentence-level attention, fusion;
-    returns (document vector, weights).  ``weights`` maps ``alpha`` and
-    ``beta`` to the word and sentence weights of each query type used,
-    and ``alpha_fused`` and ``beta_fused`` to their fusions."""
-    queries = build_queries(padded.record, word_table, pattern_table, types)
+    returns (document vector, weights).
+
+    ``model`` supplies the ``word_table`` and ``pattern_table``, the
+    ``word_encoder`` and ``sentence_encoder``, the ``word_attention`` and
+    ``sentence_attention`` scorers of each query type, and the
+    ``query_types`` in use.  ``weights`` maps ``alpha`` and ``beta`` to
+    the word and sentence weights of each query type used, and
+    ``alpha_fused`` and ``beta_fused`` to their fusions."""
+    queries = build_queries(padded.record, model.word_table, model.pattern_table,
+                            model.query_types)
     tokens = [sent.tokens for sent in padded.sentences]
     mask = np.array([sent.mask for sent in padded.sentences])
-    states = word_encoder.encode(word_table.lookup(tokens), mask.ravel().tolist())
+    states = model.word_encoder.encode(model.word_table.lookup(tokens),
+                                       mask.ravel().tolist())
     sentence_vectors, alpha, alpha_fused = _attention_level(
-        states, mask, queries, attention.word)
+        states, mask, queries, model.word_attention)
     sent_mask = [True] * len(padded.sentences)
-    sent_states = sentence_encoder.encode(sentence_vectors, sent_mask)
+    sent_states = model.sentence_encoder.encode(sentence_vectors, sent_mask)
     document, beta, beta_fused = _attention_level(
-        sent_states, sent_mask, queries, attention.sentence)
+        sent_states, sent_mask, queries, model.sentence_attention)
     return document, {"alpha": alpha, "alpha_fused": alpha_fused,
                       "beta": beta, "beta_fused": beta_fused}

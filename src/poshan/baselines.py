@@ -18,7 +18,7 @@ from .grad import (
     hadamard,
     relu_elem,
 )
-from .model import Classifier, ClassifierHead
+from .model import Classifier
 
 POS_CATEGORIES = ("noun", "verb", "adjective", "pronoun", "adverb",
                   "cardinal", "other")
@@ -61,7 +61,7 @@ class LstmConcatModel(Classifier):
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
                                        hidden=hidden_size, cell=cell, params=self.params)
-        self.head = ClassifierHead("classifier", self.encoder.out_dim, self.params)
+        self.head = self._create_head(self.encoder.out_dim)
 
     def inputs(self, tagged) -> Tensor:
         """Encoder inputs (L, D): the word embeddings of the tagged tokens."""
@@ -69,7 +69,7 @@ class LstmConcatModel(Classifier):
 
     def forward(self, padded: PaddedRecord) -> Tensor:
         final = self.encoder.final_state(self.inputs(flatten_record(padded)))
-        return self.head.logits(final)
+        return self.logits(final)
 
 
 class PosAtModel(LstmConcatModel):
@@ -77,23 +77,25 @@ class PosAtModel(LstmConcatModel):
     scalar per POS category before encoding.
 
     Each category weight is a one-unit rectified-linear dense over the
-    one-hot category vector, initialized near zero: weights are drawn
-    from [0, 0.01], after the encoder and the head.
+    one-hot category vector, ``theta``, the ``(w, b)`` that ``affine``
+    takes: ``posat.theta_w`` (1, 7) is drawn from [0, 0.01] after the
+    encoder and the head, and ``posat.theta_b`` starts at zero.
     """
 
     def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
                  cell: str, seed: int):
         super().__init__(word_table, hidden_size, cell, seed)
-        self.theta_weight = self.params.add(
-            "posat.theta_w", self.params.rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES))))
-        self.theta_bias = self.params.add("posat.theta_b", np.zeros(1))
+        self.theta = (
+            self.params.add("posat.theta_w",
+                            self.params.rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES)))),
+            self.params.add("posat.theta_b", np.zeros(1)))
 
     def inputs(self, tagged) -> Tensor:
         """Word embeddings (L, D), each row scaled by its category's
         theta = relu(theta_w . onehot(category) + theta_b)."""
         onehot = np.zeros((len(tagged), len(POS_CATEGORIES)))
         onehot[np.arange(len(tagged)), [pos_category_index(t.pos) for t in tagged]] = 1.0
-        theta = relu_elem(affine(constant(onehot), self.theta_weight, self.theta_bias))
+        theta = relu_elem(affine(constant(onehot), *self.theta))
         return hadamard(super().inputs(tagged), theta)
 
     # in the class's own namespace, where the benchmark's tracing wraps it

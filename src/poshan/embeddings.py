@@ -39,15 +39,11 @@ _SENTINELS = frozenset({PAD_TOKEN, BOS_TOKEN, EOS_TOKEN})
 
 
 def _nested_indices(index, keys):
+    """Row indices of a key, or of a (nested) sequence of keys, keeping
+    the nesting, which ``gather`` reads as the index array's shape."""
     if isinstance(keys, str):
         return index(keys)
     return [_nested_indices(index, k) for k in keys]
-
-
-def _index_array(index, keys) -> np.ndarray:
-    """Row indices of a key, or of a (nested) sequence of keys, keeping
-    the nesting as array shape."""
-    return np.array(_nested_indices(index, keys), dtype=np.intp)
 
 
 class WordEmbeddingTable:
@@ -78,7 +74,7 @@ class WordEmbeddingTable:
     def lookup(self, tokens) -> Tensor:
         """Embedding rows of a token, (D,), or of a (nested) sequence of
         tokens, e.g. (N, T, D) for N padded sentences, as one gather."""
-        return gather(self.matrix, _index_array(self.index, tokens), pad=PAD_INDEX)
+        return gather(self.matrix, _nested_indices(self.index, tokens), pad=PAD_INDEX)
 
 
 def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
@@ -124,7 +120,7 @@ class PatternEmbeddingTable:
 
     def lookup(self, keys) -> Tensor:
         """Embedding rows of a pattern key or a sequence of keys."""
-        return gather(self.matrix, _index_array(self.index, keys))
+        return gather(self.matrix, _nested_indices(self.index, keys))
 
     @classmethod
     def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,

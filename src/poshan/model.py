@@ -1,5 +1,5 @@
 """Full model assembly: embedding tables, word- and sentence-level
-encoders, the six attention parameter sets, and the classifier head."""
+encoders, the six attention scorers, and the classifier head."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ import numpy as np
 
 from .attention import (
     QUERY_HEADLINE,
+    QUERY_PATTERN,
+    QUERY_PHRASE,
     QUERY_TYPES,
-    HierarchicalAttention,
     PaddedRecord,
     document_forward,
+    scorer,
 )
 from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
 from .encoder import SequenceEncoder
@@ -40,30 +42,32 @@ def _weights_at(level: str, weights: dict, position) -> dict:
     return row
 
 
-class ClassifierHead:
-    """Linear map from a document vector to the two class logits."""
-
-    def __init__(self, name: str, in_dim: int, params: ParameterList):
-        bound = 1.0 / math.sqrt(in_dim)
-        self.weight = params.uniform(f"{name}.w", bound, (2, in_dim))
-        self.bias = params.add(f"{name}.b", np.zeros(2))
-
-    def logits(self, d: Tensor) -> Tensor:
-        return affine(d, self.weight, self.bias)
-
-
 class Classifier:
     """The interface the three models share.
 
     A subclass calls ``__init__`` with its seed and embedding tables
-    first, then creates its parts on ``self.params``, and defines
-    ``forward(padded)``, returning the two class logits; the loss and the
-    probabilities are built on ``forward``.  Prediction records no graph.
+    first, then creates its parts on ``self.params``, its head with
+    ``_create_head``, and defines ``forward(padded)``, returning the
+    ``logits`` of its document vector; the loss and the probabilities are
+    built on ``forward``.  Prediction records no graph.
     """
 
     def __init__(self, seed: int, *tables):
         self.params = ParameterList(seed)
         self.params.extend(table.matrix for table in tables)
+
+    def _create_head(self, in_dim: int) -> tuple:
+        """The head that maps an ``in_dim`` document vector to the two
+        class logits, as the ``(w, b)`` that ``affine`` takes:
+        ``classifier.w`` (2, in_dim) drawn uniformly from
+        +-1/sqrt(in_dim), and a zero bias ``classifier.b``."""
+        bound = 1.0 / math.sqrt(in_dim)
+        return (self.params.uniform("classifier.w", bound, (2, in_dim)),
+                self.params.add("classifier.b", np.zeros(2)))
+
+    def logits(self, d: Tensor) -> Tensor:
+        """The two class logits of a document vector: ``affine(d, *self.head)``."""
+        return affine(d, *self.head)
 
     def parameters(self) -> list:
         """Every parameter, tables first, in the order it was created."""
@@ -105,35 +109,34 @@ class PoshanModel(Classifier):
             cell=cell, params=self.params)
         att_dim = (attention_size if attention_size is not None
                    else self.word_encoder.out_dim)
-        self.attention = HierarchicalAttention(
-            "att", word_hs_dim=self.word_encoder.out_dim,
-            sent_hs_dim=self.sentence_encoder.out_dim,
-            word_dim=word_table.dim, pattern_dim=pattern_table.dim,
-            att_dim=att_dim, params=self.params)
+        query_dims = {QUERY_PATTERN: pattern_table.dim, QUERY_PHRASE: word_table.dim,
+                      QUERY_HEADLINE: word_table.dim}
+
+        def scorers(level: str, hs_dim: int) -> dict:
+            return {q: scorer(f"att.{level}.{q}", hs_dim, query_dims[q], att_dim,
+                              self.params) for q in QUERY_TYPES}
+
+        self.word_attention = scorers("word", self.word_encoder.out_dim)
+        self.sentence_attention = scorers("sentence", self.sentence_encoder.out_dim)
         head_in = self.sentence_encoder.out_dim
         if replace_headline_att:
             head_in += self.word_encoder.out_dim
-        self.head = ClassifierHead("classifier", head_in, self.params)
-
-    def _document(self, padded: PaddedRecord) -> tuple:
-        return document_forward(
-            padded, self.word_table, self.pattern_table, self.word_encoder,
-            self.sentence_encoder, self.attention, self.query_types)
+        self.head = self._create_head(head_in)
 
     def forward(self, padded: PaddedRecord) -> Tensor:
         """Class logits for one padded record."""
-        d, _ = self._document(padded)
+        d, _ = document_forward(self, padded)
         if QUERY_HEADLINE not in self.query_types:
             d = concat(d, self.word_encoder.final_state(self.word_table.lookup(
                 [t.text for t in padded.record.headline])))
-        return self.head.logits(d)
+        return self.logits(d)
 
     def attention_trace(self, padded: PaddedRecord) -> dict:
         """The word and sentence attention weights of one padded record, as
         ``dump-attention`` writes them: the query types in use, per
         sentence one entry per real token, and one entry per sentence."""
         with no_grad():
-            _, weights = self._document(padded)
+            _, weights = document_forward(self, padded)
         sentences = [[{"token": token, **_weights_at("alpha", weights, (i, t))}
                       for t, token in enumerate(sent.tokens) if sent.mask[t]]
                      for i, sent in enumerate(padded.sentences)]

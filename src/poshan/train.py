@@ -434,7 +434,8 @@ def _config_from_header(raw, where: str) -> TrainConfig:
 
 def _check_header(header, where: str) -> TrainConfig:
     """Reject a header a checkpoint writer could not have produced, or
-    whose tables are not as wide as its config says; return the config."""
+    whose tables lack their reserved rows or are not as wide as its config
+    says; return the config."""
     if not isinstance(header, dict):
         raise DataError(f"{where}: header is not an object")
     missing = [key for key in _HEADER_KEYS if key not in header]
@@ -481,6 +482,8 @@ def _check_header(header, where: str) -> TrainConfig:
         if len(shapes.get(table, ())) != 2:
             raise DataError(f"{where}: no {table} matrix among the parameters")
         rows, columns = shapes[table]
+        if rows < first:
+            raise DataError(f"{where}: {table} has only {rows} of its {first} reserved rows")
         if columns != width:
             raise DataError(f"{where}: {table} is {columns} wide, but {dim} is {width}")
         if not all(_is_int(i) and first <= i < rows for i in header[key].values()):

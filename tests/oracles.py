@@ -1,11 +1,12 @@
 """Independent reference computations the test suite checks the package
 against: brute-force metric oracles, a straight-line transcription of
-the full document forward, character-loop references for the tokenizer
-and the sentence splitter, the rule tagger's earlier rule chain, and a
-per-direction recurrent kernel.
+the full document forward, the head and the loss, character-loop
+references for the tokenizer and the sentence splitter, the rule
+tagger's earlier rule chain, and a per-direction recurrent kernel.
 
 Everything here but the last reads parameter data as plain numpy arrays
-and recomputes results from first principles, without calling the
+(the attention scorers and the head by their checkpoint names) and
+recomputes results from first principles, without calling the
 package's graph operations or its regular expressions.  The recurrent
 kernel is the earlier one-direction-per-call implementation, kept
 verbatim: the joint kernel in :func:`poshan.grad.recurrent` must give
@@ -149,10 +150,22 @@ def _encode(encoder, xs, mask):
     return states + [np.zeros(width)] * (len(xs) - real)
 
 
+def _final_state(encoder, xs):
+    """Summary state of one all-real sequence: the last forward state,
+    then the backward state that has read the whole sequence."""
+    states = _encode(encoder, xs, [True] * len(xs))
+    return np.concatenate([states[-1][:encoder.hidden], states[0][encoder.hidden:]])
+
+
+def _scorer(named, level, query_type):
+    """One scorer's raw arrays, read by their checkpoint names."""
+    return SimpleNamespace(**{key: named[f"att.{level}.{query_type}.{key}"]
+                              for key in ("v", "w_h", "w_q", "b")})
+
+
 def _score(params, hs, query):
-    inner = ((params.state_proj.data @ hs) + (params.query_proj.data @ query)
-             + params.bias.data)
-    return params.score_vec.data @ np.tanh(inner)
+    inner = ((params.w_h @ hs) + (params.w_q @ query) + params.b)
+    return params.v @ np.tanh(inner)
 
 
 def _masked_softmax(scores, mask):
@@ -170,10 +183,15 @@ def _mean(rows):
     return reduce(np.add, rows) / len(rows)
 
 
-def straight_line_poshan_forward(model, padded):
-    """Document vector recomputed from the model's raw parameter arrays."""
+QUERY_ORDER = ("pattern", "phrase", "headline")
+
+
+def straight_line_poshan_forward(model, padded, types=QUERY_ORDER):
+    """Document vector recomputed from the model's raw parameter arrays,
+    attending with the query ``types`` (a subsequence of QUERY_ORDER)."""
     rec = padded.record
     wt, pt = model.word_table, model.pattern_table
+    named = {p.name: p.data for p in model.parameters()}
 
     def pattern_row(p):
         return pt.matrix.data[pt.patterns.get(p.key, 0)]
@@ -186,14 +204,13 @@ def straight_line_poshan_forward(model, padded):
     cp = _mean([phrase_vec(p) for p in rec.phrases])
     h = reduce(np.add, [_word_row(wt, t.text) for t in rec.headline])
     queries = {"pattern": pp, "phrase": cp, "headline": h}
-    types = ("pattern", "phrase", "headline")
 
     sentence_vectors = []
     for sent in padded.sentences:
         xs = [_word_row(wt, tok) for tok in sent.tokens]
         states = _encode(model.word_encoder, xs, sent.mask)
         scores = {
-            q: [(_score(model.attention.word[q], s, queries[q]) if m else 0.0)
+            q: [(_score(_scorer(named, "word", q), s, queries[q]) if m else 0.0)
                 for s, m in zip(states, sent.mask)]
             for q in types}
         alphas = [_masked_softmax(scores[q], sent.mask) for q in types]
@@ -203,12 +220,30 @@ def straight_line_poshan_forward(model, padded):
 
     sent_mask = [True] * len(sentence_vectors)
     states = _encode(model.sentence_encoder, sentence_vectors, sent_mask)
-    scores = {q: [_score(model.attention.sentence[q], s, queries[q])
+    scores = {q: [_score(_scorer(named, "sentence", q), s, queries[q])
                   for s in states]
               for q in types}
     betas = [_masked_softmax(scores[q], sent_mask) for q in types]
     fused = _mean(betas)
     return reduce(np.add, [w * s for w, s in zip(fused, states)])
+
+
+def straight_line_poshan_logits(model, padded, types=QUERY_ORDER):
+    """Class logits from the raw arrays: without headline attention the
+    headline's final word-encoder state follows the document vector."""
+    named = {p.name: p.data for p in model.parameters()}
+    d = straight_line_poshan_forward(model, padded, types)
+    if "headline" not in types:
+        xs = [_word_row(model.word_table, t.text) for t in padded.record.headline]
+        d = np.concatenate([d, _final_state(model.word_encoder, xs)])
+    return named["classifier.w"] @ d + named["classifier.b"]
+
+
+def oracle_probs_and_loss(logits, label):
+    """Class probabilities and the cross-entropy of the ``label`` string."""
+    exps = np.exp(logits - max(logits))
+    probs = exps / exps.sum()
+    return probs, -np.log(probs[CLASSES.index(label)])
 
 
 # ---------------------------------------------------------------------------

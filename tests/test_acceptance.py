@@ -18,7 +18,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import oracle_macro_f1, oracle_roc_auc, straight_line_poshan_forward
+from oracles import (
+    QUERY_ORDER,
+    oracle_macro_f1,
+    oracle_probs_and_loss,
+    oracle_roc_auc,
+    straight_line_poshan_forward,
+    straight_line_poshan_logits,
+)
 from synthetic import make_matching_task
 from poshan.attention import document_forward, pad_record
 from poshan.cli import main, run_gradcheck
@@ -120,9 +127,7 @@ def test_attention_invariants_over_1000_randomized_forwards():
         for record in records:
             padded = pad_record(record, max_words=6, max_sentences=3)
             with no_grad():
-                _, weights = document_forward(
-                    padded, model.word_table, model.pattern_table, model.word_encoder,
-                    model.sentence_encoder, model.attention, model.query_types)
+                _, weights = document_forward(model, padded)
             types = list(weights["alpha"])
             assert len(types) == 3
             for n, sent in enumerate(padded.sentences):
@@ -156,9 +161,7 @@ def test_document_forward_matches_straight_line_oracle():
     assert len(units) == 2
     for rec in [record, *units]:
         padded = pad_record(rec, max_words=5, max_sentences=2)
-        d, _ = document_forward(padded, model.word_table, model.pattern_table,
-                                model.word_encoder, model.sentence_encoder,
-                                model.attention, model.query_types)
+        d, _ = document_forward(model, padded)
         reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
 
@@ -177,11 +180,48 @@ def test_document_forward_matches_straight_line_oracle_for_other_cells(cell):
     for rec in [record, *units]:
         padded = pad_record(rec, max_words=5, max_sentences=3)
         assert len({sum(s.mask) for s in padded.sentences}) > 1
-        d, _ = document_forward(padded, model.word_table, model.pattern_table,
-                                model.word_encoder, model.sentence_encoder,
-                                model.attention, model.query_types)
+        d, _ = document_forward(model, padded)
         reference = straight_line_poshan_forward(model, padded)
         assert np.max(np.abs(d.data - reference)) <= 1e-10
+
+
+# each ablation flag and the query type it removes
+_ABLATED_TYPE = {"disable_pattern_att": "pattern", "disable_phrase_att": "phrase",
+                 "replace_headline_att": "headline"}
+
+
+@pytest.mark.parametrize("cell", ["lstm-bi", "gru-bi", "lstm-uni"])
+@pytest.mark.parametrize("flag", [None, *_ABLATED_TYPE])
+def test_logits_loss_and_probs_match_straight_line_oracle(flag, cell):
+    records = [
+        featurized("o2", "incongruent", "3 firms cut 40 jobs",
+                   "The 3 firms said on Monday that 40 jobs would go. Cuts came. "
+                   "Staff at 2 plants were told late in the day. None left. More news."),
+        featurized("o3", "congruent", "Rates rise 2 points in 1 day",
+                   "Rates rose 2 points. In 1 day the bank moved rates up by a lot again. "
+                   "Markets fell. Traders sold 9 stocks before noon on the day."),
+    ]
+    config = TrainConfig(word_dim=3, hidden_size=2, pattern_dim=4, seed=7, cell=cell,
+                         **({flag: True} if flag else {}))
+    word_table, pattern_table = build_tables(records, config)
+    model = build_model("poshan", config, word_table, pattern_table)
+    # move every value off its initial one, so that a zero-initialized bias counts too
+    rng = np.random.default_rng(8)
+    for p in model.parameters():
+        p.data += rng.uniform(-0.5, 0.5, p.shape)
+    types = tuple(q for q in QUERY_ORDER if q != _ABLATED_TYPE.get(flag))
+
+    units = [unit for record in records for unit in replicate_for_training(record)]
+    assert len(units) == 4
+    for rec in [*records, *units]:
+        padded = pad_record(rec, max_words=5, max_sentences=3)
+        assert len(rec.sentences) > 3 and max(len(s) for s in rec.sentences[:3]) > 5
+        assert len({sum(s.mask) for s in padded.sentences}) > 1
+        logits = straight_line_poshan_logits(model, padded, types)
+        probs, loss = oracle_probs_and_loss(logits, rec.label)
+        assert np.max(np.abs(model.forward(padded).data - logits)) <= 1e-10
+        assert abs(float(model.loss(padded).data) - loss) <= 1e-10
+        assert np.max(np.abs(model.predict_probs(padded) - probs)) <= 1e-10
 
 
 def test_macro_f1_matches_brute_force_on_1000_cases():

@@ -13,8 +13,6 @@ from poshan.attention import (
     QUERY_PATTERN,
     QUERY_PHRASE,
     QUERY_TYPES,
-    AttentionParams,
-    HierarchicalAttention,
     MaskMismatchError,
     PaddedSentence,
     attend,
@@ -22,7 +20,7 @@ from poshan.attention import (
     document_forward,
     fuse_weights,
     pad_record,
-    score,
+    scorer,
 )
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_LSTM_BI, SequenceEncoder
@@ -31,6 +29,7 @@ from poshan.grad import (
     ParameterList,
     ShapeError,
     Tensor,
+    additive_scores,
     constant,
     finite_difference_check,
     gather,
@@ -42,47 +41,44 @@ from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_f
 
 
 def scalar_params():
-    p = AttentionParams("t", hs_dim=1, query_dim=1, att_dim=1,
-                        params=ParameterList(0))
-    p.score_vec.data[...] = 1.0
-    p.state_proj.data[...] = 1.0
-    p.query_proj.data[...] = 1.0
-    p.bias.data[...] = 0.0
+    p = scorer("t", hs_dim=1, query_dim=1, att_dim=1, params=ParameterList(0))
+    v, w_h, w_q, b = p
+    v.data[...] = 1.0
+    w_h.data[...] = 1.0
+    w_q.data[...] = 1.0
+    b.data[...] = 0.0
     return p
 
 
 # ---------------------------------------------------------------------------
-# score
+# scores
 
 
 class TestScore:
     def test_zero_score_vec_gives_zero(self):
-        p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
-                            params=ParameterList(1))
-        p.score_vec.data[...] = 0.0
-        s = score(constant(np.random.default_rng(2).normal(size=(4, 3))),
-                  constant(np.random.default_rng(3).normal(size=2)), p)
+        p = scorer("t", hs_dim=3, query_dim=2, att_dim=4, params=ParameterList(1))
+        p[0].data[...] = 0.0  # the score vector v
+        s = additive_scores(constant(np.random.default_rng(2).normal(size=(4, 3))),
+                            constant(np.random.default_rng(3).normal(size=2)), *p)
         assert np.array_equal(s.data, np.zeros(4))
 
     def test_scalar_hand_value(self):
-        s = score(constant(np.array([[0.5]])), constant(np.array([0.5])),
-                  scalar_params())
+        s = additive_scores(constant(np.array([[0.5]])), constant(np.array([0.5])),
+                            *scalar_params())
         assert s.shape == (1,)
         assert s.data[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        p = AttentionParams("t", hs_dim=3, query_dim=2, att_dim=4,
-                            params=ParameterList(1))
+        p = scorer("t", hs_dim=3, query_dim=2, att_dim=4, params=ParameterList(1))
         with pytest.raises(ShapeError):
-            score(constant(np.zeros((1, 5))), constant(np.zeros(2)), p)
+            additive_scores(constant(np.zeros((1, 5))), constant(np.zeros(2)), *p)
 
     def test_gradients(self):
         params = ParameterList(4)
-        p = AttentionParams("t", hs_dim=2, query_dim=3, att_dim=2,
-                            params=params)
+        p = scorer("t", hs_dim=2, query_dim=3, att_dim=2, params=params)
         hs = constant(np.random.default_rng(5).normal(size=(1, 2)))
         q = constant(np.random.default_rng(6).normal(size=3))
-        report = finite_difference_check(lambda: gather(score(hs, q, p), 0), params)
+        report = finite_difference_check(lambda: gather(additive_scores(hs, q, *p), 0), params)
         assert report.passed, report.to_tsv()
 
 
@@ -92,8 +88,7 @@ class TestScore:
 
 class TestAttend:
     def test_identical_states_uniform(self):
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            params=ParameterList(7))
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=3, params=ParameterList(7))
         state = np.array([0.4, -0.9])
         states = constant(np.tile(state, (3, 1)))
         weights = attend(states, [True] * 3, constant(np.ones(2)), p)
@@ -104,9 +99,8 @@ class TestAttend:
                                    atol=1e-12)
 
     def test_zero_score_vec_uniform(self):
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            params=ParameterList(8))
-        p.score_vec.data[...] = 0.0
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=3, params=ParameterList(8))
+        p[0].data[...] = 0.0  # the score vector v
         rng = np.random.default_rng(9)
         states = constant(rng.normal(size=(4, 2)))
         w = attend(states, [True] * 4, constant(np.ones(2)), p).data
@@ -125,8 +119,7 @@ class TestAttend:
         assert context.data[0] == pytest.approx(expected, abs=1e-12)
 
     def test_masked_positions_get_zero_weight(self):
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            params=ParameterList(10))
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=2, params=ParameterList(10))
         rng = np.random.default_rng(11)
         states = constant(rng.normal(size=(3, 2)))
         w = attend(states, [True, True, False], constant(np.ones(2)), p).data
@@ -134,15 +127,13 @@ class TestAttend:
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_masked_rejected(self):
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            params=ParameterList(12))
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=2, params=ParameterList(12))
         with pytest.raises(EmptyAttentionError):
             attend(constant(np.zeros((1, 2))), [False], constant(np.ones(2)), p)
 
     def test_gradients_through_attend(self):
         params = ParameterList(13)
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=2,
-                            params=params)
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=2, params=params)
         rng = np.random.default_rng(14)
         states = constant(rng.normal(size=(3, 2)))
         q = constant(rng.normal(size=2))
@@ -155,8 +146,7 @@ class TestAttend:
         assert report.passed, report.to_tsv()
 
     def test_block_rows_match_single_sequences(self):
-        p = AttentionParams("t", hs_dim=2, query_dim=2, att_dim=3,
-                            params=ParameterList(15))
+        p = scorer("t", hs_dim=2, query_dim=2, att_dim=3, params=ParameterList(15))
         rng = np.random.default_rng(16)
         states = rng.normal(size=(3, 4, 2))
         mask = np.array([[True] * 4, [True, False, False, False],
@@ -315,16 +305,18 @@ class Setup:
         self.sentence_encoder = SequenceEncoder("sent_enc", in_dim=2 * hidden,
                                                 hidden=hidden, cell=CELL_LSTM_BI,
                                                 params=self.params)
-        self.attention = HierarchicalAttention(
-            "att", word_hs_dim=2 * hidden, sent_hs_dim=2 * hidden,
-            word_dim=word_dim, pattern_dim=pattern_dim, att_dim=att_dim,
-            params=self.params)
+        query_dims = {QUERY_PATTERN: pattern_dim, QUERY_PHRASE: word_dim,
+                      QUERY_HEADLINE: word_dim}
+        self.word_attention, self.sentence_attention = (
+            {q: scorer(f"att.{level}.{q}", 2 * hidden, query_dims[q], att_dim, self.params)
+             for q in QUERY_TYPES}
+            for level in ("word", "sentence"))
+        self.query_types = QUERY_TYPES
         self.padded = pad_record(self.record, max_words=45, max_sentences=35)
 
     def forward(self, types=QUERY_TYPES):
-        return document_forward(self.padded, self.word_table, self.pattern_table,
-                                self.word_encoder, self.sentence_encoder, self.attention,
-                                types)
+        self.query_types = types
+        return document_forward(self, self.padded)
 
 
 class TestDocumentForward:
@@ -405,9 +397,7 @@ class TestDocumentForward:
         tr = []
         for copy in copies:
             padded = pad_record(copy, 45, 35)
-            doc, _ = document_forward(padded, s.word_table, s.pattern_table,
-                                      s.word_encoder, s.sentence_encoder,
-                                      s.attention, QUERY_TYPES)
+            doc, _ = document_forward(s, padded)
             tr.append(doc.data.copy())
         # the two cardinal copies condition on different patterns/phrases
         assert not np.array_equal(tr[0], tr[1])

@@ -112,24 +112,26 @@ class TestLstmConcat:
 class TestPosAt:
     def test_near_zero_init_range(self):
         model, _ = make_pair(cls=PosAtModel)
-        w = model.theta_weight.data
-        assert np.all(w >= 0.0) and np.all(w <= 0.01)
-        assert np.array_equal(model.theta_bias.data, [0.0])
+        w, b = model.theta
+        assert np.all(w.data >= 0.0) and np.all(w.data <= 0.01)
+        assert np.array_equal(b.data, [0.0])
 
     def test_unit_theta_matches_concat_baseline_bitwise(self):
         lstm, padded = make_pair(seed=11)
         posat, _ = make_pair(cls=PosAtModel, seed=11)
-        posat.theta_weight.data[...] = 0.0
-        posat.theta_bias.data[...] = 1.0  # every theta = relu(1) = 1
+        w, b = posat.theta
+        w.data[...] = 0.0
+        b.data[...] = 1.0  # every theta = relu(1) = 1
         assert np.array_equal(posat.forward(padded).data,
                               lstm.forward(padded).data)
 
     def test_zero_cardinal_theta_annihilates_cardinal_embeddings(self):
         posat, padded = make_pair(cls=PosAtModel, seed=12)
         cardinal = POS_CATEGORIES.index("cardinal")
-        posat.theta_weight.data[...] = 0.0
-        posat.theta_weight.data[0, cardinal] = -1.0
-        posat.theta_bias.data[...] = 1.0
+        w, b = posat.theta
+        w.data[...] = 0.0
+        w.data[0, cardinal] = -1.0
+        b.data[...] = 1.0
         before = posat.forward(padded).data.copy()
         # rewriting the embedding rows of cardinal tokens changes nothing
         for tok in ("1", "2", "million"):

@@ -1,16 +1,22 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import poshan
 from poshan.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_gradcheck
 from poshan.metrics import EVAL_REPORT_SCHEMA
 from poshan.text import read_derived, tokenize
-from poshan.train import CHECKPOINT_MAGIC
+from poshan.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
 def write_corpus(path, records):
@@ -423,9 +429,21 @@ def test_eval_checkpoint_with_trailing_bytes(workspace, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def _resaved(edit):
+    """Mark ``edit`` as a change to the loaded checkpoint, which
+    ``rewrite_header`` writes whole with ``save_checkpoint``, so that its
+    data fits its header."""
+    edit.resaved = True
+    return edit
+
+
 def rewrite_header(src, dst, edit):
     """Copy a checkpoint with its JSON header passed through ``edit``; bytes
-    that ``edit`` returns are appended after the parameter data."""
+    that ``edit`` returns are appended after the parameter data.  An edit
+    marked ``_resaved`` changes the loaded checkpoint instead."""
+    if getattr(edit, "resaved", False):
+        save_checkpoint(edit(load_checkpoint(src)), dst)
+        return
     raw = src.read_bytes()
     magic = raw.index(b"\n") + 1
     (length,) = struct.unpack_from("<I", raw, magic)
@@ -505,6 +523,30 @@ def _extra_parameter(header):
     return np.zeros(2).tobytes()
 
 
+def _table_rows(checkpoint, table, rows, key):
+    """``checkpoint`` with ``rows`` rows of ``table`` and an empty ``key``
+    index, so no keyed row lies outside the table."""
+    width = checkpoint.params[table].shape[1]
+    params = {**checkpoint.params, table: np.zeros((rows, width))}
+    return dataclasses.replace(checkpoint, params=params, **{key: {}})
+
+
+@_resaved
+def _word_table_without_rows(checkpoint):
+    return _table_rows(checkpoint, "word_embeddings", 0, "vocab")
+
+
+@_resaved
+def _word_table_without_unknown_row(checkpoint):
+    return _table_rows(checkpoint, "word_embeddings", 1, "vocab")
+
+
+@_resaved
+def _pattern_table_without_rows(checkpoint):
+    return dataclasses.replace(_table_rows(checkpoint, "pattern_embeddings", 0, "patterns"),
+                               pattern_label_counts={})
+
+
 def _unknown_model_kind(header):
     header["model-kind"] = "cnn"
 
@@ -567,6 +609,9 @@ def _fractional_best_epoch(header):
     (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
     (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
     (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
+    (_word_table_without_rows, "word_embeddings has only 0 of its 2 reserved rows"),
+    (_word_table_without_unknown_row, "word_embeddings has only 1 of its 2 reserved rows"),
+    (_pattern_table_without_rows, "pattern_embeddings has only 0 of its 1 reserved rows"),
     (_unknown_model_kind, "unknown model kind 'cnn'"),
     (_unknown_word_mode, "unknown word mode 'frozen'"),
     (_vocab_not_an_object, "vocab is not an object"),
@@ -622,7 +667,11 @@ def _reader_args(command, ckpt, workspace, tmp_path):
     (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
     (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
     (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
-], ids=["word-dim", "pattern-dim", "extra-parameter"])
+    (_word_table_without_rows, "word_embeddings has only 0 of its 2 reserved rows"),
+    (_word_table_without_unknown_row, "word_embeddings has only 1 of its 2 reserved rows"),
+    (_pattern_table_without_rows, "pattern_embeddings has only 0 of its 1 reserved rows"),
+], ids=["word-dim", "pattern-dim", "extra-parameter", "word-rows", "word-unknown-row",
+        "pattern-rows"])
 def test_dump_commands_reject_a_checkpoint_that_does_not_fit_its_model(
         workspace, tmp_path, capsys, command, edit, message):
     bad = tmp_path / "bad.ckpt"
@@ -803,6 +852,45 @@ def test_dump_patterns_writes_tables(workspace, tmp_path):
     assert len(lines) >= 2
     assert majority.read_text().splitlines()[0] == \
         "pattern\tmajority_label\tcongruent\tincongruent"
+
+
+# ---------------------------------------------------------------------------
+# determinism across processes
+
+
+def test_written_files_do_not_depend_on_the_string_hash_seed(workspace, tmp_path):
+    """Every command runs in a new interpreter under two PYTHONHASHSEED
+    values; each file the commands write is byte-equal between them."""
+    src = str(Path(poshan.__file__).resolve().parents[1])
+    splits = workspace / "splits"
+    test = str(splits / "test.jsonl")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        commands = [["derive", "--input", str(workspace / "corpus.jsonl"), "--fallback-tagger",
+                     "--output", str(out / "derived.jsonl")]]
+        for kind in ("poshan", "posat"):
+            commands += [
+                ["train", "--config", str(workspace / "run.cfg"), "--model", kind,
+                 "--train", str(splits / "train.jsonl"), "--val", str(splits / "val.jsonl"),
+                 "--out", str(out / f"{kind}.ckpt")],
+                ["eval", "--ckpt", str(out / f"{kind}.ckpt"), "--test", test,
+                 "--report", str(out / f"{kind}.report.json")]]
+        commands.append(["dump-attention", "--ckpt", str(out / "poshan.ckpt"), "--input", test,
+                         "--record-id", read_derived(test)[0].id,
+                         "--out", str(out / "trace.json")])
+        for args in commands:
+            run = subprocess.run([sys.executable, "-m", "poshan.cli", *args], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == EXIT_OK, run.stderr
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == [
+        "derived.jsonl", "posat.ckpt", "posat.ckpt.log.tsv", "posat.report.json",
+        "poshan.ckpt", "poshan.ckpt.log.tsv", "poshan.report.json", "trace.json"]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,26 @@ import json
 import numpy as np
 import pytest
 
-from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, pad_record
+from poshan.attention import (
+    QUERY_HEADLINE,
+    QUERY_PATTERN,
+    QUERY_PHRASE,
+    document_forward,
+    pad_record,
+)
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
 from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import (
     Parameter,
-    ParameterList,
     Tensor,
+    affine,
     backward,
     constant,
     finite_difference_check,
     no_grad,
     softmax_probs,
 )
-from poshan.model import ClassifierHead, PoshanModel
+from poshan.model import Classifier, PoshanModel
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize, replicate_for_training
 from poshan.train import MODEL_KINDS, Adam, TrainConfig, build_model, build_tables
 
@@ -47,29 +53,35 @@ def make_model(records=None, **kwargs):
     return PoshanModel(word_table, pattern_table, **settings), records
 
 
+def make_head(in_dim, seed):
+    """A classifier head ``(w, b)``, created as a model creates its own."""
+    return Classifier(seed)._create_head(in_dim)
+
+
 def classify(d, head):
     """Class probabilities of a document vector, as ``predict_probs``
     computes them from the head's logits."""
-    return softmax_probs(head.logits(d))
+    return softmax_probs(affine(d, *head))
 
 
 class TestClassify:
     def test_zero_head_gives_even_split(self):
-        head = ClassifierHead("h", in_dim=3, params=ParameterList(0))
-        head.weight.data[...] = 0.0
+        head = make_head(3, seed=0)
+        head[0].data[...] = 0.0
         probs = classify(constant(np.array([1.0, -2.0, 3.0])), head)
         assert np.array_equal(probs, [0.5, 0.5])
 
     def test_bias_dominated_probabilities(self):
-        head = ClassifierHead("h", in_dim=2, params=ParameterList(0))
-        head.weight.data[...] = 0.0
-        head.bias.data[...] = [10.0, -10.0]
+        head = make_head(2, seed=0)
+        w, b = head
+        w.data[...] = 0.0
+        b.data[...] = [10.0, -10.0]
         probs = classify(constant(np.zeros(2)), head)
         assert probs[0] == pytest.approx(1.0, abs=1e-8)
         assert probs[1] == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_probabilities_sum_to_one(self):
-        head = ClassifierHead("h", in_dim=4, params=ParameterList(1))
+        head = make_head(4, seed=1)
         rng = np.random.default_rng(2)
         for _ in range(20):
             probs = classify(constant(rng.normal(size=4)), head)
@@ -111,7 +123,7 @@ class TestModelAssembly:
 
     def test_head_dimension_matches_sentence_encoder(self):
         model, _ = make_model()
-        assert model.head.weight.data.shape == (2, model.sentence_encoder.out_dim)
+        assert model.head[0].data.shape == (2, model.sentence_encoder.out_dim)
 
     def test_forward_shapes_and_trace(self):
         model, records = make_model()
@@ -158,7 +170,7 @@ class TestVariants:
     def test_headline_encoder_variant_widens_head(self):
         model, records = make_model(replace_headline_att=True)
         expected = model.sentence_encoder.out_dim + model.word_encoder.out_dim
-        assert model.head.weight.data.shape == (2, expected)
+        assert model.head[0].data.shape == (2, expected)
         padded = pad_record(records[0], 45, 35)
         assert model.forward(padded).shape == (2,)
         trace = model.attention_trace(padded)
@@ -282,7 +294,7 @@ class TestTraceOnRequest:
         padded = pad_record(records[0], 45, 35)
         trace = model.attention_trace(padded)
         with no_grad():
-            _, weights = model._document(padded)
+            _, weights = document_forward(model, padded)
         alpha, beta = weights["alpha"], weights["beta"]
         assert trace["record_id"] == "r0"
         assert trace["query_types"] == [QUERY_PATTERN, QUERY_HEADLINE]

@@ -395,7 +395,7 @@ def test_build_model_wires_each_ablation_flag(flag, cell):
     width = model.sentence_encoder.out_dim
     if flag == "replace_headline_att":
         width += model.word_encoder.out_dim
-    assert model.head.weight.data.shape == (2, width)
+    assert model.head[0].data.shape == (2, width)
 
 
 def test_build_model_poshan_needs_pattern_table():
