@@ -125,7 +125,7 @@ class PatternEmbeddingTable:
     @classmethod
     def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,
               seed: int = 0) -> "PatternEmbeddingTable":
-        keys = sorted({p.key for rec in corpus for p in rec.patterns})
+        keys = sorted({key for rec in corpus for key in rec.patterns})
         patterns = {k: i + 1 for i, k in enumerate(keys)}
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(keys) + 1, dim))
@@ -150,14 +150,14 @@ def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable) -> Tensor
     """Pattern query vector: the mean of the embeddings of the record's
     cardinal patterns.  A training unit holds one cardinal (see
     ``replicate_for_training``), so its query is that pattern's row."""
-    return mean_axis(table.lookup([p.key for p in record.patterns]))
+    return mean_axis(table.lookup(record.patterns))
 
 
 def phrase_query(record: DatasetRecord, table: WordEmbeddingTable) -> Tensor:
     """Cardinal phrase query vector: per cardinal phrase the sum of its
     three words' embeddings (sentinel tokens read the zero row), then the
     mean over the record's phrases."""
-    rows = table.lookup([[p.prev, p.num, p.next] for p in record.phrases])
+    rows = table.lookup(record.phrases)
     return mean_axis(sum_axis(rows, 1))
 
 
@@ -180,8 +180,8 @@ def pattern_label_counts(records: Iterable[DatasetRecord]) -> dict:
     counts: dict[str, list[int]] = {}
     for rec in records:
         col = 0 if rec.label == CONGRUENT else 1
-        for p in rec.patterns:
-            counts.setdefault(p.key, [0, 0])[col] += 1
+        for key in rec.patterns:
+            counts.setdefault(key, [0, 0])[col] += 1
     return counts
 
 

@@ -1,4 +1,4 @@
-"""Evaluation: macro F1, exact pairwise ROC AUC, and report assembly.
+"""Evaluation: macro F1, exact rank ROC AUC, and report assembly.
 
 The positive class throughout is Incongruent: AUC ranks its predicted
 probability, and the confusion counts treat predicted-incongruent as
@@ -8,75 +8,45 @@ positive.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .attention import pad_record
-from .text import DataError, INCONGRUENT, LABELS
+from .text import CONGRUENT, INCONGRUENT, LABELS, DataError
 
 POSITIVE_CLASS = INCONGRUENT
 
 
-def _confusion(predictions: Sequence[str], labels: Sequence[str]) -> Counter:
-    """Count of each (predicted, true) label pair, in one pass."""
-    if not labels:
-        raise ValueError("cannot score an empty prediction list")
-    return Counter(zip(predictions, labels))
-
-
-def _class_counts(pairs: Counter, cls: str) -> tuple:
-    """(tp, fp, fn) of one class, read off the pair counts."""
-    tp = fp = fn = 0
-    for (p, y), n in pairs.items():
-        if p == cls and y == cls:
-            tp += n
-        elif p == cls:
-            fp += n
-        elif y == cls:
-            fn += n
-    return tp, fp, fn
-
-
-def _macro_f1(pairs: Counter) -> float:
-    """Unweighted mean of per-class F1 over the two classes.
-
-    A class absent from both predictions and labels contributes F1 = 0
-    with a warning.
-    """
-    f1s = []
-    for cls in LABELS:
-        tp, fp, fn = _class_counts(pairs, cls)
-        if tp + fp + fn == 0:
-            warnings.warn(
-                f"class {cls!r} absent from predictions and labels; "
-                "its F1 counts as 0", RuntimeWarning)
-            f1s.append(0.0)
-        else:
-            f1s.append(2.0 * tp / (2.0 * tp + fp + fn))
-    return sum(f1s) / len(f1s)
+def _f1(cls: str, tp: int, fp: int, fn: int) -> float:
+    """F1 of one class from its counts; a class absent from both
+    predictions and labels counts as 0, with a warning."""
+    if tp + fp + fn == 0:
+        warnings.warn(f"class {cls!r} absent from predictions and labels; "
+                      "its F1 counts as 0", RuntimeWarning)
+        return 0.0
+    return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
-    """Probability that a positive outranks a negative, ties at half,
-    counted exactly over all positive/negative pairs."""
+    """Probability that a positive outranks a negative, ties at half: the
+    tie-averaged rank statistic.  Every rank and partial sum is a multiple
+    of 1/2, so it equals the count over all positive/negative pairs
+    exactly."""
     if len(scores) != len(labels):
         raise ValueError(f"{len(scores)} scores vs {len(labels)} labels")
-    pos = [s for s, y in zip(scores, labels) if y == POSITIVE_CLASS]
-    neg = [s for s, y in zip(scores, labels) if y != POSITIVE_CLASS]
-    if not pos or not neg:
+    positive = np.array([y == POSITIVE_CLASS for y in labels], dtype=bool)
+    n_pos = int(positive.sum())
+    n_neg = len(labels) - n_pos
+    if not n_pos or not n_neg:
         raise ValueError(
             "AUC is undefined when only one class is present")
-    wins = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # the mean 1-based rank of each distinct score, which its ties share
+    mean_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    wins = mean_rank[inverse][positive].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(wins / (n_pos * n_neg))
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +79,7 @@ class EvalReport:
             "positive_class": POSITIVE_CLASS,
             "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn,
                           "fn": self.fn},
-            "predictions": [
-                {"id": p.id, "label": p.label, "predicted": p.predicted,
-                 "p_congruent": p.p_congruent,
-                 "p_incongruent": p.p_incongruent}
-                for p in self.predictions],
+            "predictions": list(map(asdict, self.predictions)),
         }
 
 
@@ -165,18 +131,21 @@ def build_report(records, probs) -> EvalReport:
                          predicted=LABELS[int(np.argmax(p))],
                          p_congruent=float(p[0]), p_incongruent=float(p[1]))
         for rec, p in zip(records, probs)]
-    true_labels = [p.label for p in predictions]
-    pairs = _confusion([p.predicted for p in predictions], true_labels)
-    score = _macro_f1(pairs)
-    if len(set(true_labels)) < 2:
+    if not predictions:
+        raise ValueError("cannot score an empty prediction list")
+    flags = [(p.predicted == POSITIVE_CLASS, p.label == POSITIVE_CLASS) for p in predictions]
+    tp, fp, fn = map(flags.count, ((True, True), (True, False), (False, True)))
+    tn = len(predictions) - tp - fp - fn
+    # the congruent class's tp, fp and fn are the positive class's tn, fn and fp
+    score = (_f1(CONGRUENT, tn, fn, fp) + _f1(POSITIVE_CLASS, tp, fp, fn)) / 2
+    labels = [p.label for p in predictions]
+    if len(set(labels)) < 2:
         warnings.warn("single-class test labels: AUC is undefined",
                       RuntimeWarning)
         auc = None
     else:
-        auc = roc_auc([p.p_incongruent for p in predictions], true_labels)
-    tp, fp, fn = _class_counts(pairs, POSITIVE_CLASS)
-    return EvalReport(macro_f1=score, auc=auc, tp=tp, fp=fp,
-                      tn=len(predictions) - tp - fp - fn, fn=fn,
+        auc = roc_auc([p.p_incongruent for p in predictions], labels)
+    return EvalReport(macro_f1=score, auc=auc, tp=tp, fp=fp, tn=tn, fn=fn,
                       predictions=predictions)
 
 

@@ -66,20 +66,7 @@ class TaggedToken(NamedTuple):
     pos: str
 
 
-@dataclass(frozen=True)
-class CardinalPattern:
-    """POS tags on either side of a cardinal token, rendered ``LEFT:CD:RIGHT``."""
-
-    left: str
-    right: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.left}:{CD_TAG}:{self.right}"
-
-
-@dataclass(frozen=True)
-class CardinalPhrase:
+class CardinalPhrase(NamedTuple):
     """Word triple around a cardinal token; ``num`` is the cardinal itself."""
 
     prev: str
@@ -93,7 +80,7 @@ class DatasetRecord:
     headline: list[TaggedToken]
     sentences: list[list[TaggedToken]]
     label: str
-    patterns: list[CardinalPattern]
+    patterns: list[str]
     phrases: list[CardinalPhrase]
 
 
@@ -304,13 +291,14 @@ def _is_tag_list(value) -> bool:
 
 
 def extract_cardinal_features(
-        tagged: Sequence[TaggedToken]) -> tuple[list[CardinalPattern], list[CardinalPhrase]]:
-    """Patterns and phrases for every CD-tagged token, in token order.
+        tagged: Sequence[TaggedToken]) -> tuple[list[str], list[CardinalPhrase]]:
+    """Pattern keys ``LEFT:CD:RIGHT`` (the POS tags on either side) and
+    phrases for every CD-tagged token, in token order.
 
     Boundary positions use BOS/EOS sentinels; the two lists align index by
     index to the same cardinal tokens.
     """
-    patterns: list[CardinalPattern] = []
+    patterns: list[str] = []
     phrases: list[CardinalPhrase] = []
     for i, tok in enumerate(tagged):
         if tok.pos != CD_TAG:
@@ -319,8 +307,8 @@ def extract_cardinal_features(
         right = tagged[i + 1].pos if i + 1 < len(tagged) else EOS_TAG
         prev = tagged[i - 1].text if i > 0 else BOS_TOKEN
         nxt = tagged[i + 1].text if i + 1 < len(tagged) else EOS_TOKEN
-        patterns.append(CardinalPattern(left=left, right=right))
-        phrases.append(CardinalPhrase(prev=prev, num=tok.text, next=nxt))
+        patterns.append(f"{left}:{CD_TAG}:{right}")
+        phrases.append(CardinalPhrase(prev, tok.text, nxt))
     return patterns, phrases
 
 
@@ -449,10 +437,6 @@ def read_corpus(path: str | Path) -> list[RawRecord]:
     return records
 
 
-def _tagged_to_json(tokens: Sequence[TaggedToken]) -> list[list[str]]:
-    return [[t.text, t.pos] for t in tokens]
-
-
 def _tagged_from_json(pairs, field: str, shared: _SharedTokens) -> list[TaggedToken]:
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
@@ -462,13 +446,14 @@ def _tagged_from_json(pairs, field: str, shared: _SharedTokens) -> list[TaggedTo
 
 
 def record_to_json(rec: DatasetRecord) -> dict:
+    """A derived record's JSON object; JSON writes its tuples as arrays."""
     return {
         "id": rec.id,
         "label": rec.label,
-        "headline": _tagged_to_json(rec.headline),
-        "sentences": [_tagged_to_json(s) for s in rec.sentences],
-        "patterns": [p.key for p in rec.patterns],
-        "phrases": [[p.prev, p.num, p.next] for p in rec.phrases],
+        "headline": list(rec.headline),
+        "sentences": list(map(list, rec.sentences)),
+        "patterns": list(rec.patterns),
+        "phrases": list(rec.phrases),
         # kept so derived files stay byte-compatible; readers only range-check it
         "active_cardinal_index": None,
     }
@@ -497,9 +482,9 @@ def record_from_json(obj: dict, shared: _SharedTokens | None = None) -> DatasetR
     if not headline:
         raise DataError("headline has no tokens")
     patterns, phrases = extract_cardinal_features(headline)
-    if obj["patterns"] != [p.key for p in patterns]:
+    if obj["patterns"] != patterns:
         raise DataError(f"patterns {obj['patterns']!r} are not the headline's cardinal patterns")
-    if obj["phrases"] != [[p.prev, p.num, p.next] for p in phrases]:
+    if obj["phrases"] != list(map(list, phrases)):
         raise DataError(f"phrases {obj['phrases']!r} are not the headline's cardinal phrases")
     active = obj.get("active_cardinal_index")
     if active is not None and (not isinstance(active, int) or isinstance(active, bool)

@@ -1,11 +1,13 @@
 """Independent reference computations the test suite checks the package
-against: brute-force metric oracles, a straight-line transcription of
-the full document forward, the head and the loss, character-loop
-references for the tokenizer and the sentence splitter, the rule
-tagger's earlier rule chain, and a per-direction recurrent kernel.
+against: brute-force metric oracles, straight-line transcriptions of
+the full document forward and of both baselines, the head and the loss,
+character-loop references for the tokenizer and the sentence splitter,
+the rule tagger's earlier rule chain, and a per-direction recurrent
+kernel.
 
 Everything here but the last reads parameter data as plain numpy arrays
-(the attention scorers and the head by their checkpoint names) and
+(the attention scorers, the PosAt gate and the head by their checkpoint
+names) and
 recomputes results from first principles, without calling the
 package's graph operations or its regular expressions.  The recurrent
 kernel is the earlier one-direction-per-call implementation, kept
@@ -194,7 +196,7 @@ def straight_line_poshan_forward(model, padded, types=QUERY_ORDER):
     named = {p.name: p.data for p in model.parameters()}
 
     def pattern_row(p):
-        return pt.matrix.data[pt.patterns.get(p.key, 0)]
+        return pt.matrix.data[pt.patterns.get(p, 0)]
 
     def phrase_vec(p):
         return (_word_row(wt, p.prev) + _word_row(wt, p.num)
@@ -236,6 +238,43 @@ def straight_line_poshan_logits(model, padded, types=QUERY_ORDER):
     if "headline" not in types:
         xs = [_word_row(model.word_table, t.text) for t in padded.record.headline]
         d = np.concatenate([d, _final_state(model.word_encoder, xs)])
+    return named["classifier.w"] @ d + named["classifier.b"]
+
+
+# the tags of each POS category of the PosAt baseline, in its category
+# order; every other tag is the seventh category, "other"
+_POS_CATEGORY_TAGS = (
+    ("NN", "NNS", "NNP", "NNPS"),               # noun
+    ("VB", "VBD", "VBG", "VBN", "VBP", "VBZ"),  # verb
+    ("JJ", "JJR", "JJS"),                       # adjective
+    ("WP",),                                    # pronoun
+    ("WRB",),                                   # adverb
+    ("CD",),                                    # cardinal
+)
+
+
+def _pos_category(tag):
+    for category, tags in enumerate(_POS_CATEGORY_TAGS):
+        if tag in tags:
+            return category
+    return len(_POS_CATEGORY_TAGS)
+
+
+def straight_line_baseline_logits(model, record, max_words, max_sentences):
+    """``lstm`` or ``posat`` class logits from the raw arrays: the headline
+    tokens, then the first ``max_words`` tokens of each of the first
+    ``max_sentences`` sentences, as one sequence of word rows; for
+    ``posat`` each row scaled by relu(theta_w[category] + theta_b) of its
+    tag's category; then the encoder's final state and the head."""
+    named = {p.name: p.data for p in model.parameters()}
+    tagged = list(record.headline)
+    for sent in record.sentences[:max_sentences]:
+        tagged.extend(sent[:max_words])
+    xs = [_word_row(model.word_table, t.text) for t in tagged]
+    if "posat.theta_w" in named:
+        w, b = named["posat.theta_w"], named["posat.theta_b"]
+        xs = [x * max(0.0, w[0, _pos_category(t.pos)] + b[0]) for x, t in zip(xs, tagged)]
+    d = _final_state(model.encoder, xs)
     return named["classifier.w"] @ d + named["classifier.b"]
 
 

@@ -23,6 +23,7 @@ from oracles import (
     oracle_macro_f1,
     oracle_probs_and_loss,
     oracle_roc_auc,
+    straight_line_baseline_logits,
     straight_line_poshan_forward,
     straight_line_poshan_logits,
 )
@@ -33,7 +34,6 @@ from poshan.grad import no_grad
 from poshan.metrics import build_report, roc_auc
 from poshan.text import (
     LABELS,
-    CardinalPattern,
     CardinalPhrase,
     RawRecord,
     RuleTagger,
@@ -224,6 +224,42 @@ def test_logits_loss_and_probs_match_straight_line_oracle(flag, cell):
         assert np.max(np.abs(model.predict_probs(padded) - probs)) <= 1e-10
 
 
+@pytest.mark.parametrize("cell", ["lstm-bi", "gru-bi", "lstm-uni"])
+@pytest.mark.parametrize("kind", ["lstm", "posat"])
+def test_baseline_logits_loss_and_probs_match_straight_line_oracle(kind, cell):
+    records = [
+        # the kept body holds a tag of every POS category
+        featurized("o4", "incongruent", "3 firms cut 40 jobs",
+                   "Who said 3 famous firms would go today. Cuts came. "
+                   "When the biggest plants closed, staff left quickly. None left. More news."),
+        featurized("o5", "congruent", "Rates rise 2 points in 1 day",
+                   "Rates rose 2 points. In 1 day the bank moved rates up by a lot again. "
+                   "Markets fell. Traders sold 9 stocks before noon on the day."),
+    ]
+    config = TrainConfig(word_dim=3, hidden_size=2, seed=9, cell=cell)
+    word_table, pattern_table = build_tables(records, config)
+    model = build_model(kind, config, word_table, pattern_table)
+    # move every value off its initial one
+    rng = np.random.default_rng(10)
+    for p in model.parameters():
+        p.data += rng.uniform(-0.5, 0.5, p.shape)
+    named = {p.name: p.data for p in model.parameters()}
+    if kind == "posat":
+        # a distinct gate per POS category; the relu cuts the cardinal one to zero
+        named["posat.theta_w"][...] = [[0.9, 1.1, 1.3, 0.7, 1.2, -0.4, 0.8]]
+        named["posat.theta_b"][...] = [0.1]
+
+    for rec in records:
+        padded = pad_record(rec, max_words=5, max_sentences=3)
+        assert len(rec.sentences) > 3 and max(len(s) for s in rec.sentences[:3]) > 5
+        assert len({sum(s.mask) for s in padded.sentences}) > 1
+        logits = straight_line_baseline_logits(model, rec, max_words=5, max_sentences=3)
+        probs, loss = oracle_probs_and_loss(logits, rec.label)
+        assert np.max(np.abs(model.forward(padded).data - logits)) <= 1e-10
+        assert abs(float(model.loss(padded).data) - loss) <= 1e-10
+        assert np.max(np.abs(model.predict_probs(padded) - probs)) <= 1e-10
+
+
 def test_macro_f1_matches_brute_force_on_1000_cases():
     rng = np.random.default_rng(41)
     for _ in range(1000):
@@ -282,7 +318,7 @@ def test_extract_features_matches_hand_oracle():
     tagged = [TaggedToken("loan", "NN"), TaggedToken("hits", "VBZ"),
               TaggedToken("1", "CD"), TaggedToken("million", "CD")]
     patterns, phrases = extract_cardinal_features(tagged)
-    assert patterns == [CardinalPattern("VBZ", "CD"), CardinalPattern("CD", "EOS")]
+    assert patterns == ["VBZ:CD:CD", "CD:CD:EOS"]
     assert phrases == [CardinalPhrase("hits", "1", "million"),
                        CardinalPhrase("1", "million", "<eos>")]
 
@@ -305,7 +341,7 @@ def test_pattern_count_equals_cardinal_count_on_1000_headlines():
         assert len(phrases) == cardinal_count
         around = [(tags[i - 1] if i else "BOS", tags[i + 1] if i + 1 < n else "EOS")
                   for i, g in enumerate(tags) if g == "CD"]
-        assert [(p.left, p.right) for p in patterns] == around
+        assert patterns == [f"{left}:CD:{right}" for left, right in around]
         for phrase, tok in zip(phrases, [t for t, g in zip(tokens, tags) if g == "CD"]):
             assert phrase.num == tok
 

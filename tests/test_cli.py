@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -13,10 +14,19 @@ import numpy as np
 import pytest
 
 import poshan
+import poshan.cli
 from poshan.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_gradcheck
+from poshan.encoder import CELLS
+from poshan.grad import backward
 from poshan.metrics import EVAL_REPORT_SCHEMA
 from poshan.text import read_derived, tokenize
-from poshan.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from poshan.train import (
+    CHECKPOINT_MAGIC,
+    MODEL_KINDS,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def write_corpus(path, records):
@@ -126,7 +136,7 @@ def test_derive_with_sidecar_tags(tmp_path):
     assert rc == EXIT_OK
     first, second = read_derived(tmp_path / "derived.jsonl")
     assert len(first.patterns) == 2
-    assert [p.key for p in second.patterns] == ["JJ:CD::"]
+    assert second.patterns == ["JJ:CD::"]
 
 
 def test_derive_sidecar_mismatch_is_data_error(tmp_path, capsys):
@@ -934,6 +944,43 @@ def test_run_gradcheck_posat_seed7():
     report = run_gradcheck("posat", seed=7)
     assert report.passed
     assert all(entry.max_rel_error <= 1e-4 for entry in report.entries)
+
+
+def gradcheck_loss(monkeypatch, kind, **settings):
+    """The summed loss closure and the parameters that ``run_gradcheck``
+    checks, for its config with ``settings`` added."""
+    captured = {}
+    monkeypatch.setattr(poshan.cli, "TrainConfig", functools.partial(TrainConfig, **settings))
+    monkeypatch.setattr(poshan.cli, "finite_difference_check",
+                        lambda forward, params: captured.update(forward=forward, params=params))
+    run_gradcheck(kind, seed=0)
+    return captured["forward"], captured["params"]
+
+
+# each ablation flag and the parameters it takes off every path to the loss
+_UNREACHED = {
+    "disable_pattern_att": ["pattern_embeddings", "att.word.pattern", "att.sentence.pattern"],
+    "disable_phrase_att": ["att.word.phrase", "att.sentence.phrase"],
+    "replace_headline_att": ["att.word.headline", "att.sentence.headline"],
+}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("kind,flag", [(kind, None) for kind in MODEL_KINDS]
+                         + [("poshan", flag) for flag in _UNREACHED])
+def test_gradcheck_loss_reaches_every_parameter(monkeypatch, kind, flag, cell):
+    """One backward of the gradcheck's loss leaves a nonzero gradient on
+    every parameter, except on exactly those an ablation flag cuts off:
+    the gradient check cannot fail a parameter that no loss reaches."""
+    forward, params = gradcheck_loss(monkeypatch, kind, cell=cell,
+                                     **({flag: True} if flag else {}))
+    backward(forward())
+    zero = [p.name for p in params if p.grad is None or not np.any(p.grad)]
+    cut = _UNREACHED.get(flag, [])
+    assert zero == [p.name for p in params
+                    if p.name in cut or p.name.rsplit(".", 1)[0] in cut]
+    # a cut query type takes its two scorers, four arrays each, off the path
+    assert len(zero) == 8 * (flag is not None) + (flag == "disable_pattern_att")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from poshan.text import (
     CONGRUENT,
     EOS_TOKEN,
     INCONGRUENT,
-    CardinalPattern,
     CardinalPhrase,
     DataError,
     DatasetRecord,
@@ -54,12 +53,8 @@ def pattern_table(rows: dict, dim: int) -> PatternEmbeddingTable:
 
 
 def record_with_patterns(keys):
-    patterns = []
-    for key in keys:
-        left, _, right = key.split(":")
-        patterns.append(CardinalPattern(left=left, right=right))
     return DatasetRecord(id="r0", headline=[], sentences=[], label=CONGRUENT,
-                         patterns=patterns, phrases=[])
+                         patterns=list(keys), phrases=[])
 
 
 def headline_record(rid, tokens, label=CONGRUENT):
@@ -182,7 +177,7 @@ class TestHeadlineVector:
 def phrase_vector(phrase, table):
     """The phrase query of a record whose one cardinal has ``phrase``."""
     rec = DatasetRecord(id="r0", headline=[], sentences=[], label=CONGRUENT,
-                        patterns=[CardinalPattern(left="NN", right="NN")],
+                        patterns=["NN:CD:NN"],
                         phrases=[phrase])
     return phrase_query(rec, table)
 

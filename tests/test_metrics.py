@@ -2,6 +2,7 @@
 and evaluation report assembly."""
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import jsonschema
@@ -60,6 +61,15 @@ class TestMacroF1:
             got = macro_f1([C, C], [C, C])
         assert got == 0.5
 
+    def test_warnings_come_per_absent_class_then_for_auc(self):
+        for kind, absent in ((C, I), (I, C)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert macro_f1([kind] * 3, [kind] * 3) == 0.5
+            assert [str(w.message) for w in caught] == [
+                f"class {absent!r} absent from predictions and labels; its F1 counts as 0",
+                "single-class test labels: AUC is undefined"]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             macro_f1([], [])
@@ -109,6 +119,18 @@ class TestOracleEquivalence:
             got = roc_auc(scores, labels)
             assert got == oracle_roc_auc(scores, labels)
             assert got == rank_auc(scores, labels)
+
+    def test_roc_auc_matches_oracles_exactly_on_a_large_tied_case(self):
+        rng = np.random.default_rng(102)
+        n = 2400
+        labels = [I if rng.random() < 0.3 else C for _ in range(n)]
+        # long runs of ties on a coarse grid, both zeros, and distinct scores
+        scores = [float(rng.integers(0, 41)) / 40.0 for _ in range(n // 2)]
+        scores += [0.0, -0.0] * 100 + list(rng.random(n // 2 - 200))
+        assert len(set(scores)) < n - 1000
+        got = roc_auc(scores, labels)
+        assert got == oracle_roc_auc(scores, labels)
+        assert got == rank_auc(scores, labels)
 
 
 # ---------------------------------------------------------------------------

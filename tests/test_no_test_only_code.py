@@ -12,6 +12,10 @@ Likewise every attribute that ``src/poshan`` sets on ``self`` must be read
 by the program: loaded as an attribute, or named inside a string other
 than a docstring, as ``getattr`` and the harness's hooks name attributes.
 State that only tests read is state the system never uses.
+
+And every module-level import in ``src/poshan`` must bind a name that its
+module uses: an import that nothing names is what a deletion leaves
+behind.  ``from __future__`` imports are exempt; they are directives.
 """
 
 import ast
@@ -101,3 +105,21 @@ def test_every_attribute_set_on_self_is_read_by_the_program():
     unread = [f"{path.name}:{line} self.{name}" for path in sorted(PACKAGE.glob("*.py"))
               for name, line in _attributes_set_on_self(path) if name not in read]
     assert not unread, f"set in src/poshan but read only by tests: {unread}"
+
+
+def _unused_imports(path: Path) -> list:
+    """(name, line) of every name a module-level import binds that the
+    rest of the module never names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    bound = [((alias.asname or alias.name).split(".")[0], node.lineno)
+             for node in imports for alias in node.names]
+    return [(name, line) for name, line in bound if name not in named]
+
+
+def test_every_module_level_import_is_used():
+    unused = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name, line in _unused_imports(path)]
+    assert not unused, f"imported in src/poshan but never named: {unused}"

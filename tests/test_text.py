@@ -26,7 +26,6 @@ from poshan.text import (
     EOS_TAG,
     EOS_TOKEN,
     INCONGRUENT,
-    CardinalPattern,
     CardinalPhrase,
     DataError,
     DatasetRecord,
@@ -330,7 +329,7 @@ class TestExtractCardinalFeatures:
     def test_interior_and_trailing_cardinals(self):
         tagged = _tt(("loan", "NN"), ("1", "CD"), ("million", "CD"))
         patterns, phrases = extract_cardinal_features(tagged)
-        assert [p.key for p in patterns] == ["NN:CD:CD", "CD:CD:EOS"]
+        assert patterns == ["NN:CD:CD", "CD:CD:EOS"]
         assert phrases == [
             CardinalPhrase(prev="loan", num="1", next="million"),
             CardinalPhrase(prev="1", num="million", next=EOS_TOKEN),
@@ -339,12 +338,12 @@ class TestExtractCardinalFeatures:
     def test_leading_cardinal(self):
         tagged = _tt(("5", "CD"), ("ways", "NNS"), ("to", "TO"))
         patterns, phrases = extract_cardinal_features(tagged)
-        assert [p.key for p in patterns] == ["BOS:CD:NNS"]
+        assert patterns == ["BOS:CD:NNS"]
         assert phrases == [CardinalPhrase(prev=BOS_TOKEN, num="5", next="ways")]
 
     def test_solo_cardinal_gets_both_sentinels(self):
         patterns, phrases = extract_cardinal_features(_tt(("7", "CD")))
-        assert patterns == [CardinalPattern(left=BOS_TAG, right=EOS_TAG)]
+        assert patterns == [f"{BOS_TAG}:CD:{EOS_TAG}"]
         assert phrases == [CardinalPhrase(prev=BOS_TOKEN, num="7", next=EOS_TOKEN)]
 
     def test_no_cardinal_yields_nothing(self):
@@ -362,12 +361,14 @@ class TestExtractCardinalFeatures:
     def test_alignment_invariants(self, raw):
         tagged = _tt(*raw)
         patterns, phrases = extract_cardinal_features(tagged)
-        cd_tokens = [t for t in tagged if t.pos == "CD"]
-        assert len(patterns) == len(phrases) == len(cd_tokens)
-        for pat, phr, tok in zip(patterns, phrases, cd_tokens):
-            assert pat.key == f"{pat.left}:CD:{pat.right}"
-            assert phr.num == tok.text
-            assert pat.key.count(":") == 2
+        cd_at = [i for i, t in enumerate(tagged) if t.pos == "CD"]
+        assert len(patterns) == len(phrases) == len(cd_at)
+        for pat, phr, i in zip(patterns, phrases, cd_at):
+            left = tagged[i - 1] if i else TaggedToken(BOS_TOKEN, BOS_TAG)
+            right = tagged[i + 1] if i + 1 < len(tagged) else TaggedToken(EOS_TOKEN, EOS_TAG)
+            assert pat == f"{left.pos}:CD:{right.pos}"
+            assert pat.count(":") == 2
+            assert phr == (left.text, tagged[i].text, right.text)
 
 
 # ---------------------------------------------------------------------------
