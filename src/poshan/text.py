@@ -15,7 +15,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -76,10 +76,12 @@ class CardinalPhrase(NamedTuple):
 
 @dataclass
 class DatasetRecord:
+    """A derived record; its fields are in the derived file's key order."""
+
     id: str
+    label: str
     headline: list[TaggedToken]
     sentences: list[list[TaggedToken]]
-    label: str
     patterns: list[str]
     phrases: list[CardinalPhrase]
 
@@ -339,9 +341,9 @@ def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> 
     head_tags, body_tags = provider.tags(raw.id, headline, sentences)
     tagged = shared.tagged(headline, head_tags)
     patterns, phrases = extract_cardinal_features(tagged)
-    return DatasetRecord(id=raw.id, headline=tagged,
+    return DatasetRecord(id=raw.id, label=raw.label, headline=tagged,
                          sentences=list(map(shared.tagged, sentences, body_tags)),
-                         label=raw.label, patterns=patterns, phrases=phrases)
+                         patterns=patterns, phrases=phrases)
 
 
 def derive_dataset(records: Iterable[RawRecord],
@@ -446,17 +448,13 @@ def _tagged_from_json(pairs, field: str, shared: _SharedTokens) -> list[TaggedTo
 
 
 def record_to_json(rec: DatasetRecord) -> dict:
-    """A derived record's JSON object; JSON writes its tuples as arrays."""
-    return {
-        "id": rec.id,
-        "label": rec.label,
-        "headline": list(rec.headline),
-        "sentences": list(map(list, rec.sentences)),
-        "patterns": list(rec.patterns),
-        "phrases": list(rec.phrases),
-        # kept so derived files stay byte-compatible; readers only range-check it
-        "active_cardinal_index": None,
-    }
+    """A derived record's JSON object: its fields in order, sharing its
+    lists (JSON writes the tuples as arrays), then a null
+    ``active_cardinal_index``, kept so derived files stay byte-compatible;
+    readers only range-check it."""
+    obj = {f.name: getattr(rec, f.name) for f in fields(rec)}
+    obj["active_cardinal_index"] = None
+    return obj
 
 
 def record_from_json(obj: dict, shared: _SharedTokens | None = None) -> DatasetRecord:

@@ -93,43 +93,38 @@ class TrainConfig:
     replace_headline_att: bool = False
 
     def validate(self) -> None:
-        for name in ("learning_rate", "grad_clip"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                key = name.replace("_", "-")
+        """Raise ValueError naming the first field, in declaration order,
+        whose value is out of range, then a bad cell or flag set."""
+        for name, kind in _KINDS.items():
+            value, key = getattr(self, name), _kebab(name)
+            if kind is float and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be positive and finite, got {value}")
-        for name in (
-            "batch_size",
-            "max_epochs",
-            "early_stop_patience",
-            "max_words_per_sentence",
-            "max_sentences",
-            "word_dim",
-            "hidden_size",
-            "pattern_dim",
-            "min_count",
-            "attention_size",
-        ):
-            value = getattr(self, name)
-            if value is None:  # attention_size: the word encoder's width
+            if kind not in (int, Optional[int]) or value is None:  # None: the encoder's width
                 continue
-            key = name.replace("_", "-")
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
             if name in _SIZES and value > MAX_SIZE:
                 raise ValueError(f"{key} must be at most {MAX_SIZE}, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.cell not in CELLS:
             raise ValueError(f"unknown cell {self.cell!r}; expected one of {CELLS}")
         if self.disable_pattern_att and self.disable_phrase_att and self.replace_headline_att:
             raise ValueError("the three attention flags leave no attention query type")
 
 
-def _parse_value(key: str, raw: str, where: str):
+# each field's annotation, resolved once
+_KINDS = get_type_hints(TrainConfig)
+
+
+def _kebab(name: str) -> str:
+    """A field name as a config or checkpoint header key."""
+    return name.replace("_", "-")
+
+
+def _parse_value(name: str, raw: str, where: str):
     """Convert one config-file value string to the field's annotated type;
     ``where`` is ``path:line`` for the error message."""
-    kind = get_type_hints(TrainConfig)[key.replace("-", "_")]
+    kind = _KINDS[name]
     text = raw.strip()
     try:
         if kind is float:
@@ -145,7 +140,7 @@ def _parse_value(key: str, raw: str, where: str):
             return None
         return int(text)
     except ValueError:
-        raise DataError(f"{where}: bad value {text!r} for key {key!r}") from None
+        raise DataError(f"{where}: bad value {text!r} for key {_kebab(name)!r}") from None
 
 
 def parse_config(path: str | Path) -> TrainConfig:
@@ -155,7 +150,7 @@ def parse_config(path: str | Path) -> TrainConfig:
     ignored.  Unknown keys and unparsable values raise DataError naming
     ``path:line``, values ``TrainConfig.validate`` rejects naming the path.
     """
-    known = {f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
+    names = {_kebab(name): name for name in _KINDS}
     overrides: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -171,9 +166,9 @@ def parse_config(path: str | Path) -> TrainConfig:
             raise DataError(f"{where}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in names:
             raise DataError(f"{where}: unknown key {key!r}")
-        overrides[key.replace("-", "_")] = _parse_value(key, raw, where)
+        overrides[names[key]] = _parse_value(names[key], raw, where)
     config = TrainConfig(**overrides)
     try:
         config.validate()
@@ -366,19 +361,12 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     header order.  Identical checkpoints produce identical files.
     """
     names = sorted(checkpoint.params)
-    header = {
-        "model-kind": checkpoint.model_kind,
+    header = {_kebab(f.name): getattr(checkpoint, f.name) for f in dataclasses.fields(Checkpoint)}
+    header.update({
         "config": dataclasses.asdict(checkpoint.config),
-        "vocab": checkpoint.vocab,
-        "word-mode": checkpoint.word_mode,
-        "patterns": checkpoint.patterns,
-        "pattern-label-counts": checkpoint.pattern_label_counts,
-        "best-epoch": checkpoint.best_epoch,
         "val-losses": [repr(v) for v in checkpoint.val_losses],
-        "params": [
-            {"name": name, "shape": list(checkpoint.params[name].shape)} for name in names
-        ],
-    }
+        "params": [{"name": name, "shape": list(checkpoint.params[name].shape)} for name in names],
+    })
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buffer = io.BytesIO()
     buffer.write(CHECKPOINT_MAGIC)
@@ -390,8 +378,6 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     Path(path).write_bytes(buffer.getvalue())
 
 
-_HEADER_KEYS = ("best-epoch", "config", "model-kind", "params", "pattern-label-counts",
-                "patterns", "val-losses", "vocab", "word-mode")
 _WORD_MODES = (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE, MODE_RANDOM_TRAINABLE)
 
 
@@ -417,11 +403,10 @@ def _config_from_header(raw, where: str) -> TrainConfig:
     and passing ``TrainConfig.validate``."""
     if not isinstance(raw, dict):
         raise DataError(f"{where}: config is not an object")
-    hints = get_type_hints(TrainConfig)
-    unknown, missing = sorted(set(raw) - set(hints)), sorted(set(hints) - set(raw))
+    unknown, missing = sorted(set(raw) - set(_KINDS)), sorted(set(_KINDS) - set(raw))
     if unknown or missing:
         raise DataError(f"{where}: config has unknown keys {unknown} and missing keys {missing}")
-    for name, kind in hints.items():
+    for name, kind in _KINDS.items():
         if not _has_type(raw[name], kind):
             raise DataError(f"{where}: config value {name}={raw[name]!r} has the wrong type")
     config = TrainConfig(**raw)
@@ -438,7 +423,7 @@ def _check_header(header, where: str) -> TrainConfig:
     says; return the config."""
     if not isinstance(header, dict):
         raise DataError(f"{where}: header is not an object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing = sorted({_kebab(f.name) for f in dataclasses.fields(Checkpoint)} - set(header))
     if missing:
         raise DataError(f"{where}: header is missing keys {missing}")
     if header["model-kind"] not in MODEL_KINDS:
@@ -493,8 +478,8 @@ def _check_header(header, where: str) -> TrainConfig:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; a malformed header, a table whose width is not
-    the config's, truncated data or bytes past the last parameter raise
-    DataError.
+    the config's, truncated data, a NaN or infinite parameter value or
+    bytes past the last parameter raise DataError.
 
     The parameter arrays are read-only views of the file's bytes, not
     copies; ``model_from_checkpoint`` copies each one once, into its
@@ -528,21 +513,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if end > len(raw):
             raise DataError(f"{path}: truncated parameter data for {entry['name']!r}")
         array = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        # min and max carry a NaN or an infinity without an array-sized temporary
+        if count and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+            raise DataError(f"{where}: parameter {entry['name']!r} holds NaN or infinite values")
         params[entry["name"]] = array.reshape(shape)
         offset = end
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the parameter data")
-    return Checkpoint(
-        model_kind=header["model-kind"],
-        config=config,
-        vocab=header["vocab"],
-        word_mode=header["word-mode"],
-        patterns=header["patterns"],
-        pattern_label_counts=header["pattern-label-counts"],
-        params=params,
-        best_epoch=header["best-epoch"],
-        val_losses=val_losses,
-    )
+    values = {**header, "config": config, "params": params, "val-losses": val_losses}
+    return Checkpoint(**{f.name: values[_kebab(f.name)] for f in dataclasses.fields(Checkpoint)})
 
 
 def model_from_checkpoint(checkpoint: Checkpoint):

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -690,6 +691,49 @@ def test_dump_commands_reject_a_checkpoint_that_does_not_fit_its_model(
     err = capsys.readouterr().err
     assert rc == EXIT_DATA, err
     assert err.startswith("poshan: ") and message in err and len(err.splitlines()) == 1, err
+
+
+def _with_value(checkpoint, name, index, value):
+    """``checkpoint`` with ``value`` at ``index`` of parameter ``name``."""
+    array = checkpoint.params[name].copy()
+    array[index] = value
+    return dataclasses.replace(checkpoint, params={**checkpoint.params, name: array})
+
+
+def _nan_in_bias_then_inf(checkpoint, test_records):
+    """NaN in ``classifier.b`` and +inf in the parameter that sorts last."""
+    last = max(checkpoint.params)
+    assert last > "classifier.b"
+    checkpoint = _with_value(checkpoint, "classifier.b", 0, np.nan)
+    return _with_value(checkpoint, last, (-1, -1), np.inf)
+
+
+def _inf_in_last_parameter(checkpoint, test_records):
+    return _with_value(checkpoint, max(checkpoint.params), (-1, -1), np.inf)
+
+
+def _negative_inf_in_unused_word_row(checkpoint, test_records):
+    """-inf in the first word row that no test token looks up."""
+    used = {token.text for r in test_records for token in chain(r.headline, *r.sentences)}
+    row = min(i for word, i in checkpoint.vocab.items() if word not in used)
+    return _with_value(checkpoint, "word_embeddings", row, -np.inf)
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention", "dump-patterns"])
+@pytest.mark.parametrize("source,edit,name", [
+    ("lstm.ckpt", _nan_in_bias_then_inf, "classifier.b"),
+    ("lstm.ckpt", _inf_in_last_parameter, "word_embeddings"),
+    ("model.ckpt", _negative_inf_in_unused_word_row, "word_embeddings"),
+], ids=["lstm-nan-then-inf", "lstm-inf", "poshan-unused-word-row"])
+def test_checkpoint_with_non_finite_parameters_is_one_line_data_error(
+        workspace, baseline_ckpt, tmp_path, capsys, command, source, edit, name):
+    bad = tmp_path / "bad.ckpt"
+    test_records = read_derived(workspace / "splits" / "test.jsonl")
+    save_checkpoint(edit(load_checkpoint(workspace / source), test_records), bad)
+    rc = main(_reader_args(command, bad, workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err == f"poshan: {bad}: checkpoint: parameter {name!r} holds NaN or infinite values\n"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -4,6 +4,7 @@ and checkpoint round-trips."""
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_default_config_is_valid():
     (dict(batch_size=0), "batch-size"),
     (dict(max_epochs=0), "max-epochs"),
     (dict(attention_size=0), "attention-size"),
+    (dict(early_stop_patience=0), "early-stop-patience must be at least 1, got 0"),
+    (dict(max_words_per_sentence=0), "max-words-per-sentence must be at least 1, got 0"),
+    (dict(max_sentences=0), "max-sentences must be at least 1, got 0"),
+    (dict(word_dim=0), "word-dim must be at least 1, got 0"),
+    (dict(hidden_size=0), "hidden-size must be at least 1, got 0"),
+    (dict(pattern_dim=0), "pattern-dim must be at least 1, got 0"),
+    (dict(min_count=0), "min-count must be at least 1, got 0"),
+    (dict(seed=-1), "seed must be at least 0, got -1"),
     (dict(cell="transformer"), "cell"),
     (dict(disable_pattern_att=True, disable_phrase_att=True, replace_headline_att=True),
      "no attention query type"),
@@ -103,6 +112,19 @@ def test_default_config_is_valid():
 def test_config_validation_errors(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
         TrainConfig(**overrides).validate()
+
+
+def test_readme_config_block_is_the_default_config(tmp_path):
+    """The README's defaults block parses to ``TrainConfig()`` and lists
+    every field's key, in declaration order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration files\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    path = tmp_path / "defaults.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert parse_config(path) == TrainConfig()
+    keys = [line.partition("=")[0] for line in block.splitlines()]
+    assert keys == [f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)]
 
 
 def test_config_round_trip(tmp_path):
