@@ -186,11 +186,10 @@ def _cmd_dump_patterns(args) -> int:
     if checkpoint.patterns is None:
         raise DataError(
             f"checkpoint for {checkpoint.model_kind!r} has no pattern table")
-    model = model_from_checkpoint(checkpoint)
-    export_pattern_embeddings(checkpoint.patterns, model.pattern_table.matrix.data, args.out)
+    export_pattern_embeddings(checkpoint.patterns, checkpoint.params["pattern_embeddings"],
+                              args.out)
     if args.majority_out:
-        counts = checkpoint.pattern_label_counts or {}
-        export_pattern_majority(counts, args.majority_out)
+        export_pattern_majority(checkpoint.pattern_label_counts, args.majority_out)
     print(f"patterns\t{len(checkpoint.patterns)}")
     return EXIT_OK
 

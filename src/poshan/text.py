@@ -465,8 +465,6 @@ def record_from_json(obj: dict, shared: _SharedTokens | None = None) -> DatasetR
     cardinal index out of range.  Equal tokens are one object across the
     records read with one ``shared``."""
     shared = _SharedTokens() if shared is None else shared
-    if not isinstance(obj, dict):
-        raise DataError("record must be a JSON object")
     if not isinstance(obj["id"], str):
         raise DataError(f"id {obj['id']!r} is not a string")
     if obj["label"] not in LABELS:

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -353,6 +354,12 @@ class Checkpoint:
     val_losses: list[float] = field(default_factory=list)
 
 
+def _param_list(params: dict) -> list[dict]:
+    """The header's parameter list: each array's name and shape, in name
+    order, the order of the parameter data."""
+    return [{"name": name, "shape": list(params[name].shape)} for name in sorted(params)]
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint in a deterministic binary format.
 
@@ -360,19 +367,18 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     header with sorted keys, then each parameter's float64 bytes in
     header order.  Identical checkpoints produce identical files.
     """
-    names = sorted(checkpoint.params)
     header = {_kebab(f.name): getattr(checkpoint, f.name) for f in dataclasses.fields(Checkpoint)}
     header.update({
         "config": dataclasses.asdict(checkpoint.config),
         "val-losses": [repr(v) for v in checkpoint.val_losses],
-        "params": [{"name": name, "shape": list(checkpoint.params[name].shape)} for name in names],
+        "params": _param_list(checkpoint.params),
     })
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buffer = io.BytesIO()
     buffer.write(CHECKPOINT_MAGIC)
     buffer.write(struct.pack("<I", len(header_bytes)))
     buffer.write(header_bytes)
-    for name in names:
+    for name in sorted(checkpoint.params):
         array = np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
         buffer.write(array.tobytes())
     Path(path).write_bytes(buffer.getvalue())
@@ -418,24 +424,27 @@ def _config_from_header(raw, where: str) -> TrainConfig:
 
 
 def _check_header(header, where: str) -> TrainConfig:
-    """Reject a header a checkpoint writer could not have produced, or
-    whose tables lack their reserved rows or are not as wide as its config
-    says; return the config."""
+    """Reject a header whose keys are not the ``Checkpoint`` fields, or
+    whose values other than ``params`` no checkpoint writer could have
+    written; return the config."""
     if not isinstance(header, dict):
         raise DataError(f"{where}: header is not an object")
-    missing = sorted({_kebab(f.name) for f in dataclasses.fields(Checkpoint)} - set(header))
-    if missing:
-        raise DataError(f"{where}: header is missing keys {missing}")
+    keys = {_kebab(f.name) for f in dataclasses.fields(Checkpoint)}
+    if set(header) != keys:
+        raise DataError(f"{where}: header has unknown keys {sorted(set(header) - keys)} "
+                        f"and missing keys {sorted(keys - set(header))}")
     if header["model-kind"] not in MODEL_KINDS:
         raise DataError(f"{where}: unknown model kind {header['model-kind']!r}")
     if header["word-mode"] not in _WORD_MODES:
         raise DataError(f"{where}: unknown word mode {header['word-mode']!r}")
     if not isinstance(header["vocab"], dict):
         raise DataError(f"{where}: vocab is not an object")
+    poshan = header["model-kind"] == MODEL_POSHAN
     for key in ("patterns", "pattern-label-counts"):
-        if not (isinstance(header[key], dict)
-                or header[key] is None and header["model-kind"] != MODEL_POSHAN):
-            raise DataError(f"{where}: {key} is not an object (null only for a baseline)")
+        if poshan and not isinstance(header[key], dict):
+            raise DataError(f"{where}: {key} is not an object")
+        if not poshan and header[key] is not None:
+            raise DataError(f"{where}: {key} is not null, as a baseline's must be")
     for key, counts in (header["pattern-label-counts"] or {}).items():
         if not (isinstance(counts, list) and len(counts) == 2
                 and all(_is_int(c) and c >= 0 for c in counts)):
@@ -443,43 +452,42 @@ def _check_header(header, where: str) -> TrainConfig:
                             "not [congruent, incongruent] counts")
     if not _is_int(header["best-epoch"]) or not isinstance(header["val-losses"], list):
         raise DataError(f"{where}: bad best-epoch or val-losses")
-    entries = header["params"]
-    if not isinstance(entries, list):
+    if not isinstance(header["params"], list):
         raise DataError(f"{where}: params is not a list")
-    names = set()
-    for entry in entries:
-        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
-                or not isinstance(entry.get("shape"), list)
-                or not all(_is_int(n) and n >= 0 for n in entry["shape"])):
-            raise DataError(f"{where}: bad parameter entry {entry!r}")
-        if entry["name"] in names:
-            raise DataError(f"{where}: duplicate parameter {entry['name']!r}")
-        names.add(entry["name"])
-    shapes = {entry["name"]: entry["shape"] for entry in entries}
-    config = _config_from_header(header["config"], where)
-    # vocabulary rows start after the pad and unknown rows, pattern rows
-    # after the unknown-pattern row
-    for key, table, first, dim, width in (
-            ("vocab", "word_embeddings", 2, "word-dim", config.word_dim),
-            ("patterns", "pattern_embeddings", 1, "pattern-dim", config.pattern_dim)):
-        if header[key] is None:
-            continue
-        if len(shapes.get(table, ())) != 2:
-            raise DataError(f"{where}: no {table} matrix among the parameters")
-        rows, columns = shapes[table]
-        if rows < first:
-            raise DataError(f"{where}: {table} has only {rows} of its {first} reserved rows")
-        if columns != width:
-            raise DataError(f"{where}: {table} is {columns} wide, but {dim} is {width}")
-        if not all(_is_int(i) and first <= i < rows for i in header[key].values()):
-            raise DataError(f"{where}: a {key} index lies outside rows {first}..{rows - 1}")
-    return config
+    # a table's keyed rows follow its reserved ones: the word table's pad
+    # and unknown rows, the pattern table's unknown-pattern row
+    for key, first in (("vocab", 2), ("patterns", 1)):
+        indices = list((header[key] or {}).values())
+        if not (all(map(_is_int, indices))
+                and sorted(indices) == list(range(first, first + len(indices)))):
+            raise DataError(f"{where}: {key} index values are not the rows "
+                            f"{first}..{first + len(indices) - 1}, one per key")
+    return _config_from_header(header["config"], where)
+
+
+def _described_model(checkpoint: Checkpoint):
+    """The model a checkpoint describes, before its values are set: the
+    word table holds its pad and unknown rows and one row per vocabulary
+    entry, the pattern table its unknown-pattern row and one row per
+    pattern, each as wide as the config says."""
+    config = checkpoint.config
+    word_param = Parameter("word_embeddings",
+                           np.empty((len(checkpoint.vocab) + 2, config.word_dim)),
+                           requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN)
+    word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
+    pattern_table = None
+    if checkpoint.patterns is not None:
+        pattern_param = Parameter("pattern_embeddings",
+                                  np.empty((len(checkpoint.patterns) + 1, config.pattern_dim)))
+        pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
+    return build_model(checkpoint.model_kind, config, word_table, pattern_table)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a malformed header, a table whose width is not
-    the config's, truncated data, a NaN or infinite parameter value or
-    bytes past the last parameter raise DataError.
+    """Read a checkpoint; a malformed header, a parameter list other than
+    the one ``save_checkpoint`` writes for the model the header describes,
+    truncated data, a NaN or infinite parameter value or bytes past the
+    last parameter raise DataError.
 
     The parameter arrays are read-only views of the file's bytes, not
     copies; ``model_from_checkpoint`` copies each one once, into its
@@ -504,50 +512,43 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{where}: val-losses are not numbers") from None
     if not all(map(math.isfinite, val_losses)):
         raise DataError(f"{where}: val-losses are not all finite")
+    values = {**header, "config": config, "params": {}, "val-losses": val_losses}
+    checkpoint = Checkpoint(**{f.name: values[_kebab(f.name)]
+                               for f in dataclasses.fields(Checkpoint)})
+    model = {p.name: p.data for p in _described_model(checkpoint).parameters()}
+    # compared as JSON text, so that 2.0 or true does not pass for a size
+    stored = list(map(json.dumps, header["params"]))
+    described = list(map(json.dumps, _param_list(model)))
+    if stored != described:
+        extra, missing = (sorted((Counter(a) - Counter(b)).elements())
+                          for a, b in ((stored, described), (described, stored)))
+        raise DataError(f"{where}: params is not the {checkpoint.model_kind!r} model's list "
+                        f"in name order: stored, not the model's: [{', '.join(extra)}]; "
+                        f"the model's, not stored: [{', '.join(missing)}]")
     offset += header_len
-    params: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
+    for name in sorted(model):
+        count = model[name].size
         end = offset + count * 8
         if end > len(raw):
-            raise DataError(f"{path}: truncated parameter data for {entry['name']!r}")
+            raise DataError(f"{path}: truncated parameter data for {name!r}")
         array = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         # min and max carry a NaN or an infinity without an array-sized temporary
         if count and not (math.isfinite(array.min()) and math.isfinite(array.max())):
-            raise DataError(f"{where}: parameter {entry['name']!r} holds NaN or infinite values")
-        params[entry["name"]] = array.reshape(shape)
+            raise DataError(f"{where}: parameter {name!r} holds NaN or infinite values")
+        checkpoint.params[name] = array.reshape(model[name].shape)
         offset = end
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the parameter data")
-    values = {**header, "config": config, "params": params, "val-losses": val_losses}
-    return Checkpoint(**{f.name: values[_kebab(f.name)] for f in dataclasses.fields(Checkpoint)})
+    return checkpoint
 
 
 def model_from_checkpoint(checkpoint: Checkpoint):
-    """Rebuild the trained model with its stored parameter values, copying
-    each stored array once, into its parameter.  The stored names and
-    shapes must be exactly the rebuilt model's, or DataError names what
-    differs."""
-    config = checkpoint.config
-    stored = checkpoint.params
-    word_param = Parameter("word_embeddings", np.empty(stored["word_embeddings"].shape),
-                           requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN)
-    word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
-    pattern_table = None
-    if checkpoint.patterns is not None:
-        pattern_param = Parameter("pattern_embeddings", np.empty(stored["pattern_embeddings"].shape))
-        pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
-    model = build_model(checkpoint.model_kind, config, word_table, pattern_table)
-    expected = {p.name: p.shape for p in model.parameters()}
-    found = {name: value.shape for name, value in stored.items()}
-    if found != expected:
-        raise DataError(f"checkpoint parameters (name, shape) differ from the "
-                        f"{checkpoint.model_kind!r} model's: stored "
-                        f"{sorted(found.items() - expected.items())}, expected "
-                        f"{sorted(expected.items() - found.items())}")
+    """The model a checkpoint describes, with each stored array copied
+    once, into its parameter.  The checkpoint is one that
+    ``load_checkpoint`` checked or that ``train`` built."""
+    model = _described_model(checkpoint)
     for p in model.parameters():
-        p.data[...] = stored[p.name]
+        p.data[...] = checkpoint.params[p.name]
     return model
 
 
@@ -738,10 +739,6 @@ def train(
                 if epochs_without_improvement >= config.early_stop_patience:
                     stopped_early = True
                     break
-
-    if best_epoch < 0:
-        best_epoch = epochs_run - 1
-        best_params = {p.name: p.data.copy() for p in params}
 
     checkpoint = Checkpoint(
         model_kind=model_kind,

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import os
 import struct
@@ -13,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import poshan
 import poshan.cli
@@ -602,6 +606,32 @@ def _fractional_best_epoch(header):
     header["best-epoch"] = 1.5
 
 
+def _extra_header_key(header):
+    header["bogus"] = [1, 2]
+
+
+def _two_words_share_a_row(header):
+    first, second = sorted(header["vocab"])[:2]
+    header["vocab"][second] = header["vocab"][first]
+
+
+# the parameter-list entries that a checkpoint which does not fit its
+# model has and lacks
+WORD_DIM_PAST_TABLE = ('the model\'s, not stored: '
+                       '[{"name": "att.sentence.headline.w_q", "shape": [6, 7]}')
+PATTERN_DIM_PAST_TABLE = '{"name": "att.word.pattern.w_q", "shape": [6, 99]}'
+EXTRA_PARAMETER = ('stored, not the model\'s: [{"name": "classifier.extra", "shape": [2]}]; '
+                   'the model\'s, not stored: []')
+WORD_TABLE_WITHOUT_ROWS = (
+    'stored, not the model\'s: [{"name": "word_embeddings", "shape": [0, 6]}]; '
+    'the model\'s, not stored: [{"name": "word_embeddings", "shape": [2, 6]}]')
+WORD_TABLE_WITHOUT_UNKNOWN_ROW = (
+    'stored, not the model\'s: [{"name": "word_embeddings", "shape": [1, 6]}]')
+PATTERN_TABLE_WITHOUT_ROWS = (
+    'stored, not the model\'s: [{"name": "pattern_embeddings", "shape": [0, 4]}]; '
+    'the model\'s, not stored: [{"name": "pattern_embeddings", "shape": [1, 4]}]')
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_config, "missing keys"),
     (_extra_config_key, "unknown keys"),
@@ -612,28 +642,31 @@ def _fractional_best_epoch(header):
     (_infinite_grad_clip, "grad-clip must be positive and finite, got inf"),
     (_nan_val_loss, "val-losses are not all finite"),
     (_negative_seed, "seed must be at least 0, got -1"),
-    (_shape_product_past_int64, "truncated parameter data"),
+    (_shape_product_past_int64, '"shape": [4294967296, 4294967296]}'),
     (_huge_word_dim, f"word-dim must be at most 1048576, got {10 ** 20}"),
     (_huge_hidden_size, f"hidden-size must be at most 1048576, got {10 ** 20}"),
     (_huge_pattern_dim, f"pattern-dim must be at most 1048576, got {10 ** 20}"),
     (_huge_attention_size, f"attention-size must be at most 1048576, got {10 ** 20}"),
-    (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
-    (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
-    (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
-    (_word_table_without_rows, "word_embeddings has only 0 of its 2 reserved rows"),
-    (_word_table_without_unknown_row, "word_embeddings has only 1 of its 2 reserved rows"),
-    (_pattern_table_without_rows, "pattern_embeddings has only 0 of its 1 reserved rows"),
+    (_word_dim_past_table, WORD_DIM_PAST_TABLE),
+    (_pattern_dim_past_table, PATTERN_DIM_PAST_TABLE),
+    (_extra_parameter, EXTRA_PARAMETER),
+    (_word_table_without_rows, WORD_TABLE_WITHOUT_ROWS),
+    (_word_table_without_unknown_row, WORD_TABLE_WITHOUT_UNKNOWN_ROW),
+    (_pattern_table_without_rows, PATTERN_TABLE_WITHOUT_ROWS),
     (_unknown_model_kind, "unknown model kind 'cnn'"),
     (_unknown_word_mode, "unknown word mode 'frozen'"),
     (_vocab_not_an_object, "vocab is not an object"),
     (_params_not_a_list, "params is not a list"),
     (_config_not_an_object, "config is not an object"),
-    (_bad_parameter_entry, "bad parameter entry"),
-    (_duplicate_parameter, "duplicate parameter"),
-    (_no_word_table, "no word_embeddings matrix among the parameters"),
+    (_bad_parameter_entry, '"shape": [-1]}'),
+    (_duplicate_parameter, 'stored, not the model\'s: [{"name": "att.sentence.headline.b", '
+                           '"shape": [6]}]; the model\'s, not stored: []'),
+    (_no_word_table, 'the model\'s, not stored: [{"name": "word_embeddings", "shape": ['),
     (_config_value_of_wrong_type, "config value batch_size='8' has the wrong type"),
     (_non_numeric_val_loss, "val-losses are not numbers"),
     (_fractional_best_epoch, "bad best-epoch or val-losses"),
+    (_extra_header_key, "header has unknown keys ['bogus'] and missing keys []"),
+    (_two_words_share_a_row, "vocab index values are not the rows 2.."),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -675,12 +708,12 @@ def _reader_args(command, ckpt, workspace, tmp_path):
 
 @pytest.mark.parametrize("command", ["dump-attention", "dump-patterns"])
 @pytest.mark.parametrize("edit,message", [
-    (_word_dim_past_table, "word_embeddings is 6 wide, but word-dim is 7"),
-    (_pattern_dim_past_table, "pattern_embeddings is 4 wide, but pattern-dim is 99"),
-    (_extra_parameter, "stored [('classifier.extra', (2,))], expected []"),
-    (_word_table_without_rows, "word_embeddings has only 0 of its 2 reserved rows"),
-    (_word_table_without_unknown_row, "word_embeddings has only 1 of its 2 reserved rows"),
-    (_pattern_table_without_rows, "pattern_embeddings has only 0 of its 1 reserved rows"),
+    (_word_dim_past_table, WORD_DIM_PAST_TABLE),
+    (_pattern_dim_past_table, PATTERN_DIM_PAST_TABLE),
+    (_extra_parameter, EXTRA_PARAMETER),
+    (_word_table_without_rows, WORD_TABLE_WITHOUT_ROWS),
+    (_word_table_without_unknown_row, WORD_TABLE_WITHOUT_UNKNOWN_ROW),
+    (_pattern_table_without_rows, PATTERN_TABLE_WITHOUT_ROWS),
 ], ids=["word-dim", "pattern-dim", "extra-parameter", "word-rows", "word-unknown-row",
         "pattern-rows"])
 def test_dump_commands_reject_a_checkpoint_that_does_not_fit_its_model(
@@ -846,14 +879,18 @@ def test_dump_attention_unknown_record(workspace, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def baseline_ckpt(workspace):
-    ckpt = workspace / "lstm.ckpt"
-    assert main(["train", "--config", str(workspace / "run.cfg"), "--model", "lstm",
+def _trained_ckpt(workspace, kind):
+    ckpt = workspace / f"{kind}.ckpt"
+    assert main(["train", "--config", str(workspace / "run.cfg"), "--model", kind,
                  "--train", str(workspace / "splits" / "train.jsonl"),
                  "--val", str(workspace / "splits" / "val.jsonl"),
                  "--out", str(ckpt)]) == EXIT_OK
     return ckpt
+
+
+@pytest.fixture(scope="module")
+def baseline_ckpt(workspace):
+    return _trained_ckpt(workspace, "lstm")
 
 
 def test_dump_attention_rejects_baseline_checkpoint(workspace, baseline_ckpt, tmp_path, capsys):
@@ -906,6 +943,78 @@ def test_dump_patterns_writes_tables(workspace, tmp_path):
     assert len(lines) >= 2
     assert majority.read_text().splitlines()[0] == \
         "pattern\tmajority_label\tcongruent\tincongruent"
+
+
+@pytest.fixture(scope="module")
+def posat_ckpt(workspace):
+    return _trained_ckpt(workspace, "posat")
+
+
+# Any JSON value.  Integers stay within +-100, or lie past every size
+# bound: a layer size between the two would make the reader allocate
+# gigabytes for the model the header describes before anything rejects it.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers(-100, 100) | st.sampled_from([2 ** 31, 2 ** 63, -2 ** 63, 10 ** 20]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8)
+_DELETE = "<delete>"
+
+
+def _edit_header(header, path, value):
+    """Replace the value at ``path`` in ``header`` by ``value``, or delete
+    it if ``value`` is ``_DELETE``.  A step of ``path`` is a key, or an
+    int taken modulo the container's size; the path stops early at a
+    value that is not a non-empty container."""
+    node = header
+    for depth, step in enumerate(path):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = step if isinstance(step, str) else keys[step % len(keys)]
+        if depth == len(path) - 1 or not (isinstance(node[key], (dict, list)) and node[key]):
+            break
+        node = node[key]
+    if value == _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(MODEL_KINDS), edit=st.one_of(
+    st.tuples(st.just("header"), st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3),
+              st.just(_DELETE) | _JSON_VALUES),
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 32)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16))))
+# a baseline's header with an empty pattern table: its model has no
+# pattern_embeddings parameter, so only the rule that a baseline's
+# patterns are null stops dump-patterns from looking one up
+@example(kind="lstm", edit=("header", ["patterns"], {}))
+def test_edited_checkpoint_exits_0_or_with_one_data_error_line(
+        workspace, baseline_ckpt, posat_ckpt, tmp_path, kind, edit):
+    """One edit of a trained checkpoint: a header value replaced or
+    deleted, the file truncated, or bytes appended.  Every command that
+    reads it exits 0, or 2 with one ``poshan: `` line."""
+    source = {"poshan": workspace / "model.ckpt", "lstm": baseline_ckpt, "posat": posat_ckpt}[kind]
+    bad = tmp_path / "edited.ckpt"
+    raw = source.read_bytes()
+    if edit[0] == "header":
+        rewrite_header(source, bad, lambda header: _edit_header(header, *edit[1:]))
+    elif edit[0] == "truncate":
+        bad.write_bytes(raw[:edit[1] % len(raw)])
+    else:
+        bad.write_bytes(raw + edit[1])
+    for command in ("eval", "dump-attention", "dump-patterns"):
+        args = _reader_args(command, bad, workspace, tmp_path)
+        if command == "dump-patterns":
+            args += ["--majority-out", str(tmp_path / "majority.tsv")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(args)
+        err = stderr.getvalue()
+        assert rc == EXIT_OK or (rc == EXIT_DATA and err.startswith("poshan: ")
+                                 and len(err.splitlines()) == 1), (command, rc, err)
 
 
 # ---------------------------------------------------------------------------

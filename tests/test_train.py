@@ -856,20 +856,23 @@ def test_checkpoint_reader_keeps_the_preloaded_word_modes(trained, splits, tmp_p
             np.testing.assert_array_equal(model.predict_probs(p), reference.predict_probs(p))
 
 
-def test_model_from_checkpoint_missing_param(trained):
+def test_model_from_checkpoint_missing_param(trained, tmp_path):
     crippled = dataclasses.replace(
         trained.checkpoint,
         params={k: v for k, v in trained.checkpoint.params.items() if k != "classifier.b"})
+    path = tmp_path / "crippled.ckpt"
+    save_checkpoint(crippled, path)
     with pytest.raises(DataError, match="classifier.b"):
-        model_from_checkpoint(crippled)
+        load_checkpoint(path)
 
 
-def test_model_from_checkpoint_shape_mismatch(trained):
+def test_model_from_checkpoint_shape_mismatch(trained, tmp_path):
     params = dict(trained.checkpoint.params)
     params["classifier.b"] = np.zeros(3)
-    bad = dataclasses.replace(trained.checkpoint, params=params)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(dataclasses.replace(trained.checkpoint, params=params), path)
     with pytest.raises(DataError, match="shape"):
-        model_from_checkpoint(bad)
+        load_checkpoint(path)
 
 
 def test_predict_reports_on_all_records(trained, splits):
