@@ -53,10 +53,10 @@ def scorer(prefix: str, hs_dim: int, query_dim: int, att_dim: int,
     ``{prefix}.v`` (A,), ``.w_h`` (A, S) and ``.w_q`` (A, Q) drawn
     uniformly from +-1/sqrt(A) in that order, and a zero bias ``.b``."""
     bound = 1.0 / math.sqrt(att_dim)
-    return (params.uniform(f"{prefix}.v", bound, att_dim),
-            params.uniform(f"{prefix}.w_h", bound, (att_dim, hs_dim)),
-            params.uniform(f"{prefix}.w_q", bound, (att_dim, query_dim)),
-            params.add(f"{prefix}.b", np.zeros(att_dim)))
+    return (params.uniform(f"{prefix}.v", att_dim, -bound, bound),
+            params.uniform(f"{prefix}.w_h", (att_dim, hs_dim), -bound, bound),
+            params.uniform(f"{prefix}.w_q", (att_dim, query_dim), -bound, bound),
+            params.zeros(f"{prefix}.b", att_dim))
 
 
 def attend(states: Tensor, mask, query: Tensor, scorer: tuple) -> Tensor:

@@ -6,6 +6,8 @@ before encoding.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .attention import PaddedRecord
@@ -56,7 +58,7 @@ class LstmConcatModel(Classifier):
     encoder state feeds the classifier head."""
 
     def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
-                 cell: str, seed: int):
+                 cell: str, seed: Optional[int]):
         super().__init__(seed, word_table)
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
@@ -83,12 +85,10 @@ class PosAtModel(LstmConcatModel):
     """
 
     def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
-                 cell: str, seed: int):
+                 cell: str, seed: Optional[int]):
         super().__init__(word_table, hidden_size, cell, seed)
-        self.theta = (
-            self.params.add("posat.theta_w",
-                            self.params.rng.uniform(0.0, 0.01, (1, len(POS_CATEGORIES)))),
-            self.params.add("posat.theta_b", np.zeros(1)))
+        self.theta = (self.params.uniform("posat.theta_w", (1, len(POS_CATEGORIES)), 0.0, 0.01),
+                      self.params.zeros("posat.theta_b", 1))
 
     def inputs(self, tagged) -> Tensor:
         """Word embeddings (L, D), each row scaled by its category's

@@ -36,6 +36,7 @@ from .train import (
     model_from_checkpoint,
     parse_config,
     predict,
+    prior_loss,
     save_checkpoint,
     stratified_split,
     train,
@@ -143,10 +144,16 @@ def _cmd_train(args) -> int:
     result = train(config, train_set, val_set, model_kind=args.model, log_path=log_path)
     save_checkpoint(result.checkpoint, args.out)
     best = result.checkpoint.best_epoch
+    best_loss = result.checkpoint.val_losses[best]
     print(f"model\t{args.model}")
     print(f"epochs\t{result.epochs_run}")
     print(f"best-epoch\t{best}")
-    print(f"best-val-loss\t{result.checkpoint.val_losses[best]!r}")
+    print(f"best-val-loss\t{best_loss!r}")
+    prior = prior_loss(val_set)
+    if best_loss >= prior:
+        print(f"poshan: warning: best validation loss {best_loss!r} is no better than "
+              f"{prior!r}, the loss of predicting the validation label prior",
+              file=sys.stderr)
     return EXIT_OK
 
 

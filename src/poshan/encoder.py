@@ -53,9 +53,8 @@ class SequenceEncoder:
             for gate in GATES[self.cell]:
                 for kind, shape in shapes.items():
                     offset = FORGET_BIAS if (kind, gate) == ("b", "f") else 0.0
-                    weights[kind].append(params.add(
-                        f"{name}.{side}.{kind}_{gate}",
-                        params.rng.uniform(-bound, bound, shape) + offset))
+                    weights[kind].append(params.uniform(
+                        f"{name}.{side}.{kind}_{gate}", shape, -bound, bound, offset))
             self.directions.append((*weights.values(), side == "bwd"))
 
     @property

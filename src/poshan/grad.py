@@ -718,6 +718,13 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def placeholder(shape) -> np.ndarray:
+    """A read-only float64 array of ``shape`` that owns no memory: every
+    entry views one NaN.  It stands for parameter values not set yet, so a
+    read before they are set gives NaN and a write raises."""
+    return np.broadcast_to(np.float64(np.nan), shape)
+
+
 class ParameterList(list):
     """A model's parameters in the order they are added, with ``rng``, the
     generator that draws their initial values.
@@ -725,21 +732,31 @@ class ParameterList(list):
     The order is the model's parameter order: the gradient clip sums in
     it and the gradient check reports in it, so a model that adds its
     parameters as it creates them lists them once, in creation order.
+
+    With seed None nothing is drawn or allocated: ``rng`` is None and each
+    parameter holds a ``placeholder`` of its shape until its data is set,
+    as for a model whose values come from a checkpoint.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | None):
         super().__init__()
-        self.rng = np.random.default_rng(seed)
+        self.rng = None if seed is None else np.random.default_rng(seed)
 
-    def add(self, name: str, data) -> Parameter:
-        """A new trainable parameter holding ``data``, appended."""
-        p = Parameter(name, data)
+    def _add(self, name: str, shape, values: Callable[[], np.ndarray]) -> Parameter:
+        """A new trainable parameter of ``shape`` holding ``values()``, or a
+        placeholder if this list draws nothing, appended."""
+        p = Parameter(name, placeholder(shape) if self.rng is None else values())
         self.append(p)
         return p
 
-    def uniform(self, name: str, bound: float, shape) -> Parameter:
-        """A new parameter drawn uniformly from [-bound, bound)."""
-        return self.add(name, self.rng.uniform(-bound, bound, shape))
+    def uniform(self, name: str, shape, low: float, high: float,
+                shift: float = 0.0) -> Parameter:
+        """A new parameter drawn uniformly from [low, high), plus ``shift``."""
+        return self._add(name, shape, lambda: self.rng.uniform(low, high, shape) + shift)
+
+    def zeros(self, name: str, shape) -> Parameter:
+        """A new parameter holding zeros."""
+        return self._add(name, shape, lambda: np.zeros(shape))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -45,14 +45,15 @@ def _weights_at(level: str, weights: dict, position) -> dict:
 class Classifier:
     """The interface the three models share.
 
-    A subclass calls ``__init__`` with its seed and embedding tables
+    A subclass calls ``__init__`` with its seed (None: its parameters
+    hold placeholders, see ``grad.ParameterList``) and embedding tables
     first, then creates its parts on ``self.params``, its head with
     ``_create_head``, and defines ``forward(padded)``, returning the
     ``logits`` of its document vector; the loss and the probabilities are
     built on ``forward``.  Prediction records no graph.
     """
 
-    def __init__(self, seed: int, *tables):
+    def __init__(self, seed: Optional[int], *tables):
         self.params = ParameterList(seed)
         self.params.extend(table.matrix for table in tables)
 
@@ -62,8 +63,8 @@ class Classifier:
         ``classifier.w`` (2, in_dim) drawn uniformly from
         +-1/sqrt(in_dim), and a zero bias ``classifier.b``."""
         bound = 1.0 / math.sqrt(in_dim)
-        return (self.params.uniform("classifier.w", bound, (2, in_dim)),
-                self.params.add("classifier.b", np.zeros(2)))
+        return (self.params.uniform("classifier.w", (2, in_dim), -bound, bound),
+                self.params.zeros("classifier.b", 2))
 
     def logits(self, d: Tensor) -> Tensor:
         """The two class logits of a document vector: ``affine(d, *self.head)``."""
@@ -94,7 +95,7 @@ class PoshanModel(Classifier):
                  pattern_table: PatternEmbeddingTable, hidden_size: int,
                  attention_size: Optional[int], cell: str,
                  disable_pattern_att: bool, disable_phrase_att: bool,
-                 replace_headline_att: bool, seed: int):
+                 replace_headline_att: bool, seed: Optional[int]):
         super().__init__(seed, word_table, pattern_table)
         self.word_table = word_table
         self.pattern_table = pattern_table

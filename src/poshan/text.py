@@ -331,6 +331,18 @@ class _SharedTokens(dict):
         return list(map(self.__getitem__, zip(tokens, tags)))
 
 
+class _ReadTokens(_SharedTokens):
+    """Shared tokens for pairs read from a file, where each distinct pair
+    is checked once, when it is first seen: one that is not two strings
+    raises TypeError.  Deriving makes its pairs itself and skips the
+    check."""
+
+    def __missing__(self, pair: tuple) -> TaggedToken:
+        if not (len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise TypeError(f"{pair!r} is not a [token, tag] pair")
+        return super().__missing__(pair)
+
+
 def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> DatasetRecord:
     """Tokenize, tag and extract cardinal features for one record; equal
     tokens are one object across the records featurized with one
@@ -439,12 +451,15 @@ def read_corpus(path: str | Path) -> list[RawRecord]:
     return records
 
 
-def _tagged_from_json(pairs, field: str, shared: _SharedTokens) -> list[TaggedToken]:
-    if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
-            for p in pairs):
-        raise DataError(f"{field} must be a list of [token, tag] pairs")
-    return list(map(shared.__getitem__, map(tuple, pairs)))
+def _tagged_from_json(pairs, field: str, shared: _ReadTokens) -> list[TaggedToken]:
+    """The tokens of a list of ``[token, tag]`` lists; ``shared`` checks
+    each distinct pair's length and types once."""
+    try:
+        if isinstance(pairs, list) and not set(map(type, pairs)) - {list}:
+            return list(map(shared.__getitem__, map(tuple, pairs)))
+    except TypeError:  # a pair of the wrong length, or with a non-string or unhashable value
+        pass
+    raise DataError(f"{field} must be a list of [token, tag] pairs")
 
 
 def record_to_json(rec: DatasetRecord) -> dict:
@@ -457,14 +472,14 @@ def record_to_json(rec: DatasetRecord) -> dict:
     return obj
 
 
-def record_from_json(obj: dict, shared: _SharedTokens | None = None) -> DatasetRecord:
+def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRecord:
     """A derived record from its JSON object.  Patterns and phrases are
     derived from the tagged headline; stored ones that differ raise
     DataError, as do a field of the wrong type (a non-string id included),
     a label outside LABELS, an empty headline or sentence or an active
     cardinal index out of range.  Equal tokens are one object across the
     records read with one ``shared``."""
-    shared = _SharedTokens() if shared is None else shared
+    shared = _ReadTokens() if shared is None else shared
     if not isinstance(obj["id"], str):
         raise DataError(f"id {obj['id']!r} is not a string")
     if obj["label"] not in LABELS:
@@ -503,7 +518,7 @@ def read_derived(path: str | Path) -> list[DatasetRecord]:
     line(s)."""
     records = []
     lines: dict[str, int] = {}
-    shared = _SharedTokens()
+    shared = _ReadTokens()
     for lineno, obj in _read_jsonl(path):
         try:
             record = record_from_json(obj, shared)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
+import os
 import struct
 import warnings
 from collections import Counter
@@ -40,6 +40,7 @@ from .grad import (
     Parameter,
     backward,
     no_grad,
+    placeholder,
     softmax_cross_entropy_with_logits,
     softmax_probs,
     zero_gradients,
@@ -201,9 +202,13 @@ def build_model(
     config: TrainConfig,
     word_table: WordEmbeddingTable,
     pattern_table: Optional[PatternEmbeddingTable],
+    draw: bool = True,
 ):
     """Construct one of the three trainable models from a config; the
-    baselines take no pattern table, so theirs may be None."""
+    baselines take no pattern table, so theirs may be None.  With ``draw``
+    false no initial value is drawn: each parameter other than the tables
+    holds a placeholder until its data is set (``grad.ParameterList``)."""
+    seed = config.seed if draw else None
     if kind == MODEL_POSHAN:
         if pattern_table is None:
             raise ValueError("the hierarchical model requires a pattern table")
@@ -216,12 +221,13 @@ def build_model(
             disable_pattern_att=config.disable_pattern_att,
             disable_phrase_att=config.disable_phrase_att,
             replace_headline_att=config.replace_headline_att,
-            seed=config.seed,
+            seed=seed,
         )
     if kind == MODEL_LSTM:
-        return LstmConcatModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=config.seed)
+        return LstmConcatModel(word_table, hidden_size=config.hidden_size, cell=config.cell,
+                               seed=seed)
     if kind == MODEL_POSAT:
-        return PosAtModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=config.seed)
+        return PosAtModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
@@ -374,14 +380,13 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "params": _param_list(checkpoint.params),
     })
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buffer = io.BytesIO()
-    buffer.write(CHECKPOINT_MAGIC)
-    buffer.write(struct.pack("<I", len(header_bytes)))
-    buffer.write(header_bytes)
-    for name in sorted(checkpoint.params):
-        array = np.ascontiguousarray(checkpoint.params[name], dtype="<f8")
-        buffer.write(array.tobytes())
-    Path(path).write_bytes(buffer.getvalue())
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        for name in sorted(checkpoint.params):
+            # the array's own buffer, unless it is not little-endian float64 in C order
+            fh.write(np.ascontiguousarray(checkpoint.params[name], dtype="<f8"))
 
 
 _WORD_MODES = (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE, MODE_RANDOM_TRAINABLE)
@@ -466,21 +471,22 @@ def _check_header(header, where: str) -> TrainConfig:
 
 
 def _described_model(checkpoint: Checkpoint):
-    """The model a checkpoint describes, before its values are set: the
-    word table holds its pad and unknown rows and one row per vocabulary
-    entry, the pattern table its unknown-pattern row and one row per
-    pattern, each as wide as the config says."""
+    """The model a checkpoint describes, with no value drawn or allocated:
+    every parameter holds a ``grad.placeholder`` of its shape.  The word
+    table holds its pad and unknown rows and one row per vocabulary entry,
+    the pattern table its unknown-pattern row and one row per pattern,
+    each as wide as the config says."""
     config = checkpoint.config
     word_param = Parameter("word_embeddings",
-                           np.empty((len(checkpoint.vocab) + 2, config.word_dim)),
+                           placeholder((len(checkpoint.vocab) + 2, config.word_dim)),
                            requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN)
     word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
     pattern_table = None
     if checkpoint.patterns is not None:
         pattern_param = Parameter("pattern_embeddings",
-                                  np.empty((len(checkpoint.patterns) + 1, config.pattern_dim)))
+                                  placeholder((len(checkpoint.patterns) + 1, config.pattern_dim)))
         pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
-    return build_model(checkpoint.model_kind, config, word_table, pattern_table)
+    return build_model(checkpoint.model_kind, config, word_table, pattern_table, draw=False)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -489,66 +495,68 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     truncated data, a NaN or infinite parameter value or bytes past the
     last parameter raise DataError.
 
-    The parameter arrays are read-only views of the file's bytes, not
-    copies; ``model_from_checkpoint`` copies each one once, into its
-    parameter."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    if len(raw) < offset + 4:
-        raise DataError(f"{path}: truncated checkpoint header")
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
-    where = f"{path}: checkpoint"
-    config = _check_header(header, where)
-    try:
-        val_losses = [float(v) for v in header["val-losses"]]
-    except (TypeError, ValueError):
-        raise DataError(f"{where}: val-losses are not numbers") from None
-    if not all(map(math.isfinite, val_losses)):
-        raise DataError(f"{where}: val-losses are not all finite")
-    values = {**header, "config": config, "params": {}, "val-losses": val_losses}
-    checkpoint = Checkpoint(**{f.name: values[_kebab(f.name)]
-                               for f in dataclasses.fields(Checkpoint)})
-    model = {p.name: p.data for p in _described_model(checkpoint).parameters()}
-    # compared as JSON text, so that 2.0 or true does not pass for a size
-    stored = list(map(json.dumps, header["params"]))
-    described = list(map(json.dumps, _param_list(model)))
-    if stored != described:
-        extra, missing = (sorted((Counter(a) - Counter(b)).elements())
-                          for a, b in ((stored, described), (described, stored)))
-        raise DataError(f"{where}: params is not the {checkpoint.model_kind!r} model's list "
-                        f"in name order: stored, not the model's: [{', '.join(extra)}]; "
-                        f"the model's, not stored: [{', '.join(missing)}]")
-    offset += header_len
-    for name in sorted(model):
-        count = model[name].size
-        end = offset + count * 8
-        if end > len(raw):
-            raise DataError(f"{path}: truncated parameter data for {name!r}")
-        array = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        # min and max carry a NaN or an infinity without an array-sized temporary
-        if count and not (math.isfinite(array.min()) and math.isfinite(array.max())):
-            raise DataError(f"{where}: parameter {name!r} holds NaN or infinite values")
-        checkpoint.params[name] = array.reshape(model[name].shape)
-        offset = end
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes after the parameter data")
+    The header is checked before any parameter array exists, and each
+    array is allocated once and read straight from the file; it is the
+    array that ``model_from_checkpoint`` gives its parameter."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: not a checkpoint file (bad magic)")
+        length = fh.read(4)
+        if len(length) < 4:
+            raise DataError(f"{path}: truncated checkpoint header")
+        (header_len,) = struct.unpack("<I", length)
+        try:
+            # read(n) sets aside n bytes first, so ask for no more than the file holds
+            header = json.loads(fh.read(min(header_len, size)).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+        where = f"{path}: checkpoint"
+        config = _check_header(header, where)
+        try:
+            val_losses = [float(v) for v in header["val-losses"]]
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: val-losses are not numbers") from None
+        if not all(map(math.isfinite, val_losses)):
+            raise DataError(f"{where}: val-losses are not all finite")
+        values = {**header, "config": config, "params": {}, "val-losses": val_losses}
+        checkpoint = Checkpoint(**{f.name: values[_kebab(f.name)]
+                                   for f in dataclasses.fields(Checkpoint)})
+        model = {p.name: p.data for p in _described_model(checkpoint).parameters()}
+        # compared as JSON text, so that 2.0 or true does not pass for a size
+        stored = list(map(json.dumps, header["params"]))
+        described = list(map(json.dumps, _param_list(model)))
+        if stored != described:
+            extra, missing = (sorted((Counter(a) - Counter(b)).elements())
+                              for a, b in ((stored, described), (described, stored)))
+            raise DataError(f"{where}: params is not the {checkpoint.model_kind!r} model's list "
+                            f"in name order: stored, not the model's: [{', '.join(extra)}]; "
+                            f"the model's, not stored: [{', '.join(missing)}]")
+        offset = len(CHECKPOINT_MAGIC) + 4 + header_len
+        for name in sorted(model):
+            count = model[name].size
+            offset += count * 8
+            # no array is allocated for data the file does not hold
+            if (offset > size
+                    or fh.readinto(array := np.empty(model[name].shape, "<f8")) < count * 8):
+                raise DataError(f"{path}: truncated parameter data for {name!r}")
+            # min and max carry a NaN or an infinity without an array-sized temporary
+            if count and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+                raise DataError(f"{where}: parameter {name!r} holds NaN or infinite values")
+            checkpoint.params[name] = array
+    if offset != size:
+        raise DataError(f"{path}: {size - offset} trailing bytes after the parameter data")
     return checkpoint
 
 
 def model_from_checkpoint(checkpoint: Checkpoint):
-    """The model a checkpoint describes, with each stored array copied
-    once, into its parameter.  The checkpoint is one that
-    ``load_checkpoint`` checked or that ``train`` built."""
+    """The model a checkpoint describes, whose parameters hold the
+    checkpoint's own arrays, not copies: no value is drawn, copied or
+    allocated twice.  The checkpoint is one that ``load_checkpoint``
+    checked or that ``train`` built."""
     model = _described_model(checkpoint)
     for p in model.parameters():
-        p.data[...] = checkpoint.params[p.name]
+        p.data = checkpoint.params[p.name]
     return model
 
 
@@ -634,6 +642,14 @@ def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, Ev
         warnings.simplefilter("ignore", RuntimeWarning)
         report = build_report([p.record for p in val_padded], probs)
     return total / len(val_padded), report
+
+
+def prior_loss(records: Sequence[DatasetRecord]) -> float:
+    """The mean cross-entropy of predicting every record's label with the
+    records' label frequencies: the loss of a model that learned only the
+    prior, e.g. 0.693... for balanced labels and 0.0 for a single label."""
+    n = len(records)
+    return sum(c / n * math.log(n / c) for c in Counter(r.label for r in records).values())
 
 
 @contextmanager

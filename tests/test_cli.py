@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -24,13 +25,17 @@ from poshan.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_gra
 from poshan.encoder import CELLS
 from poshan.grad import backward
 from poshan.metrics import EVAL_REPORT_SCHEMA
-from poshan.text import read_derived, tokenize
+from poshan.text import DataError, read_derived, tokenize
 from poshan.train import (
     CHECKPOINT_MAGIC,
+    MAX_SIZE,
     MODEL_KINDS,
     TrainConfig,
     load_checkpoint,
+    parse_config,
+    prior_loss,
     save_checkpoint,
+    train,
 )
 
 
@@ -348,6 +353,40 @@ def test_diverging_training_run_is_one_line_data_error(workspace, tmp_path, caps
     assert rc == EXIT_DATA, err
     assert err.startswith("poshan: training diverged: ") and len(err.splitlines()) == 1, err
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("config,warns", [
+    (_BASE_CONFIG + "learning-rate=1e30\n", True),
+    (None, False),
+], ids=["learning-rate-1e30", "workspace-config"])
+def test_training_no_better_than_the_label_prior_warns(workspace, tmp_path, capsys, config,
+                                                       warns):
+    """A learning rate of 1e30 keeps the parameters finite but leaves a
+    best validation loss near 1e30: the run still exits 0 and writes the
+    checkpoint and log that ``train`` gives, and says in one stderr line
+    that the model is no better than predicting the label prior."""
+    cfg = workspace / "run.cfg"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+    splits = workspace / "splits"
+    out = tmp_path / "model.ckpt"
+    rc = main(["train", "--config", str(cfg), "--train", str(splits / "train.jsonl"),
+               "--val", str(splits / "val.jsonl"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_OK, err
+    val_set = read_derived(splits / "val.jsonl")
+    result = train(parse_config(cfg), read_derived(splits / "train.jsonl"), val_set)
+    best_loss = result.checkpoint.val_losses[result.checkpoint.best_epoch]
+    if warns:
+        assert err == (f"poshan: warning: best validation loss {best_loss!r} is no better "
+                       f"than {prior_loss(val_set)!r}, the loss of predicting the "
+                       "validation label prior\n")
+    else:
+        assert err == ""
+    save_checkpoint(result.checkpoint, tmp_path / "direct.ckpt")
+    assert out.read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+    assert (tmp_path / "model.ckpt.log.tsv").read_text() == "\n".join(result.log_lines) + "\n"
 
 
 def test_eval_record_without_cardinal_needs_a_query_type(workspace, tmp_path, capsys):
@@ -726,6 +765,37 @@ def test_dump_commands_reject_a_checkpoint_that_does_not_fit_its_model(
     assert err.startswith("poshan: ") and message in err and len(err.splitlines()) == 1, err
 
 
+def _large_word_dim(header):
+    header["config"]["word_dim"] = 2 ** 18
+
+
+def _hidden_size_500(header):
+    header["config"]["hidden_size"] = 500
+
+
+@pytest.mark.parametrize("edit", [_large_word_dim, _hidden_size_500],
+                         ids=["word-dim-2**18", "hidden-size-500"])
+def test_a_header_describing_a_large_model_is_rejected_before_any_value_is_drawn(
+        workspace, tmp_path, capsys, edit):
+    """A header whose sizes describe a model hundreds of MiB large, but
+    whose parameter list and data are the toy model's, is rejected before
+    the described model's values are drawn or allocated."""
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(workspace / "model.ckpt", bad, edit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="params is not the 'poshan' model's list"):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    rc = main(_reader_args("eval", bad, workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert err.startswith("poshan: ") and len(err.splitlines()) == 1, err
+
+
 def _with_value(checkpoint, name, index, value):
     """``checkpoint`` with ``value`` at ``index`` of parameter ``name``."""
     array = checkpoint.params[name].copy()
@@ -950,12 +1020,13 @@ def posat_ckpt(workspace):
     return _trained_ckpt(workspace, "posat")
 
 
-# Any JSON value.  Integers stay within +-100, or lie past every size
-# bound: a layer size between the two would make the reader allocate
-# gigabytes for the model the header describes before anything rejects it.
+# Any JSON value.  Integers run up to every layer size a config allows,
+# and past it: the reader rejects a header before it allocates anything
+# for the model the header describes.
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
-    | st.integers(-100, 100) | st.sampled_from([2 ** 31, 2 ** 63, -2 ** 63, 10 ** 20]),
+    | st.integers(-100, 100) | st.integers(101, MAX_SIZE)
+    | st.sampled_from([2 ** 31, 2 ** 63, -2 ** 63, 10 ** 20]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
                                                                 max_size=4),
     max_leaves=8)

@@ -533,6 +533,11 @@ class TestDerivedIO:
         ("sentences", 5),
         ("sentences", [["word"]]),
         ("headline", "Loan hits 1 million"),
+        ("headline", [["Loan", "NN", "x"]]),
+        ("headline", [["Loan"]]),
+        ("headline", [["Loan", 5]]),
+        ("headline", [["Loan", ["NN"]]]),
+        ("sentences", [[["a", "DT"], "ab"]]),
         ("patterns", [3]),
         ("phrases", [["a", "b"]]),
         ("active_cardinal_index", 2),

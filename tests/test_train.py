@@ -2,7 +2,10 @@
 and checkpoint round-trips."""
 
 import dataclasses
+import json
 import math
+import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,13 +16,20 @@ from hypothesis import strategies as st
 
 from poshan.attention import QUERY_HEADLINE, QUERY_PATTERN, QUERY_PHRASE, QUERY_TYPES, pad_record
 from poshan.baselines import LstmConcatModel, PosAtModel
-from poshan.embeddings import MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE
+from poshan.embeddings import (
+    MODE_PRELOADED_FROZEN,
+    MODE_PRELOADED_TRAINABLE,
+    MODE_RANDOM_TRAINABLE,
+    PatternEmbeddingTable,
+    WordEmbeddingTable,
+)
 from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import NonFiniteError, Parameter, backward, constant, zero_gradients
 from poshan.model import PoshanModel
 from poshan import train as train_module
 from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
 from poshan.train import (
+    CHECKPOINT_MAGIC,
     Adam,
     Checkpoint,
     MODEL_KINDS,
@@ -828,12 +838,54 @@ def test_model_from_checkpoint_reproduces_predictions(trained, splits, tmp_path)
     loaded = load_checkpoint(path)
     model = model_from_checkpoint(trained.checkpoint)
     restored = model_from_checkpoint(loaded)
+    assert all(p.data is trained.checkpoint.params[p.name] for p in model.parameters())
     config = trained.checkpoint.config
     for record in test_set:
         padded = pad_record(record, max_words=config.max_words_per_sentence,
                             max_sentences=config.max_sentences)
         np.testing.assert_array_equal(model.predict_probs(padded),
                                       restored.predict_probs(padded))
+
+
+def test_loading_a_large_vocabulary_checkpoint_allocates_each_parameter_once(tmp_path):
+    """A 30k-row word table, as in the train-ragged benchmark: the traced
+    peak of load plus model build stays within 1.25x the parameter bytes
+    plus the parsed header, so neither a whole-file buffer, nor a second
+    model, nor a copy of a parameter is held, and the model's parameters
+    are the checkpoint's arrays."""
+    rows, config = 30_000, tiny_config(word_dim=64, hidden_size=16, pattern_dim=100)
+    vocab = {f"w{i:05d}": i + 2 for i in range(rows)}
+    rng = np.random.default_rng(0)
+    word_table = WordEmbeddingTable(
+        vocab, Parameter("word_embeddings", rng.uniform(-1, 1, (rows + 2, 64))),
+        MODE_RANDOM_TRAINABLE)
+    pattern_table = PatternEmbeddingTable(
+        {"CD NNS": 1}, Parameter("pattern_embeddings", rng.uniform(-1, 1, (2, 100))))
+    model = build_model(MODEL_POSHAN, config, word_table, pattern_table)
+    path = tmp_path / "large.ckpt"
+    save_checkpoint(Checkpoint(
+        model_kind=MODEL_POSHAN, config=config, vocab=vocab, word_mode=MODE_RANDOM_TRAINABLE,
+        patterns={"CD NNS": 1}, pattern_label_counts={"CD NNS": [1, 0]},
+        params={p.name: p.data for p in model.parameters()}, best_epoch=0, val_losses=[0.5]),
+        path)
+    param_bytes = sum(p.data.nbytes for p in model.parameters())
+    del model, word_table, pattern_table
+    with path.open("rb") as fh:
+        fh.seek(len(CHECKPOINT_MAGIC))
+        header = fh.read(struct.unpack("<I", fh.read(4))[0])
+    tracemalloc.start()
+    try:
+        json.loads(header)
+        header_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        checkpoint = load_checkpoint(path)
+        loaded = model_from_checkpoint(checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * param_bytes + len(header) + header_peak, (peak, param_bytes)
+    assert all(np.shares_memory(p.data, checkpoint.params[p.name])
+               for p in loaded.parameters())
 
 
 def test_checkpoint_reader_keeps_the_preloaded_word_modes(trained, splits, tmp_path):
