@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import (
-    PAD_TOKEN,
     PatternEmbeddingTable,
     WordEmbeddingTable,
     headline_vector,
@@ -34,7 +33,7 @@ from .grad import (
     mean_fold,
     weighted_sum,
 )
-from .text import DataError, DatasetRecord
+from .text import PAD_TOKEN, DataError, DatasetRecord
 
 QUERY_PATTERN = "pattern"
 QUERY_PHRASE = "phrase"

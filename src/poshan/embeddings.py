@@ -1,31 +1,17 @@
 """Embedding tables for words and cardinal POS patterns, and the three
 query vectors (pattern, cardinal phrase, headline) that condition the
 attention scorers.
-
-Row 0 of the word table is the padding/sentinel row: always zero, never
-on any gradient path.  Row 1 is the unknown-word row.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grad import Parameter, Tensor, constant, gather, mean_axis, sum_axis
-from .text import (
-    BOS_TOKEN,
-    CONGRUENT,
-    EOS_TOKEN,
-    INCONGRUENT,
-    DataError,
-    DatasetRecord,
-)
+from .grad import Parameter, Tensor, gather, mean_axis, placeholder, sum_axis
+from .text import CONGRUENT, INCONGRUENT, RESERVED_TOKENS, DataError, DatasetRecord
 
-PAD_TOKEN = "<pad>"
-PAD_INDEX = 0
-UNK_INDEX = 1
 UNK_PATTERN = "<unk>"
 
 MODE_PRELOADED_FROZEN = "preloaded-frozen"
@@ -34,8 +20,6 @@ MODE_RANDOM_TRAINABLE = "random-trainable"
 
 INIT_RANGE = 0.05
 PATTERN_DIM = 100
-
-_SENTINELS = frozenset({PAD_TOKEN, BOS_TOKEN, EOS_TOKEN})
 
 
 def _nested_indices(index, keys):
@@ -46,35 +30,63 @@ def _nested_indices(index, keys):
     return [_nested_indices(index, k) for k in keys]
 
 
-class WordEmbeddingTable:
-    """Token to row-index map over a single embedding matrix.
+class _EmbeddingTable:
+    """Key strings to the rows of one embedding matrix, the parameter
+    ``NAME``.  Its first ``FIRST_KEY_ROW`` rows are reserved: an unknown
+    key reads ``UNK_ROW``, and ``PAD_ROW``, if set, reads zeros and passes
+    no gradient back.  The table gives its matrix the per-row ``active``
+    flags (see ``grad.Parameter``), so the optimizer touches only rows
+    that have had a gradient."""
 
-    Sentinel tokens resolve to the zero padding row; unseen tokens resolve
-    to the unknown row.  Lookups of the padding row read zeros and pass no
-    gradient back, so no gradient can ever reach it.  The table gives its
-    matrix the per-row ``active`` flags (see ``grad.Parameter``), so the
-    optimizer touches only rows that have had a gradient.
-    """
+    NAME: str
+    FIRST_KEY_ROW: int
+    UNK_ROW: int
+    PAD_ROW: int | None = None
 
-    def __init__(self, vocab: dict, matrix: Parameter, mode: str):
-        self.vocab = vocab
+    def __init__(self, matrix: Parameter):
         self.matrix = matrix
-        self.mode = mode
         matrix.active = np.zeros(len(matrix.data), dtype=bool)
+
+    @classmethod
+    def create(cls, keys: dict, dim: int, seed: int | None, *args):
+        """The table of ``keys`` (key to row), constructed with ``args``
+        after its matrix: the reserved rows and a row per key, ``dim``
+        wide, drawn uniformly from +-INIT_RANGE by ``default_rng(seed)``
+        with the pad row zeroed, or with seed None a ``grad.placeholder``."""
+        shape = (cls.FIRST_KEY_ROW + len(keys), dim)
+        if seed is None:
+            matrix = placeholder(shape)
+        else:
+            matrix = np.random.default_rng(seed).uniform(-INIT_RANGE, INIT_RANGE, size=shape)
+            if cls.PAD_ROW is not None:
+                matrix[cls.PAD_ROW] = 0.0
+        return cls(keys, Parameter(cls.NAME, matrix), *args)
 
     @property
     def dim(self) -> int:
         return self.matrix.data.shape[1]
 
-    def index(self, token: str) -> int:
-        if token in _SENTINELS:
-            return PAD_INDEX
-        return self.vocab.get(token, UNK_INDEX)
+    def lookup(self, keys) -> Tensor:
+        """Embedding rows of a key, (D,), or of a (nested) sequence of
+        keys, e.g. (N, T, D) for N padded sentences, as one gather."""
+        return gather(self.matrix, _nested_indices(self.index, keys), pad=self.PAD_ROW)
 
-    def lookup(self, tokens) -> Tensor:
-        """Embedding rows of a token, (D,), or of a (nested) sequence of
-        tokens, e.g. (N, T, D) for N padded sentences, as one gather."""
-        return gather(self.matrix, _nested_indices(self.index, tokens), pad=PAD_INDEX)
+
+class WordEmbeddingTable(_EmbeddingTable):
+    """Tokens to word rows: every reserved token (``text.RESERVED_TOKENS``)
+    reads the pad row, an unseen token the unknown row.  The matrix of a
+    table in ``preloaded-frozen`` mode is not trained."""
+
+    NAME = "word_embeddings"
+    PAD_ROW, UNK_ROW, FIRST_KEY_ROW = 0, 1, 2
+
+    def __init__(self, vocab: dict, matrix: Parameter, mode: str):
+        super().__init__(matrix)
+        self.vocab, self.mode = vocab, mode
+        matrix.requires_grad = mode != MODE_PRELOADED_FROZEN
+
+    def index(self, token: str) -> int:
+        return self.PAD_ROW if token in RESERVED_TOKENS else self.vocab.get(token, self.UNK_ROW)
 
 
 def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
@@ -93,44 +105,29 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
             for tok in sent:
                 counts[tok.text] = counts.get(tok.text, 0) + 1
     kept = sorted(t for t, c in counts.items() if c >= min_count)
-    vocab = {t: i + 2 for i, t in enumerate(kept)}
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(kept) + 2, dim))
-    matrix[PAD_INDEX] = 0.0
-    param = Parameter("word_embeddings", matrix)
-    return WordEmbeddingTable(vocab, param, MODE_RANDOM_TRAINABLE)
+    vocab = {t: i + WordEmbeddingTable.FIRST_KEY_ROW for i, t in enumerate(kept)}
+    return WordEmbeddingTable.create(vocab, dim, seed, MODE_RANDOM_TRAINABLE)
 
 
-class PatternEmbeddingTable:
-    """Cardinal POS pattern strings to trainable rows; index 0 is the
-    unknown-pattern row.  Like the word table, it gives its matrix the
-    per-row ``active`` flags."""
+class PatternEmbeddingTable(_EmbeddingTable):
+    """Cardinal POS pattern keys to pattern rows; an unseen pattern reads
+    the unknown-pattern row."""
+
+    NAME = "pattern_embeddings"
+    UNK_ROW, FIRST_KEY_ROW = 0, 1
 
     def __init__(self, patterns: dict, matrix: Parameter):
+        super().__init__(matrix)
         self.patterns = patterns
-        self.matrix = matrix
-        matrix.active = np.zeros(len(matrix.data), dtype=bool)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.data.shape[1]
 
     def index(self, key: str) -> int:
-        return self.patterns.get(key, 0)
-
-    def lookup(self, keys) -> Tensor:
-        """Embedding rows of a pattern key or a sequence of keys."""
-        return gather(self.matrix, _nested_indices(self.index, keys))
+        return self.patterns.get(key, self.UNK_ROW)
 
     @classmethod
     def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,
               seed: int = 0) -> "PatternEmbeddingTable":
         keys = sorted({key for rec in corpus for key in rec.patterns})
-        patterns = {k: i + 1 for i, k in enumerate(keys)}
-        rng = np.random.default_rng(seed)
-        matrix = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(len(keys) + 1, dim))
-        param = Parameter("pattern_embeddings", matrix)
-        return cls(patterns, param)
+        return cls.create({k: i + cls.FIRST_KEY_ROW for i, k in enumerate(keys)}, dim, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +135,8 @@ class PatternEmbeddingTable:
 
 
 def headline_vector(tokens: Sequence[str], table: WordEmbeddingTable) -> Tensor:
-    """Sum of the embeddings of all headline tokens (padding excluded)."""
-    kept = [t for t in tokens if table.index(t) != PAD_INDEX]
-    if not kept:
-        warnings.warn("empty headline: query vector is zero", RuntimeWarning)
-        return constant(np.zeros(table.dim))
-    return sum_axis(table.lookup(kept))
+    """Sum of the embeddings of all headline tokens."""
+    return sum_axis(table.lookup(tokens))
 
 
 def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable) -> Tensor:
@@ -155,8 +148,8 @@ def pattern_query(record: DatasetRecord, table: PatternEmbeddingTable) -> Tensor
 
 def phrase_query(record: DatasetRecord, table: WordEmbeddingTable) -> Tensor:
     """Cardinal phrase query vector: per cardinal phrase the sum of its
-    three words' embeddings (sentinel tokens read the zero row), then the
-    mean over the record's phrases."""
+    three words' embeddings (``<bos>`` and ``<eos>`` read the zero row),
+    then the mean over the record's phrases."""
     rows = table.lookup(record.phrases)
     return mean_axis(sum_axis(rows, 1))
 
@@ -168,7 +161,8 @@ def phrase_query(record: DatasetRecord, table: WordEmbeddingTable) -> Tensor:
 def export_pattern_embeddings(patterns: dict, matrix: np.ndarray, path) -> None:
     """TSV: pattern string followed by its embedding row, the rows of
     ``matrix`` in ``patterns``' index order; unknown row first."""
-    ordered = [(UNK_PATTERN, 0)] + sorted(patterns.items(), key=lambda kv: kv[1])
+    unknown = (UNK_PATTERN, PatternEmbeddingTable.UNK_ROW)
+    ordered = [unknown] + sorted(patterns.items(), key=lambda kv: kv[1])
     with open(path, "w", encoding="utf-8") as fh:
         for key, idx in ordered:
             row = "\t".join(repr(float(v)) for v in matrix[idx])

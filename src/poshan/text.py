@@ -28,6 +28,10 @@ BOS_TAG = "BOS"
 EOS_TAG = "EOS"
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
+PAD_TOKEN = "<pad>"
+# tokens no headline or body holds: a cardinal phrase reads the sentinels
+# past a headline's edges, a padded sentence the pad token past its end
+RESERVED_TOKENS = frozenset({BOS_TOKEN, EOS_TOKEN, PAD_TOKEN})
 
 
 class DataError(ValueError):
@@ -334,12 +338,15 @@ class _SharedTokens(dict):
 class _ReadTokens(_SharedTokens):
     """Shared tokens for pairs read from a file, where each distinct pair
     is checked once, when it is first seen: one that is not two strings
-    raises TypeError.  Deriving makes its pairs itself and skips the
-    check."""
+    raises TypeError, a reserved token DataError.  Deriving makes its
+    pairs itself, from a tokenizer that splits every reserved token, and
+    skips the check."""
 
     def __missing__(self, pair: tuple) -> TaggedToken:
         if not (len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise TypeError(f"{pair!r} is not a [token, tag] pair")
+        if pair[0] in RESERVED_TOKENS:
+            raise DataError(f"{pair[0]!r} is a reserved token")
         return super().__missing__(pair)
 
 
@@ -360,7 +367,8 @@ def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> 
 
 def derive_dataset(records: Iterable[RawRecord],
                    provider) -> tuple[list[DatasetRecord], Counter]:
-    """Keep exactly the records whose tagged headline contains a CD token.
+    """Keep exactly the records whose tagged headline contains a CD token
+    and whose body has a sentence.
 
     Returns the kept records in input order plus a count of records per
     ``(label, kept)`` pair.  Equal tokens of the kept records are one
@@ -371,9 +379,10 @@ def derive_dataset(records: Iterable[RawRecord],
     shared = _SharedTokens()
     for raw in records:
         rec = featurize(raw, provider, shared)
-        if rec.patterns:
+        keep = bool(rec.patterns and rec.sentences)
+        if keep:
             kept.append(rec)
-        counts[raw.label, bool(rec.patterns)] += 1
+        counts[raw.label, keep] += 1
     return kept, counts
 
 
@@ -476,16 +485,16 @@ def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRec
     """A derived record from its JSON object.  Patterns and phrases are
     derived from the tagged headline; stored ones that differ raise
     DataError, as do a field of the wrong type (a non-string id included),
-    a label outside LABELS, an empty headline or sentence or an active
-    cardinal index out of range.  Equal tokens are one object across the
-    records read with one ``shared``."""
+    a label outside LABELS, a reserved token, an empty headline, body or
+    sentence or an active cardinal index out of range.  Equal tokens are
+    one object across the records read with one ``shared``."""
     shared = _ReadTokens() if shared is None else shared
     if not isinstance(obj["id"], str):
         raise DataError(f"id {obj['id']!r} is not a string")
     if obj["label"] not in LABELS:
         raise DataError(f"label {obj['label']!r} not one of {LABELS}")
-    if not isinstance(obj["sentences"], list):
-        raise DataError("sentences must be a list of sentences")
+    if not (isinstance(obj["sentences"], list) and obj["sentences"]):
+        raise DataError("sentences must be a non-empty list of sentences")
     sentences = [_tagged_from_json(s, "sentence", shared) for s in obj["sentences"]]
     if not all(sentences):
         raise DataError("a sentence has no tokens")

@@ -40,14 +40,13 @@ from .grad import (
     Parameter,
     backward,
     no_grad,
-    placeholder,
     softmax_cross_entropy_with_logits,
     softmax_probs,
     zero_gradients,
 )
 from .metrics import EvalReport, build_report, evaluate_model
 from .model import PoshanModel
-from .text import DataError, DatasetRecord, label_index, replicate_for_training
+from .text import RESERVED_TOKENS, DataError, DatasetRecord, label_index, replicate_for_training
 
 MODEL_POSHAN = "poshan"
 MODEL_LSTM = "lstm"
@@ -286,11 +285,11 @@ class Adam:
     with the decay rates ``ADAM_BETA1``, ``ADAM_BETA2`` and the guard
     ``ADAM_EPSILON``.
 
-    An embedding table is updated only in its active rows, the rows that
-    have had a gradient (``grad.Parameter.active``).  That is exact: a row
-    that never had a gradient has m = v = 0, so its update is exactly 0
-    and ``p - 0.0 == p``.  Every other parameter is updated whole, through
-    two scratch buffers kept between steps.
+    Each parameter is updated in the rows that can have a gradient
+    (``grad.Parameter.rows``): every row of a dense parameter, through
+    views, and an embedding table's active rows, the rows that have had a
+    gradient.  That is exact: a row that never had a gradient has
+    m = v = 0, so its update is exactly 0 and ``p - 0.0 == p``.
     """
 
     def __init__(self, params: Sequence[Parameter], learning_rate: float):
@@ -301,26 +300,23 @@ class Adam:
         # first updated, so a table's never-active rows cost no memory
         self._m = [np.zeros(p.shape) for p in self.params]
         self._v = [np.zeros(p.shape) for p in self.params]
-        self._scratch = [None if p.active is not None else (np.empty(p.shape), np.empty(p.shape))
-                         for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        for p, m, v, scratch in zip(self.params, self._m, self._v, self._scratch):
-            if scratch is not None:
-                self._update(p.data, p.grad, m, v, *scratch)
-                continue
+        for p, m, v in zip(self.params, self._m, self._v):
             rows = p.rows()
             data, g, m_rows, v_rows = p.data[rows], p.grad[rows], m[rows], v[rows]
-            self._update(data, g, m_rows, v_rows, np.empty_like(g), np.empty_like(g))
+            self._update(data, g, m_rows, v_rows)
+            # for rows ``...`` the slices are views, and numpy skips
+            # assigning a view to the array it views
             p.data[rows], m[rows], v[rows] = data, m_rows, v_rows
 
-    def _update(self, data, g, m, v, s, r) -> None:
+    def _update(self, data, g, m, v) -> None:
         """One step on arrays, in place, in the operation order of
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-        ``data - lr*m_hat / (sqrt(v_hat) + eps)``; ``s`` and ``r`` are
-        scratch of ``g``'s shape."""
+        ``data - lr*m_hat / (sqrt(v_hat) + eps)``."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
+        s, r = np.empty_like(g), np.empty_like(g)
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=s)
         np.add(m, s, out=m)
@@ -459,10 +455,12 @@ def _check_header(header, where: str) -> TrainConfig:
         raise DataError(f"{where}: bad best-epoch or val-losses")
     if not isinstance(header["params"], list):
         raise DataError(f"{where}: params is not a list")
-    # a table's keyed rows follow its reserved ones: the word table's pad
-    # and unknown rows, the pattern table's unknown-pattern row
-    for key, first in (("vocab", 2), ("patterns", 1)):
-        indices = list((header[key] or {}).values())
+    reserved = sorted(RESERVED_TOKENS.intersection(header["vocab"]))
+    if reserved:
+        raise DataError(f"{where}: vocab holds the reserved tokens {reserved}")
+    # a table's keyed rows follow its reserved ones
+    for key, table in (("vocab", WordEmbeddingTable), ("patterns", PatternEmbeddingTable)):
+        first, indices = table.FIRST_KEY_ROW, list((header[key] or {}).values())
         if not (all(map(_is_int, indices))
                 and sorted(indices) == list(range(first, first + len(indices)))):
             raise DataError(f"{where}: {key} index values are not the rows "
@@ -472,20 +470,15 @@ def _check_header(header, where: str) -> TrainConfig:
 
 def _described_model(checkpoint: Checkpoint):
     """The model a checkpoint describes, with no value drawn or allocated:
-    every parameter holds a ``grad.placeholder`` of its shape.  The word
-    table holds its pad and unknown rows and one row per vocabulary entry,
-    the pattern table its unknown-pattern row and one row per pattern,
-    each as wide as the config says."""
+    every parameter holds a ``grad.placeholder`` of its shape, each table
+    its reserved rows and one row per key, as wide as the config says."""
     config = checkpoint.config
-    word_param = Parameter("word_embeddings",
-                           placeholder((len(checkpoint.vocab) + 2, config.word_dim)),
-                           requires_grad=checkpoint.word_mode != MODE_PRELOADED_FROZEN)
-    word_table = WordEmbeddingTable(dict(checkpoint.vocab), word_param, mode=checkpoint.word_mode)
+    word_table = WordEmbeddingTable.create(dict(checkpoint.vocab), config.word_dim, None,
+                                           checkpoint.word_mode)
     pattern_table = None
     if checkpoint.patterns is not None:
-        pattern_param = Parameter("pattern_embeddings",
-                                  placeholder((len(checkpoint.patterns) + 1, config.pattern_dim)))
-        pattern_table = PatternEmbeddingTable(dict(checkpoint.patterns), pattern_param)
+        pattern_table = PatternEmbeddingTable.create(dict(checkpoint.patterns),
+                                                     config.pattern_dim, None)
     return build_model(checkpoint.model_kind, config, word_table, pattern_table, draw=False)
 
 

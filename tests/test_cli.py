@@ -125,6 +125,28 @@ def test_derive_summary_matches_hand_filter(tmp_path, capsys):
     assert "total\t5\t5" in out
 
 
+def test_derive_drops_records_with_an_empty_body_and_the_rest_train(tmp_path, capsys):
+    rows = toy_rows()
+    for row, body in zip(rows, ["", " ", "\n\t ", "\u3000"]):
+        row["body"] = body
+    write_corpus(tmp_path / "corpus.jsonl", rows)
+    assert main(["derive", "--input", str(tmp_path / "corpus.jsonl"), "--fallback-tagger",
+                 "--output", str(tmp_path / "derived.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().out == ("label\tkept\tdropped\ncongruent\t10\t2\n"
+                                       "incongruent\t10\t2\ntotal\t20\t4\n")
+    kept = read_derived(tmp_path / "derived.jsonl")
+    assert [r.id for r in kept] == [row["id"] for row in rows[4:]]
+    assert main(["split", "--input", str(tmp_path / "derived.jsonl"), "--seed", "3",
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_OK
+    (tmp_path / "run.cfg").write_text("batch-size=8\nmax-epochs=1\nword-dim=4\n"
+                                      "hidden-size=2\npattern-dim=3\n")
+    rc = main(["train", "--config", str(tmp_path / "run.cfg"), "--model", "poshan",
+               "--train", str(tmp_path / "splits" / "train.jsonl"),
+               "--val", str(tmp_path / "splits" / "val.jsonl"),
+               "--out", str(tmp_path / "model.ckpt")])
+    assert rc == EXIT_OK, capsys.readouterr().err
+
+
 def test_derive_with_sidecar_tags(tmp_path):
     rows = [dict(id="s0", headline="Loan hits 3 million", body="He won 2 games.",
                  label="congruent"),
@@ -654,6 +676,10 @@ def _two_words_share_a_row(header):
     header["vocab"][second] = header["vocab"][first]
 
 
+def _reserved_vocab_key(header):
+    header["vocab"]["<pad>"] = header["vocab"].pop(sorted(header["vocab"])[0])
+
+
 # the parameter-list entries that a checkpoint which does not fit its
 # model has and lacks
 WORD_DIM_PAST_TABLE = ('the model\'s, not stored: '
@@ -706,6 +732,7 @@ PATTERN_TABLE_WITHOUT_ROWS = (
     (_fractional_best_epoch, "bad best-epoch or val-losses"),
     (_extra_header_key, "header has unknown keys ['bogus'] and missing keys []"),
     (_two_words_share_a_row, "vocab index values are not the rows 2.."),
+    (_reserved_vocab_key, "vocab holds the reserved tokens ['<pad>']"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -900,11 +927,25 @@ def _duplicated_id(rows):
     rows[1]["id"] = rows[0]["id"]
 
 
+def _no_sentences(rows):
+    rows[0]["sentences"] = []
+
+
+def _sentinel_headline(rows):
+    rows[0].update(headline=[["<bos>", "CD"]], patterns=["BOS:CD:EOS"],
+                   phrases=[["<bos>", "<bos>", "<eos>"]])
+
+
+def _pad_body_token(rows):
+    rows[0]["sentences"][0][0][0] = "<pad>"
+
+
 def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_path, capsys):
     lines = (workspace / "splits" / "test.jsonl").read_text().splitlines()
     for edit in (_sentences_not_a_list, _extra_pattern, _no_phrases, _empty_sentence,
                  _unknown_label, _numeric_id, _empty_headline_keeps_pattern,
-                 _empty_headline_and_cardinals, _duplicated_id):
+                 _empty_headline_and_cardinals, _duplicated_id, _no_sentences,
+                 _sentinel_headline, _pad_body_token):
         rows = [json.loads(line) for line in lines]
         edit(rows)
         bad = tmp_path / "bad.jsonl"

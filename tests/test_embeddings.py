@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from poshan.embeddings import (
+    MODE_PRELOADED_FROZEN,
     MODE_RANDOM_TRAINABLE,
-    PAD_INDEX,
-    UNK_INDEX,
     PatternEmbeddingTable,
     WordEmbeddingTable,
     build_vocab,
@@ -24,6 +23,7 @@ from poshan.text import (
     CONGRUENT,
     EOS_TOKEN,
     INCONGRUENT,
+    RESERVED_TOKENS,
     CardinalPhrase,
     DataError,
     DatasetRecord,
@@ -32,13 +32,15 @@ from poshan.text import (
 )
 from toy_ops import dot
 
+PAD_ROW, UNK_ROW = WordEmbeddingTable.PAD_ROW, WordEmbeddingTable.UNK_ROW
+
 
 def word_table(rows: dict, dim: int) -> WordEmbeddingTable:
     vocab = {t: i + 2 for i, t in enumerate(rows)}
     m = np.zeros((len(rows) + 2, dim))
     for i, v in enumerate(rows.values()):
         m[i + 2] = v
-    m[UNK_INDEX] = 9.0
+    m[UNK_ROW] = 9.0
     return WordEmbeddingTable(vocab, Parameter("word_embeddings", m),
                               MODE_RANDOM_TRAINABLE)
 
@@ -73,7 +75,7 @@ class TestBuildVocab:
                             min_count=2, dim=4, seed=0)
         assert set(table.vocab) == {"a"}
         assert table.matrix.data.shape[0] == 3
-        assert table.index("b") == UNK_INDEX
+        assert table.index("b") == UNK_ROW
 
     def test_sorted_token_order(self):
         table = build_vocab([headline_record("r0", ["c", "a", "b"])],
@@ -95,7 +97,7 @@ class TestBuildVocab:
     def test_pad_row_zero_and_rows_in_range(self):
         table = build_vocab([headline_record("r0", ["a", "b"])],
                             min_count=1, dim=16, seed=1)
-        assert np.array_equal(table.matrix.data[PAD_INDEX], np.zeros(16))
+        assert np.array_equal(table.matrix.data[PAD_ROW], np.zeros(16))
         assert np.all(np.abs(table.matrix.data[1:]) <= 0.05)
 
     def test_empty_corpus_rejected(self):
@@ -112,6 +114,16 @@ class TestBuildVocab:
         assert table.matrix.requires_grad
 
 
+def test_create_without_seed_holds_a_placeholder_and_frozen_mode_is_not_trained():
+    word = WordEmbeddingTable.create({"b": 2, "a": 3}, 4, None, MODE_PRELOADED_FROZEN)
+    pattern = PatternEmbeddingTable.create({"NN:CD:NN": 1}, 5, None)
+    assert word.matrix.shape == (4, 4) and pattern.matrix.shape == (2, 5)
+    for table in (word, pattern):
+        assert np.isnan(table.matrix.data).all() and not table.matrix.data.flags.writeable
+        assert table.matrix.active.shape == (len(table.matrix.data),)
+    assert not word.matrix.requires_grad and pattern.matrix.requires_grad
+
+
 # ---------------------------------------------------------------------------
 # Lookup semantics
 
@@ -119,8 +131,9 @@ class TestBuildVocab:
 class TestLookup:
     def test_sentinels_resolve_to_zero_row(self):
         table = word_table({"a": [1, 1]}, dim=2)
-        for tok in (BOS_TOKEN, EOS_TOKEN, "<pad>"):
-            assert table.index(tok) == PAD_INDEX
+        assert RESERVED_TOKENS == {BOS_TOKEN, EOS_TOKEN, "<pad>"}
+        for tok in RESERVED_TOKENS:
+            assert table.index(tok) == PAD_ROW
             vec = table.lookup(tok)
             assert np.array_equal(vec.data, [0.0, 0.0])
             assert not vec.requires_grad
@@ -153,12 +166,6 @@ class TestHeadlineVector:
         v2 = headline_vector(["c", "a", "b"], table)
         assert np.array_equal(v1.data, v2.data)
 
-    def test_empty_headline_warns_and_zeroes(self):
-        table = word_table({"a": [1, 1]}, dim=2)
-        with pytest.warns(RuntimeWarning, match="empty headline"):
-            vec = headline_vector([], table)
-        assert np.array_equal(vec.data, [0.0, 0.0])
-
     def test_unknown_tokens_contribute_unk(self):
         table = word_table({"a": [1, 1]}, dim=2)
         assert np.array_equal(headline_vector(["zzz"], table).data, [9.0, 9.0])
@@ -169,7 +176,7 @@ class TestHeadlineVector:
                    gconst(np.ones(2)))
         backward(loss)
         grad = table.matrix.grad
-        assert np.array_equal(grad[PAD_INDEX], [0.0, 0.0])
+        assert np.array_equal(grad[PAD_ROW], [0.0, 0.0])
         assert np.array_equal(grad[table.index("a")], [1.0, 1.0])
         zero_gradients([table.matrix])
 

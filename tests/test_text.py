@@ -17,6 +17,7 @@ from oracles import (
     oracle_tag_token,
     oracle_tokenize,
 )
+from poshan.attention import pad_record
 from poshan.text import (
     ABBREVIATIONS,
     BOS_TAG,
@@ -495,6 +496,12 @@ _HEADLINE_PIECES = st.one_of(
 )
 
 
+# bodies of words, abbreviations and runs of punctuation, digits, letters
+# and whitespace, so that some are empty or whitespace only
+_BODY = st.lists(st.one_of(st.sampled_from(["he", "won", "7", "games", "Mr.", "U.S.", "."]),
+                           st.text(_ALPHABET, max_size=3)), max_size=8).map(" ".join)
+
+
 class TestDerivedIO:
     def test_round_trip(self, tmp_path):
         src = [
@@ -523,6 +530,22 @@ class TestDerivedIO:
         else:
             assert record_from_json(obj) == rec
 
+    @given(st.lists(st.tuples(_HEADLINE_PIECES, st.sampled_from([" ", ""])), max_size=6), _BODY)
+    @example([("5", " "), ("ways", "")], "")
+    @example([("5", " "), ("ways", "")], " \u3000\n\t")
+    @example([("5", " "), ("ways", "")], "Mr. 7 . won")
+    @settings(max_examples=200, deadline=None)
+    def test_every_kept_record_reads_back_and_pads(self, pieces, body):
+        raw = _raw(0, "".join(piece + sep for piece, sep in pieces), body=body)
+        rec = featurize(raw, RuleTagger())
+        kept, counts = derive_dataset([raw], RuleTagger())
+        assert kept == ([rec] if rec.patterns and rec.sentences else [])
+        assert counts == {(CONGRUENT, bool(kept)): 1}
+        for r in kept:
+            assert record_from_json(json.loads(json.dumps(record_to_json(r)))) == r
+            padded = pad_record(r, 1, 1)
+            assert [s.tokens for s in padded.sentences] == [[r.sentences[0][0].text]]
+
     def test_bad_derived_record_reports_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
         _write_jsonl(p, [{"id": "a"}])
@@ -544,12 +567,14 @@ class TestDerivedIO:
         ("active_cardinal_index", -1),
         ("active_cardinal_index", True),
         ("active_cardinal_index", "0"),
+        ("sentences", []),
+        ("sentences", [[["<pad>", "NN"]]]),
     ])
     def test_derived_record_field_types_checked(self, tmp_path, field, value):
         obj = record_to_json(featurize(_raw(0, "Loan hits 1 million"), RuleTagger()))
         obj[field] = value
         p = tmp_path / "d.jsonl"
-        _write_jsonl(p, [obj, obj])
+        _write_jsonl(p, [obj])
         with pytest.raises(DataError, match=r":1:"):
             read_derived(p)
 
