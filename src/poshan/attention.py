@@ -12,7 +12,6 @@ document vector.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .grad import (
     mean_fold,
     weighted_sum,
 )
-from .text import PAD_TOKEN, DataError, DatasetRecord
+from .text import PAD_TOKEN, DatasetRecord
 
 QUERY_PATTERN = "pattern"
 QUERY_PHRASE = "phrase"
@@ -103,10 +102,7 @@ def pad_record(record: DatasetRecord, max_words: int,
                max_sentences: int) -> PaddedRecord:
     """Truncate to the word/sentence limits and pad sentences to the
     record's longest kept sentence."""
-    kept = record.sentences[:max_sentences]
-    if not kept:
-        raise DataError(f"record {record.id!r} has no body sentences")
-    texts = [[t.text for t in sent[:max_words]] for sent in kept]
+    texts = [[t.text for t in sent[:max_words]] for sent in record.sentences[:max_sentences]]
     width = max(len(ts) for ts in texts)
     sentences = []
     for ts in texts:
@@ -123,26 +119,13 @@ def pad_record(record: DatasetRecord, max_words: int,
 
 def build_queries(record: DatasetRecord, word_table: WordEmbeddingTable,
                   pattern_table: PatternEmbeddingTable, types: tuple) -> dict:
-    """Query vectors of the given types, in their order.
-
-    A record without cardinal features drops the pattern and phrase
-    queries, with a warning; a record left with no query type raises
-    DataError.
-    """
-    kept = [q for q in types if record.patterns or q == QUERY_HEADLINE]
-    if not kept:
-        raise DataError(
-            f"record {record.id!r}: every attention query type is disabled "
-            "or unavailable")
-    if len(kept) < len(types):
-        warnings.warn(
-            f"record {record.id!r} has no cardinal feature; "
-            "falling back to headline-only attention", RuntimeWarning)
+    """Query vectors of the given types, in their order; every record
+    that reaches the model has a cardinal, so every type has its query."""
     build = {QUERY_PATTERN: lambda: pattern_query(record, pattern_table),
              QUERY_PHRASE: lambda: phrase_query(record, word_table),
              QUERY_HEADLINE: lambda: headline_vector(
                  [t.text for t in record.headline], word_table)}
-    return {q: build[q]() for q in kept}
+    return {q: build[q]() for q in types}
 
 
 def _attention_level(states: Tensor, mask, queries: dict, scorers: dict) -> tuple:

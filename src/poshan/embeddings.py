@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grad import Parameter, Tensor, gather, mean_axis, placeholder, sum_axis
-from .text import CONGRUENT, INCONGRUENT, RESERVED_TOKENS, DataError, DatasetRecord
+from .text import CONGRUENT, INCONGRUENT, RESERVED_TOKENS, DatasetRecord
 
 UNK_PATTERN = "<unk>"
 
@@ -93,10 +93,6 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
                 dim: int = 64, seed: int = 0) -> WordEmbeddingTable:
     """Random-trainable table over all corpus tokens seen at least
     ``min_count`` times, in sorted token order."""
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    if not corpus:
-        raise DataError("cannot build a vocabulary from an empty corpus")
     counts: dict[str, int] = {}
     for rec in corpus:
         for tok in rec.headline:

@@ -40,8 +40,6 @@ class SequenceEncoder:
 
     def __init__(self, name: str, in_dim: int, hidden: int, cell: str,
                  params: ParameterList):
-        if cell not in CELLS:
-            raise ValueError(f"unknown cell kind {cell!r}, expected one of {CELLS}")
         self.name = name
         self.hidden = hidden
         self.cell = "gru" if cell == CELL_GRU_BI else "lstm"

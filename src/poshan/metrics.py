@@ -131,8 +131,6 @@ def build_report(records, probs) -> EvalReport:
                          predicted=LABELS[int(np.argmax(p))],
                          p_congruent=float(p[0]), p_incongruent=float(p[1]))
         for rec, p in zip(records, probs)]
-    if not predictions:
-        raise ValueError("cannot score an empty prediction list")
     flags = [(p.predicted == POSITIVE_CLASS, p.label == POSITIVE_CLASS) for p in predictions]
     tp, fp, fn = map(flags.count, ((True, True), (True, False), (False, True)))
     tn = len(predictions) - tp - fp - fn

@@ -396,12 +396,8 @@ def summary_tsv(counts: Counter) -> str:
 def replicate_for_training(record: DatasetRecord) -> list[DatasetRecord]:
     """One training unit per cardinal: a copy of the record that keeps only
     that cardinal's pattern and phrase, so its queries are that cardinal's."""
-    k = len(record.patterns)
-    if k == 0:
-        raise DataError(
-            f"record {record.id!r} has no cardinal pattern; it must not reach training")
     return [replace(record, patterns=record.patterns[i:i + 1],
-                    phrases=record.phrases[i:i + 1]) for i in range(k)]
+                    phrases=record.phrases[i:i + 1]) for i in range(len(record.patterns))]
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +478,14 @@ def record_to_json(rec: DatasetRecord) -> dict:
 
 
 def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRecord:
-    """A derived record from its JSON object.  Patterns and phrases are
-    derived from the tagged headline; stored ones that differ raise
-    DataError, as do a field of the wrong type (a non-string id included),
-    a label outside LABELS, a reserved token, an empty headline, body or
-    sentence or an active cardinal index out of range.  Equal tokens are
-    one object across the records read with one ``shared``."""
+    """A derived record from its JSON object.  It holds what
+    ``derive_dataset`` keeps: a headline with a cardinal token and a body
+    sentence.  Patterns and phrases are derived from the tagged headline;
+    stored ones that differ raise DataError, as do a headline without a
+    cardinal token, a field of the wrong type (a non-string id included),
+    a label outside LABELS, a reserved token, an empty body or sentence or
+    an active cardinal index out of range.  Equal tokens are one object
+    across the records read with one ``shared``."""
     shared = _ReadTokens() if shared is None else shared
     if not isinstance(obj["id"], str):
         raise DataError(f"id {obj['id']!r} is not a string")
@@ -499,9 +497,9 @@ def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRec
     if not all(sentences):
         raise DataError("a sentence has no tokens")
     headline = _tagged_from_json(obj["headline"], "headline", shared)
-    if not headline:
-        raise DataError("headline has no tokens")
     patterns, phrases = extract_cardinal_features(headline)
+    if not patterns:
+        raise DataError("headline has no cardinal token")
     if obj["patterns"] != patterns:
         raise DataError(f"patterns {obj['patterns']!r} are not the headline's cardinal patterns")
     if obj["phrases"] != list(map(list, phrases)):

@@ -29,6 +29,7 @@ from .embeddings import (
     MODE_PRELOADED_TRAINABLE,
     MODE_RANDOM_TRAINABLE,
     PATTERN_DIM,
+    UNK_PATTERN,
     PatternEmbeddingTable,
     WordEmbeddingTable,
     build_vocab,
@@ -209,8 +210,6 @@ def build_model(
     holds a placeholder until its data is set (``grad.ParameterList``)."""
     seed = config.seed if draw else None
     if kind == MODEL_POSHAN:
-        if pattern_table is None:
-            raise ValueError("the hierarchical model requires a pattern table")
         return PoshanModel(
             word_table,
             pattern_table,
@@ -451,6 +450,12 @@ def _check_header(header, where: str) -> TrainConfig:
                 and all(_is_int(c) and c >= 0 for c in counts)):
             raise DataError(f"{where}: pattern-label-counts for {key!r} is {counts!r}, "
                             "not [congruent, incongruent] counts")
+    # both come from the same training records; the unknown row has its own name
+    patterns = header["patterns"] or {}
+    if set(patterns) != set(header["pattern-label-counts"] or {}):
+        raise DataError(f"{where}: pattern-label-counts keys are not the patterns keys")
+    if UNK_PATTERN in patterns:
+        raise DataError(f"{where}: patterns holds {UNK_PATTERN!r}, the unknown-pattern row's name")
     if not _is_int(header["best-epoch"]) or not isinstance(header["val-losses"], list):
         raise DataError(f"{where}: bad best-epoch or val-losses")
     if not isinstance(header["params"], list):
@@ -620,8 +625,8 @@ def _mean_val_loss(model, val_padded: Sequence[PaddedRecord]) -> tuple[float, Ev
     """Mean validation loss and the validation report, from one forward
     per record.
 
-    Warnings raised by a record's forward surface; the report's own
-    RuntimeWarnings (single-class AUC, absent-class F1) are silenced.
+    The report's own RuntimeWarnings (single-class AUC, absent-class F1)
+    are silenced.
     """
     total = 0.0
     probs = []
@@ -676,8 +681,6 @@ def train(
     checkpoint holds the best-validation parameters.
     """
     config.validate()
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
     if not train_records:
         raise DataError("training split is empty")
     if not val_records:

@@ -1,12 +1,15 @@
 """The traced benchmark (perfbench.spans.instrument) wraps the package's
 layer boundaries by looking each one up in its owner's own namespace.  A
-renamed or moved boundary then fails here, not in a benchmark run."""
+renamed or moved boundary then fails here, not in a benchmark run; so
+does a package name that a workload's set-up or repeat calls."""
 
+import signal
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from perfbench import corpus, workloads  # noqa: E402
 from perfbench.spans import SpanRecorder, instrument  # noqa: E402
 from poshan import attention, baselines, metrics, model, train  # noqa: E402
 
@@ -94,3 +97,22 @@ def test_traced_training_and_evaluation_record_every_layer():
     expected = (_real_tokens(units, config) + _real_tokens(val_records, config)
                 + _real_tokens(records, config))
     assert recorder.counters["encoder.word_steps"] == expected
+
+
+def test_workload_setup_and_one_repeat_run_clean(tmp_path):
+    """A tiny workload through the benchmark's set-up, twice, and one
+    repeat: equal input digests, no problem and no failed operation."""
+    workload = workloads.Workload(
+        name="smoke", spec=corpus.ragged_spec(16, sentence_median=3, word_median=5,
+                                              vocabulary=300, no_cardinal_every=4),
+        n_train=4, n_val=2, n_predict=6, derive_passes=1, batch_size=2)
+    digests = [workloads.setup(workload, 1, tmp_path / name) for name in ("a", "b")]
+    assert digests[0] == digests[1]
+    try:
+        result = workloads.run_repeat(workload, 1, tmp_path / "a", tmp_path / "work")
+    finally:  # the repeat's speed sampler arms a timer that a raise leaves running
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert result["problems"] == []
+    assert result["failed"] == {"derive": 0, "train": 0, "predict": 0}
+    assert all(result["attempted"].values())

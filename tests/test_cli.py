@@ -296,10 +296,12 @@ def test_train_writes_checkpoint_and_log(workspace):
     assert len(log) == 5
 
 
-def _without_cardinal(row):
-    """A derived record whose headline has no cardinal token."""
-    return dict(row, id="nocard", headline=[["Nothing", "NN"], ["here", "RB"]],
-                patterns=[], phrases=[])
+def _without_cardinal(rows):
+    """The first derived record, with a headline that has no cardinal token."""
+    rows[0].update(headline=[["Nothing", "NN"], ["here", "RB"]], patterns=[], phrases=[])
+
+
+NO_CARDINAL = "bad derived record (headline has no cardinal token)"
 
 
 _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-dim=3\n"
@@ -314,7 +316,7 @@ _BASE_CONFIG = "batch-size=8\nmax-epochs=1\nword-dim=4\nhidden-size=2\npattern-d
     ("seed=-1\n", False, "seed must be at least 0, got -1"),
     ("disable-pattern-att=true\ndisable-phrase-att=true\nreplace-headline-att=true\n",
      False, "no attention query type"),
-    ("", True, "has no cardinal pattern"),
+    ("", True, NO_CARDINAL),
     (f"word-dim={10**20}\n", False, f"word-dim must be at most 1048576, got {10**20}"),
     (f"hidden-size={10**20}\n", False, f"hidden-size must be at most 1048576, got {10**20}"),
     (f"pattern-dim={10**20}\n", False, f"pattern-dim must be at most 1048576, got {10**20}"),
@@ -335,8 +337,10 @@ def test_train_malformed_input_is_data_error(workspace, tmp_path, capsys, config
     train_path = workspace / "splits" / "train.jsonl"
     if add_record:
         rows = [json.loads(line) for line in train_path.read_text().splitlines()]
+        _without_cardinal(rows)
         train_path = tmp_path / "train.jsonl"
-        write_corpus(train_path, rows + [_without_cardinal(rows[0])])
+        write_corpus(train_path, rows)
+        message = f"poshan: {train_path}:1: {message}"
     rc = main(["train", "--config", str(cfg), "--train", str(train_path),
                "--val", str(workspace / "splits" / "val.jsonl"),
                "--out", str(tmp_path / "model.ckpt")])
@@ -411,28 +415,42 @@ def test_training_no_better_than_the_label_prior_warns(workspace, tmp_path, caps
     assert (tmp_path / "model.ckpt.log.tsv").read_text() == "\n".join(result.log_lines) + "\n"
 
 
-def test_eval_record_without_cardinal_needs_a_query_type(workspace, tmp_path, capsys):
-    """Without headline attention, a record with no cardinal has no query
-    left: a data error, where the other models fall back to the headline."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(_BASE_CONFIG + "replace-headline-att=true\n")
-    ckpt = tmp_path / "model.ckpt"
+@pytest.mark.parametrize("command,split", [
+    ("split", "test"), ("eval", "test"), ("dump-attention", "test"),
+    *((f"train-{kind}", split) for kind in MODEL_KINDS for split in ("train", "val"))])
+def test_record_without_cardinal_is_one_line_data_error(workspace, tmp_path, capsys, command,
+                                                        split):
+    """Every reader of derived records accepts what ``derive`` keeps: a
+    record whose headline has no cardinal exits 2 with one line naming its
+    file and line, whatever the command, the model or the split."""
     splits = workspace / "splits"
-    assert main(["train", "--config", str(cfg), "--train", str(splits / "train.jsonl"),
-                 "--val", str(splits / "val.jsonl"), "--out", str(ckpt)]) == EXIT_OK
-    rows = [json.loads(line) for line in (splits / "test.jsonl").read_text().splitlines()]
-    test_path = tmp_path / "test.jsonl"
-    write_corpus(test_path, rows + [_without_cardinal(rows[0])])
+    paths = {name: str(splits / f"{name}.jsonl") for name in ("train", "val", "test")}
+    rows = [json.loads(line) for line in Path(paths[split]).read_text().splitlines()]
+    _without_cardinal(rows)
+    paths[split] = str(tmp_path / f"{split}.jsonl")
+    write_corpus(Path(paths[split]), rows)
+    args = {"split": ["split", "--input", paths["test"], "--seed", "1",
+                      "--out-dir", str(tmp_path / "out")],
+            "eval": ["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", paths["test"],
+                     "--report", str(tmp_path / "report.json")],
+            "dump-attention": ["dump-attention", "--ckpt", str(workspace / "model.ckpt"),
+                               "--input", paths["test"], "--record-id", rows[0]["id"],
+                               "--out", str(tmp_path / "trace.json")]}.get(command)
+    if args is None:
+        (tmp_path / "run.cfg").write_text(_BASE_CONFIG)
+        args = ["train", "--config", str(tmp_path / "run.cfg"), "--model", command[6:],
+                "--train", paths["train"], "--val", paths["val"],
+                "--out", str(tmp_path / "model.ckpt")]
     capsys.readouterr()
-    rc = main(["eval", "--ckpt", str(ckpt), "--test", str(test_path),
-               "--report", str(tmp_path / "report.json")])
+    rc = main(args)
     err = capsys.readouterr().err
     assert rc == EXIT_DATA, err
-    assert "'nocard'" in err and len(err.splitlines()) == 1, err
+    assert err == f"poshan: {paths[split]}:1: {NO_CARDINAL}\n"
+    assert {p.name for p in tmp_path.iterdir()} <= {f"{split}.jsonl", "run.cfg"}
 
 
 def test_eval_warning_is_one_line(workspace, tmp_path, capsys):
-    """The headline-only fallback for a record with no cardinal reaches
+    """A warning, here the report's for a single-class test file, reaches
     stderr as one ``poshan: warning:`` line with no source location, and
     ``main`` restores the warning printer it replaced."""
     import warnings
@@ -440,14 +458,14 @@ def test_eval_warning_is_one_line(workspace, tmp_path, capsys):
     rows = [json.loads(line)
             for line in (workspace / "splits" / "test.jsonl").read_text().splitlines()]
     test_path = tmp_path / "test.jsonl"
-    write_corpus(test_path, rows + [_without_cardinal(rows[0])])
+    write_corpus(test_path, [row for row in rows if row["label"] == "congruent"])
     capsys.readouterr()
     saved = warnings.showwarning
     rc = main(["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(test_path),
                "--report", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert rc == EXIT_OK, err
-    assert "poshan: warning: record 'nocard' has no cardinal feature" in err, err
+    assert "poshan: warning: single-class test labels: AUC is undefined\n" in err, err
     assert all(line.startswith("poshan: ") for line in err.splitlines()), err
     assert ".py:" not in err
     assert warnings.showwarning is saved
@@ -680,6 +698,19 @@ def _reserved_vocab_key(header):
     header["vocab"]["<pad>"] = header["vocab"].pop(sorted(header["vocab"])[0])
 
 
+def _unknown_pattern_key(header):
+    for table in (header["patterns"], header["pattern-label-counts"]):
+        table["<unk>"] = table.pop(sorted(table)[0])
+
+
+def _count_without_pattern(header):
+    header["pattern-label-counts"]["XX:CD:YY"] = [1, 0]
+
+
+def _pattern_without_count(header):
+    del header["pattern-label-counts"][sorted(header["pattern-label-counts"])[0]]
+
+
 # the parameter-list entries that a checkpoint which does not fit its
 # model has and lacks
 WORD_DIM_PAST_TABLE = ('the model\'s, not stored: '
@@ -733,6 +764,9 @@ PATTERN_TABLE_WITHOUT_ROWS = (
     (_extra_header_key, "header has unknown keys ['bogus'] and missing keys []"),
     (_two_words_share_a_row, "vocab index values are not the rows 2.."),
     (_reserved_vocab_key, "vocab holds the reserved tokens ['<pad>']"),
+    (_unknown_pattern_key, "patterns holds '<unk>', the unknown-pattern row's name"),
+    (_count_without_pattern, "pattern-label-counts keys are not the patterns keys"),
+    (_pattern_without_count, "pattern-label-counts keys are not the patterns keys"),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):
@@ -945,7 +979,7 @@ def test_eval_derived_record_with_bad_field_types_is_data_error(workspace, tmp_p
     for edit in (_sentences_not_a_list, _extra_pattern, _no_phrases, _empty_sentence,
                  _unknown_label, _numeric_id, _empty_headline_keeps_pattern,
                  _empty_headline_and_cardinals, _duplicated_id, _no_sentences,
-                 _sentinel_headline, _pad_body_token):
+                 _sentinel_headline, _pad_body_token, _without_cardinal):
         rows = [json.loads(line) for line in lines]
         edit(rows)
         bad = tmp_path / "bad.jsonl"

@@ -25,7 +25,6 @@ from poshan.text import (
     INCONGRUENT,
     RESERVED_TOKENS,
     CardinalPhrase,
-    DataError,
     DatasetRecord,
     TaggedToken,
     replicate_for_training,
@@ -99,14 +98,6 @@ class TestBuildVocab:
                             min_count=1, dim=16, seed=1)
         assert np.array_equal(table.matrix.data[PAD_ROW], np.zeros(16))
         assert np.all(np.abs(table.matrix.data[1:]) <= 0.05)
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(DataError):
-            build_vocab([], min_count=1, dim=4, seed=0)
-
-    def test_bad_min_count_rejected(self):
-        with pytest.raises(ValueError):
-            build_vocab([headline_record("r0", ["a"])], min_count=0)
 
     def test_mode_and_trainable(self):
         table = build_vocab([headline_record("r0", ["a"])], min_count=1)

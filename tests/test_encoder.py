@@ -258,11 +258,6 @@ class TestSequenceEncoder:
         assert [p.name for p in params] == [f"e.{side}.{kind}_{gate}" for side in sides
                                             for gate in gates for kind in "wub"]
 
-    def test_unknown_cell_rejected(self):
-        with pytest.raises(ValueError, match="cell"):
-            SequenceEncoder("e", in_dim=2, hidden=2, cell="transformer",
-                            params=ParameterList(0))
-
     def test_parameter_names_unique(self):
         params = ParameterList(0)
         enc = SequenceEncoder("e", in_dim=2, hidden=2, cell=CELL_LSTM_BI,

@@ -70,10 +70,6 @@ class TestMacroF1:
                 f"class {absent!r} absent from predictions and labels; its F1 counts as 0",
                 "single-class test labels: AUC is undefined"]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            macro_f1([], [])
-
 
 class TestRocAuc:
     def test_all_scores_equal(self):

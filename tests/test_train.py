@@ -430,14 +430,6 @@ def test_build_model_wires_each_ablation_flag(flag, cell):
     assert model.head[0].data.shape == (2, width)
 
 
-def test_build_model_poshan_needs_pattern_table():
-    records = toy_corpus(8)
-    config = tiny_config()
-    word_table, _ = build_tables(records, config)
-    with pytest.raises(ValueError, match="pattern table"):
-        build_model(MODEL_POSHAN, config, word_table, None)
-
-
 def test_build_model_unknown_kind():
     records = toy_corpus(8)
     config = tiny_config()
@@ -765,15 +757,11 @@ def test_train_validates_with_one_forward_per_record(splits, monkeypatch):
 def test_train_validation_warnings(splits):
     train_set, _, _ = splits
     congruent = [r for r in train_set if r.label == "congruent"][:2]
-    no_cardinal = make_record("nc", "congruent", "Team wins games",
-                              "The team won games. Fans cheered loudly.")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        train(tiny_config(max_epochs=1), train_set, [*congruent, no_cardinal],
-              model_kind=MODEL_POSHAN)
+        train(tiny_config(max_epochs=1), train_set, congruent, model_kind=MODEL_POSHAN)
     messages = [str(w.message) for w in caught]
-    # the record's own warning surfaces; the single-class report's do not
-    assert any("'nc' has no cardinal feature" in m for m in messages)
+    # the single-class report's warnings do not surface
     assert not any("AUC" in m or "F1 counts as 0" in m for m in messages)
 
 
