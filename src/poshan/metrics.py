@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import pad_record
-from .text import CONGRUENT, INCONGRUENT, LABELS, DataError
+from .text import CONGRUENT, INCONGRUENT, LABELS, DataError, check_kept
 
 POSITIVE_CLASS = INCONGRUENT
 
@@ -148,9 +148,11 @@ def build_report(records, probs) -> EvalReport:
 
 
 def evaluate_model(model, records, max_words: int, max_sentences: int) -> EvalReport:
-    """Predict every record and assemble the evaluation report."""
+    """Predict every record and assemble the evaluation report; a record
+    that ``text.is_kept`` rejects raises DataError naming it."""
     if not records:
         raise DataError("cannot evaluate an empty record list")
+    check_kept(records, "evaluation")
     return build_report(records, [
         model.predict_probs(pad_record(rec, max_words, max_sentences))
         for rec in records])

@@ -365,10 +365,26 @@ def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> 
                          patterns=patterns, phrases=phrases)
 
 
+def is_kept(record: DatasetRecord) -> bool:
+    """The keep rule: whether a record's headline has a cardinal and its
+    body a sentence.  ``derive_dataset`` keeps exactly these records, and
+    the models read only them."""
+    return bool(record.patterns and record.sentences)
+
+
+def check_kept(records: Iterable[DatasetRecord], role: str) -> None:
+    """Raise DataError naming the first of ``records`` that ``is_kept``
+    rejects; ``role`` says what the records are for."""
+    for record in records:
+        if not is_kept(record):
+            raise DataError(f"{role} record {record.id!r} has no headline cardinal or "
+                            "no body sentence, so derive would drop it")
+
+
 def derive_dataset(records: Iterable[RawRecord],
                    provider) -> tuple[list[DatasetRecord], Counter]:
-    """Keep exactly the records whose tagged headline contains a CD token
-    and whose body has a sentence.
+    """Keep exactly the records ``is_kept`` accepts: a tagged headline with
+    a CD token and a body with a sentence.
 
     Returns the kept records in input order plus a count of records per
     ``(label, kept)`` pair.  Equal tokens of the kept records are one
@@ -379,7 +395,7 @@ def derive_dataset(records: Iterable[RawRecord],
     shared = _SharedTokens()
     for raw in records:
         rec = featurize(raw, provider, shared)
-        keep = bool(rec.patterns and rec.sentences)
+        keep = is_kept(rec)
         if keep:
             kept.append(rec)
         counts[raw.label, keep] += 1

@@ -47,7 +47,14 @@ from .grad import (
 )
 from .metrics import EvalReport, build_report, evaluate_model
 from .model import PoshanModel
-from .text import RESERVED_TOKENS, DataError, DatasetRecord, label_index, replicate_for_training
+from .text import (
+    RESERVED_TOKENS,
+    DataError,
+    DatasetRecord,
+    check_kept,
+    label_index,
+    replicate_for_training,
+)
 
 MODEL_POSHAN = "poshan"
 MODEL_LSTM = "lstm"
@@ -250,6 +257,24 @@ def make_batches(
 # Optimization
 
 
+def _sum_of_squares(params: Sequence[Parameter], rows: Sequence) -> float:
+    """The sum of each parameter's squared gradient over its ``rows``,
+    added up in parameter order."""
+    total = 0.0
+    for p, r in zip(params, rows):
+        total += float(np.sum(p.grad[r] ** 2))
+    return total
+
+
+# A computed sum of n non-negative terms lies within n * 2**-53 of the
+# exact sum, relative, in any order: under 1.2e-7 below 2**30 terms.  A
+# sum over the rows that can have a gradient and a sum over every entry
+# add the same nonzero terms, so they lie within 2.4e-7 of each other, and
+# a norm below threshold * (1 - 1e-6) over those rows leaves the norm over
+# every entry below threshold.
+_CLIP_MARGIN = 1.0 - 1e-6
+
+
 def clip_global_norm(params: Sequence[Parameter], threshold: float) -> float:
     """Scale the parameters' gradients in place so their joint L2 norm is
     at most threshold, and return the norm before clipping.
@@ -259,18 +284,26 @@ def clip_global_norm(params: Sequence[Parameter], threshold: float) -> float:
     multiplied by threshold / norm, e.g. gradients (8, 6) with threshold 6
     become (4.8, 3.6).  A NaN or infinite norm raises NonFiniteError
     naming the parameters with non-finite gradients.
+
+    The norm is first summed over the rows that can have a gradient
+    (``grad.Parameter.rows``), so a step costs the rows a batch touched,
+    not the vocabulary size.  Below ``threshold * _CLIP_MARGIN`` the clip
+    cannot fire and that norm is returned; it may differ from a sum over
+    every entry in the last place.  Otherwise the norm is summed again over
+    every entry, so a clipped step scales by exactly the dense norm.
     """
-    total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad ** 2))
-    norm = math.sqrt(total)
+    rows = [p.rows() for p in params]
+    norm = math.sqrt(_sum_of_squares(params, rows))
+    if norm < threshold * _CLIP_MARGIN:  # a NaN norm goes on to the check below
+        return norm
+    norm = math.sqrt(_sum_of_squares(params, [...] * len(params)))
     if not math.isfinite(norm):
         bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
         raise NonFiniteError(f"non-finite gradient norm {norm}; non-finite gradients: {bad}")
     if norm > threshold:
         scale = threshold / norm
-        for p in params:
-            p.grad[p.rows()] *= scale
+        for p, r in zip(params, rows):
+            p.grad[r] *= scale
     return norm
 
 
@@ -676,7 +709,8 @@ def train(
     Training loss is the mean over records; gradients are accumulated
     per record in a fixed order into the parameters' own buffers, then
     averaged over the batch, clipped by global norm and applied, all in
-    place.  The run stops once validation loss has not improved by more
+    place.  A record that ``text.is_kept`` rejects raises DataError naming
+    it.  The run stops once validation loss has not improved by more
     than 1e-4 for ``early_stop_patience`` epochs, and the returned
     checkpoint holds the best-validation parameters.
     """
@@ -685,6 +719,8 @@ def train(
         raise DataError("training split is empty")
     if not val_records:
         raise DataError("validation split is empty")
+    check_kept(train_records, "training")
+    check_kept(val_records, "validation")
 
     word_table, pattern_table = build_tables(train_records, config)
     model = build_model(model_kind, config, word_table, pattern_table)

@@ -432,23 +432,26 @@ class TestBuildQueries:
         assert queries[QUERY_PHRASE].shape == (3,)
         assert queries[QUERY_HEADLINE].shape == (3,)
 
-    def test_headline_query_is_token_sum(self):
-        s = Setup()
-        queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                QUERY_TYPES)
+    @staticmethod
+    def headline_sum(s):
+        """The headline's word rows added up in token order."""
         table = s.word_table
         rows = [table.matrix.data[table.index(t.text)] for t in s.record.headline]
         expected = rows[0].copy()
         for row in rows[1:]:
             expected += row
-        assert np.array_equal(queries[QUERY_HEADLINE].data, expected)
+        return expected
 
-    def test_ablated_cardinal_record_no_warning(self):
-        s = Setup(headline="Dog bites man")
-        import warnings as w
+    def test_headline_query_is_token_sum(self):
+        s = Setup()
+        queries = build_queries(s.record, s.word_table, s.pattern_table,
+                                QUERY_TYPES)
+        assert np.array_equal(queries[QUERY_HEADLINE].data, self.headline_sum(s))
 
-        with w.catch_warnings():
-            w.simplefilter("error")
-            queries = build_queries(s.record, s.word_table, s.pattern_table,
-                                    (QUERY_HEADLINE,))
-        assert set(queries) == {QUERY_HEADLINE}
+    def test_headline_query_alone_is_the_headline_sum(self):
+        s = Setup()
+        assert s.record.patterns
+        queries = build_queries(s.record, s.word_table, s.pattern_table,
+                                (QUERY_HEADLINE,))
+        assert list(queries) == [QUERY_HEADLINE]
+        assert np.array_equal(queries[QUERY_HEADLINE].data, self.headline_sum(s))

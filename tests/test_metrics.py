@@ -192,6 +192,15 @@ class TestEvaluateModel:
         with pytest.raises(DataError):
             evaluate_model(model, [], **CAPS)
 
+    @pytest.mark.parametrize("headline, body", [("Dog bites man", "He ran."),
+                                                ("Loan hits 1 million", "")])
+    def test_a_record_derive_drops_is_rejected(self, headline, body):
+        model, records = tiny_model_and_records()
+        dropped = featurize(RawRecord(id="dropped", headline=headline, body=body, label=C),
+                            RuleTagger())
+        with pytest.raises(DataError, match="evaluation record 'dropped'"):
+            evaluate_model(model, [*records, dropped], **CAPS)
+
     def test_schema_rejects_bad_report(self):
         bad = EvalReport(macro_f1=1.5, auc=None, tp=0, fp=0, tn=0,
                          fn=0).to_json()

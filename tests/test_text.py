@@ -35,9 +35,11 @@ from poshan.text import (
     SidecarTags,
     TaggedToken,
     TaggingError,
+    check_kept,
     derive_dataset,
     extract_cardinal_features,
     featurize,
+    is_kept,
     label_index,
     read_corpus,
     read_derived,
@@ -402,6 +404,20 @@ class TestDeriveDataset:
         expect = {r.id for r in records
                   if CD_TAG in tagger.tags(r.id, tokenize(r.headline), [])[0]}
         assert {r.id for r in kept} == expect
+
+    @pytest.mark.parametrize("headline, body, kept", [
+        ("Loan hits 1 million", "He ran.", True),
+        ("Dog bites man", "He ran.", False),
+        ("Loan hits 1 million", "", False),
+    ])
+    def test_keeps_exactly_what_the_keep_rule_accepts(self, headline, body, kept):
+        raw = _raw(0, headline, body=body)
+        record = featurize(raw, RuleTagger())
+        assert is_kept(record) == kept
+        assert derive_dataset([raw], RuleTagger())[0] == ([record] if kept else [])
+        if not kept:
+            with pytest.raises(DataError, match="test record 'r0' has no headline cardinal"):
+                check_kept([record], "test")
 
     def test_featurize_populates_sentences(self):
         rec = featurize(_raw(0, "Loan hits 1 million", body="A b. C d."), RuleTagger())

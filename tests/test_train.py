@@ -263,6 +263,76 @@ def test_clip_norm_bounded_and_direction_kept(rows, threshold):
             np.testing.assert_allclose(p.grad, np.array(row) * scale, rtol=1e-12)
 
 
+def sparse_table(seed, n_rows=300, dim=8, n_active=40):
+    """A word table whose gradient is nonzero in ``n_active`` seeded rows,
+    the rows its ``active`` flags mark, and 0 in every other row."""
+    rng = np.random.default_rng(seed)
+    p = Parameter("word_embeddings", np.zeros((n_rows, dim)))
+    p.active = np.zeros(n_rows, dtype=bool)
+    p.active[rng.choice(n_rows, n_active, replace=False)] = True
+    p.grad = np.zeros((n_rows, dim))
+    p.grad[p.active] = rng.normal(size=(n_active, dim))
+    return p
+
+
+def rows_and_dense_norms(params):
+    """The norm summed over each parameter's rows, and over every entry,
+    each added up in parameter order (not by ``sum``, which compensates on
+    Python 3.12)."""
+    norms = []
+    for rows in ([p.rows() for p in params], [...] * len(params)):
+        total = 0.0
+        for p, r in zip(params, rows):
+            total += float(np.sum(p.grad[r] ** 2))
+        norms.append(math.sqrt(total))
+    return tuple(norms)
+
+
+def table_whose_sums_differ():
+    """A ``sparse_table`` and a dense parameter whose norm over the table's
+    active rows and over every entry differ in the last place, from the
+    first seed that gives one; summation order decides it, so the seed is
+    found, not fixed."""
+    for seed in range(100):
+        params = [params_with_grads(dense=np.full(3, 0.5))[0], sparse_table(seed)]
+        rows_norm, dense_norm = rows_and_dense_norms(params)
+        if rows_norm != dense_norm:
+            return params, rows_norm, dense_norm
+    raise AssertionError("no seed in 0..99 gives sums that differ")
+
+
+def test_clip_below_threshold_returns_the_active_row_norm_and_scales_nothing():
+    params, rows_norm, dense_norm = table_whose_sums_differ()
+    before = [p.grad.copy() for p in params]
+    assert clip_global_norm(params, 2.0 * dense_norm) == rows_norm != dense_norm
+    for p, g in zip(params, before):
+        assert p.grad.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0 - 1e-7, 1.0 + 1e-7])
+def test_clip_that_could_fire_scales_by_the_dense_norm_bit_for_bit(ratio):
+    """At or near the threshold the clip sums every entry, in parameter
+    order, as a dense gradient would: a clipped step scales by exactly
+    threshold / dense norm, and an unclipped one returns the dense norm."""
+    params, rows_norm, dense_norm = table_whose_sums_differ()
+    threshold = rows_norm * ratio
+    assert rows_norm >= threshold * (1.0 - 1e-6)
+    expected = [p.grad * (threshold / dense_norm) if dense_norm > threshold else p.grad.copy()
+                for p in params]
+    assert clip_global_norm(params, threshold) == dense_norm
+    for p, g in zip(params, expected):
+        assert p.grad.tobytes() == g.tobytes(), p.name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_rejects_a_non_finite_active_table_row(bad):
+    table = sparse_table(0)
+    table.grad[np.flatnonzero(table.active)[3], 2] = bad
+    params = [params_with_grads(dense=np.ones(2))[0], table]
+    with pytest.raises(NonFiniteError, match=r"\['word_embeddings'\]"):
+        clip_global_norm(params, 6.0)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -641,6 +711,45 @@ def test_training_equals_dense_adam_reference_over_several_clipped_batches(split
         assert np.array_equal(result.checkpoint.params[p.name], p.data), p.name
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_equals_dense_adam_reference_when_the_clip_never_fires(splits, kind):
+    """With a threshold no norm reaches, the clip decides from the active
+    rows alone; the trained parameters still equal, bit for bit, the
+    dense reference."""
+    train_set, val_set, _ = splits
+    config = tiny_config(max_epochs=1, batch_size=2, grad_clip=1e6)
+    records = train_set[:7]
+    result = train(config, records, val_set, model_kind=kind)
+
+    model, first_batch, clipped, n_batches = dense_adam_reference(kind, config, records)
+    assert n_batches >= 3 and clipped == 0
+    assert len(first_batch) < len(model.word_table.matrix.data)
+    for p in model.parameters():
+        assert np.array_equal(result.checkpoint.params[p.name], p.data), p.name
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_table_row_whose_active_flag_is_false_has_a_zero_gradient(splits, kind):
+    """The invariant the clip, the zeroing, the scalings and Adam rely on
+    when they read only a table's active rows."""
+    train_set, _, _ = splits
+    config = tiny_config(max_words_per_sentence=6)
+    records = train_set[:6] + [make_record("z0", "congruent", "Team wins 3 games",
+                                           "The team won 3 games and a zebra.")]
+    word_table, pattern_table = build_tables(records, config)
+    model = build_model(kind, config, word_table, pattern_table)
+    params = [p for p in model.parameters() if p.requires_grad]
+    zero_gradients(params)
+    for padded in padded_units(records[:2]):
+        backward(model.loss(padded))
+    tables = [p for p in params if p.active is not None]
+    assert [p.name for p in tables] == (["word_embeddings", "pattern_embeddings"]
+                                        if kind == MODEL_POSHAN else ["word_embeddings"])
+    for p in tables:
+        assert p.active.any() and not p.active.all(), p.name
+        assert not p.grad[~p.active].any(), p.name
+
+
 def test_a_table_row_never_gathered_keeps_its_bytes_and_zero_moments(splits, monkeypatch):
     train_set, val_set, _ = splits
     # "zebra" lies past the word cap, so it is in the vocabulary but never gathered
@@ -695,6 +804,21 @@ def test_train_rejects_empty_splits(splits):
         train(tiny_config(), [], val_set)
     with pytest.raises(DataError, match="validation"):
         train(tiny_config(), train_set, [])
+
+
+NO_CARDINAL = make_record("nocard", "congruent", "Team wins games", "The team won games.")
+NO_BODY = make_record("nobody", "congruent", "Team wins 3 games", "")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("dropped", [NO_CARDINAL, NO_BODY], ids=lambda r: r.id)
+def test_train_rejects_a_record_derive_drops(splits, kind, dropped):
+    train_set, val_set, _ = splits
+    assert not dropped.patterns or not dropped.sentences
+    with pytest.raises(DataError, match=f"training record {dropped.id!r}"):
+        train(tiny_config(max_epochs=1), [*train_set, dropped], val_set, model_kind=kind)
+    with pytest.raises(DataError, match=f"validation record {dropped.id!r}"):
+        train(tiny_config(max_epochs=1), train_set, [*val_set, dropped], model_kind=kind)
 
 
 def test_train_rejects_unknown_model_kind(splits):
