@@ -140,8 +140,9 @@ def _cmd_train(args) -> int:
     config = parse_config(args.config)
     train_set = read_derived(args.train_path)
     val_set = read_derived(args.val_path)
+    result = train(config, train_set, val_set, model_kind=args.model)
     log_path = args.log if args.log is not None else f"{args.out}.log.tsv"
-    result = train(config, train_set, val_set, model_kind=args.model, log_path=log_path)
+    Path(log_path).write_text("\n".join(result.log_lines) + "\n", encoding="utf-8")
     save_checkpoint(result.checkpoint, args.out)
     best = result.checkpoint.best_epoch
     best_loss = result.checkpoint.val_losses[best]
@@ -276,10 +277,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"poshan: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DataError, NonFiniteError) as exc:
+    except (OSError, DataError, NonFiniteError) as exc:
         print(f"poshan: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:

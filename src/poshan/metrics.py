@@ -149,7 +149,7 @@ def build_report(records, probs) -> EvalReport:
 
 def evaluate_model(model, records, max_words: int, max_sentences: int) -> EvalReport:
     """Predict every record and assemble the evaluation report; a record
-    that ``text.is_kept`` rejects raises DataError naming it."""
+    that ``text.drop_reason`` rejects raises DataError naming it."""
     if not records:
         raise DataError("cannot evaluate an empty record list")
     check_kept(records, "evaluation")

@@ -358,44 +358,50 @@ def featurize(raw: RawRecord, provider, shared: _SharedTokens | None = None) -> 
     headline = tokenize(raw.headline)
     sentences = list(map(tokenize, split_sentences(raw.body)))
     head_tags, body_tags = provider.tags(raw.id, headline, sentences)
-    tagged = shared.tagged(headline, head_tags)
-    patterns, phrases = extract_cardinal_features(tagged)
-    return DatasetRecord(id=raw.id, label=raw.label, headline=tagged,
-                         sentences=list(map(shared.tagged, sentences, body_tags)),
-                         patterns=patterns, phrases=phrases)
+    return _record(raw.id, raw.label, shared.tagged(headline, head_tags),
+                   list(map(shared.tagged, sentences, body_tags)))
 
 
-def is_kept(record: DatasetRecord) -> bool:
-    """The keep rule: whether a record's headline has a cardinal and its
-    body a sentence.  ``derive_dataset`` keeps exactly these records, and
-    the models read only them."""
-    return bool(record.patterns and record.sentences)
+def _record(record_id: str, label: str, headline: list[TaggedToken],
+            sentences: list[list[TaggedToken]]) -> DatasetRecord:
+    """A record with its headline's cardinal patterns and phrases."""
+    return DatasetRecord(record_id, label, headline, sentences,
+                         *extract_cardinal_features(headline))
+
+
+def drop_reason(record: DatasetRecord) -> str | None:
+    """The keep rule: the first condition ``record`` fails, or None.  Word
+    attention needs a body sentence and a token in each, the pattern and
+    phrase queries a headline cardinal.  Derive keeps, the readers accept
+    and the models read exactly the records it passes."""
+    if not record.sentences:
+        return "body has no sentence"
+    if not all(record.sentences):
+        return "a sentence has no tokens"
+    if not record.patterns:
+        return "headline has no cardinal token"
+    return None
 
 
 def check_kept(records: Iterable[DatasetRecord], role: str) -> None:
-    """Raise DataError naming the first of ``records`` that ``is_kept``
-    rejects; ``role`` says what the records are for."""
+    """Raise DataError naming the first of ``records`` that ``drop_reason``
+    rejects, and why; ``role`` says what the records are for."""
     for record in records:
-        if not is_kept(record):
-            raise DataError(f"{role} record {record.id!r} has no headline cardinal or "
-                            "no body sentence, so derive would drop it")
+        if reason := drop_reason(record):
+            raise DataError(f"{role} record {record.id!r}: {reason}, so derive would drop it")
 
 
 def derive_dataset(records: Iterable[RawRecord],
                    provider) -> tuple[list[DatasetRecord], Counter]:
-    """Keep exactly the records ``is_kept`` accepts: a tagged headline with
-    a CD token and a body with a sentence.
-
-    Returns the kept records in input order plus a count of records per
-    ``(label, kept)`` pair.  Equal tokens of the kept records are one
-    object.
-    """
+    """The records ``drop_reason`` passes, in input order, and a count of
+    records per ``(label, kept)`` pair.  Equal tokens of the kept records
+    are one object."""
     kept: list[DatasetRecord] = []
     counts: Counter = Counter()
     shared = _SharedTokens()
     for raw in records:
         rec = featurize(raw, provider, shared)
-        keep = is_kept(rec)
+        keep = drop_reason(rec) is None
         if keep:
             kept.append(rec)
         counts[raw.label, keep] += 1
@@ -494,14 +500,13 @@ def record_to_json(rec: DatasetRecord) -> dict:
 
 
 def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRecord:
-    """A derived record from its JSON object.  It holds what
-    ``derive_dataset`` keeps: a headline with a cardinal token and a body
-    sentence.  Patterns and phrases are derived from the tagged headline;
-    stored ones that differ raise DataError, as do a headline without a
-    cardinal token, a field of the wrong type (a non-string id included),
-    a label outside LABELS, a reserved token, an empty body or sentence or
-    an active cardinal index out of range.  Equal tokens are one object
-    across the records read with one ``shared``."""
+    """A derived record from its JSON object, built as ``featurize``
+    builds one; a record ``drop_reason`` rejects raises DataError with its
+    reason.  Stored patterns or phrases that differ from the headline's
+    raise DataError, as do a field of the wrong type (a non-string id
+    included), a label outside LABELS, a reserved token, an empty
+    ``sentences`` list or an active cardinal index out of range.  Equal
+    tokens are one object across the records read with one ``shared``."""
     shared = _ReadTokens() if shared is None else shared
     if not isinstance(obj["id"], str):
         raise DataError(f"id {obj['id']!r} is not a string")
@@ -510,23 +515,20 @@ def record_from_json(obj: dict, shared: _ReadTokens | None = None) -> DatasetRec
     if not (isinstance(obj["sentences"], list) and obj["sentences"]):
         raise DataError("sentences must be a non-empty list of sentences")
     sentences = [_tagged_from_json(s, "sentence", shared) for s in obj["sentences"]]
-    if not all(sentences):
-        raise DataError("a sentence has no tokens")
-    headline = _tagged_from_json(obj["headline"], "headline", shared)
-    patterns, phrases = extract_cardinal_features(headline)
-    if not patterns:
-        raise DataError("headline has no cardinal token")
-    if obj["patterns"] != patterns:
+    record = _record(obj["id"], obj["label"],
+                     _tagged_from_json(obj["headline"], "headline", shared), sentences)
+    if reason := drop_reason(record):
+        raise DataError(reason)
+    if obj["patterns"] != record.patterns:
         raise DataError(f"patterns {obj['patterns']!r} are not the headline's cardinal patterns")
-    if obj["phrases"] != list(map(list, phrases)):
+    if obj["phrases"] != list(map(list, record.phrases)):
         raise DataError(f"phrases {obj['phrases']!r} are not the headline's cardinal phrases")
     active = obj.get("active_cardinal_index")
     if active is not None and (not isinstance(active, int) or isinstance(active, bool)
-                               or not 0 <= active < len(patterns)):
+                               or not 0 <= active < len(record.patterns)):
         raise DataError(f"active_cardinal_index {active!r} is not an index into "
-                        f"{len(patterns)} patterns")
-    return DatasetRecord(id=obj["id"], label=obj["label"], headline=headline,
-                         sentences=sentences, patterns=patterns, phrases=phrases)
+                        f"{len(record.patterns)} patterns")
+    return record
 
 
 def write_derived(records: Iterable[DatasetRecord], path: str | Path) -> None:

@@ -702,17 +702,17 @@ def train(
     train_records: Sequence[DatasetRecord],
     val_records: Sequence[DatasetRecord],
     model_kind: str = MODEL_POSHAN,
-    log_path: Optional[str | Path] = None,
 ) -> TrainResult:
     """Train a model with Adam, clipping, and early stopping.
 
-    Training loss is the mean over records; gradients are accumulated
-    per record in a fixed order into the parameters' own buffers, then
-    averaged over the batch, clipped by global norm and applied, all in
-    place.  A record that ``text.is_kept`` rejects raises DataError naming
-    it.  The run stops once validation loss has not improved by more
-    than 1e-4 for ``early_stop_patience`` epochs, and the returned
-    checkpoint holds the best-validation parameters.
+    Training loss is the mean over units, one per headline cardinal for
+    ``poshan`` and one per record for the baselines; gradients are
+    accumulated per unit in a fixed order into the parameters' own
+    buffers, then averaged over the batch, clipped by global norm and
+    applied, all in place.  A record ``text.drop_reason`` rejects raises
+    DataError naming it and why.  The run stops once validation loss has
+    not improved by more than 1e-4 for ``early_stop_patience`` epochs,
+    and the returned checkpoint holds the best-validation parameters.
     """
     config.validate()
     if not train_records:
@@ -803,8 +803,6 @@ def train(
         best_epoch=best_epoch,
         val_losses=val_losses,
     )
-    if log_path is not None:
-        Path(log_path).write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return TrainResult(
         checkpoint=checkpoint,
         log_lines=log_lines,

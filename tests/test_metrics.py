@@ -1,6 +1,7 @@
 """Metric tests: hand-computed scores, brute-force oracle equivalence,
 and evaluation report assembly."""
 
+import dataclasses
 import json
 import warnings
 from types import SimpleNamespace
@@ -192,12 +193,16 @@ class TestEvaluateModel:
         with pytest.raises(DataError):
             evaluate_model(model, [], **CAPS)
 
-    @pytest.mark.parametrize("headline, body", [("Dog bites man", "He ran."),
-                                                ("Loan hits 1 million", "")])
-    def test_a_record_derive_drops_is_rejected(self, headline, body):
+    @pytest.mark.parametrize("headline, body, empty_sentences", [
+        ("Dog bites man", "He ran.", []),
+        ("Loan hits 1 million", "", []),
+        ("Loan hits 1 million", "He ran.", [[]]),
+    ])
+    def test_a_record_derive_drops_is_rejected(self, headline, body, empty_sentences):
         model, records = tiny_model_and_records()
         dropped = featurize(RawRecord(id="dropped", headline=headline, body=body, label=C),
                             RuleTagger())
+        dropped = dataclasses.replace(dropped, sentences=[*dropped.sentences, *empty_sentences])
         with pytest.raises(DataError, match="evaluation record 'dropped'"):
             evaluate_model(model, [*records, dropped], **CAPS)
 

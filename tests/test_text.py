@@ -37,9 +37,9 @@ from poshan.text import (
     TaggingError,
     check_kept,
     derive_dataset,
+    drop_reason,
     extract_cardinal_features,
     featurize,
-    is_kept,
     label_index,
     read_corpus,
     read_derived,
@@ -405,18 +405,19 @@ class TestDeriveDataset:
                   if CD_TAG in tagger.tags(r.id, tokenize(r.headline), [])[0]}
         assert {r.id for r in kept} == expect
 
-    @pytest.mark.parametrize("headline, body, kept", [
-        ("Loan hits 1 million", "He ran.", True),
-        ("Dog bites man", "He ran.", False),
-        ("Loan hits 1 million", "", False),
+    @pytest.mark.parametrize("headline, body, reason", [
+        ("Loan hits 1 million", "He ran.", None),
+        ("Dog bites man", "He ran.", "headline has no cardinal token"),
+        ("Loan hits 1 million", "", "body has no sentence"),
     ])
-    def test_keeps_exactly_what_the_keep_rule_accepts(self, headline, body, kept):
+    def test_keeps_exactly_what_the_keep_rule_accepts(self, headline, body, reason):
         raw = _raw(0, headline, body=body)
         record = featurize(raw, RuleTagger())
-        assert is_kept(record) == kept
-        assert derive_dataset([raw], RuleTagger())[0] == ([record] if kept else [])
-        if not kept:
-            with pytest.raises(DataError, match="test record 'r0' has no headline cardinal"):
+        assert drop_reason(record) == reason
+        assert derive_dataset([raw], RuleTagger())[0] == ([] if reason else [record])
+        if reason:
+            with pytest.raises(DataError,
+                               match=f"^test record 'r0': {reason}, so derive would drop it$"):
                 check_kept([record], "test")
 
     def test_featurize_populates_sentences(self):
@@ -512,6 +513,10 @@ _HEADLINE_PIECES = st.one_of(
 _BODY = st.lists(st.one_of(st.sampled_from(["he", "won", "7", "games", "Mr.", "U.S.", "."]),
                            st.text(_ALPHABET, max_size=3)), max_size=8).map(" ".join)
 
+# hand-tagged tokens, cardinal and not, for records built without derive
+_TAGGED = st.builds(TaggedToken, st.sampled_from(["loan", "7", "the", "hits"]),
+                    st.sampled_from(["NN", CD_TAG, "DT", "VBZ"]))
+
 
 class TestDerivedIO:
     def test_round_trip(self, tmp_path):
@@ -550,7 +555,7 @@ class TestDerivedIO:
         raw = _raw(0, "".join(piece + sep for piece, sep in pieces), body=body)
         rec = featurize(raw, RuleTagger())
         kept, counts = derive_dataset([raw], RuleTagger())
-        assert kept == ([rec] if rec.patterns and rec.sentences else [])
+        assert kept == ([] if drop_reason(rec) else [rec])
         assert counts == {(CONGRUENT, bool(kept)): 1}
         obj = json.loads(json.dumps(record_to_json(rec)))
         if not kept:  # the reader rejects what derive drops
@@ -560,6 +565,23 @@ class TestDerivedIO:
             assert record_from_json(obj) == r
             padded = pad_record(r, 1, 1)
             assert [s.tokens for s in padded.sentences] == [[r.sentences[0][0].text]]
+
+    @given(st.lists(_TAGGED, max_size=4),
+           st.lists(st.lists(_TAGGED, max_size=3), min_size=1, max_size=3))
+    @example([TaggedToken("7", CD_TAG)], [[TaggedToken("a", "DT")], []])
+    @example([TaggedToken("a", "DT")], [[]])
+    @settings(max_examples=200, deadline=None)
+    def test_the_reader_rejects_what_the_keep_rule_drops_and_why(self, headline, sentences):
+        rec = DatasetRecord("r0", CONGRUENT, headline, sentences,
+                            *extract_cardinal_features(headline))
+        reason = drop_reason(rec)
+        obj = json.loads(json.dumps(record_to_json(rec)))
+        if reason is None:
+            assert record_from_json(obj) == rec
+        else:
+            with pytest.raises(DataError) as caught:
+                record_from_json(obj)
+            assert str(caught.value) == reason
 
     def test_bad_derived_record_reports_line(self, tmp_path):
         p = tmp_path / "d.jsonl"

@@ -27,7 +27,8 @@ from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import NonFiniteError, Parameter, backward, constant, zero_gradients
 from poshan.model import PoshanModel
 from poshan import train as train_module
-from poshan.text import DataError, RawRecord, RuleTagger, featurize, replicate_for_training
+from poshan.text import (DataError, RawRecord, RuleTagger, drop_reason, featurize,
+                         replicate_for_training)
 from poshan.train import (
     CHECKPOINT_MAGIC,
     Adam,
@@ -577,14 +578,6 @@ def test_train_log_format(trained):
             assert math.isfinite(float(value))
 
 
-def test_train_writes_log_file(splits, tmp_path):
-    train_set, val_set, _ = splits
-    path = tmp_path / "train.tsv"
-    result = train(tiny_config(max_epochs=2), train_set, val_set,
-                   model_kind=MODEL_LSTM, log_path=path)
-    assert path.read_text().splitlines() == result.log_lines
-
-
 def test_train_is_deterministic(splits):
     train_set, val_set, _ = splits
     config = tiny_config(max_epochs=2)
@@ -808,13 +801,15 @@ def test_train_rejects_empty_splits(splits):
 
 NO_CARDINAL = make_record("nocard", "congruent", "Team wins games", "The team won games.")
 NO_BODY = make_record("nobody", "congruent", "Team wins 3 games", "")
+_KEPT = make_record("emptysentence", "congruent", "Team wins 3 games", "The team won.")
+EMPTY_SENTENCE = dataclasses.replace(_KEPT, sentences=[*_KEPT.sentences, []])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-@pytest.mark.parametrize("dropped", [NO_CARDINAL, NO_BODY], ids=lambda r: r.id)
+@pytest.mark.parametrize("dropped", [NO_CARDINAL, NO_BODY, EMPTY_SENTENCE], ids=lambda r: r.id)
 def test_train_rejects_a_record_derive_drops(splits, kind, dropped):
     train_set, val_set, _ = splits
-    assert not dropped.patterns or not dropped.sentences
+    assert drop_reason(dropped)
     with pytest.raises(DataError, match=f"training record {dropped.id!r}"):
         train(tiny_config(max_epochs=1), [*train_set, dropped], val_set, model_kind=kind)
     with pytest.raises(DataError, match=f"validation record {dropped.id!r}"):
