@@ -6,12 +6,12 @@ before encoding.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .attention import PaddedRecord
-from .embeddings import WordEmbeddingTable
+from .embeddings import PatternEmbeddingTable, WordEmbeddingTable
 from .encoder import SequenceEncoder
 from .grad import (
     Tensor,
@@ -21,6 +21,9 @@ from .grad import (
     relu_elem,
 )
 from .model import Classifier
+
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 POS_CATEGORIES = ("noun", "verb", "adjective", "pronoun", "adverb",
                   "cardinal", "other")
@@ -55,14 +58,15 @@ def flatten_record(padded: PaddedRecord) -> list:
 
 class LstmConcatModel(Classifier):
     """Single bidirectional encoder over [headline || body]; the final
-    encoder state feeds the classifier head."""
+    encoder state feeds the classifier head.  It reads no pattern table."""
 
-    def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
-                 cell: str, seed: Optional[int]):
+    def __init__(self, config: TrainConfig, word_table: WordEmbeddingTable,
+                 pattern_table: Optional[PatternEmbeddingTable], seed: Optional[int]):
         super().__init__(seed, word_table)
         self.word_table = word_table
         self.encoder = SequenceEncoder("concat_enc", in_dim=word_table.dim,
-                                       hidden=hidden_size, cell=cell, params=self.params)
+                                       hidden=config.hidden_size, cell=config.cell,
+                                       params=self.params)
         self.head = self._create_head(self.encoder.out_dim)
 
     def inputs(self, tagged) -> Tensor:
@@ -84,9 +88,9 @@ class PosAtModel(LstmConcatModel):
     encoder and the head, and ``posat.theta_b`` starts at zero.
     """
 
-    def __init__(self, word_table: WordEmbeddingTable, hidden_size: int,
-                 cell: str, seed: Optional[int]):
-        super().__init__(word_table, hidden_size, cell, seed)
+    def __init__(self, config: TrainConfig, word_table: WordEmbeddingTable,
+                 pattern_table: Optional[PatternEmbeddingTable], seed: Optional[int]):
+        super().__init__(config, word_table, pattern_table, seed)
         self.theta = (self.params.uniform("posat.theta_w", (1, len(POS_CATEGORIES)), 0.0, 0.01),
                       self.params.zeros("posat.theta_b", 1))
 

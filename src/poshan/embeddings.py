@@ -120,8 +120,8 @@ class PatternEmbeddingTable(_EmbeddingTable):
         return self.patterns.get(key, self.UNK_ROW)
 
     @classmethod
-    def build(cls, corpus: Iterable[DatasetRecord], dim: int = PATTERN_DIM,
-              seed: int = 0) -> "PatternEmbeddingTable":
+    def build(cls, corpus: Iterable[DatasetRecord], dim: int,
+              seed: int) -> "PatternEmbeddingTable":
         keys = sorted({key for rec in corpus for key in rec.patterns})
         return cls.create({k: i + cls.FIRST_KEY_ROW for i, k in enumerate(keys)}, dim, seed)
 

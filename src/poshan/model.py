@@ -4,7 +4,7 @@ encoders, the six attention scorers, and the classifier head."""
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .grad import (
 )
 from .text import label_index
 
+if TYPE_CHECKING:
+    from .train import TrainConfig
+
 
 def _weights_at(level: str, weights: dict, position) -> dict:
     """One position's ``alpha`` or ``beta`` weights from the weights that
@@ -45,6 +48,8 @@ def _weights_at(level: str, weights: dict, position) -> dict:
 class Classifier:
     """The interface the three models share.
 
+    Each model is built as ``Model(config, word_table, pattern_table,
+    seed)`` and reads its settings from ``config``, a ``train.TrainConfig``.
     A subclass calls ``__init__`` with its seed (None: its parameters
     hold placeholders, see ``grad.ParameterList``) and embedding tables
     first, then creates its parts on ``self.params``, its head with
@@ -91,24 +96,22 @@ class PoshanModel(Classifier):
     document vector before the classifier head.
     """
 
-    def __init__(self, word_table: WordEmbeddingTable,
-                 pattern_table: PatternEmbeddingTable, hidden_size: int,
-                 attention_size: Optional[int], cell: str,
-                 disable_pattern_att: bool, disable_phrase_att: bool,
-                 replace_headline_att: bool, seed: Optional[int]):
+    def __init__(self, config: TrainConfig, word_table: WordEmbeddingTable,
+                 pattern_table: PatternEmbeddingTable, seed: Optional[int]):
         super().__init__(seed, word_table, pattern_table)
         self.word_table = word_table
         self.pattern_table = pattern_table
-        disabled = (disable_pattern_att, disable_phrase_att, replace_headline_att)
+        disabled = (config.disable_pattern_att, config.disable_phrase_att,
+                    config.replace_headline_att)
         self.query_types = tuple(q for q, off in zip(QUERY_TYPES, disabled) if not off)
 
         self.word_encoder = SequenceEncoder("word_enc", in_dim=word_table.dim,
-                                            hidden=hidden_size, cell=cell,
+                                            hidden=config.hidden_size, cell=config.cell,
                                             params=self.params)
         self.sentence_encoder = SequenceEncoder(
-            "sent_enc", in_dim=self.word_encoder.out_dim, hidden=hidden_size,
-            cell=cell, params=self.params)
-        att_dim = (attention_size if attention_size is not None
+            "sent_enc", in_dim=self.word_encoder.out_dim, hidden=config.hidden_size,
+            cell=config.cell, params=self.params)
+        att_dim = (config.attention_size if config.attention_size is not None
                    else self.word_encoder.out_dim)
         query_dims = {QUERY_PATTERN: pattern_table.dim, QUERY_PHRASE: word_table.dim,
                       QUERY_HEADLINE: word_table.dim}
@@ -120,7 +123,7 @@ class PoshanModel(Classifier):
         self.word_attention = scorers("word", self.word_encoder.out_dim)
         self.sentence_attention = scorers("sentence", self.sentence_encoder.out_dim)
         head_in = self.sentence_encoder.out_dim
-        if replace_headline_att:
+        if config.replace_headline_att:
             head_in += self.word_encoder.out_dim
         self.head = self._create_head(head_in)
 

@@ -59,7 +59,9 @@ from .text import (
 MODEL_POSHAN = "poshan"
 MODEL_LSTM = "lstm"
 MODEL_POSAT = "posat"
-MODEL_KINDS = (MODEL_POSHAN, MODEL_LSTM, MODEL_POSAT)
+# each model kind's class; every class is built as (config, word_table, pattern_table, seed)
+MODELS = {MODEL_POSHAN: PoshanModel, MODEL_LSTM: LstmConcatModel, MODEL_POSAT: PosAtModel}
+MODEL_KINDS = tuple(MODELS)
 
 # Minimum drop in validation loss that counts as progress for early stopping.
 IMPROVEMENT_THRESHOLD = 1e-4
@@ -194,14 +196,8 @@ def build_tables(
     records: Sequence[DatasetRecord], config: TrainConfig
 ) -> tuple[WordEmbeddingTable, PatternEmbeddingTable]:
     """Build word and pattern tables from the training split only."""
-    word_table = build_vocab(
-        records,
-        min_count=config.min_count,
-        dim=config.word_dim,
-        seed=config.seed,
-    )
-    pattern_table = PatternEmbeddingTable.build(records, dim=config.pattern_dim, seed=config.seed)
-    return word_table, pattern_table
+    word_table = build_vocab(records, config.min_count, config.word_dim, config.seed)
+    return word_table, PatternEmbeddingTable.build(records, config.pattern_dim, config.seed)
 
 
 def build_model(
@@ -211,29 +207,14 @@ def build_model(
     pattern_table: Optional[PatternEmbeddingTable],
     draw: bool = True,
 ):
-    """Construct one of the three trainable models from a config; the
-    baselines take no pattern table, so theirs may be None.  With ``draw``
-    false no initial value is drawn: each parameter other than the tables
-    holds a placeholder until its data is set (``grad.ParameterList``)."""
-    seed = config.seed if draw else None
-    if kind == MODEL_POSHAN:
-        return PoshanModel(
-            word_table,
-            pattern_table,
-            hidden_size=config.hidden_size,
-            attention_size=config.attention_size,
-            cell=config.cell,
-            disable_pattern_att=config.disable_pattern_att,
-            disable_phrase_att=config.disable_phrase_att,
-            replace_headline_att=config.replace_headline_att,
-            seed=seed,
-        )
-    if kind == MODEL_LSTM:
-        return LstmConcatModel(word_table, hidden_size=config.hidden_size, cell=config.cell,
-                               seed=seed)
-    if kind == MODEL_POSAT:
-        return PosAtModel(word_table, hidden_size=config.hidden_size, cell=config.cell, seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    """The ``kind`` model, ``MODELS[kind]``, which reads its sizes, cell,
+    flags and seed from ``config``; the baselines take no pattern table,
+    so theirs may be None.  With ``draw`` false no initial value is drawn:
+    each parameter other than the tables holds a placeholder until its
+    data is set (``grad.ParameterList``)."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return MODELS[kind](config, word_table, pattern_table, config.seed if draw else None)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +480,8 @@ def _check_header(header, where: str) -> TrainConfig:
     # a table's keyed rows follow its reserved ones
     for key, table in (("vocab", WordEmbeddingTable), ("patterns", PatternEmbeddingTable)):
         first, indices = table.FIRST_KEY_ROW, list((header[key] or {}).values())
-        if not (all(map(_is_int, indices))
+        # JSON decodes integers to exactly int, true and false to bool
+        if not (set(map(type, indices)) <= {int}
                 and sorted(indices) == list(range(first, first + len(indices)))):
             raise DataError(f"{where}: {key} index values are not the rows "
                             f"{first}..{first + len(indices) - 1}, one per key")
@@ -645,10 +627,24 @@ def stratified_split(
 
 @dataclass
 class TrainResult:
+    """A training run: the checkpoint, whose ``val_losses`` hold one loss
+    per epoch run and whose ``best_epoch`` is the last epoch that improved
+    (-1 if none did), and the TSV log.  How the run ended follows from
+    those two."""
+
     checkpoint: Checkpoint
     log_lines: list[str]
-    epochs_run: int
-    stopped_early: bool
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.checkpoint.val_losses)
+
+    @property
+    def stopped_early(self) -> bool:
+        """Whether the stop rule of ``train`` fired: the last epoch is
+        at least ``early_stop_patience`` epochs past the best one."""
+        checkpoint = self.checkpoint
+        return self.epochs_run - 1 - checkpoint.best_epoch >= checkpoint.config.early_stop_patience
 
 
 LOG_HEADER = "epoch\ttrain-loss\tval-loss\tval-macro-f1"
@@ -710,9 +706,13 @@ def train(
     accumulated per unit in a fixed order into the parameters' own
     buffers, then averaged over the batch, clipped by global norm and
     applied, all in place.  A record ``text.drop_reason`` rejects raises
-    DataError naming it and why.  The run stops once validation loss has
-    not improved by more than 1e-4 for ``early_stop_patience`` epochs,
-    and the returned checkpoint holds the best-validation parameters.
+    DataError naming it and why.
+
+    An epoch improves when ``best - val_loss > IMPROVEMENT_THRESHOLD``,
+    where ``best`` is ``val_losses[best_epoch]``, or infinity while
+    ``best_epoch`` is -1; a NaN loss never improves.  The run stops after
+    the epoch with ``epoch - best_epoch >= early_stop_patience``, and the
+    returned checkpoint holds the parameters of ``best_epoch``.
     """
     config.validate()
     if not train_records:
@@ -740,13 +740,9 @@ def train(
     train_padded = [pad_record(u, **limits) for u in train_units]
 
     log_lines = [LOG_HEADER]
-    best_val = math.inf
     best_epoch = -1
     best_params: dict[str, np.ndarray] = {}
     val_losses: list[float] = []
-    epochs_without_improvement = 0
-    stopped_early = False
-    epochs_run = 0
 
     with _divergence_as_error():
         for epoch in range(config.max_epochs):
@@ -775,18 +771,13 @@ def train(
             val_loss, report = _mean_val_loss(model, val_padded)
             val_losses.append(val_loss)
             log_lines.append(f"{epoch}\t{train_loss!r}\t{val_loss!r}\t{report.macro_f1!r}")
-            epochs_run = epoch + 1
 
-            if best_val - val_loss > IMPROVEMENT_THRESHOLD:
-                best_val = val_loss
+            best = val_losses[best_epoch] if best_epoch >= 0 else math.inf
+            if best - val_loss > IMPROVEMENT_THRESHOLD:
                 best_epoch = epoch
                 best_params = {p.name: p.data.copy() for p in params}
-                epochs_without_improvement = 0
-            else:
-                epochs_without_improvement += 1
-                if epochs_without_improvement >= config.early_stop_patience:
-                    stopped_early = True
-                    break
+            if epoch - best_epoch >= config.early_stop_patience:
+                break
 
     checkpoint = Checkpoint(
         model_kind=model_kind,
@@ -803,9 +794,4 @@ def train(
         best_epoch=best_epoch,
         val_losses=val_losses,
     )
-    return TrainResult(
-        checkpoint=checkpoint,
-        log_lines=log_lines,
-        epochs_run=epochs_run,
-        stopped_early=stopped_early,
-    )
+    return TrainResult(checkpoint=checkpoint, log_lines=log_lines)

@@ -38,6 +38,7 @@ from poshan.grad import (
 from toy_ops import dot
 from poshan.model import PoshanModel
 from poshan.text import RawRecord, RuleTagger, featurize, replicate_for_training
+from poshan.train import TrainConfig
 
 
 def scalar_params():
@@ -392,9 +393,9 @@ class TestDocumentForward:
 
     def test_trace_json_export(self):
         s = Setup()
-        model = PoshanModel(s.word_table, s.pattern_table, hidden_size=2, attention_size=2,
-                            cell=CELL_LSTM_BI, disable_pattern_att=False,
-                            disable_phrase_att=True, replace_headline_att=False, seed=0)
+        config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4,
+                             disable_phrase_att=True)
+        model = PoshanModel(config, s.word_table, s.pattern_table, 0)
         obj = model.attention_trace(s.padded)
         assert obj["record_id"] == "r0"
         assert obj["query_types"] == [QUERY_PATTERN, QUERY_HEADLINE]

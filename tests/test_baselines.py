@@ -16,9 +16,9 @@ from poshan.baselines import (
     pos_category_index,
 )
 from poshan.embeddings import build_vocab
-from poshan.encoder import CELL_LSTM_BI
 from poshan.grad import ShapeError, finite_difference_check
 from poshan.text import INCONGRUENT, RawRecord, RuleTagger, featurize
+from poshan.train import TrainConfig
 
 
 def make_record(headline="Loan hits 1 million",
@@ -30,7 +30,7 @@ def make_record(headline="Loan hits 1 million",
 def make_pair(cls=LstmConcatModel, seed=0):
     rec = make_record()
     table = build_vocab([rec], min_count=1, dim=3, seed=0)
-    model = cls(table, hidden_size=2, cell=CELL_LSTM_BI, seed=seed)
+    model = cls(TrainConfig(word_dim=3, hidden_size=2), table, None, seed)
     return model, pad_record(rec, 45, 35)
 
 
@@ -101,7 +101,7 @@ class TestLstmConcat:
     def test_gradients_four_token_toy(self):
         rec = make_record(headline="Won 1", body="Big win")
         table = build_vocab([rec], min_count=1, dim=2, seed=0)
-        model = LstmConcatModel(table, hidden_size=2, cell=CELL_LSTM_BI, seed=1)
+        model = LstmConcatModel(TrainConfig(word_dim=2, hidden_size=2), table, None, 1)
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),
@@ -143,7 +143,7 @@ class TestPosAt:
     def test_gradients_four_token_toy(self):
         rec = make_record(headline="Won 1", body="Big win")
         table = build_vocab([rec], min_count=1, dim=2, seed=0)
-        model = PosAtModel(table, hidden_size=2, cell=CELL_LSTM_BI, seed=2)
+        model = PosAtModel(TrainConfig(word_dim=2, hidden_size=2), table, None, 2)
         padded = pad_record(rec, 45, 35)
 
         report = finite_difference_check(lambda: model.loss(padded),

@@ -711,6 +711,17 @@ def _pattern_without_count(header):
     del header["pattern-label-counts"][sorted(header["pattern-label-counts"])[0]]
 
 
+# numerically the rows they stand for, so only the type check rejects them
+def _float_vocab_index(header):
+    vocab = header["vocab"]
+    vocab[next(key for key in vocab if vocab[key] == 2)] = 2.0
+
+
+def _bool_pattern_index(header):
+    patterns = header["patterns"]
+    patterns[next(key for key in patterns if patterns[key] == 1)] = True
+
+
 # the parameter-list entries that a checkpoint which does not fit its
 # model has and lacks
 WORD_DIM_PAST_TABLE = ('the model\'s, not stored: '
@@ -767,6 +778,8 @@ PATTERN_TABLE_WITHOUT_ROWS = (
     (_unknown_pattern_key, "patterns holds '<unk>', the unknown-pattern row's name"),
     (_count_without_pattern, "pattern-label-counts keys are not the patterns keys"),
     (_pattern_without_count, "pattern-label-counts keys are not the patterns keys"),
+    (_float_vocab_index, "vocab index values are not the rows 2.."),
+    (_bool_pattern_index, "patterns index values are not the rows 1.."),
 ])
 def test_eval_malformed_checkpoint_header_is_data_error(workspace, tmp_path, capsys,
                                                          edit, message):

@@ -12,7 +12,6 @@ import pytest
 
 from oracles import oracle_macro_f1, oracle_roc_auc, rank_auc
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
-from poshan.encoder import CELL_LSTM_BI
 from poshan.metrics import (
     EVAL_REPORT_SCHEMA,
     EvalReport,
@@ -30,6 +29,7 @@ from poshan.text import (
     RuleTagger,
     featurize,
 )
+from poshan.train import TrainConfig
 
 C, I = CONGRUENT, INCONGRUENT
 
@@ -146,10 +146,8 @@ def tiny_model_and_records():
     records = [featurize(r, RuleTagger()) for r in raws]
     word_table = build_vocab(records, min_count=1, dim=3, seed=0)
     pattern_table = PatternEmbeddingTable.build(records, dim=4, seed=0)
-    model = PoshanModel(word_table, pattern_table, hidden_size=2,
-                        attention_size=2, cell=CELL_LSTM_BI,
-                        disable_pattern_att=False, disable_phrase_att=False,
-                        replace_headline_att=False, seed=0)
+    config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4)
+    model = PoshanModel(config, word_table, pattern_table, 0)
     return model, records
 
 

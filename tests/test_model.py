@@ -15,7 +15,7 @@ from poshan.attention import (
     pad_record,
 )
 from poshan.embeddings import PatternEmbeddingTable, build_vocab
-from poshan.encoder import CELL_GRU_BI, CELL_LSTM_BI, CELL_LSTM_UNI, CELLS
+from poshan.encoder import CELL_GRU_BI, CELL_LSTM_UNI, CELLS
 from poshan.grad import (
     Parameter,
     Tensor,
@@ -42,15 +42,12 @@ def make_records():
     return [featurize(r, RuleTagger()) for r in raws]
 
 
-def make_model(records=None, **kwargs):
+def make_model(records=None, seed=0, **settings):
     records = records if records is not None else make_records()
-    settings = dict(hidden_size=2, attention_size=2, cell=CELL_LSTM_BI,
-                    disable_pattern_att=False, disable_phrase_att=False,
-                    replace_headline_att=False, seed=0)
-    settings.update(kwargs)
+    config = TrainConfig(word_dim=3, hidden_size=2, attention_size=2, pattern_dim=4, **settings)
     word_table = build_vocab(records, min_count=1, dim=3, seed=0)
     pattern_table = PatternEmbeddingTable.build(records, dim=4, seed=0)
-    return PoshanModel(word_table, pattern_table, **settings), records
+    return PoshanModel(config, word_table, pattern_table, seed), records
 
 
 def make_head(in_dim, seed):

@@ -600,6 +600,41 @@ def test_train_early_stops_when_nothing_improves(splits):
     assert result.checkpoint.best_epoch == 0
 
 
+# Scripted validation losses and, worked out by hand from the stop rule
+# (progress is a drop of more than 1e-4 below the best loss so far; stop
+# once `patience` epochs in a row made none), the epochs run, the best
+# epoch and whether the rule fired.
+@pytest.mark.parametrize("losses,patience,max_epochs,epochs,best_epoch,stopped", [
+    # 2e-4 -> 1e-4 drops exactly 1e-4: no progress.  5e-5 is 1.5e-4 below
+    # the best, though only 5e-5 below the epoch before: progress.
+    ([2e-4, 1e-4, 5e-5, 1e-5, 0.0, 0.0], 2, 6, 5, 2, True),
+    # a NaN loss never counts as progress, not even in the first epoch
+    ([math.nan, 0.7, math.nan, 0.5, math.nan, math.nan, 0.1], 2, 7, 6, 3, True),
+    # the stop falls on the last epoch
+    ([0.7, 0.6, 0.6, 0.6], 2, 4, 4, 1, True),
+    # the last epoch improves, after patience - 1 epochs without progress
+    ([0.7, 0.7, 0.7, 0.5], 3, 4, 4, 3, False),
+])
+def test_train_stop_rule_on_scripted_losses(splits, monkeypatch, losses, patience, max_epochs,
+                                            epochs, best_epoch, stopped):
+    script = iter(losses)
+    real = train_module._mean_val_loss
+
+    def scripted(model, val_padded):
+        return next(script), real(model, val_padded)[1]
+
+    monkeypatch.setattr(train_module, "_mean_val_loss", scripted)
+    train_set, val_set, _ = splits
+    config = tiny_config(max_epochs=max_epochs, early_stop_patience=patience)
+    result = train(config, train_set, val_set, model_kind=MODEL_LSTM)
+    assert list(map(repr, result.checkpoint.val_losses)) == list(map(repr, losses[:epochs]))
+    assert result.checkpoint.best_epoch == best_epoch
+    assert result.epochs_run == epochs
+    assert result.stopped_early is stopped
+    rows = [row.split("\t") for row in result.log_lines[1:]]
+    assert [(int(r[0]), r[2]) for r in rows] == [(e, repr(losses[e])) for e in range(epochs)]
+
+
 def test_train_restores_best_parameters(splits):
     train_set, val_set, _ = splits
     result = train(tiny_config(), train_set, val_set, model_kind=MODEL_POSHAN)
