@@ -17,6 +17,7 @@ UNK_PATTERN = "<unk>"
 MODE_PRELOADED_FROZEN = "preloaded-frozen"
 MODE_PRELOADED_TRAINABLE = "preloaded-trainable"
 MODE_RANDOM_TRAINABLE = "random-trainable"
+WORD_MODES = (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE, MODE_RANDOM_TRAINABLE)
 
 INIT_RANGE = 0.05
 PATTERN_DIM = 100
@@ -48,11 +49,11 @@ class _EmbeddingTable:
         matrix.active = np.zeros(len(matrix.data), dtype=bool)
 
     @classmethod
-    def create(cls, keys: dict, dim: int, seed: int | None, *args):
-        """The table of ``keys`` (key to row), constructed with ``args``
-        after its matrix: the reserved rows and a row per key, ``dim``
-        wide, drawn uniformly from +-INIT_RANGE by ``default_rng(seed)``
-        with the pad row zeroed, or with seed None a ``grad.placeholder``."""
+    def create(cls, keys: dict, dim: int, seed: int | None):
+        """The table of ``keys`` (key to row): the reserved rows and a row
+        per key, ``dim`` wide, drawn uniformly from +-INIT_RANGE by
+        ``default_rng(seed)`` with the pad row zeroed, or with seed None a
+        ``grad.placeholder``."""
         shape = (cls.FIRST_KEY_ROW + len(keys), dim)
         if seed is None:
             matrix = placeholder(shape)
@@ -60,7 +61,7 @@ class _EmbeddingTable:
             matrix = np.random.default_rng(seed).uniform(-INIT_RANGE, INIT_RANGE, size=shape)
             if cls.PAD_ROW is not None:
                 matrix[cls.PAD_ROW] = 0.0
-        return cls(keys, Parameter(cls.NAME, matrix), *args)
+        return cls(keys, Parameter(cls.NAME, matrix))
 
     @property
     def dim(self) -> int:
@@ -74,16 +75,16 @@ class _EmbeddingTable:
 
 class WordEmbeddingTable(_EmbeddingTable):
     """Tokens to word rows: every reserved token (``text.RESERVED_TOKENS``)
-    reads the pad row, an unseen token the unknown row.  The matrix of a
-    table in ``preloaded-frozen`` mode is not trained."""
+    reads the pad row, an unseen token the unknown row.  Its matrix is
+    trained, so ``mode`` is ``random-trainable``; other ``WORD_MODES`` only label checkpoints."""
 
     NAME = "word_embeddings"
     PAD_ROW, UNK_ROW, FIRST_KEY_ROW = 0, 1, 2
+    mode = MODE_RANDOM_TRAINABLE
 
-    def __init__(self, vocab: dict, matrix: Parameter, mode: str):
+    def __init__(self, vocab: dict, matrix: Parameter):
         super().__init__(matrix)
-        self.vocab, self.mode = vocab, mode
-        matrix.requires_grad = mode != MODE_PRELOADED_FROZEN
+        self.vocab = vocab
 
     def index(self, token: str) -> int:
         return self.PAD_ROW if token in RESERVED_TOKENS else self.vocab.get(token, self.UNK_ROW)
@@ -102,7 +103,7 @@ def build_vocab(corpus: Sequence[DatasetRecord], min_count: int = 1,
                 counts[tok.text] = counts.get(tok.text, 0) + 1
     kept = sorted(t for t, c in counts.items() if c >= min_count)
     vocab = {t: i + WordEmbeddingTable.FIRST_KEY_ROW for i, t in enumerate(kept)}
-    return WordEmbeddingTable.create(vocab, dim, seed, MODE_RANDOM_TRAINABLE)
+    return WordEmbeddingTable.create(vocab, dim, seed)
 
 
 class PatternEmbeddingTable(_EmbeddingTable):

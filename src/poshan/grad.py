@@ -688,7 +688,7 @@ def softmax_probs(logits: Tensor) -> np.ndarray:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor; ``requires_grad`` says whether it is trained.
+    """A named leaf tensor that is trained: its ``requires_grad`` is True.
 
     Names must be unique within a model; checkpoints address parameters
     by these names.
@@ -701,8 +701,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name", "active")
 
-    def __init__(self, name: str, data, requires_grad: bool = True):
-        super().__init__(data, requires_grad=requires_grad)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
         self.active: np.ndarray | None = None
 
@@ -851,7 +851,7 @@ FD_TOLERANCE = 1e-4
 def finite_difference_check(forward: Callable[[], Tensor],
                             params: Sequence[Parameter]) -> GradCheckReport:
     """Compare analytic gradients against central finite differences,
-    every entry of every trainable parameter, in parameter order.
+    every entry of every parameter, in parameter order.
 
     ``forward`` must rebuild the graph and return the scalar loss tensor on
     every call, and must be deterministic; the check evaluates it twice up
@@ -863,12 +863,11 @@ def finite_difference_check(forward: Callable[[], Tensor],
         raise DeterminismError(
             f"forward is not deterministic: {first!r} != {second!r}")
 
-    trainable = [p for p in params if p.requires_grad]
-    zero_gradients(trainable)
+    zero_gradients(params)
     backward(forward())
 
     report = GradCheckReport()
-    for p in trainable:
+    for p in params:
         flat = p.data.reshape(-1)
         a_flat = p.grad.reshape(-1)
         worst = 0.0

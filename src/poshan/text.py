@@ -252,10 +252,8 @@ class SidecarTags:
     def from_jsonl(cls, path: str | Path) -> "SidecarTags":
         entries = {}
         lines: dict[str, int] = {}
-        for lineno, obj in _read_jsonl(path):
-            for key in ("id", "headline_tags", "body_tags"):
-                if key not in obj:
-                    raise DataError(f"{path}:{lineno}: sidecar entry missing {key!r}")
+        keys = ("id", "headline_tags", "body_tags")
+        for lineno, obj in _read_jsonl(path, keys, "sidecar entry missing {}"):
             record_id, headline, body = obj["id"], obj["headline_tags"], obj["body_tags"]
             if not isinstance(record_id, str):
                 raise DataError(f"{path}:{lineno}: sidecar id {record_id!r} is not a string")
@@ -426,7 +424,9 @@ def replicate_for_training(record: DatasetRecord) -> list[DatasetRecord]:
 # JSON Lines I/O
 
 
-def _read_jsonl(path: str | Path):
+def _read_jsonl(path: str | Path, keys: Sequence[str], missing: str):
+    """(line number, object) of each non-blank line; an object without one
+    of ``keys`` raises DataError, ``missing`` formatted with the first."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -442,6 +442,8 @@ def _read_jsonl(path: str | Path):
                     raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: expected a JSON object")
+                if absent := [key for key in keys if key not in obj]:
+                    raise DataError(f"{path}:{lineno}: " + missing.format(repr(absent[0])))
                 yield lineno, obj
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -460,10 +462,7 @@ def read_corpus(path: str | Path) -> list[RawRecord]:
     repeated id raises DataError naming the line(s)."""
     records = []
     lines: dict[str, int] = {}
-    for lineno, obj in _read_jsonl(path):
-        for key in ("id", "headline", "body", "label"):
-            if key not in obj:
-                raise DataError(f"{path}:{lineno}: record missing {key!r}")
+    for lineno, obj in _read_jsonl(path, ("id", "headline", "body", "label"), "record missing {}"):
         for key in ("id", "headline", "body"):
             if not isinstance(obj[key], str):
                 raise DataError(f"{path}:{lineno}: {key} {obj[key]!r} is not a string")
@@ -538,16 +537,17 @@ def write_derived(records: Iterable[DatasetRecord], path: str | Path) -> None:
 
 
 def read_derived(path: str | Path) -> list[DatasetRecord]:
-    """Derived records in file order, equal tokens one object; a malformed
-    record or an id that appears twice raises DataError naming the
-    line(s)."""
+    """Derived records in file order, equal tokens one object; a record
+    without one of ``DatasetRecord``'s fields, a malformed record or an id
+    that appears twice raises DataError naming the line(s)."""
     records = []
     lines: dict[str, int] = {}
     shared = _ReadTokens()
-    for lineno, obj in _read_jsonl(path):
+    keys = [f.name for f in fields(DatasetRecord)]
+    for lineno, obj in _read_jsonl(path, keys, "bad derived record (missing {})"):
         try:
             record = record_from_json(obj, shared)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad derived record ({exc})") from None
         _note_id(lines, record.id, path, lineno)
         records.append(record)

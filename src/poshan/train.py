@@ -25,11 +25,9 @@ import numpy as np
 from .attention import PaddedRecord, pad_record
 from .baselines import LstmConcatModel, PosAtModel
 from .embeddings import (
-    MODE_PRELOADED_FROZEN,
-    MODE_PRELOADED_TRAINABLE,
-    MODE_RANDOM_TRAINABLE,
     PATTERN_DIM,
     UNK_PATTERN,
+    WORD_MODES,
     PatternEmbeddingTable,
     WordEmbeddingTable,
     build_vocab,
@@ -294,7 +292,7 @@ ADAM_EPSILON = 1e-8
 
 
 class Adam:
-    """Adam with bias correction over the trainable parameters, in place,
+    """Adam with bias correction over the parameters it is given, in place,
     with the decay rates ``ADAM_BETA1``, ``ADAM_BETA2`` and the guard
     ``ADAM_EPSILON``.
 
@@ -306,7 +304,7 @@ class Adam:
     """
 
     def __init__(self, params: Sequence[Parameter], learning_rate: float):
-        self.params = [p for p in params if p.requires_grad]
+        self.params = list(params)
         self.learning_rate = learning_rate
         self.t = 0
         # np.zeros, unlike zeros_like, leaves pages unwritten until a row is
@@ -398,9 +396,6 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(checkpoint.params[name], dtype="<f8"))
 
 
-_WORD_MODES = (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE, MODE_RANDOM_TRAINABLE)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -449,7 +444,7 @@ def _check_header(header, where: str) -> TrainConfig:
                         f"and missing keys {sorted(keys - set(header))}")
     if header["model-kind"] not in MODEL_KINDS:
         raise DataError(f"{where}: unknown model kind {header['model-kind']!r}")
-    if header["word-mode"] not in _WORD_MODES:
+    if header["word-mode"] not in WORD_MODES:
         raise DataError(f"{where}: unknown word mode {header['word-mode']!r}")
     if not isinstance(header["vocab"], dict):
         raise DataError(f"{where}: vocab is not an object")
@@ -493,8 +488,7 @@ def _described_model(checkpoint: Checkpoint):
     every parameter holds a ``grad.placeholder`` of its shape, each table
     its reserved rows and one row per key, as wide as the config says."""
     config = checkpoint.config
-    word_table = WordEmbeddingTable.create(dict(checkpoint.vocab), config.word_dim, None,
-                                           checkpoint.word_mode)
+    word_table = WordEmbeddingTable.create(dict(checkpoint.vocab), config.word_dim, None)
     pattern_table = None
     if checkpoint.patterns is not None:
         pattern_table = PatternEmbeddingTable.create(dict(checkpoint.patterns),
@@ -726,7 +720,6 @@ def train(
     model = build_model(model_kind, config, word_table, pattern_table)
     params = model.parameters()
     optimizer = Adam(params, learning_rate=config.learning_rate)
-    trainable = optimizer.params
 
     if model_kind == MODEL_POSHAN:
         train_units: list[DatasetRecord] = []
@@ -749,7 +742,7 @@ def train(
             batches = make_batches(train_padded, config.batch_size, seed=config.seed + epoch)
             epoch_total = 0.0
             for batch_index, batch in enumerate(batches):
-                zero_gradients(trainable)
+                zero_gradients(params)
                 batch_total = 0.0
                 for padded in batch:
                     loss = model.loss(padded)
@@ -761,9 +754,9 @@ def train(
                     backward(loss)
                     batch_total += value
                 inv = 1.0 / len(batch)
-                for p in trainable:
+                for p in params:
                     p.grad[p.rows()] *= inv
-                clip_global_norm(trainable, config.grad_clip)
+                clip_global_norm(params, config.grad_clip)
                 optimizer.step()
                 epoch_total += batch_total
             train_loss = epoch_total / len(train_padded)

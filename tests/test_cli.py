@@ -38,6 +38,10 @@ from poshan.train import (
     train,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import corpus  # noqa: E402
+
 
 def write_corpus(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
@@ -482,6 +486,19 @@ def test_eval_report_validates_against_schema(workspace, capsys):
     assert out.startswith("macro-f1\t")
     test_size = len(read_derived(workspace / "splits" / "test.jsonl"))
     assert len(report["predictions"]) == test_size
+
+
+@pytest.mark.parametrize("mode", ["random-trainable", "preloaded-trainable", "preloaded-frozen"])
+def test_eval_reads_the_word_mode_as_a_label(workspace, tmp_path, mode):
+    """A trained checkpoint re-saved with any of the three word modes
+    evaluates to the trained one's report bytes."""
+    trained, resaved = workspace / "model.ckpt", tmp_path / "resaved.ckpt"
+    save_checkpoint(dataclasses.replace(load_checkpoint(trained), word_mode=mode), resaved)
+    test = str(workspace / "splits" / "test.jsonl")
+    for ckpt in (trained, resaved):
+        assert main(["eval", "--ckpt", str(ckpt), "--test", test,
+                     "--report", str(tmp_path / f"{ckpt.stem}.json")]) == EXIT_OK
+    assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):
@@ -1121,12 +1138,12 @@ _JSON_VALUES = st.recursive(
 _DELETE = "<delete>"
 
 
-def _edit_header(header, path, value):
-    """Replace the value at ``path`` in ``header`` by ``value``, or delete
-    it if ``value`` is ``_DELETE``.  A step of ``path`` is a key, or an
-    int taken modulo the container's size; the path stops early at a
-    value that is not a non-empty container."""
-    node = header
+def _edit_json(obj, path, value):
+    """Replace the value at ``path`` in the JSON object ``obj`` by
+    ``value``, or delete it if ``value`` is ``_DELETE``.  A step of
+    ``path`` is a key, or an int taken modulo the container's size; the
+    path stops early at a value that is not a non-empty container."""
+    node = obj
     for depth, step in enumerate(path):
         keys = list(node) if isinstance(node, dict) else range(len(node))
         key = step if isinstance(step, str) else keys[step % len(keys)]
@@ -1159,7 +1176,7 @@ def test_edited_checkpoint_exits_0_or_with_one_data_error_line(
     bad = tmp_path / "edited.ckpt"
     raw = source.read_bytes()
     if edit[0] == "header":
-        rewrite_header(source, bad, lambda header: _edit_header(header, *edit[1:]))
+        rewrite_header(source, bad, lambda header: _edit_json(header, *edit[1:]))
     elif edit[0] == "truncate":
         bad.write_bytes(raw[:edit[1] % len(raw)])
     else:
@@ -1176,24 +1193,70 @@ def test_edited_checkpoint_exits_0_or_with_one_data_error_line(
                                  and len(err.splitlines()) == 1), (command, rc, err)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=st.integers(0, 2 ** 16),
+       path=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
+       value=st.just(_DELETE) | _JSON_VALUES)
+@example(line=0, path=["patterns"], value=_DELETE)
+def test_edited_derived_record_exits_0_or_with_one_data_error_line(
+        workspace, tmp_path, line, path, value):
+    """One JSON value of one record of a derived test split replaced or
+    deleted, down to a token or tag.  ``eval`` and ``split`` exit 0, or 2
+    with one ``poshan: `` line."""
+    lines = (workspace / "splits" / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[line % len(lines)])
+    _edit_json(record, path, value)
+    lines[line % len(lines)] = json.dumps(record)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for args in (["eval", "--ckpt", str(workspace / "model.ckpt"), "--test", str(edited),
+                  "--report", str(tmp_path / "report.json")],
+                 ["split", "--input", str(edited), "--seed", "3",
+                  "--out-dir", str(tmp_path / "splits")]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(args)
+        err = stderr.getvalue()
+        assert rc == EXIT_OK or (rc == EXIT_DATA and err.startswith("poshan: ")
+                                 and len(err.splitlines()) == 1), (args[0], rc, err)
+
+
 # ---------------------------------------------------------------------------
 # determinism across processes
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_written_files_do_not_depend_on_the_string_hash_seed(workspace, tmp_path):
     """Every command runs in a new interpreter under two PYTHONHASHSEED
-    values; each file the commands write is byte-equal between them."""
+    values, one with the BLAS thread variables unset and one with them set
+    to 1; each file the commands write is byte-equal between them."""
     src = str(Path(poshan.__file__).resolve().parents[1])
     splits = workspace / "splits"
     test = str(splits / "test.jsonl")
+    # news-shaped bodies at the default layer sizes: on two or more CPUs a
+    # threaded BLAS splits their products, where the workspace's are too small
+    news = corpus.ragged_spec(20, sentence_median=8, word_median=20, vocabulary=400)
+    corpus.write_raw_jsonl(corpus.generate(news, 1, prefix="news-"), tmp_path / "news.raw.jsonl")
+    (tmp_path / "news.cfg").write_text("max-epochs=2\nbatch-size=8\n")
     outputs = []
-    for hash_seed in ("1", "2"):
+    for hash_seed, threads in (("1", None), ("2", "1")):
         out = tmp_path / hash_seed
         out.mkdir()
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+        if threads:
+            env.update(dict.fromkeys(BLAS_THREADS, threads))
+        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         commands = [["derive", "--input", str(workspace / "corpus.jsonl"), "--fallback-tagger",
-                     "--output", str(out / "derived.jsonl")]]
+                     "--output", str(out / "derived.jsonl")],
+                    ["derive", "--input", str(tmp_path / "news.raw.jsonl"), "--fallback-tagger",
+                     "--output", str(out / "news.jsonl")],
+                    ["train", "--config", str(tmp_path / "news.cfg"), "--model", "lstm",
+                     "--train", str(out / "news.jsonl"), "--val", str(out / "news.jsonl"),
+                     "--out", str(out / "lstm.ckpt")]]
         for kind in ("poshan", "posat"):
             commands += [
                 ["train", "--config", str(workspace / "run.cfg"), "--model", kind,
@@ -1210,7 +1273,8 @@ def test_written_files_do_not_depend_on_the_string_hash_seed(workspace, tmp_path
             assert run.returncode == EXIT_OK, run.stderr
         outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
     assert sorted(outputs[0]) == [
-        "derived.jsonl", "posat.ckpt", "posat.ckpt.log.tsv", "posat.report.json",
+        "derived.jsonl", "lstm.ckpt", "lstm.ckpt.log.tsv", "news.jsonl",
+        "posat.ckpt", "posat.ckpt.log.tsv", "posat.report.json",
         "poshan.ckpt", "poshan.ckpt.log.tsv", "poshan.report.json", "trace.json"]
     assert outputs[0] == outputs[1]
 

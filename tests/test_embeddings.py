@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from poshan.embeddings import (
-    MODE_PRELOADED_FROZEN,
     MODE_RANDOM_TRAINABLE,
     PatternEmbeddingTable,
     WordEmbeddingTable,
@@ -40,8 +39,7 @@ def word_table(rows: dict, dim: int) -> WordEmbeddingTable:
     for i, v in enumerate(rows.values()):
         m[i + 2] = v
     m[UNK_ROW] = 9.0
-    return WordEmbeddingTable(vocab, Parameter("word_embeddings", m),
-                              MODE_RANDOM_TRAINABLE)
+    return WordEmbeddingTable(vocab, Parameter("word_embeddings", m))
 
 
 def pattern_table(rows: dict, dim: int) -> PatternEmbeddingTable:
@@ -105,14 +103,15 @@ class TestBuildVocab:
         assert table.matrix.requires_grad
 
 
-def test_create_without_seed_holds_a_placeholder_and_frozen_mode_is_not_trained():
-    word = WordEmbeddingTable.create({"b": 2, "a": 3}, 4, None, MODE_PRELOADED_FROZEN)
+def test_create_without_seed_holds_a_placeholder():
+    word = WordEmbeddingTable.create({"b": 2, "a": 3}, 4, None)
     pattern = PatternEmbeddingTable.create({"NN:CD:NN": 1}, 5, None)
     assert word.matrix.shape == (4, 4) and pattern.matrix.shape == (2, 5)
     for table in (word, pattern):
         assert np.isnan(table.matrix.data).all() and not table.matrix.data.flags.writeable
         assert table.matrix.active.shape == (len(table.matrix.data),)
-    assert not word.matrix.requires_grad and pattern.matrix.requires_grad
+        assert table.matrix.requires_grad
+    assert word.mode == MODE_RANDOM_TRAINABLE
 
 
 # ---------------------------------------------------------------------------

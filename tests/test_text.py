@@ -1,6 +1,7 @@
 """Text pipeline tests: tokenizer, sentence splitter, taggers, cardinal
 features, dataset derivation and the JSONL round trip."""
 
+import dataclasses
 import json
 import string
 
@@ -588,6 +589,16 @@ class TestDerivedIO:
         _write_jsonl(p, [{"id": "a"}])
         with pytest.raises(DataError, match=r":1:"):
             read_derived(p)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DatasetRecord)])
+    def test_a_missing_field_is_named(self, tmp_path, field):
+        obj = record_to_json(featurize(_raw(0, "Loan hits 1 million"), RuleTagger()))
+        del obj[field]
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, [obj])
+        with pytest.raises(DataError) as caught:
+            read_derived(p)
+        assert str(caught.value) == f"{p}:1: bad derived record (missing {field!r})"
 
     @pytest.mark.parametrize("field,value", [
         ("sentences", 5),

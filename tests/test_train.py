@@ -366,17 +366,14 @@ def test_adam_matches_reference_loop():
     np.testing.assert_allclose(p.data, reference, rtol=1e-12)
 
 
-def test_adam_skips_frozen_and_missing():
-    """A frozen parameter is not optimized; one off the loss path holds a
-    zero gradient and does not move on the first step."""
-    frozen = Parameter("f", np.array([1.0]), requires_grad=False)
+def test_adam_leaves_a_parameter_off_the_loss_path():
+    """A parameter off the loss path holds a zero gradient and does not
+    move on the first step."""
     loose = Parameter("w", np.array([1.0]))
-    opt = Adam([frozen, loose], learning_rate=0.1)
+    opt = Adam([loose], learning_rate=0.1)
     assert opt.params == [loose]
-    frozen.grad = np.array([5.0])
     loose.grad = np.zeros(1)
     opt.step()
-    assert frozen.data[0] == 1.0
     assert loose.data[0] == 1.0
 
 
@@ -666,7 +663,7 @@ def test_one_clipped_step_equals_straight_line_reference(splits, kind):
     units = [u for r in records for u in replicate_for_training(r)] if kind == MODEL_POSHAN else records
     (batch,) = make_batches(padded_units(units), config.batch_size, seed=config.seed)
     assert len(batch) >= 2
-    params = [p for p in model.parameters() if p.requires_grad]
+    params = model.parameters()
     for padded in batch:
         backward(model.loss(padded))
     grads = [(np.zeros_like(p.data) if p.grad is None else p.grad) * (1.0 / len(batch))
@@ -694,7 +691,7 @@ def dense_adam_reference(kind, config, records):
     word_table, pattern_table = build_tables(records, config)
     model = build_model(kind, config, word_table, pattern_table)
     units = [u for r in records for u in replicate_for_training(r)] if kind == MODEL_POSHAN else records
-    params = [p for p in model.parameters() if p.requires_grad]
+    params = model.parameters()
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
     first_batch = {}
     clipped = 0
@@ -766,7 +763,7 @@ def test_a_table_row_whose_active_flag_is_false_has_a_zero_gradient(splits, kind
                                            "The team won 3 games and a zebra.")]
     word_table, pattern_table = build_tables(records, config)
     model = build_model(kind, config, word_table, pattern_table)
-    params = [p for p in model.parameters() if p.requires_grad]
+    params = model.parameters()
     zero_gradients(params)
     for padded in padded_units(records[:2]):
         backward(model.loss(padded))
@@ -804,26 +801,6 @@ def test_a_table_row_never_gathered_keeps_its_bytes_and_zero_moments(splits, mon
     table = optimizer.params[k]
     assert not table.active[row] and table.active.any()
     assert not optimizer._m[k][row].any() and not optimizer._v[k][row].any()
-
-
-def test_a_frozen_preloaded_word_table_is_not_changed(trained, splits, tmp_path):
-    path = tmp_path / "frozen.ckpt"
-    save_checkpoint(dataclasses.replace(trained.checkpoint, word_mode=MODE_PRELOADED_FROZEN), path)
-    model = model_from_checkpoint(load_checkpoint(path))
-    table = model.word_table.matrix
-    before = table.data.tobytes()
-    optimizer = Adam(model.parameters(), learning_rate=0.1)
-    config = trained.checkpoint.config
-    for batch in make_batches(padded_units(splits[0]), 4, seed=0):
-        zero_gradients(optimizer.params)
-        for padded in batch:
-            backward(model.loss(padded))
-        clip_global_norm(optimizer.params, config.grad_clip)
-        optimizer.step()
-    assert table.data.tobytes() == before
-    assert table.grad is None and not table.active.any()
-    pattern = model.pattern_table.matrix
-    assert not np.array_equal(pattern.data, trained.checkpoint.params["pattern_embeddings"])
 
 
 def test_train_rejects_empty_splits(splits):
@@ -999,8 +976,7 @@ def test_loading_a_large_vocabulary_checkpoint_allocates_each_parameter_once(tmp
     vocab = {f"w{i:05d}": i + 2 for i in range(rows)}
     rng = np.random.default_rng(0)
     word_table = WordEmbeddingTable(
-        vocab, Parameter("word_embeddings", rng.uniform(-1, 1, (rows + 2, 64))),
-        MODE_RANDOM_TRAINABLE)
+        vocab, Parameter("word_embeddings", rng.uniform(-1, 1, (rows + 2, 64))))
     pattern_table = PatternEmbeddingTable(
         {"CD NNS": 1}, Parameter("pattern_embeddings", rng.uniform(-1, 1, (2, 100))))
     model = build_model(MODEL_POSHAN, config, word_table, pattern_table)
@@ -1032,20 +1008,18 @@ def test_loading_a_large_vocabulary_checkpoint_allocates_each_parameter_once(tmp
 
 def test_checkpoint_reader_keeps_the_preloaded_word_modes(trained, splits, tmp_path):
     # no code path writes these modes any more, but v1 files that carry
-    # them must still load, with a frozen table where the mode says so
+    # them must still load, keep the mode as a label and predict the same
     config = trained.checkpoint.config
     padded = [pad_record(r, max_words=config.max_words_per_sentence,
                          max_sentences=config.max_sentences) for r in splits[2]]
     reference = model_from_checkpoint(trained.checkpoint)
-    for mode, trainable in ((MODE_PRELOADED_FROZEN, False), (MODE_PRELOADED_TRAINABLE, True)):
+    for mode in (MODE_PRELOADED_FROZEN, MODE_PRELOADED_TRAINABLE):
         path = tmp_path / f"{mode}.ckpt"
         save_checkpoint(dataclasses.replace(trained.checkpoint, word_mode=mode), path)
-        model = model_from_checkpoint(load_checkpoint(path))
-        table = model.word_table.matrix
-        assert model.word_table.mode == mode
-        assert table.requires_grad is trainable
-        optimized = Adam(model.parameters(), learning_rate=0.1).params
-        assert any(p is table for p in optimized) is trainable
+        loaded = load_checkpoint(path)
+        assert loaded.word_mode == mode
+        model = model_from_checkpoint(loaded)
+        assert model.word_table.mode == MODE_RANDOM_TRAINABLE
         for p in padded:
             np.testing.assert_array_equal(model.predict_probs(p), reference.predict_probs(p))
 
